@@ -5,10 +5,13 @@
 //! [`apply_epoch`] resolves its action indices against deterministic
 //! eligibility lists and applies them in place — and reports a
 //! [`DirtySet`]: the campaigns (and, for user mapping, the individual
-//! services) those mutations invalidate. [`build_incremental`] then
-//! recomputes exactly the dirty campaigns and retains every clean
-//! component from the previous map, splicing re-measured user-mapping
-//! services over the retained cell grid segment-by-segment.
+//! services) those mutations invalidate. [`build_incremental`] then runs
+//! the map's one build pipeline (the same one behind
+//! [`TrafficMap::build_with`], which is this call with every campaign
+//! dirty and no previous map): it recomputes exactly the dirty campaigns
+//! and retains every clean component from the previous map, splicing
+//! re-measured user-mapping services over the retained cell grid
+//! segment-by-segment.
 //!
 //! The contract, asserted by `tests/epoch_incremental.rs` and the CI
 //! `epoch` job: the incremental map is **byte-identical** (snapshot bytes
@@ -27,18 +30,14 @@
 //! fingerprint do not cover it).
 
 use crate::exec::ParallelExecutor;
-use crate::map::{MapConfig, TrafficMap};
+use crate::map::{run_pipeline, MapConfig, TrafficMap};
 use crate::snapshot::snapshot_bytes;
-use itm_measure::{ActivityEstimator, CloudProbeResult, Substrate, UserMapping};
-use itm_routing::{AnycastDeployment, Catchments, CollectorSet};
-use itm_tls::{detect_offnets, SniScan, TlsScan};
+use itm_measure::Substrate;
 use itm_topology::AsClass;
 use itm_traffic::DeliveryMode;
-use itm_types::epoch::{Campaign, DirtySet, EpochAction, EpochBounds, EpochPlan};
-use itm_types::{
-    Asn, DomainTable, FaultInjector, FaultStats, Ipv4Addr, ItmError, Result, ServiceId,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use itm_types::epoch::{DirtySet, EpochAction, EpochBounds, EpochPlan};
+use itm_types::{Asn, FaultStats, ItmError, Result, ServiceId};
+use std::collections::BTreeSet;
 
 // ---------------------------------------------------------------------------
 // Eligibility lists: the deterministic orderings EpochAction indices
@@ -86,16 +85,6 @@ pub fn rehomeable_services(s: &Substrate) -> Vec<ServiceId> {
         .filter(|svc| svc.ecs_support && svc.mode == DeliveryMode::DnsRedirection)
         .map(|svc| svc.id)
         .collect()
-}
-
-/// The eligibility-list sizes for this substrate.
-pub fn epoch_bounds(s: &Substrate) -> EpochBounds {
-    EpochBounds {
-        n_resolver_sites: resolver_sites(s).len() as u32,
-        n_flappable_links: flappable_links(s).len() as u32,
-        n_cloud_vms: cloud_vm_sites(s).len() as u32,
-        n_ecs_services: rehomeable_services(s).len() as u32,
-    }
 }
 
 /// Generate and apply epoch `epoch`'s mutations in place, returning the
@@ -168,7 +157,8 @@ pub fn apply_epoch(
 /// With the same `cfg` and executor as the original build, the result is
 /// byte-identical to `TrafficMap::build_with(s, cfg, exec)` — see the
 /// module docs for the argument and `tests/epoch_incremental.rs` for the
-/// enforcement.
+/// enforcement. Recorded under the `map.build_incremental` span, with the
+/// same per-stage child spans as a full build.
 pub fn build_incremental(
     s: &Substrate,
     cfg: &MapConfig,
@@ -180,215 +170,8 @@ pub fn build_incremental(
         return Ok(prev);
     }
     let _span = itm_obs::span("map.build_incremental");
-    let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
-
-    let TrafficMap {
-        user_prefixes: _,
-        activity: prev_activity,
-        onnet_servers: prev_onnet,
-        offnet_servers: prev_offnet,
-        sni_footprints: prev_sni,
-        user_mapping: prev_mapping,
-        catchments: prev_catchments,
-        route_view: prev_route_view,
-        visibility: prev_visibility,
-        cache_result: prev_cache,
-        root_result: prev_root,
-        cloud_result: prev_cloud,
-        fault_report: prev_report,
-        claims: _,
-    } = prev;
-
-    // The resolver deployment is cheap relative to any campaign and is a
-    // pure function of the substrate, so it is redeployed unconditionally
-    // rather than threading an Option through the dirty branches.
-    let resolver = s
-        .open_resolver()
-        .map_err(|e| ItmError::in_campaign("map.build_incremental", e))?;
-
-    // ---- Component 1: users + activity ----
-    let cache_result = if dirty.is_dirty(Campaign::CacheProbe) {
-        cfg.cache_probe
-            .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
-                exec.map(n, job)
-            })
-    } else {
-        prev_cache
-    };
-    let root_result = if dirty.is_dirty(Campaign::RootCrawl) {
-        cfg.root_crawl
-            .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
-                exec.map(n, job)
-            })
-    } else {
-        prev_root
-    };
-    let activity = if dirty.is_dirty(Campaign::Activity) {
-        ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job))
-    } else {
-        prev_activity
-    };
-    let user_prefixes = cache_result.discovered.clone();
-
-    // ---- Component 2: services ----
-    // The SNI scan resolves against the TLS scan's candidate table, so
-    // the pair recomputes together (no current mutation dirties either;
-    // the branch exists for future mutation kinds and custom plans).
-    let (onnet_servers, offnet_servers, sni_footprints, scan_stats) =
-        if dirty.is_dirty(Campaign::TlsScan) || dirty.is_dirty(Campaign::SniScan) {
-            let scan = TlsScan::run_with_faults(
-                &s.topo,
-                &s.tls,
-                &cfg.scan,
-                &s.seeds,
-                &injector("tls-scan"),
-                |n, job| exec.map(n, job),
-            );
-            let (onnet, offnet) = detect_offnets(&s.topo, &s.tls, &scan);
-            let candidates: Vec<Ipv4Addr> = scan.observations.iter().map(|o| o.addr).collect();
-            let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
-            let sni = SniScan::run_with_faults(
-                &s.tls,
-                &candidates,
-                &domains,
-                &cfg.scan,
-                &s.seeds,
-                &injector("sni-scan"),
-                |n, job| exec.map(n, job),
-            );
-            let footprints: BTreeMap<ServiceId, Vec<Ipv4Addr>> = s
-                .catalog
-                .services
-                .iter()
-                .map(|svc| (svc.id, sni.addresses_of(&domains, &svc.domain).to_vec()))
-                .collect();
-            (
-                onnet,
-                offnet,
-                footprints,
-                Some((scan.fault_stats, sni.fault_stats)),
-            )
-        } else {
-            (prev_onnet, prev_offnet, prev_sni, None)
-        };
-
-    let user_mapping = if dirty.is_dirty(Campaign::UserMapping) {
-        if dirty.services.is_empty() {
-            // Dirty with no named services = invalidated wholesale.
-            UserMapping::measure_with_faults(s, &resolver, &injector("user_mapping"), |n, job| {
-                exec.map(n, job)
-            })
-        } else {
-            // The dominant phase's payoff: re-measure only the re-homed
-            // services and splice their segments over the retained grid.
-            let fresh = UserMapping::measure_subset_with_faults(
-                s,
-                &resolver,
-                &dirty.services,
-                &injector("user_mapping"),
-                |n, job| exec.map(n, job),
-            );
-            prev_mapping.splice(fresh, &dirty.services)
-        }
-    } else {
-        prev_mapping
-    };
-
-    // Ground-truth view for catchments and cloud probing; cheap to derive
-    // and only consulted by the dirty branches below.
-    let full = s.full_view();
-    let catchments = if dirty.is_dirty(Campaign::Anycast) {
-        let anycast_services: Vec<ServiceId> = s
-            .catalog
-            .services
-            .iter()
-            .filter(|svc| svc.mode == DeliveryMode::Anycast)
-            .map(|svc| svc.id)
-            .collect();
-        let computed = exec.map(anycast_services.len(), &|k| {
-            let svc = anycast_services[k];
-            let sites: Vec<(Asn, u32)> = s
-                .frontends
-                .endpoints(svc)
-                .iter()
-                .map(|e| {
-                    let host = e.offnet_host.unwrap_or(e.asn);
-                    (host, e.city)
-                })
-                .collect();
-            let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
-            (
-                svc,
-                Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
-            )
-        });
-        computed.into_iter().collect()
-    } else {
-        prev_catchments
-    };
-
-    // ---- Component 3: routes ----
-    let (route_view, visibility, cloud_result) = if dirty.is_dirty(Campaign::Routes) {
-        let collectors = CollectorSet::typical(&s.topo, &s.seeds);
-        let (public_view, visibility) = collectors.public_view(&s.topo);
-        let cloud_result = CloudProbeResult::run_with_faults(
-            s,
-            &full,
-            &s.seeds,
-            &injector("cloud_probe"),
-            |n, job| exec.map(n, job),
-        );
-        let extra = cloud_result.as_links(s);
-        let route_view = public_view.with_extra_links(extra.iter());
-        (route_view, visibility, cloud_result)
-    } else {
-        (prev_route_view, prev_visibility, prev_cloud)
-    };
-
-    // Fault accounting: fresh stats for recomputed campaigns, the
-    // previous build's entries (identical by the purity argument) for
-    // retained ones. Same keys and gating as the full build.
-    let mut fault_report: BTreeMap<String, FaultStats> = BTreeMap::new();
-    if !cfg.faults.is_off() {
-        fault_report.insert("cache_probe".into(), cache_result.fault_stats);
-        fault_report.insert("root_crawl".into(), root_result.fault_stats);
-        match &scan_stats {
-            Some((tls, sni)) => {
-                fault_report.insert("tls_scan".into(), *tls);
-                fault_report.insert("sni_scan".into(), *sni);
-            }
-            None => {
-                for key in ["tls_scan", "sni_scan"] {
-                    if let Some(st) = prev_report.get(key) {
-                        fault_report.insert(key.into(), *st);
-                    }
-                }
-            }
-        }
-        fault_report.insert("ecs_mapping".into(), user_mapping.fault_stats);
-        fault_report.insert("cloud_probe".into(), cloud_result.fault_stats);
-    }
-
-    let mut map = TrafficMap {
-        user_prefixes,
-        activity,
-        onnet_servers,
-        offnet_servers,
-        sni_footprints,
-        user_mapping,
-        catchments,
-        route_view,
-        visibility,
-        cache_result,
-        root_result,
-        cloud_result,
-        fault_report,
-        claims: None,
-    };
-    if cfg.record_claims {
-        map.claims = Some(crate::audit::MapClaims::record(s, &map));
-    }
-    Ok(map)
+    run_pipeline(s, cfg, exec, Some(prev), dirty)
+        .map_err(|e| ItmError::in_campaign("map.build_incremental", e))
 }
 
 // ---------------------------------------------------------------------------
@@ -543,6 +326,8 @@ pub fn map_fingerprint(s: &Substrate, map: &TrafficMap) -> u64 {
 mod tests {
     use super::*;
     use itm_measure::SubstrateConfig;
+    use itm_types::epoch::Campaign;
+    use itm_types::FaultPlan;
 
     fn substrate() -> Substrate {
         Substrate::build(SubstrateConfig::small(), 139).expect("substrate")
@@ -551,11 +336,10 @@ mod tests {
     #[test]
     fn eligibility_lists_are_nonempty_and_stable() {
         let s = substrate();
-        let b = epoch_bounds(&s);
-        assert!(b.n_resolver_sites > 0);
-        assert!(b.n_flappable_links > 0);
-        assert!(b.n_cloud_vms > 0);
-        assert!(b.n_ecs_services > 0);
+        assert!(!resolver_sites(&s).is_empty());
+        assert!(!flappable_links(&s).is_empty());
+        assert!(!cloud_vm_sites(&s).is_empty());
+        assert!(!rehomeable_services(&s).is_empty());
         assert_eq!(resolver_sites(&s), resolver_sites(&s));
         assert_eq!(flappable_links(&s), flappable_links(&s));
     }
@@ -602,15 +386,49 @@ mod tests {
         }
     }
 
+    /// On an unchanged world every dirty set, retained or recomputed,
+    /// reproduces the map — including the branches no epoch profile
+    /// reaches (TLS/SNI, the whole ECS grid) and, under faults, the
+    /// retained TLS/SNI fault-report entries.
     #[test]
-    fn clean_dirty_set_returns_map_unchanged() {
-        let cfg = MapConfig::default();
+    fn any_dirty_set_on_an_unchanged_world_reproduces_the_map() {
         let exec = ParallelExecutor::sequential();
         let s = substrate();
-        let map = TrafficMap::build_with(&s, &cfg, &exec).expect("build");
-        let before = map_fingerprint(&s, &map);
-        let map = build_incremental(&s, &cfg, &exec, map, &DirtySet::clean()).expect("noop");
-        assert_eq!(map_fingerprint(&s, &map), before);
+        let rehomed = rehomeable_services(&s)[0];
+        // One normalized set per campaign (user mapping naming one
+        // service, as a re-home does), then raw sets no epoch produces.
+        let set = |c: Campaign, normalized: bool| {
+            let mut d = DirtySet::clean();
+            d.campaigns.insert(c);
+            if normalized {
+                if c == Campaign::UserMapping {
+                    d.services.insert(rehomed);
+                }
+                d.normalize();
+            }
+            d
+        };
+        let mut sets: Vec<DirtySet> = Campaign::ALL.iter().map(|&c| set(c, true)).collect();
+        sets.extend([
+            set(Campaign::TlsScan, false),
+            set(Campaign::SniScan, false),
+            set(Campaign::UserMapping, false),
+            DirtySet::all(),
+            DirtySet::clean(),
+        ]);
+        for faults in [FaultPlan::off(), FaultPlan::light()] {
+            let cfg = MapConfig {
+                faults,
+                ..MapConfig::default()
+            };
+            let mut map = TrafficMap::build_with(&s, &cfg, &exec).expect("build");
+            let want = map_fingerprint(&s, &map);
+            for dirty in &sets {
+                map = build_incremental(&s, &cfg, &exec, map, dirty).expect("incremental");
+                let why = (dirty.names(), cfg.faults.is_off());
+                assert_eq!(map_fingerprint(&s, &map), want, "(set, faults off) {why:?}");
+            }
+        }
     }
 
     #[test]

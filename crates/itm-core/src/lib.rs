@@ -48,7 +48,7 @@ pub mod weighted;
 
 pub use audit::{audit, CellVerdict, MapClaims};
 pub use coverage::{CoverageReport, Table1Row};
-pub use epoch::{apply_epoch, build_incremental, epoch_bounds, map_fingerprint};
+pub use epoch::{apply_epoch, build_incremental, map_fingerprint};
 pub use exec::ParallelExecutor;
 pub use map::{MapConfig, TrafficMap};
 pub use outage::{OutageImpact, OutageScenario};

@@ -10,6 +10,17 @@
 //! 3. **Routes** (§3.3): the public collector view augmented with
 //!    cloud-VM-discovered links; paths predicted on demand.
 //!
+//! There is one pipeline: a private `run_pipeline` runs each campaign
+//! once, in the order above (resolver deploy, cache probe, root crawl,
+//! activity fusion, TLS+SNI, ECS mapping, anycast, public view + cloud
+//! probe), recomputing the campaigns a [`DirtySet`] names and retaining
+//! the rest from a previous map. A full build is that pipeline with
+//! [`DirtySet::all`] and no previous map; an epoch's incremental rebuild
+//! ([`crate::epoch::build_incremental`]) is the same pipeline with the
+//! epoch's dirty set. Both record the same per-stage spans
+//! (`resolver.deploy`, `users.activity`, `services.scan`,
+//! `services.anycast`, `routes.assemble`).
+//!
 //! The result is self-contained and serializable (minus the prediction
 //! view, which is recomputed from stored links).
 
@@ -23,6 +34,7 @@ use itm_routing::{
 };
 use itm_tls::{detect_offnets, OffnetFinding, ScanConfig, SniScan, TlsScan};
 use itm_traffic::DeliveryMode;
+use itm_types::epoch::{Campaign, DirtySet};
 use itm_types::{
     Asn, DomainTable, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, ItmError, PrefixId, Result,
     ServiceId,
@@ -127,110 +139,8 @@ impl TrafficMap {
             itm_obs::trace::Technique::MapAssembly,
             "traffic map assembly",
         );
-
-        let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
-
-        // ---- Component 1: users + activity ----
-        let users_span = itm_obs::span("users.activity");
-        let resolver = s
-            .open_resolver()
+        let map = run_pipeline(s, cfg, exec, None, &DirtySet::all())
             .map_err(|e| ItmError::in_campaign("map.build", e))?;
-        let cache_result =
-            cfg.cache_probe
-                .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
-                    exec.map(n, job)
-                });
-        let root_result =
-            cfg.root_crawl
-                .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
-                    exec.map(n, job)
-                });
-        let activity =
-            ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job));
-        let user_prefixes = cache_result.discovered.clone();
-        drop(users_span);
-
-        // ---- Component 2: services ----
-        let services_span = itm_obs::span("services.scan");
-        let scan = TlsScan::run_with_faults(
-            &s.topo,
-            &s.tls,
-            &cfg.scan,
-            &s.seeds,
-            &injector("tls-scan"),
-            |n, job| exec.map(n, job),
-        );
-        let (onnet_servers, offnet_servers) = detect_offnets(&s.topo, &s.tls, &scan);
-        let candidates: Vec<Ipv4Addr> = scan.observations.iter().map(|o| o.addr).collect();
-        // Intern the catalogue's domains once; the SNI campaign and its
-        // shards carry 4-byte ids instead of cloned strings.
-        let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
-        let sni = SniScan::run_with_faults(
-            &s.tls,
-            &candidates,
-            &domains,
-            &cfg.scan,
-            &s.seeds,
-            &injector("sni-scan"),
-            |n, job| exec.map(n, job),
-        );
-        let sni_footprints: BTreeMap<ServiceId, Vec<Ipv4Addr>> = s
-            .catalog
-            .services
-            .iter()
-            .map(|svc| (svc.id, sni.addresses_of(&domains, &svc.domain).to_vec()))
-            .collect();
-        let user_mapping =
-            UserMapping::measure_with_faults(s, &resolver, &injector("user_mapping"), |n, job| {
-                exec.map(n, job)
-            });
-        drop(services_span);
-
-        // Anycast catchments for anycast services: one shard per anycast
-        // service, merged into a BTreeMap (disjoint service keys).
-        let anycast_span = itm_obs::span("services.anycast");
-        let full = s.full_view();
-        let anycast_services: Vec<ServiceId> = s
-            .catalog
-            .services
-            .iter()
-            .filter(|svc| svc.mode == DeliveryMode::Anycast)
-            .map(|svc| svc.id)
-            .collect();
-        let computed = exec.map(anycast_services.len(), &|k| {
-            let svc = anycast_services[k];
-            let sites: Vec<(Asn, u32)> = s
-                .frontends
-                .endpoints(svc)
-                .iter()
-                .map(|e| {
-                    let host = e.offnet_host.unwrap_or(e.asn);
-                    (host, e.city)
-                })
-                .collect();
-            let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
-            (
-                svc,
-                Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
-            )
-        });
-        let catchments: BTreeMap<ServiceId, Catchments> = computed.into_iter().collect();
-        drop(anycast_span);
-
-        // ---- Component 3: routes ----
-        let routes_span = itm_obs::span("routes.assemble");
-        let collectors = CollectorSet::typical(&s.topo, &s.seeds);
-        let (public_view, visibility) = collectors.public_view(&s.topo);
-        let cloud_result = CloudProbeResult::run_with_faults(
-            s,
-            &full,
-            &s.seeds,
-            &injector("cloud_probe"),
-            |n, job| exec.map(n, job),
-        );
-        let extra = cloud_result.as_links(s);
-        let route_view = public_view.with_extra_links(extra.iter());
-        drop(routes_span);
 
         // Assert the map's edges into the trace: one event per measured
         // (service, prefix) cell, each linking the serving address and AS
@@ -238,62 +148,21 @@ impl TrafficMap {
         // produced it. CellMap iteration is sorted by (service, prefix),
         // so the event stream is byte-stable without an explicit sort.
         if itm_obs::trace::enabled() {
-            let cells: Vec<(ServiceId, PrefixId, Ipv4Addr)> = user_mapping
-                .mapping
-                .iter()
-                .map(|c| (c.service, c.prefix, c.addr))
-                .collect();
-            for (svc, p, addr) in cells {
-                let serving_as = s.topo.prefixes.lookup(addr).map(|r| r.owner);
+            for c in map.user_mapping.mapping.iter() {
                 let mut subjects = itm_obs::trace::Subjects::none()
-                    .prefix(p.raw())
-                    .service(svc.raw())
-                    .addr(addr.0);
-                if let Some(owner) = serving_as {
-                    subjects = subjects.asn(owner.raw());
+                    .prefix(c.prefix.raw())
+                    .service(c.service.raw())
+                    .addr(c.addr.0);
+                if let Some(r) = s.topo.prefixes.lookup(c.addr) {
+                    subjects = subjects.asn(r.owner.raw());
                 }
                 itm_obs::trace::emit(
                     itm_obs::trace::Technique::MapAssembly,
                     itm_obs::trace::EventKind::EdgeAsserted,
                     subjects,
-                    &s.catalog.get(svc).domain,
+                    &s.catalog.get(c.service).domain,
                 );
             }
-        }
-
-        // Per-technique fault accounting. Populated only when the plan is
-        // on: a clean build carries no report, which keeps its JSON
-        // summary byte-identical to builds that predate fault injection.
-        let mut fault_report: BTreeMap<String, FaultStats> = BTreeMap::new();
-        if !cfg.faults.is_off() {
-            fault_report.insert("cache_probe".into(), cache_result.fault_stats);
-            fault_report.insert("root_crawl".into(), root_result.fault_stats);
-            fault_report.insert("tls_scan".into(), scan.fault_stats);
-            fault_report.insert("sni_scan".into(), sni.fault_stats);
-            fault_report.insert("ecs_mapping".into(), user_mapping.fault_stats);
-            fault_report.insert("cloud_probe".into(), cloud_result.fault_stats);
-        }
-
-        let mut map = TrafficMap {
-            user_prefixes,
-            activity,
-            onnet_servers,
-            offnet_servers,
-            sni_footprints,
-            user_mapping,
-            catchments,
-            route_view,
-            visibility,
-            cache_result,
-            root_result,
-            cloud_result,
-            fault_report,
-            claims: None,
-        };
-        // Claim recording reads the assembled map, so it runs last; gated
-        // because the tables cost memory a clean build must not pay.
-        if cfg.record_claims {
-            map.claims = Some(crate::audit::MapClaims::record(s, &map));
         }
         Ok(map)
     }
@@ -347,6 +216,247 @@ impl TrafficMap {
         }
         addrs.len()
     }
+}
+
+/// The one campaign sequence behind both [`TrafficMap::build_with`] and
+/// [`crate::epoch::build_incremental`].
+///
+/// Each campaign is recomputed when `dirty` names it and otherwise taken
+/// from `prev`; with no `prev` every campaign runs, so a full build is
+/// the incremental build with everything dirty. Retention relies on the
+/// closure rules of [`DirtySet::normalize`] (cache/root ⇒ activity,
+/// cloud probe ⇔ routes, TLS ⇒ SNI).
+pub(crate) fn run_pipeline(
+    s: &Substrate,
+    cfg: &MapConfig,
+    exec: &ParallelExecutor,
+    prev: Option<TrafficMap>,
+    dirty: &DirtySet,
+) -> Result<TrafficMap> {
+    let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
+    let keep = |c: Campaign| !dirty.is_dirty(c);
+
+    // The previous build's components, each `None` on a fresh build. The
+    // TLS/SNI pair travels with its fault-report entries, which are the
+    // only record of those scans' statistics a map keeps.
+    let (p_cache, p_root, p_activity, p_scans, p_mapping, p_catchments, p_routes) = match prev {
+        Some(p) => {
+            let stats = |k: &str| p.fault_report.get(k).copied();
+            let (tls, sni) = (stats("tls_scan"), stats("sni_scan"));
+            (
+                Some(p.cache_result),
+                Some(p.root_result),
+                Some(p.activity),
+                Some((
+                    p.onnet_servers,
+                    p.offnet_servers,
+                    p.sni_footprints,
+                    tls,
+                    sni,
+                )),
+                Some(p.user_mapping),
+                Some(p.catchments),
+                Some((p.route_view, p.visibility, p.cloud_result)),
+            )
+        }
+        None => Default::default(),
+    };
+
+    // ---- Component 1: users + activity ----
+    let users_span = itm_obs::span("users.activity");
+    // The resolver deployment is a pure function of the substrate, so it
+    // is redeployed every build rather than threaded through the dirty
+    // branches.
+    let resolver = {
+        let _span = itm_obs::span("resolver.deploy");
+        s.open_resolver()?
+    };
+    let cache_result = match p_cache {
+        Some(x) if keep(Campaign::CacheProbe) => x,
+        _ => cfg
+            .cache_probe
+            .run_with_faults(s, &resolver, &injector("cache_probe"), |n, job| {
+                exec.map(n, job)
+            }),
+    };
+    let root_result = match p_root {
+        Some(x) if keep(Campaign::RootCrawl) => x,
+        _ => cfg
+            .root_crawl
+            .run_with_faults(s, &resolver, &injector("root_crawl"), |n, job| {
+                exec.map(n, job)
+            }),
+    };
+    let activity = match p_activity {
+        Some(x) if keep(Campaign::Activity) => x,
+        _ => {
+            ActivityEstimator::fuse_with(s, &cache_result, &root_result, |n, job| exec.map(n, job))
+        }
+    };
+    let user_prefixes = cache_result.discovered.clone();
+    drop(users_span);
+
+    // ---- Component 2: services ----
+    let services_span = itm_obs::span("services.scan");
+    // The SNI scan resolves against the TLS scan's candidate table, which
+    // the map does not keep, so the pair recomputes together.
+    let (onnet_servers, offnet_servers, sni_footprints, tls_stats, sni_stats) = match p_scans {
+        Some(x) if keep(Campaign::TlsScan) && keep(Campaign::SniScan) => x,
+        _ => {
+            let scan = TlsScan::run_with_faults(
+                &s.topo,
+                &s.tls,
+                &cfg.scan,
+                &s.seeds,
+                &injector("tls-scan"),
+                |n, job| exec.map(n, job),
+            );
+            let (onnet, offnet) = detect_offnets(&s.topo, &s.tls, &scan);
+            let candidates: Vec<Ipv4Addr> = scan.observations.iter().map(|o| o.addr).collect();
+            // Intern the catalogue's domains once; the SNI campaign and its
+            // shards carry 4-byte ids instead of cloned strings.
+            let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
+            let sni = SniScan::run_with_faults(
+                &s.tls,
+                &candidates,
+                &domains,
+                &cfg.scan,
+                &s.seeds,
+                &injector("sni-scan"),
+                |n, job| exec.map(n, job),
+            );
+            let footprints = s
+                .catalog
+                .services
+                .iter()
+                .map(|svc| (svc.id, sni.addresses_of(&domains, &svc.domain).to_vec()))
+                .collect();
+            (
+                onnet,
+                offnet,
+                footprints,
+                Some(scan.fault_stats),
+                Some(sni.fault_stats),
+            )
+        }
+    };
+    let ecs_faults = injector("user_mapping");
+    let user_mapping = match p_mapping {
+        Some(x) if keep(Campaign::UserMapping) => x,
+        // Named services: re-measure only those and splice their
+        // segments over the retained grid. No names means the grid was
+        // invalidated wholesale.
+        Some(x) if !dirty.services.is_empty() => {
+            let fresh = UserMapping::measure_subset_with_faults(
+                s,
+                &resolver,
+                &dirty.services,
+                &ecs_faults,
+                |n, job| exec.map(n, job),
+            );
+            x.splice(fresh, &dirty.services)
+        }
+        _ => UserMapping::measure_with_faults(s, &resolver, &ecs_faults, |n, job| exec.map(n, job)),
+    };
+    drop(services_span);
+
+    // Anycast catchments for anycast services: one shard per anycast
+    // service, merged into a BTreeMap (disjoint service keys).
+    let anycast_span = itm_obs::span("services.anycast");
+    let full = s.full_view();
+    let catchments = match p_catchments {
+        Some(x) if keep(Campaign::Anycast) => x,
+        _ => {
+            let anycast_services: Vec<ServiceId> = s
+                .catalog
+                .services
+                .iter()
+                .filter(|svc| svc.mode == DeliveryMode::Anycast)
+                .map(|svc| svc.id)
+                .collect();
+            let computed = exec.map(anycast_services.len(), &|k| {
+                let svc = anycast_services[k];
+                let sites: Vec<(Asn, u32)> = s
+                    .frontends
+                    .endpoints(svc)
+                    .iter()
+                    .map(|e| (e.offnet_host.unwrap_or(e.asn), e.city))
+                    .collect();
+                let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
+                (
+                    svc,
+                    Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
+                )
+            });
+            computed.into_iter().collect()
+        }
+    };
+    drop(anycast_span);
+
+    // ---- Component 3: routes ----
+    let routes_span = itm_obs::span("routes.assemble");
+    let (route_view, visibility, cloud_result) = match p_routes {
+        Some(x) if keep(Campaign::Routes) => x,
+        _ => {
+            let collectors = CollectorSet::typical(&s.topo, &s.seeds);
+            let (public_view, visibility) = collectors.public_view(&s.topo);
+            let cloud_result = CloudProbeResult::run_with_faults(
+                s,
+                &full,
+                &s.seeds,
+                &injector("cloud_probe"),
+                |n, job| exec.map(n, job),
+            );
+            let route_view = public_view.with_extra_links(cloud_result.as_links(s).iter());
+            (route_view, visibility, cloud_result)
+        }
+    };
+    drop(routes_span);
+
+    // Per-technique fault accounting. Populated only when the plan is
+    // on: a clean build carries no report, which keeps its JSON summary
+    // byte-identical to builds that predate fault injection. Retained
+    // campaigns carry their stats with them (identical by the purity
+    // argument in the epoch module docs).
+    let mut fault_report: BTreeMap<String, FaultStats> = BTreeMap::new();
+    if !cfg.faults.is_off() {
+        let entries = [
+            ("cache_probe", Some(cache_result.fault_stats)),
+            ("root_crawl", Some(root_result.fault_stats)),
+            ("tls_scan", tls_stats),
+            ("sni_scan", sni_stats),
+            ("ecs_mapping", Some(user_mapping.fault_stats)),
+            ("cloud_probe", Some(cloud_result.fault_stats)),
+        ];
+        for (key, st) in entries {
+            if let Some(st) = st {
+                fault_report.insert(key.into(), st);
+            }
+        }
+    }
+
+    let mut map = TrafficMap {
+        user_prefixes,
+        activity,
+        onnet_servers,
+        offnet_servers,
+        sni_footprints,
+        user_mapping,
+        catchments,
+        route_view,
+        visibility,
+        cache_result,
+        root_result,
+        cloud_result,
+        fault_report,
+        claims: None,
+    };
+    // Claim recording reads the assembled map, so it runs last; gated
+    // because the tables cost memory a clean build must not pay.
+    if cfg.record_claims {
+        map.claims = Some(crate::audit::MapClaims::record(s, &map));
+    }
+    Ok(map)
 }
 
 #[cfg(test)]

@@ -320,6 +320,19 @@ pub enum Campaign {
 }
 
 impl Campaign {
+    /// Every campaign, in build order.
+    pub const ALL: [Campaign; 9] = [
+        Campaign::CacheProbe,
+        Campaign::RootCrawl,
+        Campaign::Activity,
+        Campaign::TlsScan,
+        Campaign::SniScan,
+        Campaign::UserMapping,
+        Campaign::Anycast,
+        Campaign::CloudProbe,
+        Campaign::Routes,
+    ];
+
     /// Stable lower-case name for reports and bench rows.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -352,6 +365,15 @@ impl DirtySet {
     /// An empty set: retain everything.
     pub fn clean() -> DirtySet {
         DirtySet::default()
+    }
+
+    /// Every campaign dirty and no named services (the ECS grid is
+    /// invalidated wholesale): a from-scratch build.
+    pub fn all() -> DirtySet {
+        DirtySet {
+            campaigns: Campaign::ALL.into(),
+            services: BTreeSet::new(),
+        }
     }
 
     /// Union the per-action invalidations of a mutation sequence, then
