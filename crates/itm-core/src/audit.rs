@@ -95,7 +95,6 @@ impl MapClaims {
         let _span = itm_obs::span("map.claims");
         let n_prefixes = s.topo.prefixes.len();
         let n_ases = s.topo.n_ases();
-        let n_cities = s.topo.world.cities.len();
 
         let cache_prefix = map.cache_result.presence_claims(n_prefixes);
         let mut root_as = vec![false; n_ases];
@@ -117,32 +116,19 @@ impl MapClaims {
             anycast_site_as.insert(svc, per_as);
         }
 
+        let city_locs: Vec<GeoPoint> = s.topo.world.cities.iter().map(|c| c.location).collect();
+        let city_km = city_distances(&city_locs);
         let mut tls_nearest_as = BTreeMap::new();
         for (&svc, addrs) in &map.sni_footprints {
-            // (location, address, host AS) per confirmed front-end.
-            let resolved: Vec<(GeoPoint, Ipv4Addr, Asn)> = addrs
+            // (city, address, host AS) per confirmed front-end.
+            let fronts: Vec<(u32, Ipv4Addr, Asn)> = addrs
                 .iter()
-                .filter_map(|&a| {
-                    s.topo
-                        .prefixes
-                        .lookup(a)
-                        .map(|r| (s.topo.city_location(r.city), a, r.owner))
-                })
+                .filter_map(|&a| s.topo.prefixes.lookup(a).map(|r| (r.city, a, r.owner)))
                 .collect();
-            if resolved.is_empty() {
+            if fronts.is_empty() {
                 continue;
             }
-            let mut per_city = Vec::with_capacity(n_cities);
-            for city in 0..n_cities as u32 {
-                let loc = s.topo.city_location(city);
-                let best = resolved.iter().min_by(|a, b| {
-                    a.0.distance_km(loc)
-                        .total_cmp(&b.0.distance_km(loc))
-                        .then(a.1.cmp(&b.1))
-                });
-                per_city.push(best.map(|&(_, _, host)| host));
-            }
-            tls_nearest_as.insert(svc, per_city);
+            tls_nearest_as.insert(svc, nearest_front_per_city(fronts, &city_km));
         }
 
         let catalog_prior_as: Vec<Asn> = s
@@ -167,7 +153,7 @@ impl MapClaims {
         }
 
         let mut claims = MapClaims {
-            cell_bits: Vec::with_capacity(map.user_mapping.mapping.len()),
+            cell_bits: Vec::new(),
             anycast_site_as,
             tls_nearest_as,
             catalog_prior_as,
@@ -175,39 +161,50 @@ impl MapClaims {
             cache_prefix,
             root_as,
         };
+        // Cells iterate service-major, so each service's claim tables are
+        // looked up once per run of its cells, not once per cell.
+        let mut cell_bits = Vec::with_capacity(map.user_mapping.mapping.len());
+        let mut run = None;
         for c in map.user_mapping.mapping.iter() {
-            let (svc, p) = (c.service, c.prefix);
-            let rec = s.topo.prefixes.get(p);
+            let (anycast_table, tls_table) = match run {
+                Some((svc, tables)) if svc == c.service => tables,
+                _ => {
+                    let tables = (
+                        claims.anycast_site_as.get(&c.service),
+                        claims.tls_nearest_as.get(&c.service),
+                    );
+                    run = Some((c.service, tables));
+                    tables
+                }
+            };
+            let rec = s.topo.prefixes.get(c.prefix);
             let mut b = bits::ECS | bits::CATALOG_PRIOR;
-            if claims.cache_claim(p) {
+            if claims.cache_claim(c.prefix) {
                 b |= bits::CACHE_PROBE;
             }
             if claims.root_claim(rec.owner) {
                 b |= bits::ROOT_CRAWL;
             }
-            if claims.anycast_claim(svc, rec.owner).is_some() {
+            if table_claim(anycast_table, rec.owner.index()).is_some() {
                 b |= bits::ANYCAST;
             }
-            if claims.tls_claim(svc, rec.city).is_some() {
+            if table_claim(tls_table, rec.city as usize).is_some() {
                 b |= bits::TLS_NEAREST;
             }
-            claims.cell_bits.push(b);
+            cell_bits.push(b);
         }
+        claims.cell_bits = cell_bits;
         claims
     }
 
     /// The catchment estimator's serving-AS claim for a cell.
     pub fn anycast_claim(&self, svc: ServiceId, client: Asn) -> Option<Asn> {
-        self.anycast_site_as
-            .get(&svc)
-            .and_then(|v| v.get(client.index()).copied().flatten())
+        table_claim(self.anycast_site_as.get(&svc), client.index())
     }
 
     /// The nearest-SNI-front-end claim for a cell.
     pub fn tls_claim(&self, svc: ServiceId, city: u32) -> Option<Asn> {
-        self.tls_nearest_as
-            .get(&svc)
-            .and_then(|v| v.get(city as usize).copied().flatten())
+        table_claim(self.tls_nearest_as.get(&svc), city as usize)
     }
 
     /// The catalogue prior's claim (always present for a valid service).
@@ -229,6 +226,51 @@ impl MapClaims {
     pub fn root_claim(&self, a: Asn) -> bool {
         self.root_as.get(a.index()).copied().unwrap_or(false)
     }
+}
+
+/// One entry of a per-service claim table (`None` if the service has no
+/// table or the table is silent at `i`).
+fn table_claim(table: Option<&Vec<Option<Asn>>>, i: usize) -> Option<Asn> {
+    table.and_then(|t| t.get(i).copied().flatten())
+}
+
+/// Great-circle distance between every pair of cities, `km[from][to]`,
+/// computed once. It keeps the argument order the TLS-nearest estimator
+/// compares in (front-end city first), so every value is bit-identical
+/// to a haversine computed in place.
+fn city_distances(locs: &[GeoPoint]) -> Vec<Vec<f64>> {
+    locs.iter()
+        .map(|from| locs.iter().map(|&to| from.distance_km(to)).collect())
+        .collect()
+}
+
+/// The TLS-nearest claim of one service for every client city: the host
+/// AS of the geodesically nearest confirmed front-end, ties toward the
+/// smaller address. `fronts` holds `(city, address, host AS)` per
+/// front-end.
+///
+/// Front-ends in one city are equally far from every client, so only the
+/// smallest address of each city can win: the argmin runs over front-end
+/// cities, not front-ends.
+fn nearest_front_per_city(
+    mut fronts: Vec<(u32, Ipv4Addr, Asn)>,
+    km: &[Vec<f64>],
+) -> Vec<Option<Asn>> {
+    // Keep each city's smallest address.
+    fronts.sort_by_key(|&(city, addr, _)| (city, addr));
+    fronts.dedup_by_key(|&mut (city, _, _)| city);
+    (0..km.len())
+        .map(|to| {
+            fronts
+                .iter()
+                .min_by(|a, b| {
+                    km[a.0 as usize][to]
+                        .total_cmp(&km[b.0 as usize][to])
+                        .then(a.1.cmp(&b.1))
+                })
+                .map(|&(_, _, host)| host)
+        })
+        .collect()
 }
 
 /// Replica-plane estimator names, in the fixed order claims are listed.
@@ -425,8 +467,8 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
                     break;
                 }
             }
-            let anycast = anycast_table.and_then(|t| t.get(up.owner.index()).copied().flatten());
-            let tls = tls_table.and_then(|t| t.get(up.city as usize).copied().flatten());
+            let anycast = table_claim(anycast_table, up.owner.index());
+            let tls = table_claim(tls_table, up.city as usize);
             let fused = ecs.or(anycast).or(prior);
 
             let mut cell: Vec<(&str, u32)> = Vec::with_capacity(5);
@@ -522,6 +564,106 @@ mod tests {
         };
         let m = TrafficMap::build(&s, &cfg).expect("map build");
         (s, m)
+    }
+
+    /// The TLS-nearest estimator as first written: for every city, a
+    /// `min_by` over all confirmed front-ends, two haversines per
+    /// comparison. Kept as the oracle for [`nearest_front_per_city`].
+    fn brute_force_nearest(
+        fronts: &[(GeoPoint, Ipv4Addr, Asn)],
+        locs: &[GeoPoint],
+    ) -> Vec<Option<Asn>> {
+        locs.iter()
+            .map(|&loc| {
+                fronts
+                    .iter()
+                    .min_by(|a, b| {
+                        a.0.distance_km(loc)
+                            .total_cmp(&b.0.distance_km(loc))
+                            .then(a.1.cmp(&b.1))
+                    })
+                    .map(|&(_, _, host)| host)
+            })
+            .collect()
+    }
+
+    /// Both estimators over hand-placed cities and `(city, address, AS)`
+    /// front-ends.
+    fn nearest_both_ways(
+        locs: &[GeoPoint],
+        fronts: &[(u32, u32, u32)],
+    ) -> (Vec<Option<Asn>>, Vec<Option<Asn>>) {
+        let fast: Vec<_> = fronts
+            .iter()
+            .map(|&(c, a, h)| (c, Ipv4Addr(a), Asn(h)))
+            .collect();
+        let slow: Vec<_> = fronts
+            .iter()
+            .map(|&(c, a, h)| (locs[c as usize], Ipv4Addr(a), Asn(h)))
+            .collect();
+        (
+            nearest_front_per_city(fast, &city_distances(locs)),
+            brute_force_nearest(&slow, locs),
+        )
+    }
+
+    #[test]
+    fn tls_nearest_table_matches_brute_force_on_the_substrate() {
+        let (s, m) = build();
+        let claims = m.claims.as_ref().unwrap();
+        let locs: Vec<GeoPoint> = s.topo.world.cities.iter().map(|c| c.location).collect();
+        let mut oracle = BTreeMap::new();
+        for (&svc, addrs) in &m.sni_footprints {
+            let fronts: Vec<(GeoPoint, Ipv4Addr, Asn)> = addrs
+                .iter()
+                .filter_map(|&a| {
+                    s.topo
+                        .prefixes
+                        .lookup(a)
+                        .map(|r| (s.topo.city_location(r.city), a, r.owner))
+                })
+                .collect();
+            if !fronts.is_empty() {
+                oracle.insert(svc, brute_force_nearest(&fronts, &locs));
+            }
+        }
+        assert!(!oracle.is_empty());
+        assert_eq!(claims.tls_nearest_as, oracle);
+    }
+
+    #[test]
+    fn tls_nearest_ties_go_to_the_smaller_address() {
+        // City 0 hosts the clients; cities 1 and 2 sit at the same
+        // distance from it, east and west on the equator.
+        let locs = [
+            GeoPoint { lat: 0.0, lon: 0.0 },
+            GeoPoint {
+                lat: 0.0,
+                lon: 10.0,
+            },
+            GeoPoint {
+                lat: 0.0,
+                lon: -10.0,
+            },
+        ];
+        assert_eq!(locs[1].distance_km(locs[0]), locs[2].distance_km(locs[0]));
+
+        // Two front-ends in one city: the smaller address wins everywhere.
+        let (fast, slow) = nearest_both_ways(&locs, &[(1, 9, 5), (1, 3, 6)]);
+        assert_eq!(fast, slow);
+        assert_eq!(fast, vec![Some(Asn(6)); 3]);
+
+        // Equidistant front-end cities: the smaller address wins for the
+        // client city, whichever city holds it and in whatever order the
+        // front-ends are listed; each front-end city keeps its own.
+        for fronts in [[(1, 9, 5), (2, 4, 7)], [(2, 4, 7), (1, 9, 5)]] {
+            let (fast, slow) = nearest_both_ways(&locs, &fronts);
+            assert_eq!(fast, slow);
+            assert_eq!(fast, vec![Some(Asn(7)), Some(Asn(5)), Some(Asn(7))]);
+        }
+        let (fast, slow) = nearest_both_ways(&locs, &[(1, 2, 5), (2, 4, 7), (2, 8, 9)]);
+        assert_eq!(fast, slow);
+        assert_eq!(fast, vec![Some(Asn(5)), Some(Asn(5)), Some(Asn(7))]);
     }
 
     #[test]

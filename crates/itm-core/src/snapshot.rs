@@ -6,8 +6,8 @@
 //! from [`MapClaims`] (recorded at build time or rebuilt here, identical
 //! either way), adjacency from the route view's sorted neighbor lists —
 //! so the bytes are identical at any `--threads` and across runs with the
-//! same seed. The reverse index and front-end table are derived with
-//! explicit, deterministic sorts.
+//! same seed. The front-end table and reverse index are derived by a
+//! deterministic counting sort, in time linear in the number of cells.
 //!
 //! [`CellMap`]: itm_types::CellMap
 //! [`MapClaims`]: crate::audit::MapClaims
@@ -18,7 +18,6 @@ use itm_measure::Substrate;
 use itm_topology::NeighborKind;
 use itm_types::snap::{rel, section, SnapWriter};
 use itm_types::{Asn, DomainTable, ItmError, Result};
-use std::collections::BTreeSet;
 
 /// Map a topology relationship onto its on-disk code.
 fn rel_code(kind: NeighborKind) -> u8 {
@@ -27,6 +26,76 @@ fn rel_code(kind: NeighborKind) -> u8 {
         NeighborKind::Provider => rel::PROVIDER,
         NeighborKind::Peer => rel::PEER,
     }
+}
+
+/// The front-end table and the reverse index.
+///
+/// The table is every distinct serving address the map knows, ascending:
+/// the footprint addresses plus any cell address outside them. The
+/// reverse index lists cell indices ordered by `(serving address, index)`.
+/// Both come out in time linear in the number of cells: a binary search
+/// gives each cell its slot in the table (a few thousand entries), and a
+/// stable counting sort over the slots yields the index order.
+fn front_table_and_rev(cell_addr: &[u32], mut front_addr: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
+    // Neighbouring cells mostly share a front-end (four in five on a
+    // default-topology world), so the table is searched once per run of
+    // equal addresses, not once per cell.
+    let runs = || cell_addr.chunk_by(|a, b| a == b);
+    front_addr.sort_unstable();
+    front_addr.dedup();
+    let (mut slots, extra) = run_slots(runs(), &front_addr);
+    if !extra.is_empty() {
+        // Cell addresses no footprint mentions (no default world has
+        // any) join the table, which moves the slots: search again.
+        front_addr.extend(extra);
+        front_addr.sort_unstable();
+        front_addr.dedup();
+        slots = run_slots(runs(), &front_addr).0;
+    }
+
+    // Counting sort: `start[k]` is where slot k's cells begin in the
+    // index. A run is consecutive cell indices with one slot, so its
+    // cells land side by side.
+    let mut start = vec![0u32; front_addr.len() + 1];
+    for (run, &k) in runs().zip(&slots) {
+        start[k as usize + 1] += run.len() as u32;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut cell_rev = vec![0u32; cell_addr.len()];
+    let mut first = 0u32;
+    for (run, &k) in runs().zip(&slots) {
+        let at = &mut start[k as usize];
+        let len = run.len() as u32;
+        for (dst, i) in cell_rev[*at as usize..(*at + len) as usize]
+            .iter_mut()
+            .zip(first..)
+        {
+            *dst = i;
+        }
+        *at += len;
+        first += len;
+    }
+    (front_addr, cell_rev)
+}
+
+/// Each run's slot in the sorted `front` table, plus the run addresses
+/// the table lacks (their slot reads 0).
+fn run_slots<'a>(runs: impl Iterator<Item = &'a [u32]>, front: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut slots = Vec::new();
+    let mut missing = Vec::new();
+    for &a in runs.filter_map(<[u32]>::first) {
+        let k = match front.binary_search(&a) {
+            Ok(k) => k as u32,
+            Err(_) => {
+                missing.push(a);
+                0
+            }
+        };
+        slots.push(k);
+    }
+    (slots, missing)
 }
 
 /// Serialize the map into snapshot bytes (see DESIGN.md §14).
@@ -88,32 +157,22 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
 
     // Claim bitmaps, aligned with the cell columns. The recorded table is
     // in the same iteration order, so it maps through directly.
-    let rebuilt;
-    let claims = match &map.claims {
-        Some(c) => c,
-        None => {
-            rebuilt = MapClaims::record(s, map);
-            &rebuilt
-        }
+    let mut cell_bits = match &map.claims {
+        Some(c) => c.cell_bits.clone(),
+        None => MapClaims::record(s, map).cell_bits,
     };
-    let mut cell_bits = claims.cell_bits.clone();
     cell_bits.resize(n_cells, bits::ECS | bits::CATALOG_PRIOR);
 
-    // Reverse index: cell indices ordered by (serving address, index).
-    let mut cell_rev: Vec<u32> = (0..n_cells as u32).collect();
-    cell_rev.sort_by_key(|&i| (cell_addr[i as usize], i));
-
-    // ---- Front-end table: every distinct serving address the map knows.
-    let mut fronts: BTreeSet<u32> = cell_addr.iter().copied().collect();
-    for addrs in map
+    // ---- Front-end table and reverse index.
+    let footprint_addrs: Vec<u32> = map
         .user_mapping
         .footprint
         .values()
         .chain(map.sni_footprints.values())
-    {
-        fronts.extend(addrs.iter().map(|a| a.0));
-    }
-    let front_addr: Vec<u32> = fronts.into_iter().collect();
+        .flatten()
+        .map(|a| a.0)
+        .collect();
+    let (front_addr, cell_rev) = front_table_and_rev(&cell_addr, footprint_addrs);
     let front_owner: Vec<u32> = front_addr
         .iter()
         .map(|&a| {
@@ -184,6 +243,7 @@ mod tests {
     use crate::map::MapConfig;
     use itm_measure::SubstrateConfig;
     use itm_types::snap;
+    use std::collections::BTreeSet;
 
     #[test]
     fn snapshot_parses_and_counts_match_the_map() {
@@ -212,6 +272,49 @@ mod tests {
         };
         let recorded = TrafficMap::build(&s, &cfg).unwrap();
         assert_eq!(snapshot_bytes(&s, &plain), snapshot_bytes(&s, &recorded));
+    }
+
+    /// The front table and reverse index as first written: a `BTreeSet`
+    /// of every address and a comparison sort by `(address, index)`.
+    fn front_table_and_rev_oracle(cell_addr: &[u32], footprint: &[u32]) -> (Vec<u32>, Vec<u32>) {
+        let fronts: BTreeSet<u32> = cell_addr.iter().chain(footprint).copied().collect();
+        let mut rev: Vec<u32> = (0..cell_addr.len() as u32).collect();
+        rev.sort_by_key(|&i| (cell_addr[i as usize], i));
+        (fronts.into_iter().collect(), rev)
+    }
+
+    fn assert_matches_oracle(cell_addr: &[u32], footprint: &[u32]) {
+        assert_eq!(
+            front_table_and_rev(cell_addr, footprint.to_vec()),
+            front_table_and_rev_oracle(cell_addr, footprint),
+            "cells {cell_addr:?}, footprint {footprint:?}"
+        );
+    }
+
+    #[test]
+    fn front_table_and_rev_match_the_sorting_oracle() {
+        // Empty map.
+        assert_matches_oracle(&[], &[]);
+        assert_matches_oracle(&[], &[7, 3, 7]);
+        // A single front-end serving every cell.
+        assert_matches_oracle(&[42; 5], &[42]);
+        // Cell addresses no footprint mentions (the "extra" branch),
+        // below, between and above the footprint, repeated.
+        assert_matches_oracle(&[9, 1, 30, 9, 20, 1], &[20, 10, 10]);
+        assert_matches_oracle(&[5, 5], &[]);
+        // A real map.
+        let s = Substrate::build(SubstrateConfig::small(), 139).unwrap();
+        let m = TrafficMap::build(&s, &MapConfig::default()).unwrap();
+        let cells: Vec<u32> = m.user_mapping.mapping.iter().map(|c| c.addr.0).collect();
+        let footprint: Vec<u32> = m
+            .user_mapping
+            .footprint
+            .values()
+            .chain(m.sni_footprints.values())
+            .flatten()
+            .map(|a| a.0)
+            .collect();
+        assert_matches_oracle(&cells, &footprint);
     }
 
     #[test]

@@ -1,0 +1,77 @@
+//! Golden bytes for snapshot format v1.
+//!
+//! The CI `cmp` steps compare a snapshot against another run of the same
+//! code, so a writer change that moved every byte the same way on every
+//! thread count would pass them. These tests pin the `--size small
+//! --seed 42` snapshot itself: its length and the whole-file checksum
+//! stored in header bytes 16..24, with claim recording both off (the
+//! writer rebuilds the claim tables) and on (it reuses the recorded
+//! ones). The audit report's JSON, which reads the same claim tables, is
+//! pinned by its FNV-1a 64 hash.
+//!
+//! A deliberate format change bumps `snap::VERSION` and re-records these
+//! values; any other change that moves them is a bug.
+
+use itm_core::{audit, snapshot_bytes, MapConfig, TrafficMap};
+use itm_measure::{Substrate, SubstrateConfig};
+
+/// Length of the `--size small --seed 42` snapshot in bytes.
+const SNAPSHOT_LEN: usize = 481_816;
+/// Its stored whole-file checksum (header bytes 16..24, little-endian).
+const SNAPSHOT_CHECKSUM: u64 = 0xff3e_e368_cbe1_3b63;
+/// FNV-1a 64 of the compact JSON of the same map's quality audit.
+const AUDIT_JSON_FNV: u64 = 0xeda8_27e5_49be_5556;
+
+fn substrate() -> Substrate {
+    Substrate::build(SubstrateConfig::small(), 42).expect("substrate")
+}
+
+fn map(s: &Substrate, record_claims: bool) -> TrafficMap {
+    let cfg = MapConfig {
+        record_claims,
+        ..MapConfig::default()
+    };
+    TrafficMap::build(s, &cfg).expect("map build")
+}
+
+fn stored_checksum(bytes: &[u8]) -> u64 {
+    let mut field = [0u8; 8];
+    field.copy_from_slice(&bytes[16..24]);
+    u64::from_le_bytes(field)
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+fn assert_golden(bytes: &[u8]) {
+    assert_eq!(
+        (bytes.len(), stored_checksum(bytes)),
+        (SNAPSHOT_LEN, SNAPSHOT_CHECKSUM),
+        "snapshot v1 bytes moved: (len, checksum) = ({}, {:#018x})",
+        bytes.len(),
+        stored_checksum(bytes)
+    );
+}
+
+#[test]
+fn snapshot_with_rebuilt_claims_matches_golden() {
+    let s = substrate();
+    assert_golden(&snapshot_bytes(&s, &map(&s, false)));
+}
+
+#[test]
+fn snapshot_with_recorded_claims_matches_golden() {
+    let s = substrate();
+    assert_golden(&snapshot_bytes(&s, &map(&s, true)));
+}
+
+#[test]
+fn audit_json_matches_golden() {
+    let s = substrate();
+    let json = serde_json::to_string(&audit(&s, &map(&s, false)).to_json_value()).expect("json");
+    let h = fnv1a(json.as_bytes());
+    assert_eq!(h, AUDIT_JSON_FNV, "audit JSON moved: fnv1a = {h:#018x}");
+}

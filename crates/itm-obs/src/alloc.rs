@@ -339,8 +339,21 @@ mod tests {
     // directly; `itm-obs/tests/alloc_tracking.rs` covers the installed
     // path end to end.
 
+    /// The counters and phase table are process-wide and every test here
+    /// calls `reset()`, so the tests take turns: each holds this guard for
+    /// its whole body. A failed test poisons the lock; the next one
+    /// recovers it, because the state it guards is reset anyway.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
     #[test]
     fn phase_guards_nest_and_restore() {
+        let _serial = serial();
         reset();
         let a = register_phase("alpha").unwrap();
         let b = register_phase("beta").unwrap();
@@ -359,6 +372,7 @@ mod tests {
 
     #[test]
     fn accounting_attributes_to_current_phase() {
+        let _serial = serial();
         reset();
         let p = register_phase("campaign").unwrap();
         {
@@ -389,6 +403,7 @@ mod tests {
 
     #[test]
     fn cross_phase_frees_clamp_at_zero() {
+        let _serial = serial();
         reset();
         let p = register_phase("freer").unwrap();
         {
@@ -402,6 +417,7 @@ mod tests {
 
     #[test]
     fn registration_caps_and_falls_back() {
+        let _serial = serial();
         reset();
         for i in 0..PHASE_CAP {
             assert!(register_phase(&format!("p{i}")).is_some());
