@@ -1,12 +1,13 @@
 //! Criterion benchmarks for the computational kernels every experiment
-//! leans on: topology generation, BGP route computation, cache probing,
-//! redirection selection, and traffic-matrix queries.
+//! leans on: topology generation, BGP route computation, open-resolver
+//! deployment, root-log collection, cache probing, redirection selection,
+//! and traffic-matrix queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use itm_measure::{Substrate, SubstrateConfig};
 use itm_routing::{GraphView, RoutingTree};
 use itm_topology::{generate, TopologyConfig};
-use itm_types::{Asn, SimTime};
+use itm_types::{Asn, SimDuration, SimTime};
 
 // Install the tracking wrapper so the obs/ group can price its overhead;
 // tracking starts disabled, so every other benchmark sees the system
@@ -63,6 +64,23 @@ fn bench_dns_probing(c: &mut Criterion) {
     let resolver = s.open_resolver().expect("open resolver");
     let nets: Vec<_> = s.topo.prefixes.iter().map(|r| r.net).collect();
     let mut g = c.benchmark_group("dns");
+    g.bench_function("open_resolver_deploy", |b| {
+        b.iter(|| s.open_resolver().expect("open resolver"))
+    });
+    g.bench_function("root_logs_collect", |b| {
+        let roots = itm_dns::RootServerSet::typical();
+        b.iter(|| {
+            itm_dns::RootLogs::collect(
+                &s.topo,
+                &s.resolvers,
+                &s.chromium,
+                &resolver,
+                &roots,
+                SimDuration::days(2),
+                &s.seeds,
+            )
+        })
+    });
     g.bench_function("cache_probe_1k", |b| {
         let mut i = 0usize;
         b.iter(|| {

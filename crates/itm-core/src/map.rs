@@ -264,9 +264,11 @@ pub(crate) fn run_pipeline(
 
     // ---- Component 1: users + activity ----
     let users_span = itm_obs::span("users.activity");
-    // The resolver deployment is a pure function of the substrate, so it
-    // is redeployed every build rather than threaded through the dirty
-    // branches.
+    // The resolver deployment is a pure function of the substrate and
+    // costs a per-city nearest-PoP pass, so every build redeploys it
+    // rather than threading it through the dirty branches. Its one
+    // expensive table (PoP-wide rates) is built only if something probes
+    // a PoP-scope domain, which no map campaign does.
     let resolver = {
         let _span = itm_obs::span("resolver.deploy");
         s.open_resolver()?

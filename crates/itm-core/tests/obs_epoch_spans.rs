@@ -1,25 +1,54 @@
 //! An incremental rebuild records the same per-stage spans as a full
 //! build (both run the one map pipeline), so a light epoch's time can be
-//! broken down on a single instrumented run — the resolver redeploy
-//! included.
+//! broken down on a single instrumented run. The resolver redeploy is one
+//! of those spans; it stays cheap because the PoP-wide rate table behind
+//! it (`resolver.pop_rates`) is built only on a PoP-scope probe, which no
+//! map campaign sends.
+//!
+//! The metrics registry is process-global, so the tests here take one
+//! lock.
 
 use itm_core::{apply_epoch, build_incremental, MapConfig, ParallelExecutor, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
+use itm_obs::MetricsReport;
 use itm_types::epoch::EpochPlan;
+use itm_types::SimTime;
+use std::sync::Mutex;
+
+static OBS: Mutex<()> = Mutex::new(());
+
+/// Entries of every span path ending in `name`.
+fn span_count(report: &MetricsReport, name: &str) -> u64 {
+    report
+        .spans
+        .iter()
+        .filter(|(k, _)| k.rsplit('/').next() == Some(name))
+        .map(|(_, s)| s.count)
+        .sum()
+}
+
+/// Run `f` with metrics on and return what it recorded.
+fn recorded(f: impl FnOnce()) -> MetricsReport {
+    itm_obs::set_enabled(true);
+    itm_obs::reset();
+    f();
+    let report = itm_obs::snapshot();
+    itm_obs::set_enabled(false);
+    report
+}
 
 #[test]
 fn light_epoch_records_per_stage_spans() {
+    let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = MapConfig::default();
     let exec = ParallelExecutor::sequential();
     let mut s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
     let map = TrafficMap::build_with(&s, &cfg, &exec).expect("map build");
     let (_, dirty) = apply_epoch(&mut s, &EpochPlan::light(), 0);
 
-    itm_obs::set_enabled(true);
-    itm_obs::reset();
-    build_incremental(&s, &cfg, &exec, map, &dirty).expect("incremental build");
-    let report = itm_obs::snapshot();
-    itm_obs::set_enabled(false);
+    let report = recorded(|| {
+        build_incremental(&s, &cfg, &exec, map, &dirty).expect("incremental build");
+    });
 
     for key in [
         "map.build_incremental/services.scan/user_mapping.measure",
@@ -35,4 +64,50 @@ fn light_epoch_records_per_stage_spans() {
         "no resolver.deploy span under the incremental build: {:?}",
         report.spans.keys().collect::<Vec<_>>()
     );
+}
+
+#[test]
+fn map_builds_never_build_the_pop_rate_table() {
+    let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = MapConfig::default();
+    let exec = ParallelExecutor::sequential();
+    let mut s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
+
+    let report = recorded(|| {
+        let map = TrafficMap::build_with(&s, &cfg, &exec).expect("map build");
+        let (_, dirty) = apply_epoch(&mut s, &EpochPlan::light(), 0);
+        let map = build_incremental(&s, &cfg, &exec, map, &dirty).expect("light epoch");
+        // Resolver churn dirties cache probing, so this epoch re-probes.
+        let (_, dirty) = apply_epoch(&mut s, &EpochPlan::heavy(), 1);
+        build_incremental(&s, &cfg, &exec, map, &dirty).expect("heavy epoch");
+    });
+
+    assert!(
+        span_count(&report, "cache_probe.run") >= 2,
+        "cache probing did not re-run"
+    );
+    assert_eq!(span_count(&report, "resolver.deploy"), 3);
+    assert_eq!(span_count(&report, "resolver.pop_rates"), 0);
+}
+
+#[test]
+fn pop_scope_probes_build_the_pop_rate_table_once() {
+    let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
+    let domain = &s
+        .catalog
+        .services
+        .iter()
+        .find(|svc| !svc.ecs_support)
+        .expect("a PoP-scope service")
+        .domain;
+
+    let report = recorded(|| {
+        let resolver = s.open_resolver().expect("open resolver");
+        for r in s.topo.prefixes.iter() {
+            resolver.probe(r.net, domain, SimTime(3600));
+        }
+    });
+
+    assert_eq!(span_count(&report, "resolver.pop_rates"), 1);
 }

@@ -12,8 +12,9 @@
 //! A deliberate format change bumps `snap::VERSION` and re-records these
 //! values; any other change that moves them is a bug.
 
-use itm_core::{audit, snapshot_bytes, MapConfig, TrafficMap};
+use itm_core::{audit, map_fingerprint, snapshot_bytes, MapConfig, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
+use itm_types::FaultPlan;
 
 /// Length of the `--size small --seed 42` snapshot in bytes.
 const SNAPSHOT_LEN: usize = 481_816;
@@ -74,4 +75,39 @@ fn audit_json_matches_golden() {
     let json = serde_json::to_string(&audit(&s, &map(&s, false)).to_json_value()).expect("json");
     let h = fnv1a(json.as_bytes());
     assert_eq!(h, AUDIT_JSON_FNV, "audit JSON moved: fnv1a = {h:#018x}");
+}
+
+/// `map_fingerprint` of the `--size small --seed 42` map with faults off.
+/// The fingerprint also covers what the snapshot omits: the activity
+/// estimates cache probing and the root crawl feed, the raw campaign
+/// outputs and the fault accounting.
+const MAP_FINGERPRINT_FAULTS_OFF: u64 = 0x7ab4_5c71_7253_c761;
+/// The same, with the light fault profile.
+const MAP_FINGERPRINT_FAULTS_LIGHT: u64 = 0xd430_fe4d_dc6f_5da0;
+
+fn fingerprint_with(faults: FaultPlan) -> u64 {
+    let s = substrate();
+    let cfg = MapConfig {
+        faults,
+        ..MapConfig::default()
+    };
+    map_fingerprint(&s, &TrafficMap::build(&s, &cfg).expect("map build"))
+}
+
+#[test]
+fn map_fingerprint_with_faults_off_matches_golden() {
+    let h = fingerprint_with(FaultPlan::off());
+    assert_eq!(
+        h, MAP_FINGERPRINT_FAULTS_OFF,
+        "map fingerprint moved: {h:#018x}"
+    );
+}
+
+#[test]
+fn map_fingerprint_with_light_faults_matches_golden() {
+    let h = fingerprint_with(FaultPlan::light());
+    assert_eq!(
+        h, MAP_FINGERPRINT_FAULTS_LIGHT,
+        "map fingerprint moved: {h:#018x}"
+    );
 }

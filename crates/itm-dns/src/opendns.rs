@@ -12,6 +12,11 @@
 //! ECS-supporting services and PoP-wide otherwise. Organic traffic fills
 //! the caches; probes with `RD=0` read them without filling them.
 //!
+//! Deploying is cheap: the nearest PoP is computed once per city and the
+//! PoP egress addresses once per PoP. The PoP-wide rate table (one sum
+//! over every prefix × service) is built on the first PoP-scope read,
+//! because the map's campaigns only probe ECS domains and never need it.
+//!
 //! Two equivalent interfaces are provided:
 //!
 //! * [`CacheSim`] — a real insert/expire cache for event-level tests.
@@ -33,6 +38,7 @@ use itm_types::{
 };
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Mean bits transferred per user session-with-DNS-lookup; converts demand
 /// (bps) into DNS query rate (qps).
@@ -92,8 +98,12 @@ pub struct OpenResolver<'a> {
     pops: Vec<Pop>,
     /// PoP serving each prefix (nearest by geography).
     pop_of_prefix: Vec<PopId>,
-    /// Per-(pop, service) aggregate daily-mean qps for PoP-wide scopes.
-    pop_service_qps: Vec<f64>,
+    /// Egress address of each PoP; empty when the operator has no
+    /// hosting space.
+    pop_egress: Vec<Ipv4Addr>,
+    /// Per-(pop, service) aggregate daily-mean qps for PoP-wide scopes,
+    /// built on first read.
+    pop_service_qps: OnceLock<Vec<f64>>,
     /// Occupancy draw seed.
     draw_seed: u64,
 }
@@ -139,43 +149,52 @@ impl<'a> OpenResolver<'a> {
             })
             .collect();
 
-        // Nearest-PoP assignment per prefix.
-        let mut pop_of_prefix = Vec::with_capacity(topo.prefixes.len());
-        for r in topo.prefixes.iter() {
-            let loc = topo.city_location(r.city);
-            let best = pops
-                .iter()
-                .min_by(|a, b| {
-                    a.location
-                        .distance_km(loc)
-                        .total_cmp(&b.location.distance_km(loc))
-                        .then(a.id.cmp(&b.id))
-                })
-                .ok_or_else(|| ItmError::InvalidConfig {
-                    field: "world.cities",
-                    reason: "open resolver needs at least one city to site PoPs".into(),
-                })?;
-            pop_of_prefix.push(best.id);
-        }
+        let Some(first) = pops.first() else {
+            return Err(ItmError::InvalidConfig {
+                field: "world.cities",
+                reason: "open resolver needs at least one city to site PoPs".into(),
+            });
+        };
 
-        // Aggregate PoP-wide rates per service (for non-ECS scopes).
-        let n_s = catalog.len();
-        let mut pop_service_qps = vec![0.0; pops.len() * n_s];
-        for r in topo.prefixes.iter() {
-            if users.users_of(r.id) <= 0.0 {
-                continue;
-            }
-            let share = resolvers.open_share(r.id);
-            if share <= 0.0 {
-                continue;
-            }
-            let pop = pop_of_prefix[r.id.index()].index();
-            for s in &catalog.services {
-                let qps = traffic.demand(topo, users, catalog, r.id, s.id).raw() * share
-                    / BITS_PER_SESSION;
-                pop_service_qps[pop * n_s + s.id.index()] += qps;
-            }
-        }
+        // Nearest-PoP assignment: every prefix in a city shares its
+        // city's nearest PoP, so compute it once per city.
+        let pop_of_city: Vec<PopId> = topo
+            .world
+            .cities
+            .iter()
+            .map(|c| nearest_pop(&pops, c.location).unwrap_or(first).id)
+            .collect();
+        let pop_of_prefix = topo
+            .prefixes
+            .iter()
+            .map(|r| pop_of_city[r.city as usize])
+            .collect();
+
+        // Egress addresses, drawn from the operator's hosting space
+        // (offset 8, per PoP index).
+        let hosting: Vec<Ipv4Net> = topo
+            .hypergiants()
+            .first()
+            .map(|&op| {
+                topo.prefixes
+                    .owned_by(op)
+                    .iter()
+                    .map(|&p| topo.prefixes.get(p))
+                    .filter(|r| r.kind == itm_topology::PrefixKind::Hosting)
+                    .map(|r| r.net)
+                    .collect()
+            })
+            .unwrap_or_default();
+        let pop_egress = if hosting.is_empty() {
+            Vec::new()
+        } else {
+            (0..pops.len())
+                .map(|i| {
+                    let off = 8 + (i / hosting.len()) as u32;
+                    hosting[i % hosting.len()].addr(off.min(9))
+                })
+                .collect()
+        };
 
         Ok(OpenResolver {
             topo,
@@ -187,8 +206,36 @@ impl<'a> OpenResolver<'a> {
             cfg,
             pops,
             pop_of_prefix,
-            pop_service_qps,
+            pop_egress,
+            pop_service_qps: OnceLock::new(),
             draw_seed: seeds.seed("occupancy"),
+        })
+    }
+
+    /// Aggregate PoP-wide rates per service (for non-ECS scopes), summed
+    /// over every prefix on first use.
+    fn pop_service_qps(&self) -> &[f64] {
+        self.pop_service_qps.get_or_init(|| {
+            let _span = itm_obs::span("resolver.pop_rates");
+            let (topo, users, catalog) = (self.topo, self.users, self.catalog);
+            let n_s = catalog.len();
+            let mut pop_service_qps = vec![0.0; self.pops.len() * n_s];
+            for r in topo.prefixes.iter() {
+                if users.users_of(r.id) <= 0.0 {
+                    continue;
+                }
+                let share = self.resolvers.open_share(r.id);
+                if share <= 0.0 {
+                    continue;
+                }
+                let pop = self.pop_of_prefix[r.id.index()].index();
+                for s in &catalog.services {
+                    let qps = self.traffic.demand(topo, users, catalog, r.id, s.id).raw() * share
+                        / BITS_PER_SESSION;
+                    pop_service_qps[pop * n_s + s.id.index()] += qps;
+                }
+            }
+            pop_service_qps
         })
     }
 
@@ -212,18 +259,8 @@ impl<'a> OpenResolver<'a> {
     /// servers — what root logs record for open-resolver clients. Drawn
     /// from the operator's hosting space (offset 8, per PoP index).
     pub fn pop_egress_addr(&self, pop: PopId) -> Ipv4Addr {
-        let op = self.operator();
-        let hosting: Vec<_> = self
-            .topo
-            .prefixes
-            .owned_by(op)
-            .iter()
-            .filter(|&&p| self.topo.prefixes.get(p).kind == itm_topology::PrefixKind::Hosting)
-            .collect();
-        assert!(!hosting.is_empty(), "operator has hosting space");
-        let k = pop.index() % hosting.len();
-        let off = 8 + (pop.index() / hosting.len()) as u32;
-        self.topo.prefixes.get(*hosting[k]).net.addr(off.min(9))
+        assert!(!self.pop_egress.is_empty(), "operator has hosting space");
+        self.pop_egress[pop.index()]
     }
 
     /// Organic open-resolver query rate for (prefix, service) at time `t`,
@@ -251,7 +288,7 @@ impl<'a> OpenResolver<'a> {
             // otherwise one physical cache entry would look different to
             // probes carrying different ECS prefixes.
             let pop = self.pop_of(p).index();
-            let base = self.pop_service_qps[pop * self.catalog.len() + s.index()];
+            let base = self.pop_service_qps()[pop * self.catalog.len() + s.index()];
             let offset = self.pops[pop].location.solar_offset_hours();
             base * self.traffic.diurnal_multiplier_at(offset, t) + self.cfg.noise_qps
         };
@@ -496,6 +533,16 @@ impl<'a> OpenResolver<'a> {
     }
 }
 
+/// The PoP nearest `loc`; an exact distance tie goes to the lower id.
+fn nearest_pop(pops: &[Pop], loc: GeoPoint) -> Option<&Pop> {
+    pops.iter().min_by(|a, b| {
+        a.location
+            .distance_km(loc)
+            .total_cmp(&b.location.distance_km(loc))
+            .then(a.id.cmp(&b.id))
+    })
+}
+
 /// Uniform [0,1) draw, stable in all four keys.
 fn deterministic_draw(seed: u64, a: u64, b: u64, c: u64) -> f64 {
     use itm_types::rng::mix64 as mix;
@@ -625,6 +672,134 @@ mod tests {
             &SeedDomain::new(43),
         )
         .expect("deploy open resolver")
+    }
+
+    /// The PoP-wide rate table as deploy used to build it eagerly, with
+    /// each prefix's PoP found by brute force.
+    fn eager_pop_service_qps(f: &Fixture, r: &OpenResolver<'_>) -> Vec<f64> {
+        let n_s = f.catalog.len();
+        let mut qps = vec![0.0; r.pops().len() * n_s];
+        for rec in f.topo.prefixes.iter() {
+            if f.users.users_of(rec.id) <= 0.0 {
+                continue;
+            }
+            let share = f.resolvers.open_share(rec.id);
+            if share <= 0.0 {
+                continue;
+            }
+            let pop = brute_force_pop(&f.topo, r.pops(), rec.city).index();
+            for s in &f.catalog.services {
+                qps[pop * n_s + s.id.index()] += f
+                    .traffic
+                    .demand(&f.topo, &f.users, &f.catalog, rec.id, s.id)
+                    .raw()
+                    * share
+                    / BITS_PER_SESSION;
+            }
+        }
+        qps
+    }
+
+    fn brute_force_pop(topo: &Topology, pops: &[Pop], city: u32) -> PopId {
+        let loc = topo.city_location(city);
+        pops.iter()
+            .min_by(|a, b| {
+                a.location
+                    .distance_km(loc)
+                    .total_cmp(&b.location.distance_km(loc))
+                    .then(a.id.cmp(&b.id))
+            })
+            .unwrap()
+            .id
+    }
+
+    #[test]
+    fn pop_scope_hit_probability_matches_eager_table() {
+        let f = fixture();
+        let r = resolver(&f);
+        let table = eager_pop_service_qps(&f, &r);
+        let n_s = f.catalog.len();
+        let pop_scope: Vec<_> = f
+            .catalog
+            .services
+            .iter()
+            .filter(|s| !s.ecs_support)
+            .collect();
+        assert!(!pop_scope.is_empty(), "fixture has no PoP-scope service");
+        for t in [SimTime(0), SimTime(7 * 3600), SimTime(86_400 + 1800)] {
+            for rec in f.topo.prefixes.iter() {
+                let pop = brute_force_pop(&f.topo, r.pops(), rec.city).index();
+                let offset = r.pops()[pop].location.solar_offset_hours();
+                for svc in &pop_scope {
+                    let rate = table[pop * n_s + svc.id.index()]
+                        * f.traffic.diurnal_multiplier_at(offset, t)
+                        + r.cfg.noise_qps;
+                    let expect = 1.0 - (-rate * svc.ttl_secs as f64).exp();
+                    assert_eq!(
+                        r.hit_probability(rec.id, svc.id, t).to_bits(),
+                        expect.to_bits(),
+                        "prefix {:?} service {:?} at {t:?}",
+                        rec.id,
+                        svc.id
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pop_of_is_the_nearest_pop() {
+        let f = fixture();
+        let r = resolver(&f);
+        for rec in f.topo.prefixes.iter() {
+            assert_eq!(
+                r.pop_of(rec.id),
+                brute_force_pop(&f.topo, r.pops(), rec.city),
+                "prefix {:?}",
+                rec.id
+            );
+        }
+    }
+
+    #[test]
+    fn equidistant_pops_tie_to_the_lower_id() {
+        let pop = |id, lon| Pop {
+            id: PopId(id),
+            city: id,
+            location: GeoPoint::new(0.0, lon),
+        };
+        let loc = GeoPoint::new(0.0, 0.0);
+        let pops = [pop(1, -10.0), pop(0, 10.0)];
+        assert_eq!(
+            pops[0].location.distance_km(loc).to_bits(),
+            pops[1].location.distance_km(loc).to_bits(),
+            "not an exact tie"
+        );
+        assert_eq!(nearest_pop(&pops, loc).map(|p| p.id), Some(PopId(0)));
+        assert!(nearest_pop(&[], loc).is_none());
+    }
+
+    #[test]
+    fn pop_egress_addr_matches_per_call_formula() {
+        let f = fixture();
+        let r = resolver(&f);
+        // The formula deploy precomputes, evaluated per call.
+        let per_call = |pop: PopId| {
+            let op = r.operator();
+            let hosting: Vec<_> = f
+                .topo
+                .prefixes
+                .owned_by(op)
+                .iter()
+                .filter(|&&p| f.topo.prefixes.get(p).kind == PrefixKind::Hosting)
+                .collect();
+            let k = pop.index() % hosting.len();
+            let off = 8 + (pop.index() / hosting.len()) as u32;
+            f.topo.prefixes.get(*hosting[k]).net.addr(off.min(9))
+        };
+        for p in r.pops() {
+            assert_eq!(r.pop_egress_addr(p.id), per_call(p.id), "pop {:?}", p.id);
+        }
     }
 
     #[test]
