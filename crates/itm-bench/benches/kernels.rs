@@ -1,12 +1,15 @@
 //! Criterion benchmarks for the computational kernels every experiment
-//! leans on: topology generation, BGP route computation, open-resolver
-//! deployment, root-log collection, cache probing, redirection selection,
-//! and traffic-matrix queries.
+//! leans on: topology generation, BGP route computation, the collector
+//! public view (full and after four link flaps), anycast catchments,
+//! open-resolver deployment, root-log collection, cache probing,
+//! redirection selection, and traffic-matrix queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use itm_measure::{Substrate, SubstrateConfig};
-use itm_routing::{GraphView, RoutingTree};
+use itm_routing::{AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree};
 use itm_topology::{generate, TopologyConfig};
+use itm_traffic::DeliveryMode;
+use itm_types::rng::SeedDomain;
 use itm_types::{Asn, SimDuration, SimTime};
 
 // Install the tracking wrapper so the obs/ group can price its overhead;
@@ -45,6 +48,61 @@ fn bench_routing(c: &mut Criterion) {
                 }
             }
             total
+        })
+    });
+
+    // The public view from scratch, and rebuilt after four peering links
+    // flap (the light epoch's link churn) from the unflapped view. These
+    // four reach 598 of the 2,002 destinations: a heavy flap, where a
+    // median light epoch reaches a few dozen.
+    let collectors = CollectorSet::typical(&topo, &SeedDomain::new(42));
+    g.sample_size(10);
+    g.bench_function("public_view_full", |b| {
+        b.iter(|| collectors.public_view(&topo))
+    });
+    let (_, prev) = collectors.public_view(&topo);
+    let peering: Vec<(Asn, Asn)> = topo
+        .links
+        .iter()
+        .filter(|l| l.is_peering())
+        .map(|l| l.key())
+        .collect();
+    let mut flapped = topo.clone();
+    for i in 0..4 {
+        flapped.toggle_link_down(peering[(i * 7919 + 13) % peering.len()]);
+    }
+    g.bench_function("public_view_flap4", |b| {
+        b.iter(|| {
+            collectors.public_view_with(&flapped, Some(&prev), |n, job| (0..n).map(job).collect())
+        })
+    });
+
+    // Catchments of every anycast service of the default substrate, the
+    // map's anycast stage on one thread.
+    let s = Substrate::build(SubstrateConfig::default(), 42).unwrap();
+    let full = s.full_view();
+    let deployments: Vec<AnycastDeployment> = s
+        .catalog
+        .services
+        .iter()
+        .filter(|svc| svc.mode == DeliveryMode::Anycast)
+        .map(|svc| {
+            let sites: Vec<(Asn, u32)> = s
+                .frontends
+                .endpoints(svc.id)
+                .iter()
+                .map(|e| (e.offnet_host.unwrap_or(e.asn), e.city))
+                .collect();
+            AnycastDeployment::new(&s.topo, &sites, 0.15)
+        })
+        .collect();
+    let seeds = s.seeds.child("map-anycast");
+    g.bench_function("catchments_all", |b| {
+        b.iter(|| {
+            deployments
+                .iter()
+                .map(|d| Catchments::compute(&s.topo, &full, d, &seeds).covered())
+                .sum::<usize>()
         })
     });
     g.finish();

@@ -24,10 +24,14 @@
 //! recomputing it. The dirty model in [`itm_types::epoch`] records which
 //! substrate inputs each mutation touches.
 //!
-//! One intentional divergence: the incremental path does not re-emit
-//! per-cell `EdgeAsserted` trace events for retained cells (the trace is
-//! an observability stream, not part of the map; snapshot bytes and the
-//! fingerprint do not cover it).
+//! Two intentional divergences, both in the trace (an observability
+//! stream, not part of the map; snapshot bytes and the fingerprint do not
+//! cover it): the incremental path does not re-emit per-cell
+//! `EdgeAsserted` events for retained cells, and its public view emits
+//! `RouteResolved` only for the destinations it recomputes — those in the
+//! customer cones of the links whose flap state changed (see
+//! [`itm_routing::CollectorSet::public_view_with`]), where a full build
+//! emits one per AS.
 
 use crate::exec::ParallelExecutor;
 use crate::map::{run_pipeline, MapConfig, TrafficMap};

@@ -19,7 +19,9 @@
 //! ([`crate::epoch::build_incremental`]) is the same pipeline with the
 //! epoch's dirty set. Both record the same per-stage spans
 //! (`resolver.deploy`, `users.activity`, `services.scan`,
-//! `services.anycast`, `routes.assemble`).
+//! `services.anycast`, `routes.assemble` with `routes.public_view` and
+//! `routes.cloud_probe` inside). A rebuilt public view reuses the previous
+//! map's per-destination feeder links for the trees no link flap reaches.
 //!
 //! The result is self-contained and serializable (minus the prediction
 //! view, which is recomputed from stored links).
@@ -399,16 +401,27 @@ pub(crate) fn run_pipeline(
     let routes_span = itm_obs::span("routes.assemble");
     let (route_view, visibility, cloud_result) = match p_routes {
         Some(x) if keep(Campaign::Routes) => x,
-        _ => {
-            let collectors = CollectorSet::typical(&s.topo, &s.seeds);
-            let (public_view, visibility) = collectors.public_view(&s.topo);
-            let cloud_result = CloudProbeResult::run_with_faults(
-                s,
-                &full,
-                &s.seeds,
-                &injector("cloud_probe"),
-                |n, job| exec.map(n, job),
-            );
+        // The previous view's per-destination feeder links let the public
+        // view recompute only the trees a link flap can reach.
+        p => {
+            let (public_view, visibility) = {
+                let _span = itm_obs::span("routes.public_view");
+                CollectorSet::typical(&s.topo, &s.seeds).public_view_with(
+                    &s.topo,
+                    p.as_ref().map(|(_, v, _)| v),
+                    |n, job| exec.map(n, job),
+                )
+            };
+            let cloud_result = {
+                let _span = itm_obs::span("routes.cloud_probe");
+                CloudProbeResult::run_with_faults(
+                    s,
+                    &full,
+                    &s.seeds,
+                    &injector("cloud_probe"),
+                    |n, job| exec.map(n, job),
+                )
+            };
             let route_view = public_view.with_extra_links(cloud_result.as_links(s).iter());
             (route_view, visibility, cloud_result)
         }

@@ -5,6 +5,11 @@
 //! it (`resolver.pop_rates`) is built only on a PoP-scope probe, which no
 //! map campaign sends.
 //!
+//! Route assembly is another: a light epoch recomputes only the routing
+//! trees its link flaps can reach, and the
+//! `routing.visibility.destinations_recomputed` counter shows whether it
+//! did or silently fell back to the full pass.
+//!
 //! The metrics registry is process-global, so the tests here take one
 //! lock.
 
@@ -53,6 +58,8 @@ fn light_epoch_records_per_stage_spans() {
     for key in [
         "map.build_incremental/services.scan/user_mapping.measure",
         "map.build_incremental/routes.assemble",
+        "map.build_incremental/routes.assemble/routes.public_view",
+        "map.build_incremental/routes.assemble/routes.cloud_probe",
     ] {
         assert!(report.spans.contains_key(key), "span {key} not recorded");
     }
@@ -110,4 +117,33 @@ fn pop_scope_probes_build_the_pop_rate_table_once() {
     });
 
     assert_eq!(span_count(&report, "resolver.pop_rates"), 1);
+}
+
+#[test]
+fn light_epochs_recompute_only_the_trees_a_flap_reaches() {
+    let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = MapConfig::default();
+    let exec = ParallelExecutor::sequential();
+    let mut s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
+    let recomputed = |r: &MetricsReport| r.counter("routing.visibility.destinations_recomputed");
+
+    let mut map = None;
+    let full = recorded(|| map = Some(TrafficMap::build_with(&s, &cfg, &exec).expect("build")));
+    assert_eq!(recomputed(&full), s.topo.n_ases() as u64);
+
+    let mut map = map.expect("built");
+    for epoch in 0..3 {
+        let (_, dirty) = apply_epoch(&mut s, &EpochPlan::light(), epoch);
+        let mut next = None;
+        let light = recorded(|| {
+            next = Some(build_incremental(&s, &cfg, &exec, map, &dirty).expect("light epoch"));
+        });
+        map = next.expect("rebuilt");
+        assert!(
+            recomputed(&light) < s.topo.n_ases() as u64,
+            "epoch {epoch}: light epoch recomputed {} of {} destinations",
+            recomputed(&light),
+            s.topo.n_ases()
+        );
+    }
 }

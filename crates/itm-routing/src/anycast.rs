@@ -106,6 +106,19 @@ impl Catchments {
         let tree = RoutingTree::compute_multi(view, &origins, label);
         let mut rng = seeds.rng("anycast");
 
+        // Sites of each origin AS (indexed like `origins`), in site order:
+        // the order the noisy draw indexes.
+        let mut sites_of: Vec<Vec<&AnycastSite>> = vec![Vec::new(); origins.len()];
+        for site in &deployment.sites {
+            if let Ok(o) = origins.binary_search(&site.asn) {
+                sites_of[o].push(site);
+            }
+        }
+        // Nearest site per (origin, client's primary city), filled on
+        // first use: clients sharing a city and a winner share the answer.
+        let n_cities = topo.world.cities.len();
+        let mut nearest: Vec<Option<PopId>> = vec![None; origins.len() * n_cities];
+
         let mut assignment = vec![None; topo.n_ases()];
         for (i, slot) in assignment.iter_mut().enumerate() {
             let client = Asn(i as u32);
@@ -113,25 +126,33 @@ impl Catchments {
                 continue;
             };
             // Sites inside the winning AS.
-            let in_as: Vec<&AnycastSite> = deployment
-                .sites
-                .iter()
-                .filter(|s| s.asn == winner)
-                .collect();
-            debug_assert!(!in_as.is_empty());
-            let client_loc = topo.as_location(client);
-            let chosen = if in_as.len() > 1 && rng.gen_bool(deployment.intra_as_noise) {
-                // Hot-potato artifact: a uniformly random site of the AS.
-                Some(&in_as[rng.gen_range(0..in_as.len())])
-            } else {
-                in_as.iter().min_by(|a, b| {
-                    a.location
-                        .distance_km(client_loc)
-                        .total_cmp(&b.location.distance_km(client_loc))
-                        .then(a.id.cmp(&b.id))
-                })
+            let Ok(o) = origins.binary_search(&winner) else {
+                continue;
             };
-            *slot = chosen.map(|site| site.id);
+            let in_as = &sites_of[o];
+            debug_assert!(!in_as.is_empty());
+            *slot = if in_as.len() > 1 && rng.gen_bool(deployment.intra_as_noise) {
+                // Hot-potato artifact: a uniformly random site of the AS.
+                Some(in_as[rng.gen_range(0..in_as.len())].id)
+            } else {
+                let Some(&city) = topo.as_info(client).cities.first() else {
+                    continue;
+                };
+                let memo = &mut nearest[o * n_cities + city as usize];
+                if memo.is_none() {
+                    let client_loc = topo.city_location(city);
+                    *memo = in_as
+                        .iter()
+                        .min_by(|a, b| {
+                            a.location
+                                .distance_km(client_loc)
+                                .total_cmp(&b.location.distance_km(client_loc))
+                                .then(a.id.cmp(&b.id))
+                        })
+                        .map(|site| site.id);
+                }
+                *memo
+            };
         }
         Catchments { assignment }
     }
@@ -244,5 +265,98 @@ mod tests {
         for s in &d.sites {
             assert!(c.location.distance_km(loc) <= s.location.distance_km(loc) + 1e-9);
         }
+    }
+
+    /// The per-client loop `Catchments::compute` replaced: a path per
+    /// client, a site filter per client, a distance scan per client.
+    fn oracle(
+        topo: &Topology,
+        view: &GraphView,
+        deployment: &AnycastDeployment,
+        seeds: &SeedDomain,
+    ) -> Vec<Option<PopId>> {
+        let origins = deployment.origin_ases();
+        let tree = RoutingTree::compute_multi(view, &origins, origins[0]);
+        let mut rng = seeds.rng("anycast");
+        let mut assignment = vec![None; topo.n_ases()];
+        for (i, slot) in assignment.iter_mut().enumerate() {
+            let client = Asn(i as u32);
+            let Some(&winner) = tree.path(client).as_deref().and_then(<[Asn]>::last) else {
+                continue;
+            };
+            let in_as: Vec<&AnycastSite> = deployment
+                .sites
+                .iter()
+                .filter(|s| s.asn == winner)
+                .collect();
+            let client_loc = topo.as_location(client);
+            let chosen = if in_as.len() > 1 && rng.gen_bool(deployment.intra_as_noise) {
+                Some(&in_as[rng.gen_range(0..in_as.len())])
+            } else {
+                in_as.iter().min_by(|a, b| {
+                    a.location
+                        .distance_km(client_loc)
+                        .total_cmp(&b.location.distance_km(client_loc))
+                        .then(a.id.cmp(&b.id))
+                })
+            };
+            *slot = chosen.map(|site| site.id);
+        }
+        assignment
+    }
+
+    fn assignments(c: &Catchments) -> Vec<Option<PopId>> {
+        c.assignment.clone()
+    }
+
+    #[test]
+    fn compute_matches_the_per_client_oracle() {
+        let (t, v) = setup();
+        let hgs = t.hypergiants();
+        // Multi-AS deployments: every city of two hypergiants plus an
+        // off-net-style site in an eyeball AS.
+        let eyeball = t.ases_of_class(AsClass::Eyeball).next().unwrap();
+        let mut sites: Vec<(Asn, u32)> = Vec::new();
+        for &hg in &hgs[..2] {
+            sites.extend(t.as_info(hg).cities.iter().map(|&c| (hg, c)));
+        }
+        sites.push((eyeball.asn, eyeball.cities[0]));
+        for noise in [0.0, 0.15, 1.0] {
+            for seed in 0..3 {
+                let d = AnycastDeployment::new(&t, &sites, noise);
+                let seeds = SeedDomain::new(seed);
+                let got = Catchments::compute(&t, &v, &d, &seeds);
+                assert_eq!(
+                    assignments(&got),
+                    oracle(&t, &v, &d, &seeds),
+                    "noise {noise}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equidistant_sites_in_one_as_break_ties_by_id() {
+        let (t, v) = setup();
+        let hg = t.hypergiants()[0];
+        let city = t.as_info(hg).cities[0];
+        let location = t.city_location(city);
+        // Two sites of one AS in the same place, the higher id listed
+        // first: every client is equidistant and must get the lower id.
+        let site = |id| AnycastSite {
+            id: PopId(id),
+            asn: hg,
+            city,
+            location,
+        };
+        let d = AnycastDeployment {
+            sites: vec![site(1), site(0)],
+            intra_as_noise: 0.0,
+        };
+        let seeds = SeedDomain::new(5);
+        let got = Catchments::compute(&t, &v, &d, &seeds);
+        assert_eq!(assignments(&got), oracle(&t, &v, &d, &seeds));
+        assert!(got.iter().all(|(_, site)| site == PopId(0)));
+        assert_eq!(got.covered(), t.n_ases());
     }
 }

@@ -275,9 +275,20 @@ impl RoutingTree {
     }
 
     /// The origin AS `src`'s traffic ultimately reaches (for anycast trees
-    /// this identifies the winning origin).
+    /// this identifies the winning origin): the last AS of
+    /// [`RoutingTree::path`], found without building the path.
     pub fn origin_reached(&self, src: Asn) -> Option<Asn> {
-        self.path(src).and_then(|p| p.last().copied())
+        let mut cur = src;
+        // The same cycle guard as `path`: no path is longer than the AS
+        // count.
+        for _ in 0..=self.entries.len() {
+            let e = self.entries[cur.index()]?;
+            if e.kind == RouteKind::Origin {
+                return Some(cur);
+            }
+            cur = e.next;
+        }
+        None
     }
 
     /// Number of ASes with a route.

@@ -11,14 +11,14 @@
 //! "available vantage points cannot uncover most peering links" — and it
 //! falls out of the export rules rather than being hard-coded.
 
-use crate::bgp::RoutingTree;
+use crate::bgp::{RouteKind, RoutingTree};
 use crate::view::GraphView;
-use itm_topology::{AsClass, Link, LinkClass, Topology};
+use itm_topology::{AsClass, Link, LinkClass, LinkId, NeighborKind, Topology};
 use itm_types::rng::SeedDomain;
 use itm_types::Asn;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// A set of collector feeder ASes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,58 +77,203 @@ impl CollectorSet {
     /// links marked visible. Cost: one routing tree per destination —
     /// O(V·(V+E)) total; run it on release builds for big topologies.
     pub fn visible_links(&self, topo: &Topology, view: &GraphView) -> HashSet<(Asn, Asn)> {
-        let mut visible: HashSet<(Asn, Asn)> = HashSet::new();
-        for dst_i in 0..topo.n_ases() {
-            let dst = Asn(dst_i as u32);
-            let tree = RoutingTree::compute(view, dst);
-            for &f in &self.feeders {
-                if let Some(path) = tree.path(f) {
-                    for w in path.windows(2) {
-                        let key = if w[0] <= w[1] {
-                            (w[0], w[1])
-                        } else {
-                            (w[1], w[0])
-                        };
-                        visible.insert(key);
-                    }
-                }
-            }
-        }
-        visible
+        let key = |x: Asn, y: Asn| Some(if x <= y { (x, y) } else { (y, x) });
+        self.destination_links(view, 0..topo.n_ases(), key)
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// The archived RIB: every feeder's best AS path to every destination
     /// — the raw material public archives actually contain, and what
     /// relationship inference ([`crate::relationships`]) consumes.
     pub fn archived_paths(&self, topo: &Topology, view: &GraphView) -> Vec<Vec<Asn>> {
-        let mut paths = Vec::new();
-        for dst_i in 0..topo.n_ases() {
-            let tree = RoutingTree::compute(view, Asn(dst_i as u32));
-            for &f in &self.feeders {
-                if let Some(p) = tree.path(f) {
-                    if p.len() >= 2 {
-                        paths.push(p);
-                    }
-                }
-            }
-        }
-        paths
+        trees(view, 0..topo.n_ases())
+            .flat_map(|tree| {
+                self.feeders
+                    .iter()
+                    .filter_map(|&f| tree.path(f))
+                    .filter(|p| p.len() >= 2)
+                    .collect::<Vec<_>>()
+            })
+            .collect()
     }
 
     /// Build the *public view*: the ground-truth graph restricted to
     /// visible links (relationship labels assumed correctly inferred, the
     /// optimistic case for the prediction experiment).
+    ///
+    /// The sequential form of [`CollectorSet::public_view_with`], with no
+    /// previous report.
     pub fn public_view(&self, topo: &Topology) -> (GraphView, VisibilityReport) {
-        let full = GraphView::full(topo);
-        let visible = self.visible_links(topo, &full);
-        let vis_links: Vec<&Link> = topo
-            .links
-            .iter()
-            .filter(|l| visible.contains(&l.key()))
-            .collect();
-        let report = VisibilityReport::build(topo, &visible);
-        (GraphView::from_links(topo.n_ases(), vis_links), report)
+        self.public_view_with(topo, None, |n, job| (0..n).map(job).collect())
     }
+
+    /// [`CollectorSet::public_view`], reusing the per-destination feeder
+    /// links of `prev` where a link flap cannot have changed them.
+    ///
+    /// Only destinations in the customer cone of either end of a link
+    /// whose down-state differs from `prev`'s are recomputed — the *cone
+    /// rule*. [`RoutingTree::compute_multi`] consults a peer edge only in
+    /// its phase 2, and only from an AS holding an origin or customer
+    /// route, i.e. an AS whose customer cone contains the destination. A
+    /// destination outside `cone(a) ∪ cone(b)` therefore gets the same
+    /// tree whether peer link `(a, b)` is up or down, and so the same
+    /// feeder paths. Every destination is recomputed when there is no
+    /// `prev`, when its feeders differ from these, or when a differing
+    /// link is not a peering link (a transit edge changes the cones
+    /// themselves).
+    ///
+    /// The recomputed destinations split into shards of a fixed size (so
+    /// the full pass's shard count depends on the AS count alone);
+    /// `run_shards(n, job)` must return `job(0..n)` in index order, which
+    /// keeps the trees' trace events in destination order. `prev` must
+    /// come from this topology, under any flap state; the result then
+    /// equals a fresh `public_view` of `topo`.
+    pub fn public_view_with<R>(
+        &self,
+        topo: &Topology,
+        prev: Option<&VisibilityReport>,
+        run_shards: R,
+    ) -> (GraphView, VisibilityReport)
+    where
+        R: FnOnce(usize, &(dyn Fn(usize) -> Vec<Vec<LinkId>> + Sync)) -> Vec<Vec<Vec<LinkId>>>,
+    {
+        let full = GraphView::full(topo);
+        let n = topo.n_ases();
+        let reused = prev.and_then(|p| Some((self.flap_reach(topo, &full, p)?, p)));
+        let (dsts, mut per_dst) = match reused {
+            Some((dsts, p)) => (dsts, p.per_dst.clone()),
+            None => ((0..n).collect(), vec![Vec::new(); n]),
+        };
+        let parts = run_shards(dsts.len().div_ceil(DESTS_PER_SHARD), &|k| {
+            let chunk = &dsts[k * DESTS_PER_SHARD..dsts.len().min((k + 1) * DESTS_PER_SHARD)];
+            self.destination_links(&full, chunk.iter().copied(), |x, y| {
+                let nbs = topo.neighbors(x);
+                let at = nbs.binary_search_by_key(&y, |nb| nb.asn).ok()?;
+                Some(nbs[at].link)
+            })
+        });
+        for (&d, links) in dsts.iter().zip(parts.into_iter().flatten()) {
+            per_dst[d] = links;
+        }
+        itm_obs::counter!("routing.visibility.destinations_recomputed").add(dsts.len() as u64);
+
+        let mut visible = vec![false; topo.links.len()];
+        for id in per_dst.iter().flatten() {
+            if let Some(v) = visible.get_mut(id.index()) {
+                *v = true;
+            }
+        }
+        let vis_links = topo.links.iter().zip(&visible).filter(|(_, &v)| v);
+        let vis_links: Vec<&Link> = vis_links.map(|(l, _)| l).collect();
+        let mut report = VisibilityReport::build(topo, &visible);
+        report.per_dst = per_dst;
+        report.feeders = self.feeders.clone();
+        report.links_down = topo.links_down().clone();
+        (GraphView::from_links(n, vis_links), report)
+    }
+
+    /// The destinations whose trees may differ between `prev`'s world and
+    /// `topo`, ascending, or `None` when every destination must be
+    /// recomputed (see [`CollectorSet::public_view_with`]).
+    fn flap_reach(
+        &self,
+        topo: &Topology,
+        view: &GraphView,
+        prev: &VisibilityReport,
+    ) -> Option<Vec<usize>> {
+        if prev.feeders != self.feeders || prev.per_dst.len() != topo.n_ases() {
+            return None;
+        }
+        let mut reached = vec![false; topo.n_ases()];
+        let mut stack: Vec<Asn> = Vec::new();
+        for &(a, b) in prev.links_down.symmetric_difference(topo.links_down()) {
+            let peering = topo
+                .neighbors(a)
+                .iter()
+                .any(|nb| nb.asn == b && nb.kind == NeighborKind::Peer);
+            if !peering {
+                return None;
+            }
+            // Mark cone(a) ∪ cone(b): every AS below a or b along
+            // provider→customer edges, themselves included.
+            stack.extend([a, b]);
+            while let Some(u) = stack.pop() {
+                if std::mem::replace(&mut reached[u.index()], true) {
+                    continue;
+                }
+                stack.extend(
+                    view.neighbors(u)
+                        .iter()
+                        .filter(|&&(_, kind)| kind == NeighborKind::Customer)
+                        .map(|&(c, _)| c),
+                );
+            }
+        }
+        Some((0..reached.len()).filter(|&d| reached[d]).collect())
+    }
+
+    /// For each destination in `dsts`, in order, the sorted keys of the
+    /// links its feeder paths cross (`key` names an edge; see
+    /// [`feeder_edges`]).
+    fn destination_links<K: Ord>(
+        &self,
+        view: &GraphView,
+        dsts: impl IntoIterator<Item = usize>,
+        key: impl Fn(Asn, Asn) -> Option<K>,
+    ) -> Vec<Vec<K>> {
+        let mut reached = vec![u32::MAX; view.n_ases()];
+        trees(view, dsts)
+            .map(|tree| feeder_edges(&tree, &self.feeders, &mut reached, &key))
+            .collect()
+    }
+}
+
+/// Destinations per shard of [`CollectorSet::public_view_with`].
+const DESTS_PER_SHARD: usize = 64;
+
+/// The routing tree of each destination in `dsts`, in order.
+fn trees<'a>(
+    view: &'a GraphView,
+    dsts: impl IntoIterator<Item = usize> + 'a,
+) -> impl Iterator<Item = RoutingTree> + 'a {
+    dsts.into_iter()
+        .map(move |d| RoutingTree::compute(view, Asn(d as u32)))
+}
+
+/// The sorted keys of the links on the feeders' best paths in `tree`;
+/// `key(u, next)` names the edge from `u` to its next hop (`None` skips
+/// it).
+///
+/// Each feeder's walk toward the origin stops at the first AS already
+/// reached for this destination: the rest of that path is recorded. So
+/// every AS contributes its one next-hop edge at most once and the keys
+/// come out distinct. `reached` is a stamp array (an AS is reached when
+/// its entry equals the destination), reusable across destinations
+/// without clearing.
+fn feeder_edges<K: Ord>(
+    tree: &RoutingTree,
+    feeders: &[Asn],
+    reached: &mut [u32],
+    key: impl Fn(Asn, Asn) -> Option<K>,
+) -> Vec<K> {
+    let stamp = tree.dst.raw();
+    let mut keys = Vec::new();
+    for &f in feeders {
+        let mut cur = f;
+        while reached[cur.index()] != stamp {
+            reached[cur.index()] = stamp;
+            let Some(e) = tree.route(cur) else { break };
+            if e.kind == RouteKind::Origin {
+                break;
+            }
+            keys.extend(key(cur, e.next));
+            cur = e.next;
+        }
+    }
+    keys.sort_unstable();
+    keys
 }
 
 /// Per-link-class visibility statistics (E12).
@@ -140,10 +285,21 @@ pub struct VisibilityReport {
     pub total: usize,
     /// Total visible links.
     pub visible: usize,
+    /// Per destination AS, the sorted ids of the links its feeder paths
+    /// cross; the visible set is their union (empty when deserialized).
+    #[serde(skip)]
+    per_dst: Vec<Vec<LinkId>>,
+    /// The feeders the lists were computed from.
+    #[serde(skip)]
+    feeders: Vec<Asn>,
+    /// The links that were flapped down when they were computed.
+    #[serde(skip)]
+    links_down: BTreeSet<(Asn, Asn)>,
 }
 
 impl VisibilityReport {
-    fn build(topo: &Topology, visible: &HashSet<(Asn, Asn)>) -> VisibilityReport {
+    /// Statistics over `topo`'s links, `visible` flagging each by index.
+    fn build(topo: &Topology, visible: &[bool]) -> VisibilityReport {
         type LinkPred = fn(&Link) -> bool;
         let classes: [(&str, LinkPred); 4] = [
             ("transit", |l| matches!(l.class, LinkClass::Transit)),
@@ -161,18 +317,18 @@ impl VisibilityReport {
             let vis = topo
                 .links
                 .iter()
-                .filter(|l| pred(l) && visible.contains(&l.key()))
+                .zip(visible)
+                .filter(|&(l, &v)| v && pred(l))
                 .count();
             by_class.push((label.to_string(), total, vis));
         }
         VisibilityReport {
             by_class,
             total: topo.links.len(),
-            visible: topo
-                .links
-                .iter()
-                .filter(|l| visible.contains(&l.key()))
-                .count(),
+            visible: visible.iter().filter(|&&v| v).count(),
+            per_dst: Vec::new(),
+            feeders: Vec::new(),
+            links_down: BTreeSet::new(),
         }
     }
 
@@ -267,5 +423,26 @@ mod tests {
         for (a, b) in c.visible_links(&t, &view) {
             assert!(t.has_link(a, b), "phantom link {a}–{b}");
         }
+    }
+
+    #[test]
+    fn visible_links_match_the_walk_of_every_full_path() {
+        let t = setup();
+        let view = GraphView::full(&t);
+        let c = CollectorSet::typical(&t, &SeedDomain::new(1));
+        let mut want: HashSet<(Asn, Asn)> = HashSet::new();
+        for dst in 0..t.n_ases() {
+            let tree = RoutingTree::compute(&view, Asn(dst as u32));
+            for &f in &c.feeders {
+                for w in tree.path(f).unwrap_or_default().windows(2) {
+                    want.insert((w[0].min(w[1]), w[0].max(w[1])));
+                }
+            }
+        }
+        assert_eq!(c.visible_links(&t, &view), want);
+        let (_, report) = c.public_view(&t);
+        assert_eq!(report.per_dst.len(), t.n_ases());
+        let keys: usize = report.per_dst.iter().map(Vec::len).sum();
+        assert!(keys >= want.len(), "{keys} keys for {} links", want.len());
     }
 }

@@ -1,11 +1,14 @@
 //! Property-based tests for route computation: the Gao–Rexford invariants
 //! must hold on *every* topology the generator can produce, and on random
-//! synthetic graphs.
+//! synthetic graphs. The cone rule behind incremental public views gets
+//! its own properties, which honour `PROPTEST_CASES`.
 
-use itm_routing::{GraphView, RouteKind, RoutingTree};
-use itm_topology::{generate, Link, LinkClass, NeighborKind, TopologyConfig};
+use itm_routing::{CollectorSet, GraphView, RouteKind, RoutingTree, VisibilityReport};
+use itm_topology::{generate, AsRel, Link, LinkClass, NeighborKind, Topology, TopologyConfig};
+use itm_types::rng::SeedDomain;
 use itm_types::Asn;
 use proptest::prelude::*;
+use std::sync::OnceLock;
 
 /// Build a random small connected policy graph: node 0 is the root
 /// provider; every node i>0 buys transit from some j<i; extra peer links
@@ -164,6 +167,134 @@ fn generated_topologies_route_valley_free() {
             if let Some(path) = tree.path(Asn(i as u32)) {
                 assert_valley_free(&view, &path);
             }
+        }
+    }
+}
+
+/// Membership flags of `x`'s customer cone in `view`: `x` and every AS
+/// below it along provider→customer edges.
+fn cone(view: &GraphView, x: Asn) -> Vec<bool> {
+    let mut member = vec![false; view.n_ases()];
+    let mut stack = vec![x];
+    while let Some(u) = stack.pop() {
+        if !std::mem::replace(&mut member[u.index()], true) {
+            for &(c, kind) in view.neighbors(u) {
+                if kind == NeighborKind::Customer {
+                    stack.push(c);
+                }
+            }
+        }
+    }
+    member
+}
+
+/// Small generated Internets, built once for the whole test binary.
+fn small_topologies() -> &'static [Topology] {
+    static TOPOS: OnceLock<Vec<Topology>> = OnceLock::new();
+    TOPOS.get_or_init(|| {
+        (0..3)
+            .map(|seed| generate(&TopologyConfig::small(), seed).unwrap())
+            .collect()
+    })
+}
+
+/// Run `n` shards last-first, as a worker pool may finish them, and
+/// return the results in shard order.
+fn shards_last_first<T>(n: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    let mut done: Vec<T> = (0..n).rev().map(job).collect();
+    done.reverse();
+    done
+}
+
+fn assert_same_view(
+    n: usize,
+    (got_view, got): &(GraphView, VisibilityReport),
+    (want_view, want): &(GraphView, VisibilityReport),
+) -> Result<(), String> {
+    for i in 0..n {
+        let asn = Asn(i as u32);
+        prop_assert_eq!(
+            got_view.neighbors(asn),
+            want_view.neighbors(asn),
+            "AS {}",
+            i
+        );
+    }
+    prop_assert_eq!(&got.by_class, &want.by_class);
+    prop_assert_eq!(got.total, want.total);
+    prop_assert_eq!(got.visible, want.visible);
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn a_peer_link_only_reaches_destinations_in_its_cones(
+        (n, links) in arb_graph(),
+        pick in any::<usize>(),
+    ) {
+        let peers: Vec<usize> = (0..links.len())
+            .filter(|&i| links[i].rel == AsRel::PeerToPeer)
+            .collect();
+        prop_assume!(!peers.is_empty());
+        let k = peers[pick % peers.len()];
+        let with = GraphView::from_links(n, &links);
+        let without = GraphView::from_links(
+            n,
+            links.iter().enumerate().filter(|&(i, _)| i != k).map(|(_, l)| l),
+        );
+        let (ca, cb) = (cone(&with, links[k].a), cone(&with, links[k].b));
+        for dst in (0..n).filter(|&d| !ca[d] && !cb[d]) {
+            let up = RoutingTree::compute(&with, Asn(dst as u32));
+            let down = RoutingTree::compute(&without, Asn(dst as u32));
+            for x in 0..n {
+                let x = Asn(x as u32);
+                prop_assert_eq!(up.route(x), down.route(x), "dst {} at {}", dst, x);
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_public_view_equals_a_fresh_one(
+        topo_at in 0usize..3,
+        steps in proptest::collection::vec(
+            proptest::collection::vec(any::<usize>(), 1..5),
+            1..5,
+        ),
+        transit_pick in any::<usize>(),
+    ) {
+        let mut topo = small_topologies()[topo_at].clone();
+        let collectors = CollectorSet::typical(&topo, &SeedDomain::new(topo_at as u64));
+        let peering: Vec<(Asn, Asn)> =
+            topo.links.iter().filter(|l| l.is_peering()).map(|l| l.key()).collect();
+        // Transit links a feeder buys: a flap there changes the feeder's
+        // paths to destinations far outside the link's cones.
+        let transit: Vec<(Asn, Asn)> = topo
+            .links
+            .iter()
+            .filter(|l| l.rel == AsRel::CustomerToProvider && collectors.feeders.contains(&l.a))
+            .map(|l| l.key())
+            .collect();
+        prop_assume!(!transit.is_empty());
+        // One step also toggles a transit link, which forces the full pass.
+        let transit_step = transit_pick % steps.len();
+        let (mut prev_seq, mut prev_rev): (Option<VisibilityReport>, Option<VisibilityReport>) =
+            (None, None);
+        for (i, flaps) in steps.iter().enumerate() {
+            for &f in flaps {
+                topo.toggle_link_down(peering[f % peering.len()]);
+            }
+            if i == transit_step {
+                topo.toggle_link_down(transit[transit_pick % transit.len()]);
+            }
+            let want = collectors.public_view(&topo);
+            let seq = collectors.public_view_with(&topo, prev_seq.as_ref(), |n, job| {
+                (0..n).map(job).collect()
+            });
+            let rev = collectors.public_view_with(&topo, prev_rev.as_ref(), shards_last_first);
+            assert_same_view(topo.n_ases(), &seq, &want)?;
+            assert_same_view(topo.n_ases(), &rev, &want)?;
+            prev_seq = Some(seq.1);
+            prev_rev = Some(rev.1);
         }
     }
 }
