@@ -1,11 +1,12 @@
 //! Criterion benchmarks for the computational kernels every experiment
 //! leans on: topology generation, BGP route computation, the collector
 //! public view (full and after four link flaps), anycast catchments,
-//! open-resolver deployment, root-log collection, cache probing,
+//! open-resolver deployment, root-log collection, cache probing (through
+//! the string API and the id-keyed kernel), one shard of the ECS grid,
 //! redirection selection, and traffic-matrix queries.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use itm_measure::{Substrate, SubstrateConfig};
+use itm_measure::{Substrate, SubstrateConfig, UserMapping};
 use itm_routing::{AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree};
 use itm_topology::{generate, TopologyConfig};
 use itm_traffic::DeliveryMode;
@@ -246,6 +247,76 @@ fn bench_obs_overhead(c: &mut Criterion) {
     g.finish();
 }
 
+/// The campaigns' probe kernels on the default substrate, whose
+/// 200-service catalogue is the one the map is built from. The string
+/// cache probe of a mid-catalogue ECS domain pays a linear domain scan
+/// and a prefix lookup per probe; the id-keyed kernel the campaigns call
+/// pays neither. Then one shard of the ECS user-to-front-end grid (shard
+/// 0 of 64): every user prefix of the slice resolved for every
+/// DNS-redirected ECS service, the inner loop of the map's largest
+/// campaign.
+fn bench_probe_kernels(c: &mut Criterion) {
+    let s = Substrate::build(SubstrateConfig::default(), 42).unwrap();
+    let resolver = s.open_resolver().expect("open resolver");
+    let records: Vec<_> = s.topo.prefixes.iter().collect();
+    let ecs: Vec<_> = s
+        .catalog
+        .services
+        .iter()
+        .filter(|svc| svc.ecs_support)
+        .collect();
+    let mid = ecs[ecs.len() / 2];
+    let mut g = c.benchmark_group("dns");
+    g.bench_function("cache_probe_1k_mid_catalog", |b| {
+        let mut i = 0usize;
+        b.iter(|| {
+            let mut hits = 0;
+            for _ in 0..1000 {
+                let net = records[i % records.len()].net;
+                i += 1;
+                if matches!(
+                    resolver.probe(net, &mid.domain, SimTime(3600)),
+                    itm_dns::ProbeResult::Hit(_)
+                ) {
+                    hits += 1;
+                }
+            }
+            hits
+        })
+    });
+    g.bench_function("cache_probe_1k_id", |b| {
+        let dom = itm_dns::DomainKey::of(mid);
+        let mut i = 0usize;
+        b.iter(|| {
+            let mut tally = itm_dns::DnsTally::default();
+            let mut hits = 0;
+            for _ in 0..1000 {
+                let rec = records[i % records.len()];
+                i += 1;
+                if matches!(
+                    resolver.probe_prefix(rec, dom, SimTime(3600), None, &mut tally),
+                    itm_dns::ProbeResult::Hit(_)
+                ) {
+                    hits += 1;
+                }
+            }
+            tally.flush();
+            hits
+        })
+    });
+    g.finish();
+    let mut g = c.benchmark_group("measure");
+    g.sample_size(10);
+    g.bench_function("ecs_grid_shard", |b| {
+        b.iter(|| {
+            UserMapping::measure_with(&s, &resolver, |_, job| vec![job(0)])
+                .mapping
+                .len()
+        })
+    });
+    g.finish();
+}
+
 fn bench_traffic(c: &mut Criterion) {
     let s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
     let prefixes: Vec<_> = s.users.user_prefixes(&s.topo).collect();
@@ -274,6 +345,7 @@ criterion_group!(
     bench_substrate,
     bench_dns_probing,
     bench_obs_overhead,
+    bench_probe_kernels,
     bench_traffic
 );
 criterion_main!(benches);

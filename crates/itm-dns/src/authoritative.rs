@@ -9,7 +9,8 @@
 //! each only discovers the mapping based on its location").
 
 use crate::frontends::FrontendDirectory;
-use itm_topology::Topology;
+use crate::tally::DnsTally;
+use itm_topology::{PrefixRecord, Topology};
 use itm_traffic::{DeliveryMode, ServiceCatalog};
 use itm_types::{FaultInjector, Ipv4Addr, Ipv4Net, ProbeFate, ServiceId};
 use serde::{Deserialize, Serialize};
@@ -32,6 +33,17 @@ pub struct DnsAnswer {
     pub scope: AnswerScope,
     /// TTL in seconds.
     pub ttl_secs: u32,
+}
+
+/// The ECS option of one query, as the authoritative sees it.
+#[derive(Debug, Clone, Copy)]
+enum Ecs<'r> {
+    /// No ECS option.
+    Absent,
+    /// ECS for a routed client /24, located in the ground truth.
+    Client(&'r PrefixRecord),
+    /// ECS for a /24 the ground truth does not route.
+    Unrouted(Ipv4Net),
 }
 
 /// The authoritative servers of every service, as one queryable object.
@@ -65,121 +77,64 @@ impl<'a> AuthoritativeDns<'a> {
     ///   endpoint, scoped to the client /24;
     /// * everything else returns the endpoint nearest the *resolver*,
     ///   scoped resolver-wide.
+    ///
+    /// A wrapper over [`AuthoritativeDns::resolve_record`]: it locates the
+    /// ECS prefix in the ground truth once and bumps the global counters.
     pub fn resolve(
         &self,
         service: ServiceId,
         resolver_city: u32,
         ecs: Option<Ipv4Net>,
     ) -> DnsAnswer {
-        if ecs.is_some() {
-            itm_obs::counter!("dns.auth.queries", "ecs" => "true").inc();
-        } else {
-            itm_obs::counter!("dns.auth.queries", "ecs" => "false").inc();
-        }
-        let s = self.catalog.get(service);
-        if s.mode == DeliveryMode::Anycast {
-            // Every anycast service gets a VIP at directory build time; a
-            // VIP-less one degrades to the unicast redirection path below
-            // instead of panicking.
-            if let Some(addr) = self.frontends.vip(service) {
-                itm_obs::trace::emit(
-                    itm_obs::trace::Technique::Dns,
-                    itm_obs::trace::EventKind::AuthAnswer,
-                    itm_obs::trace::Subjects::none()
-                        .service(service.raw())
-                        .addr(addr.0),
-                    "anycast-vip",
-                );
-                return DnsAnswer {
-                    addr,
-                    scope: AnswerScope::ResolverWide,
-                    ttl_secs: s.ttl_secs,
-                };
-            }
-        }
-        let ans = match ecs {
-            Some(client_net) if s.ecs_support => {
-                // Locate the client prefix in the ground truth to apply
-                // the true redirection policy.
-                match self.topo.prefixes.find(client_net) {
-                    Some(r) => {
-                        let e = self.frontends.select(self.topo, service, r.owner, r.city);
-                        DnsAnswer {
-                            addr: e.addr,
-                            scope: AnswerScope::ClientPrefix(client_net),
-                            ttl_secs: s.ttl_secs,
-                        }
-                    }
-                    None => {
-                        // Unrouted ECS prefix: answer from resolver locale,
-                        // but still scope it to the (bogus) client net, as
-                        // real ECS servers do.
-                        let e = self
-                            .frontends
-                            .select_by_city(self.topo, service, resolver_city);
-                        DnsAnswer {
-                            addr: e.addr,
-                            scope: AnswerScope::ClientPrefix(client_net),
-                            ttl_secs: s.ttl_secs,
-                        }
-                    }
-                }
-            }
-            _ => {
-                let e = self
-                    .frontends
-                    .select_by_city(self.topo, service, resolver_city);
-                DnsAnswer {
-                    addr: e.addr,
-                    scope: AnswerScope::ResolverWide,
-                    ttl_secs: s.ttl_secs,
-                }
-            }
-        };
-        itm_obs::trace::emit(
-            itm_obs::trace::Technique::Dns,
-            itm_obs::trace::EventKind::AuthAnswer,
-            itm_obs::trace::Subjects::none()
-                .service(service.raw())
-                .addr(ans.addr.0),
-            match ans.scope {
-                AnswerScope::ClientPrefix(_) => "ecs-scoped",
-                AnswerScope::ResolverWide => "resolver-wide",
-            },
-        );
+        let mut tally = DnsTally::default();
+        let ans = self.answer(service, resolver_city, self.ecs_of(ecs), &mut tally);
+        tally.flush();
         ans
     }
 
-    /// [`AuthoritativeDns::resolve`] under fault injection: the
+    /// [`AuthoritativeDns::resolve`] for a routed client the caller has
+    /// already located: `ecs` is the client's prefix record, so the answer
+    /// needs no prefix lookup. Counts into `tally`, not the registry.
+    pub fn resolve_record(
+        &self,
+        service: ServiceId,
+        resolver_city: u32,
+        ecs: Option<&PrefixRecord>,
+        tally: &mut DnsTally,
+    ) -> DnsAnswer {
+        let ecs = ecs.map_or(Ecs::Absent, Ecs::Client);
+        self.answer(service, resolver_city, ecs, tally)
+    }
+
+    /// [`AuthoritativeDns::resolve_record`] under fault injection: the
     /// authoritative server may *refuse* the query (loss and timeouts
     /// belong to the resolver hop, so only the plan's refusal rate
     /// applies here). Refusals are retried per the plan's policy; when
     /// retries exhaust, the answer is dropped and a `ProbeFailed` trace
     /// event records the gap. `client_key` is a stable identifier of the
     /// querying client (prefix raw id) so the draw is entity-keyed.
-    pub fn resolve_with_faults(
+    pub fn resolve_record_with_faults(
         &self,
         service: ServiceId,
         resolver_city: u32,
-        ecs: Option<Ipv4Net>,
+        ecs: Option<&PrefixRecord>,
         faults: &FaultInjector,
         client_key: u64,
+        tally: &mut DnsTally,
     ) -> (Option<DnsAnswer>, ProbeFate) {
         if faults.is_off() {
             return (
-                Some(self.resolve(service, resolver_city, ecs)),
+                Some(self.resolve_record(service, resolver_city, ecs, tally)),
                 ProbeFate::Observed,
             );
         }
         let fate = faults.refusal_fate(service.raw() as u64, client_key, resolver_city as u64);
         let subjects = || {
-            let mut s = itm_obs::trace::Subjects::none().service(service.raw());
-            if let Some(net) = ecs {
-                if let Some(rec) = self.topo.prefixes.find(net) {
-                    s = s.prefix(rec.id.raw());
-                }
+            let s = itm_obs::trace::Subjects::none().service(service.raw());
+            match ecs {
+                Some(rec) => s.prefix(rec.id.raw()),
+                None => s,
             }
-            s
         };
         match fate {
             ProbeFate::Observed => {}
@@ -206,12 +161,93 @@ impl<'a> AuthoritativeDns<'a> {
                 return (None, ProbeFate::Lost);
             }
         }
-        (Some(self.resolve(service, resolver_city, ecs)), fate)
+        (
+            Some(self.resolve_record(service, resolver_city, ecs, tally)),
+            fate,
+        )
     }
 
-    /// The domain → service lookup for query parsing.
-    pub fn service_for_domain(&self, domain: &str) -> Option<ServiceId> {
-        self.catalog.by_domain(domain).map(|s| s.id)
+    /// Classify an ECS option against the ground-truth prefix table.
+    fn ecs_of(&self, ecs: Option<Ipv4Net>) -> Ecs<'a> {
+        match ecs {
+            None => Ecs::Absent,
+            Some(net) => match self.topo.prefixes.find(net) {
+                Some(r) => Ecs::Client(r),
+                None => Ecs::Unrouted(net),
+            },
+        }
+    }
+
+    /// The redirection logic `resolve` and `resolve_record` share.
+    fn answer(
+        &self,
+        service: ServiceId,
+        resolver_city: u32,
+        ecs: Ecs<'_>,
+        tally: &mut DnsTally,
+    ) -> DnsAnswer {
+        if matches!(ecs, Ecs::Absent) {
+            tally.auth_queries_plain += 1;
+        } else {
+            tally.auth_queries_ecs += 1;
+        }
+        let s = self.catalog.get(service);
+        if s.mode == DeliveryMode::Anycast {
+            // Every anycast service gets a VIP at directory build time; a
+            // VIP-less one degrades to the unicast redirection path below
+            // instead of panicking.
+            if let Some(addr) = self.frontends.vip(service) {
+                itm_obs::trace::emit(
+                    itm_obs::trace::Technique::Dns,
+                    itm_obs::trace::EventKind::AuthAnswer,
+                    itm_obs::trace::Subjects::none()
+                        .service(service.raw())
+                        .addr(addr.0),
+                    "anycast-vip",
+                );
+                return DnsAnswer {
+                    addr,
+                    scope: AnswerScope::ResolverWide,
+                    ttl_secs: s.ttl_secs,
+                };
+            }
+        }
+        let (endpoint, scope) = match ecs {
+            // The true redirection policy for the located client prefix.
+            Ecs::Client(r) if s.ecs_support => (
+                self.frontends.select(self.topo, service, r.owner, r.city),
+                AnswerScope::ClientPrefix(r.net),
+            ),
+            // Unrouted ECS prefix: answer from resolver locale, but still
+            // scope it to the (bogus) client net, as real ECS servers do.
+            Ecs::Unrouted(net) if s.ecs_support => (
+                self.frontends
+                    .select_by_city(self.topo, service, resolver_city),
+                AnswerScope::ClientPrefix(net),
+            ),
+            _ => (
+                self.frontends
+                    .select_by_city(self.topo, service, resolver_city),
+                AnswerScope::ResolverWide,
+            ),
+        };
+        let ans = DnsAnswer {
+            addr: endpoint.addr,
+            scope,
+            ttl_secs: s.ttl_secs,
+        };
+        itm_obs::trace::emit(
+            itm_obs::trace::Technique::Dns,
+            itm_obs::trace::EventKind::AuthAnswer,
+            itm_obs::trace::Subjects::none()
+                .service(service.raw())
+                .addr(ans.addr.0),
+            match ans.scope {
+                AnswerScope::ClientPrefix(_) => "ecs-scoped",
+                AnswerScope::ResolverWide => "resolver-wide",
+            },
+        );
+        ans
     }
 }
 
@@ -360,16 +396,5 @@ mod tests {
         let bogus: Ipv4Net = "203.0.113.0/24".parse().unwrap();
         let ans = auth.resolve(svc.id, 0, Some(bogus));
         assert_eq!(ans.scope, AnswerScope::ClientPrefix(bogus));
-    }
-
-    #[test]
-    fn domain_lookup() {
-        let f = fixture();
-        let auth = AuthoritativeDns::new(&f.topo, &f.catalog, &f.frontends);
-        assert_eq!(
-            auth.service_for_domain("svc0.example"),
-            Some(itm_types::ServiceId(0))
-        );
-        assert_eq!(auth.service_for_domain("no-such.example"), None);
     }
 }

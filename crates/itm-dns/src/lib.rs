@@ -27,6 +27,9 @@
 //! * [`root`]: root DNS servers and their query logs, with per-operator
 //!   anonymization policies ("more and more root operators anonymize the
 //!   data in ways that limit coverage", §3.1.3).
+//! * [`tally`]: caller-held counts of the DNS counters, so the id-keyed
+//!   probe kernels of sharded campaigns add to the registry once per
+//!   campaign instead of once per probe.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -37,10 +40,12 @@ pub mod frontends;
 pub mod opendns;
 pub mod resolvers;
 pub mod root;
+pub mod tally;
 
 pub use authoritative::AuthoritativeDns;
 pub use chromium::ChromiumModel;
 pub use frontends::{Endpoint, FrontendDirectory};
-pub use opendns::{OpenResolver, OpenResolverConfig, ProbeResult};
+pub use opendns::{DomainKey, OpenResolver, OpenResolverConfig, ProbeResult};
 pub use resolvers::{ResolverAssignment, ResolverConfig, ResolverId};
 pub use root::{AnonymizationPolicy, RootLogEntry, RootLogs, RootServerSet};
+pub use tally::DnsTally;

@@ -29,8 +29,9 @@
 
 use crate::authoritative::{AuthoritativeDns, DnsAnswer};
 use crate::resolvers::ResolverAssignment;
-use itm_topology::Topology;
-use itm_traffic::{ServiceCatalog, TrafficModel, UserModel};
+use crate::tally::DnsTally;
+use itm_topology::{PrefixRecord, Topology};
+use itm_traffic::{Service, ServiceCatalog, TrafficModel, UserModel};
 use itm_types::rng::stable_hash;
 use itm_types::{
     FaultInjector, GeoPoint, Ipv4Addr, Ipv4Net, ItmError, PopId, PrefixId, ProbeFate, SeedDomain,
@@ -84,6 +85,26 @@ pub enum ProbeResult {
     Miss,
     /// Unknown domain.
     NxDomain,
+}
+
+/// A domain resolved once for repeated probing: its service, and the
+/// hash of its name that keys its fault fates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DomainKey {
+    /// The service the domain names.
+    pub service: ServiceId,
+    /// `stable_hash` of the domain name.
+    pub hash: u64,
+}
+
+impl DomainKey {
+    /// The key of a catalogue service's domain.
+    pub fn of(svc: &Service) -> DomainKey {
+        DomainKey {
+            service: svc.id,
+            hash: stable_hash(&svc.domain),
+        }
+    }
 }
 
 /// The open resolver bound to a substrate.
@@ -263,14 +284,27 @@ impl<'a> OpenResolver<'a> {
         self.pop_egress[pop.index()]
     }
 
+    /// Daily-mean organic demand (bps) of prefix `p` for service `s`: the
+    /// only part of an ECS entry's query rate that does not depend on the
+    /// time of day, so a campaign probing the same pair in many rounds
+    /// computes it once and hands it to [`OpenResolver::probe_prefix`].
+    pub fn daily_demand(&self, p: PrefixId, s: ServiceId) -> f64 {
+        self.traffic
+            .demand(self.topo, self.users, self.catalog, p, s)
+            .raw()
+    }
+
     /// Organic open-resolver query rate for (prefix, service) at time `t`,
     /// including the background noise floor.
     pub fn query_rate(&self, p: PrefixId, s: ServiceId, t: SimTime) -> f64 {
-        let organic = self
-            .traffic
-            .demand_at(self.topo, self.users, self.catalog, p, s, t)
-            .raw()
-            * self.resolvers.open_share(p)
+        self.query_rate_from(self.daily_demand(p, s), p, t)
+    }
+
+    /// The query rate given the pair's daily demand, in the float order of
+    /// `TrafficModel::demand_at`: daily × diurnal factor, then the open
+    /// share and the session size.
+    fn query_rate_from(&self, daily: f64, p: PrefixId, t: SimTime) -> f64 {
+        let organic = daily * self.traffic.diurnal_multiplier(p, t) * self.resolvers.open_share(p)
             / BITS_PER_SESSION;
         organic + self.cfg.noise_qps
     }
@@ -278,85 +312,57 @@ impl<'a> OpenResolver<'a> {
     /// Probability that the cache entry for `(s, scope of p)` is occupied
     /// during the TTL window containing `t`.
     pub fn hit_probability(&self, p: PrefixId, s: ServiceId, t: SimTime) -> f64 {
-        let svc = self.catalog.get(s);
+        self.hit_probability_with(p, self.catalog.get(s), t, None)
+    }
+
+    /// [`OpenResolver::hit_probability`], reusing the pair's daily demand
+    /// when the caller has it.
+    fn hit_probability_with(
+        &self,
+        p: PrefixId,
+        svc: &Service,
+        t: SimTime,
+        daily: Option<f64>,
+    ) -> f64 {
         let ttl = svc.ttl_secs as f64;
         let rate = if svc.ecs_support {
-            self.query_rate(p, s, t)
+            let daily = daily.unwrap_or_else(|| self.daily_demand(p, svc.id));
+            self.query_rate_from(daily, p, t)
         } else {
             // PoP-wide scope: everyone behind the PoP contributes, so the
             // diurnal phase is the *PoP's*, not the probing prefix's —
             // otherwise one physical cache entry would look different to
             // probes carrying different ECS prefixes.
             let pop = self.pop_of(p).index();
-            let base = self.pop_service_qps()[pop * self.catalog.len() + s.index()];
+            let base = self.pop_service_qps()[pop * self.catalog.len() + svc.id.index()];
             let offset = self.pops[pop].location.solar_offset_hours();
             base * self.traffic.diurnal_multiplier_at(offset, t) + self.cfg.noise_qps
         };
         1.0 - (-rate * ttl).exp()
     }
 
+    /// Resolve a domain name once, for campaigns that probe it many times.
+    pub fn domain_key(&self, domain: &str) -> Option<DomainKey> {
+        self.catalog.by_domain(domain).map(DomainKey::of)
+    }
+
     /// Non-recursive (RD=0) ECS probe: is `domain` cached for `ecs`'s
     /// scope at the PoP serving that prefix, at time `t`?
     ///
     /// Deterministic: the same (prefix, domain, TTL-window) always gives
-    /// the same outcome, as a real cache would within one window.
+    /// the same outcome, as a real cache would within one window. A
+    /// wrapper over [`OpenResolver::probe_prefix`] that looks the domain
+    /// and the prefix up once and bumps the global counters.
     pub fn probe(&self, ecs: Ipv4Net, domain: &str, t: SimTime) -> ProbeResult {
-        let Some(sid) = self.auth.service_for_domain(domain) else {
-            itm_obs::counter!("dns.cache.nxdomain").inc();
-            return ProbeResult::NxDomain;
-        };
-        let Some(rec) = self.topo.prefixes.find(ecs) else {
-            // Unrouted prefix: nothing organic ever cached for it.
-            itm_obs::counter!("dns.cache.miss").inc();
-            return ProbeResult::Miss;
-        };
-        let svc = self.catalog.get(sid);
-        if svc.ecs_support {
-            itm_obs::counter!("dns.cache.lookups", "scope" => "ecs").inc();
-        } else {
-            itm_obs::counter!("dns.cache.lookups", "scope" => "pop").inc();
-        }
-        let ttl = svc.ttl_secs.max(1) as u64;
-        let window = t.as_secs() / ttl;
-        // Evaluate occupancy at the window start so the outcome is truly
-        // constant across the whole TTL window, matching a real cache.
-        let p_hit = self.hit_probability(rec.id, sid, SimTime(window * ttl));
-        let key = if svc.ecs_support {
-            rec.id.raw() as u64
-        } else {
-            // PoP-wide entry: same draw for every prefix behind the PoP.
-            0x8000_0000_0000_0000 | self.pop_of(rec.id).raw() as u64
-        };
-        if deterministic_draw(self.draw_seed, key, sid.raw() as u64, window) < p_hit {
-            itm_obs::counter!("dns.cache.hit").inc();
-            // Answer as the authoritative would have for the organic query.
-            let pop_city = self.pops[self.pop_of(rec.id).index()].city;
-            let ecs_opt = svc.ecs_support.then_some(ecs);
-            let ans = self.auth.resolve(sid, pop_city, ecs_opt);
-            itm_obs::trace::emit(
-                itm_obs::trace::Technique::CacheProbe,
-                itm_obs::trace::EventKind::CacheHit,
-                itm_obs::trace::Subjects::none()
-                    .prefix(rec.id.raw())
-                    .service(sid.raw())
-                    .addr(ans.addr.0)
-                    .pop(self.pop_of(rec.id).raw()),
-                domain,
-            );
-            ProbeResult::Hit(ans.addr)
-        } else {
-            itm_obs::counter!("dns.cache.miss").inc();
-            itm_obs::trace::emit(
-                itm_obs::trace::Technique::CacheProbe,
-                itm_obs::trace::EventKind::CacheMiss,
-                itm_obs::trace::Subjects::none()
-                    .prefix(rec.id.raw())
-                    .service(sid.raw())
-                    .pop(self.pop_of(rec.id).raw()),
-                domain,
-            );
-            ProbeResult::Miss
-        }
+        let mut tally = DnsTally::default();
+        let res = self.probe_located(
+            self.topo.prefixes.find(ecs),
+            self.domain_key(domain),
+            t,
+            &mut tally,
+        );
+        tally.flush();
+        res
     }
 
     /// [`OpenResolver::probe`] under fault injection. The probe's fate is
@@ -373,88 +379,157 @@ impl<'a> OpenResolver<'a> {
         faults: &FaultInjector,
         round: u64,
     ) -> (Option<ProbeResult>, ProbeFate) {
-        if faults.is_off() {
-            return (Some(self.probe(ecs, domain, t)), ProbeFate::Observed);
+        let rec = self.topo.prefixes.find(ecs);
+        let dom = self.domain_key(domain);
+        let mut tally = DnsTally::default();
+        let out = faulted_probe(
+            faults,
+            (ecs.addr(0).0 as u64, stable_hash(domain), round),
+            || self.probe_subjects(rec, dom.map(|d| d.service)),
+            || self.probe_located(rec, dom, t, &mut tally),
+        );
+        tally.flush();
+        out
+    }
+
+    /// The cache-probe kernel: [`OpenResolver::probe`] for a routed prefix
+    /// and a resolved domain, with no lookups. `daily` is the pair's
+    /// [`OpenResolver::daily_demand`] when the caller has hoisted it, or
+    /// `None` to compute it on need. Counts into `tally`, not the
+    /// registry; emits the same trace events as `probe`.
+    pub fn probe_prefix(
+        &self,
+        rec: &PrefixRecord,
+        dom: DomainKey,
+        t: SimTime,
+        daily: Option<f64>,
+        tally: &mut DnsTally,
+    ) -> ProbeResult {
+        let sid = dom.service;
+        let svc = self.catalog.get(sid);
+        if svc.ecs_support {
+            tally.cache_lookups_ecs += 1;
+        } else {
+            tally.cache_lookups_pop += 1;
         }
-        let key_a = ecs.addr(0).0 as u64;
-        let key_b = stable_hash(domain);
-        let fate = faults.fate(key_a, key_b, round);
-        let subjects = || {
-            let mut s = itm_obs::trace::Subjects::none();
-            if let Some(rec) = self.topo.prefixes.find(ecs) {
-                s = s.prefix(rec.id.raw()).pop(self.pop_of(rec.id).raw());
-            }
-            if let Some(sid) = self.auth.service_for_domain(domain) {
-                s = s.service(sid.raw());
-            }
-            s
+        let ttl = svc.ttl_secs.max(1) as u64;
+        let window = t.as_secs() / ttl;
+        // Evaluate occupancy at the window start so the outcome is truly
+        // constant across the whole TTL window, matching a real cache.
+        let p_hit = self.hit_probability_with(rec.id, svc, SimTime(window * ttl), daily);
+        let pop = self.pop_of(rec.id);
+        let key = if svc.ecs_support {
+            rec.id.raw() as u64
+        } else {
+            // PoP-wide entry: same draw for every prefix behind the PoP.
+            0x8000_0000_0000_0000 | pop.raw() as u64
         };
-        match fate {
-            ProbeFate::Observed => (Some(self.probe(ecs, domain, t)), fate),
-            ProbeFate::Degraded { retries } => {
-                itm_obs::counter!("faults.probe.retried").inc();
-                itm_obs::trace::emit(
-                    itm_obs::trace::Technique::CacheProbe,
-                    itm_obs::trace::EventKind::ProbeRetried,
-                    subjects(),
-                    &format!(
-                        "retries={retries} backoff={}s",
-                        faults.total_backoff_secs(key_a ^ key_b, retries)
-                    ),
-                );
-                (Some(self.probe(ecs, domain, t)), fate)
-            }
-            ProbeFate::Lost => {
-                itm_obs::counter!("faults.probe.lost").inc();
-                let kind = faults
-                    .first_fault(key_a, key_b, round)
-                    .map(|k| k.as_str())
-                    .unwrap_or("fault");
-                itm_obs::trace::emit(
-                    itm_obs::trace::Technique::CacheProbe,
-                    itm_obs::trace::EventKind::ProbeFailed,
-                    subjects(),
-                    &format!(
-                        "{kind}, retries exhausted after {} attempts",
-                        faults.plan().max_retries + 1
-                    ),
-                );
-                (None, fate)
-            }
+        if deterministic_draw(self.draw_seed, key, sid.raw() as u64, window) < p_hit {
+            tally.cache_hit += 1;
+            // Answer as the authoritative would have for the organic query.
+            let pop_city = self.pops[pop.index()].city;
+            let ecs = svc.ecs_support.then_some(rec);
+            let ans = self.auth.resolve_record(sid, pop_city, ecs, tally);
+            itm_obs::trace::emit(
+                itm_obs::trace::Technique::CacheProbe,
+                itm_obs::trace::EventKind::CacheHit,
+                itm_obs::trace::Subjects::none()
+                    .prefix(rec.id.raw())
+                    .service(sid.raw())
+                    .addr(ans.addr.0)
+                    .pop(pop.raw()),
+                &svc.domain,
+            );
+            ProbeResult::Hit(ans.addr)
+        } else {
+            tally.cache_miss += 1;
+            itm_obs::trace::emit(
+                itm_obs::trace::Technique::CacheProbe,
+                itm_obs::trace::EventKind::CacheMiss,
+                itm_obs::trace::Subjects::none()
+                    .prefix(rec.id.raw())
+                    .service(sid.raw())
+                    .pop(pop.raw()),
+                &svc.domain,
+            );
+            ProbeResult::Miss
         }
+    }
+
+    /// [`OpenResolver::probe_prefix`] under fault injection, with the
+    /// fate keys of [`OpenResolver::probe_with_faults`]: the prefix's
+    /// network address, the domain's hash and the round.
+    #[allow(clippy::too_many_arguments)]
+    pub fn probe_prefix_with_faults(
+        &self,
+        rec: &PrefixRecord,
+        dom: DomainKey,
+        t: SimTime,
+        daily: Option<f64>,
+        faults: &FaultInjector,
+        round: u64,
+        tally: &mut DnsTally,
+    ) -> (Option<ProbeResult>, ProbeFate) {
+        faulted_probe(
+            faults,
+            (rec.net.addr(0).0 as u64, dom.hash, round),
+            || self.probe_subjects(Some(rec), Some(dom.service)),
+            || self.probe_prefix(rec, dom, t, daily, tally),
+        )
+    }
+
+    /// A probe whose lookups may have failed: unknown domains answer
+    /// NXDOMAIN, unrouted prefixes miss (nothing organic ever cached for
+    /// them).
+    fn probe_located(
+        &self,
+        rec: Option<&PrefixRecord>,
+        dom: Option<DomainKey>,
+        t: SimTime,
+        tally: &mut DnsTally,
+    ) -> ProbeResult {
+        let Some(dom) = dom else {
+            tally.cache_nxdomain += 1;
+            return ProbeResult::NxDomain;
+        };
+        let Some(rec) = rec else {
+            tally.cache_miss += 1;
+            return ProbeResult::Miss;
+        };
+        self.probe_prefix(rec, dom, t, None, tally)
+    }
+
+    /// Trace subjects of a faulted probe: whatever the lookups found.
+    fn probe_subjects(
+        &self,
+        rec: Option<&PrefixRecord>,
+        sid: Option<ServiceId>,
+    ) -> itm_obs::trace::Subjects {
+        let mut s = itm_obs::trace::Subjects::none();
+        if let Some(rec) = rec {
+            s = s.prefix(rec.id.raw()).pop(self.pop_of(rec.id).raw());
+        }
+        if let Some(sid) = sid {
+            s = s.service(sid.raw());
+        }
+        s
     }
 
     /// A *recursive* query as a client stub would issue (fills caches in
     /// the event-level simulation; the analytic path does not need it).
+    /// A wrapper over [`OpenResolver::resolve_prefix`].
     pub fn resolve_for_client(&self, client: PrefixId, domain: &str) -> Option<DnsAnswer> {
-        let sid = self.auth.service_for_domain(domain)?;
-        let svc = self.catalog.get(sid);
-        let rec = self.topo.prefixes.get(client);
-        let pop_city = self.pops[self.pop_of(client).index()].city;
-        let ecs = svc.ecs_support.then_some(rec.net);
-        let ans = self.auth.resolve(sid, pop_city, ecs);
-        if matches!(
-            ans.scope,
-            crate::authoritative::AnswerScope::ClientPrefix(_)
-        ) {
-            itm_obs::trace::emit(
-                itm_obs::trace::Technique::EcsMapping,
-                itm_obs::trace::EventKind::EcsScopedAnswer,
-                itm_obs::trace::Subjects::none()
-                    .prefix(client.raw())
-                    .service(sid.raw())
-                    .addr(ans.addr.0)
-                    .pop(self.pop_of(client).raw()),
-                domain,
-            );
-        }
+        let dom = self.domain_key(domain)?;
+        let mut tally = DnsTally::default();
+        let ans = self.resolve_prefix(self.topo.prefixes.get(client), dom, &mut tally);
+        tally.flush();
         Some(ans)
     }
 
     /// [`OpenResolver::resolve_for_client`] under fault injection. Two
     /// hops can fault: the resolver hop (loss/timeout/refusal per the
     /// full plan) and the authoritative hop (refusals only, applied by
-    /// [`AuthoritativeDns::resolve_with_faults`]). The combined fate is
+    /// [`AuthoritativeDns::resolve_record_with_faults`]). The combined fate is
     /// lost-dominant with retries added across hops.
     pub fn resolve_for_client_with_faults(
         &self,
@@ -462,15 +537,58 @@ impl<'a> OpenResolver<'a> {
         domain: &str,
         faults: &FaultInjector,
     ) -> (Option<DnsAnswer>, ProbeFate) {
-        if faults.is_off() {
-            return (self.resolve_for_client(client, domain), ProbeFate::Observed);
-        }
-        let Some(sid) = self.auth.service_for_domain(domain) else {
+        let Some(dom) = self.domain_key(domain) else {
             // NXDOMAIN is an answer, not a fault.
             return (None, ProbeFate::Observed);
         };
+        let mut tally = DnsTally::default();
+        let out = self.resolve_prefix_with_faults(
+            self.topo.prefixes.get(client),
+            dom,
+            faults,
+            &mut tally,
+        );
+        tally.flush();
+        out
+    }
+
+    /// The ECS-grid kernel: [`OpenResolver::resolve_for_client`] for a
+    /// client record and a resolved domain, with no lookups. Counts into
+    /// `tally`, not the registry.
+    pub fn resolve_prefix(
+        &self,
+        rec: &PrefixRecord,
+        dom: DomainKey,
+        tally: &mut DnsTally,
+    ) -> DnsAnswer {
+        let svc = self.catalog.get(dom.service);
+        let pop_city = self.pops[self.pop_of(rec.id).index()].city;
+        let ecs = svc.ecs_support.then_some(rec);
+        let ans = self.auth.resolve_record(dom.service, pop_city, ecs, tally);
+        self.emit_scoped(rec, svc, &ans);
+        ans
+    }
+
+    /// [`OpenResolver::resolve_prefix`] under fault injection, with the
+    /// fate keys of [`OpenResolver::resolve_for_client_with_faults`]: the
+    /// prefix id and the domain's hash.
+    pub fn resolve_prefix_with_faults(
+        &self,
+        rec: &PrefixRecord,
+        dom: DomainKey,
+        faults: &FaultInjector,
+        tally: &mut DnsTally,
+    ) -> (Option<DnsAnswer>, ProbeFate) {
+        if faults.is_off() {
+            return (
+                Some(self.resolve_prefix(rec, dom, tally)),
+                ProbeFate::Observed,
+            );
+        }
+        let client = rec.id;
+        let sid = dom.service;
         let key_a = client.raw() as u64;
-        let key_b = stable_hash(domain);
+        let key_b = dom.hash;
         let hop = faults.fate(key_a, key_b, 0);
         if let ProbeFate::Lost = hop {
             itm_obs::counter!("faults.resolve.lost").inc();
@@ -490,12 +608,11 @@ impl<'a> OpenResolver<'a> {
             return (None, ProbeFate::Lost);
         }
         let svc = self.catalog.get(sid);
-        let rec = self.topo.prefixes.get(client);
         let pop_city = self.pops[self.pop_of(client).index()].city;
-        let ecs = svc.ecs_support.then_some(rec.net);
-        let (ans, auth_fate) =
-            self.auth
-                .resolve_with_faults(sid, pop_city, ecs, faults, client.raw() as u64);
+        let ecs = svc.ecs_support.then_some(rec);
+        let (ans, auth_fate) = self
+            .auth
+            .resolve_record_with_faults(sid, pop_city, ecs, faults, key_a, tally);
         let combined = hop.combine(auth_fate);
         let Some(ans) = ans else {
             return (None, ProbeFate::Lost);
@@ -514,6 +631,12 @@ impl<'a> OpenResolver<'a> {
                 ),
             );
         }
+        self.emit_scoped(rec, svc, &ans);
+        (Some(ans), combined)
+    }
+
+    /// Record an ECS-scoped answer in the trace.
+    fn emit_scoped(&self, rec: &PrefixRecord, svc: &Service, ans: &DnsAnswer) {
         if matches!(
             ans.scope,
             crate::authoritative::AnswerScope::ClientPrefix(_)
@@ -522,14 +645,60 @@ impl<'a> OpenResolver<'a> {
                 itm_obs::trace::Technique::EcsMapping,
                 itm_obs::trace::EventKind::EcsScopedAnswer,
                 itm_obs::trace::Subjects::none()
-                    .prefix(client.raw())
-                    .service(sid.raw())
+                    .prefix(rec.id.raw())
+                    .service(svc.id.raw())
                     .addr(ans.addr.0)
-                    .pop(self.pop_of(client).raw()),
-                domain,
+                    .pop(self.pop_of(rec.id).raw()),
+                &svc.domain,
             );
         }
-        (Some(ans), combined)
+    }
+}
+
+/// Draw a probe's fate from `keys = (prefix address, domain hash,
+/// round)` and run `probe` unless the fate is a loss.
+fn faulted_probe(
+    faults: &FaultInjector,
+    (key_a, key_b, round): (u64, u64, u64),
+    subjects: impl Fn() -> itm_obs::trace::Subjects,
+    probe: impl FnOnce() -> ProbeResult,
+) -> (Option<ProbeResult>, ProbeFate) {
+    if faults.is_off() {
+        return (Some(probe()), ProbeFate::Observed);
+    }
+    let fate = faults.fate(key_a, key_b, round);
+    match fate {
+        ProbeFate::Observed => (Some(probe()), fate),
+        ProbeFate::Degraded { retries } => {
+            itm_obs::counter!("faults.probe.retried").inc();
+            itm_obs::trace::emit(
+                itm_obs::trace::Technique::CacheProbe,
+                itm_obs::trace::EventKind::ProbeRetried,
+                subjects(),
+                &format!(
+                    "retries={retries} backoff={}s",
+                    faults.total_backoff_secs(key_a ^ key_b, retries)
+                ),
+            );
+            (Some(probe()), fate)
+        }
+        ProbeFate::Lost => {
+            itm_obs::counter!("faults.probe.lost").inc();
+            let kind = faults
+                .first_fault(key_a, key_b, round)
+                .map(|k| k.as_str())
+                .unwrap_or("fault");
+            itm_obs::trace::emit(
+                itm_obs::trace::Technique::CacheProbe,
+                itm_obs::trace::EventKind::ProbeFailed,
+                subjects(),
+                &format!(
+                    "{kind}, retries exhausted after {} attempts",
+                    faults.plan().max_retries + 1
+                ),
+            );
+            (None, fate)
+        }
     }
 }
 
@@ -811,6 +980,20 @@ mod tests {
             let pop = r.pop_of(rec.id);
             assert!(pop.index() < 6);
         }
+    }
+
+    #[test]
+    fn domain_keys_name_catalogue_services() {
+        let f = fixture();
+        let r = resolver(&f);
+        assert_eq!(
+            r.domain_key("svc0.example"),
+            Some(DomainKey {
+                service: ServiceId(0),
+                hash: stable_hash("svc0.example"),
+            })
+        );
+        assert_eq!(r.domain_key("no-such.example"), None);
     }
 
     #[test]

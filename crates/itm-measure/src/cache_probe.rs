@@ -10,7 +10,8 @@
 //! hit counts feed the relative-activity estimator (Fig. 2).
 
 use crate::substrate::Substrate;
-use itm_dns::{OpenResolver, ProbeResult};
+use itm_dns::{DnsTally, DomainKey, OpenResolver, ProbeResult};
+use itm_traffic::Service;
 use itm_types::rng::{shard_bounds, DEFAULT_SHARDS};
 use itm_types::{Asn, FaultInjector, FaultPlan, FaultStats, PopId, PrefixId, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -63,13 +64,17 @@ impl CacheProbeCampaign {
     /// that support ECS (non-ECS domains give no per-prefix signal, so
     /// campaigns skip them).
     pub fn pick_domains(&self, s: &Substrate) -> Vec<String> {
+        self.pick_services(s)
+            .map(|svc| svc.domain.clone())
+            .collect()
+    }
+
+    fn pick_services<'s>(&self, s: &'s Substrate) -> impl Iterator<Item = &'s Service> {
         s.catalog
             .services
             .iter()
             .filter(|svc| svc.ecs_support)
             .take(self.n_domains)
-            .map(|svc| svc.domain.clone())
-            .collect()
     }
 
     /// How many shards the campaign splits into (a property of the input
@@ -122,11 +127,12 @@ impl CacheProbeCampaign {
             itm_obs::trace::campaign(itm_obs::trace::Technique::CacheProbe, "ecs cache probing");
         let queries = itm_obs::counter!("probe.queries", "technique" => "cache_probe");
         let domains = self.pick_domains(s);
+        let keys: Vec<DomainKey> = self.pick_services(s).map(DomainKey::of).collect();
         let (rounds, _) = self.schedule();
 
         let n_shards = self.shard_count(s);
         let parts = run_shards(n_shards, &|shard| {
-            self.probe_shard(s, resolver, &domains, faults, shard, n_shards)
+            self.probe_shard(s, resolver, &keys, faults, shard, n_shards)
         });
 
         // Merge in shard-index order. Shards cover disjoint prefix slices,
@@ -136,12 +142,15 @@ impl CacheProbeCampaign {
         let mut hits_by_prefix: BTreeMap<PrefixId, u32> = BTreeMap::new();
         let mut issued: u64 = 0;
         let mut fault_stats = FaultStats::default();
+        let mut dns = DnsTally::default();
         for part in parts {
             discovered.extend(part.discovered);
             hits_by_prefix.extend(part.hits_by_prefix);
             issued += part.issued;
             fault_stats.merge(&part.stats);
+            dns.merge(&part.dns);
         }
+        dns.flush();
         queries.add(issued);
         // One DNS query ≈ 80 bytes on the wire each way; the campaign's
         // only targets are the open resolver's PoPs.
@@ -180,25 +189,46 @@ impl CacheProbeCampaign {
         &self,
         s: &Substrate,
         resolver: &OpenResolver<'_>,
-        domains: &[String],
+        domains: &[DomainKey],
         faults: &FaultInjector,
         shard: usize,
         n_shards: usize,
     ) -> CacheProbeShard {
         let (rounds, step) = self.schedule();
         let (lo, hi) = shard_bounds(s.topo.prefixes.len(), shard, n_shards);
+        let slice = || s.topo.prefixes.iter().skip(lo).take(hi - lo);
+        // Only the diurnal factor of a probe's rate depends on the round,
+        // so each (prefix, domain) pair's daily demand is drawn once.
+        let mut daily = Vec::with_capacity((hi - lo) * domains.len());
+        for rec in slice() {
+            daily.extend(
+                domains
+                    .iter()
+                    .map(|d| resolver.daily_demand(rec.id, d.service)),
+            );
+        }
         let mut part = CacheProbeShard {
             discovered: BTreeSet::new(),
             hits_by_prefix: BTreeMap::new(),
             issued: 0,
             stats: FaultStats::default(),
+            dns: DnsTally::default(),
         };
         for round in 0..rounds {
             let t = SimTime(self.start.as_secs() + round * step);
-            for rec in s.topo.prefixes.iter().skip(lo).take(hi - lo) {
-                for d in domains {
+            for (i, rec) in slice().enumerate() {
+                let row = &daily[i * domains.len()..][..domains.len()];
+                for (&d, &demand) in domains.iter().zip(row) {
                     part.issued += 1;
-                    let (res, fate) = resolver.probe_with_faults(rec.net, d, t, faults, round);
+                    let (res, fate) = resolver.probe_prefix_with_faults(
+                        rec,
+                        d,
+                        t,
+                        Some(demand),
+                        faults,
+                        round,
+                        &mut part.dns,
+                    );
                     part.stats.record(fate);
                     if let Some(ProbeResult::Hit(_)) = res {
                         part.discovered.insert(rec.id);
@@ -218,6 +248,7 @@ pub struct CacheProbeShard {
     hits_by_prefix: BTreeMap<PrefixId, u32>,
     issued: u64,
     stats: FaultStats,
+    dns: DnsTally,
 }
 
 impl CacheProbeResult {

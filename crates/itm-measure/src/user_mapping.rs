@@ -13,7 +13,7 @@
 //! it, and score the error against the true site city.
 
 use crate::substrate::Substrate;
-use itm_dns::OpenResolver;
+use itm_dns::{DnsTally, DomainKey, OpenResolver};
 use itm_topology::PrefixKind;
 use itm_traffic::DeliveryMode;
 use itm_types::rng::{shard_bounds, DEFAULT_SHARDS};
@@ -165,12 +165,14 @@ impl UserMapping {
         let mut seen: BTreeMap<ServiceId, Vec<Vec<Ipv4Addr>>> = BTreeMap::new();
         let mut fault_stats = FaultStats::default();
         let mut stats_by_service: BTreeMap<ServiceId, FaultStats> = BTreeMap::new();
+        let mut dns = DnsTally::default();
         for part in parts {
             shard_maps.push(part.mapping);
             for (svc, addrs) in part.seen {
                 seen.entry(svc).or_default().push(addrs);
             }
             issued += part.issued;
+            dns.merge(&part.dns);
             for (svc, st) in part.stats {
                 fault_stats.merge(&st);
                 stats_by_service.entry(svc).or_default().merge(&st);
@@ -198,6 +200,7 @@ impl UserMapping {
             }
         }
 
+        dns.flush();
         queries.add(issued);
         itm_obs::counter!("probe.bytes", "technique" => "ecs_mapping").add(issued * 160);
         UserMapping {
@@ -225,6 +228,7 @@ impl UserMapping {
             seen: BTreeMap::new(),
             issued: 0,
             stats: BTreeMap::new(),
+            dns: DnsTally::default(),
         };
         for svc in &s.catalog.services {
             if !(svc.ecs_support && svc.mode == DeliveryMode::DnsRedirection) {
@@ -233,14 +237,16 @@ impl UserMapping {
             if subset.is_some_and(|set| !set.contains(&svc.id)) {
                 continue;
             }
+            let dom = DomainKey::of(svc);
             let svc_stats = part.stats.entry(svc.id).or_default();
+            let mut footprint: Vec<Ipv4Addr> = Vec::new();
             for rec in s.topo.prefixes.iter().skip(lo).take(hi - lo) {
                 if rec.kind != PrefixKind::UserAccess {
                     continue;
                 }
                 part.issued += 1;
                 let (ans, fate) =
-                    resolver.resolve_for_client_with_faults(rec.id, &svc.domain, faults);
+                    resolver.resolve_prefix_with_faults(rec, dom, faults, &mut part.dns);
                 svc_stats.record(fate);
                 if let Some(ans) = ans {
                     // Services ascend in catalogue order and the prefix
@@ -250,16 +256,23 @@ impl UserMapping {
                         prefix: rec.id,
                         addr: ans.addr,
                     });
-                    let seen = part.seen.entry(svc.id).or_default();
-                    if !seen.contains(&ans.addr) {
-                        seen.push(ans.addr);
+                    // Consecutive prefixes of one network and city share a
+                    // front-end, so skipping repeats of the last address
+                    // keeps the list short; the sort below removes the rest.
+                    if footprint.last() != Some(&ans.addr) {
+                        footprint.push(ans.addr);
                     }
                 }
             }
-        }
-        // Sort footprints inside the shard so the merge never has to.
-        for addrs in part.seen.values_mut() {
-            addrs.sort_unstable();
+            if !footprint.is_empty() {
+                // Sort footprints inside the shard so the merge never has to.
+                // The shard holds every footprint until the merge: keep
+                // only the deduplicated length.
+                footprint.sort_unstable();
+                footprint.dedup();
+                footprint.shrink_to_fit();
+                part.seen.insert(svc.id, footprint);
+            }
         }
         part
     }
@@ -310,6 +323,7 @@ pub struct UserMappingShard {
     issued: u64,
     /// Per-service fate accounting for this shard's slice.
     stats: BTreeMap<ServiceId, FaultStats>,
+    dns: DnsTally,
 }
 
 /// Geolocation of serving addresses from the client side \[13\].

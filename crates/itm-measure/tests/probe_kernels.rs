@@ -1,0 +1,241 @@
+//! The id-keyed probe kernels against the string APIs they sit under.
+//!
+//! Cache probing and the ECS grid call `OpenResolver::probe_prefix*` and
+//! `resolve_prefix*` with prefix records and pre-resolved domains; the
+//! experiments call `probe`, `probe_with_faults`, `resolve_for_client*`
+//! and `AuthoritativeDns::resolve`, which look the names up and then call
+//! the same kernels. These tests pin that the two paths answer alike —
+//! probe by probe on the small substrate under the off, light and heavy
+//! fault plans, and campaign by campaign against reference loops written
+//! over the string API alone.
+
+use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, OpenResolver};
+use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
+use itm_topology::PrefixKind;
+use itm_traffic::DeliveryMode;
+use itm_types::rng::stable_hash;
+use itm_types::{
+    Cell, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, PrefixId, ProbeFate, ServiceId, SimTime,
+};
+use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::OnceLock;
+
+fn substrate() -> &'static Substrate {
+    static S: OnceLock<Substrate> = OnceLock::new();
+    S.get_or_init(|| Substrate::build(SubstrateConfig::small(), 42).expect("small substrate"))
+}
+
+fn plans() -> [(&'static str, FaultPlan); 3] {
+    [
+        ("off", FaultPlan::off()),
+        ("light", FaultPlan::light()),
+        ("heavy", FaultPlan::heavy()),
+    ]
+}
+
+fn sequential<T>(n: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    (0..n).map(job).collect()
+}
+
+proptest! {
+    #[test]
+    fn kernels_answer_like_the_string_wrappers(
+        prefix in 0usize..1_000_000,
+        service in 0usize..1_000_000,
+        secs in 0u64..3 * 86_400,
+        round in 0u64..8,
+    ) {
+        let s = substrate();
+        let resolver = s.open_resolver().expect("open resolver");
+        let auth = AuthoritativeDns::new(&s.topo, &s.catalog, &s.frontends);
+        let rec = s.topo.prefixes.get(PrefixId((prefix % s.topo.prefixes.len()) as u32));
+        let ecs: Vec<_> = s.catalog.services.iter().filter(|svc| svc.ecs_support).collect();
+        let svc = ecs[service % ecs.len()];
+        let dom = DomainKey::of(svc);
+        let t = SimTime(secs);
+        let daily = Some(resolver.daily_demand(rec.id, svc.id));
+        let mut tally = DnsTally::default();
+
+        prop_assert_eq!(resolver.domain_key(&svc.domain), Some(dom));
+        let probe = resolver.probe(rec.net, &svc.domain, t);
+        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, None, &mut tally), probe);
+        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, daily, &mut tally), probe);
+        let city = resolver.pops()[resolver.pop_of(rec.id).index()].city;
+        prop_assert_eq!(
+            auth.resolve_record(svc.id, city, Some(rec), &mut tally),
+            auth.resolve(svc.id, city, Some(rec.net))
+        );
+        prop_assert_eq!(
+            resolver.resolve_prefix(rec, dom, &mut tally),
+            resolver.resolve_for_client(rec.id, &svc.domain).expect("known domain")
+        );
+        for (name, plan) in plans() {
+            let faults = FaultInjector::new(plan, &s.seeds, "kernels");
+            let probed = resolver.probe_with_faults(rec.net, &svc.domain, t, &faults, round);
+            // The fate keys, byte for byte: (network address, domain hash,
+            // round) for a probe; (prefix id, domain hash, 0) for the
+            // resolver hop of a resolution, then the authoritative's
+            // refusal draw keyed by the prefix id.
+            let key_b = stable_hash(&svc.domain);
+            prop_assert_eq!(probed.1, faults.fate(rec.net.addr(0).0 as u64, key_b, round));
+            let hop = faults.fate(rec.id.raw() as u64, key_b, 0);
+            let fate = match hop {
+                ProbeFate::Lost => ProbeFate::Lost,
+                _ => hop.combine(faults.refusal_fate(svc.id.raw() as u64, rec.id.raw() as u64, city as u64)),
+            };
+            prop_assert_eq!(
+                resolver.resolve_for_client_with_faults(rec.id, &svc.domain, &faults).1,
+                fate
+            );
+            for d in [None, daily] {
+                prop_assert_eq!(
+                    resolver.probe_prefix_with_faults(rec, dom, t, d, &faults, round, &mut tally),
+                    probed,
+                    "probe, {} faults", name
+                );
+            }
+            prop_assert_eq!(
+                resolver.resolve_prefix_with_faults(rec, dom, &faults, &mut tally),
+                resolver.resolve_for_client_with_faults(rec.id, &svc.domain, &faults),
+                "resolution, {} faults", name
+            );
+        }
+        // Every kernel probe was a lookup that either hit or missed.
+        prop_assert_eq!(tally.cache_lookups_ecs, tally.cache_hit + tally.cache_miss);
+        prop_assert_eq!(tally.cache_lookups_pop + tally.cache_nxdomain, 0);
+    }
+}
+
+/// What a cache-probing campaign measures, from a loop over
+/// `probe_with_faults` in (round, prefix, domain) order.
+fn reference_cache_probe(
+    c: &CacheProbeCampaign,
+    s: &Substrate,
+    resolver: &OpenResolver<'_>,
+    faults: &FaultInjector,
+) -> (BTreeSet<PrefixId>, BTreeMap<PrefixId, u32>, FaultStats) {
+    let rounds = (c.duration.as_secs() as f64 / 86_400.0 * c.rounds_per_day as f64)
+        .round()
+        .max(1.0) as u64;
+    let step = c.duration.as_secs() / rounds;
+    let mut discovered = BTreeSet::new();
+    let mut hits: BTreeMap<PrefixId, u32> = BTreeMap::new();
+    let mut stats = FaultStats::default();
+    for round in 0..rounds {
+        let t = SimTime(c.start.as_secs() + round * step);
+        for rec in s.topo.prefixes.iter() {
+            for d in c.pick_domains(s) {
+                let (res, fate) = resolver.probe_with_faults(rec.net, &d, t, faults, round);
+                stats.record(fate);
+                if let Some(itm_dns::ProbeResult::Hit(_)) = res {
+                    discovered.insert(rec.id);
+                    *hits.entry(rec.id).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    (discovered, hits, stats)
+}
+
+#[test]
+fn cache_probe_campaign_equals_the_string_api_loop() {
+    let s = substrate();
+    let resolver = s.open_resolver().expect("open resolver");
+    let c = CacheProbeCampaign::default();
+    for (name, plan) in plans() {
+        let faults = FaultInjector::new(plan, &s.seeds, "cache_probe");
+        let got = c.run_with_faults(s, &resolver, &faults, sequential);
+        let (discovered, hits, stats) = reference_cache_probe(&c, s, &resolver, &faults);
+        assert!(!discovered.is_empty(), "{name}: nothing discovered");
+        assert_eq!(got.discovered, discovered, "{name} faults");
+        assert_eq!(got.hits_by_prefix, hits, "{name} faults");
+        assert_eq!(got.fault_stats, stats, "{name} faults");
+    }
+}
+
+/// What the ECS grid measures for `services`, from a loop over
+/// `resolve_for_client_with_faults`: cells in (service, prefix) order,
+/// sorted footprints, and per-service fate accounting.
+#[allow(clippy::type_complexity)]
+fn reference_grid(
+    s: &Substrate,
+    resolver: &OpenResolver<'_>,
+    faults: &FaultInjector,
+    services: &[ServiceId],
+) -> (
+    Vec<Cell>,
+    BTreeMap<ServiceId, Vec<Ipv4Addr>>,
+    BTreeMap<ServiceId, FaultStats>,
+) {
+    let mut cells = Vec::new();
+    let mut footprint = BTreeMap::new();
+    let mut stats = BTreeMap::new();
+    for &sid in services {
+        let svc = s.catalog.get(sid);
+        let mut addrs = BTreeSet::new();
+        let st: &mut FaultStats = stats.entry(sid).or_default();
+        for rec in s.topo.prefixes.iter() {
+            if rec.kind != PrefixKind::UserAccess {
+                continue;
+            }
+            let (ans, fate) = resolver.resolve_for_client_with_faults(rec.id, &svc.domain, faults);
+            st.record(fate);
+            if let Some(ans) = ans {
+                cells.push(Cell {
+                    service: sid,
+                    prefix: rec.id,
+                    addr: ans.addr,
+                });
+                addrs.insert(ans.addr);
+            }
+        }
+        footprint.insert(sid, addrs.into_iter().collect());
+    }
+    (cells, footprint, stats)
+}
+
+#[test]
+fn ecs_grid_equals_the_string_api_loop() {
+    let s = substrate();
+    let resolver = s.open_resolver().expect("open resolver");
+    let measurable: Vec<ServiceId> = s
+        .catalog
+        .services
+        .iter()
+        .filter(|svc| svc.ecs_support && svc.mode == DeliveryMode::DnsRedirection)
+        .map(|svc| svc.id)
+        .collect();
+    // The epoch engine's subset re-measure runs the same shard kernel.
+    let subset: BTreeSet<ServiceId> = [measurable[1], measurable[measurable.len() / 2]].into();
+    for (name, plan) in plans() {
+        let faults = FaultInjector::new(plan, &s.seeds, "user_mapping");
+        let got = UserMapping::measure_with_faults(s, &resolver, &faults, sequential);
+        let (cells, footprint, stats) = reference_grid(s, &resolver, &faults, &measurable);
+        assert!(!cells.is_empty(), "{name}: no cells");
+        assert_eq!(
+            got.mapping.iter().copied().collect::<Vec<_>>(),
+            cells,
+            "{name}"
+        );
+        assert_eq!(got.footprint, footprint, "{name} faults");
+        assert_eq!(got.stats_by_service, stats, "{name} faults");
+        let mut total = FaultStats::default();
+        for st in stats.values() {
+            total.merge(st);
+        }
+        assert_eq!(got.fault_stats, total, "{name} faults");
+
+        let part =
+            UserMapping::measure_subset_with_faults(s, &resolver, &subset, &faults, sequential);
+        let ids: Vec<ServiceId> = subset.iter().copied().collect();
+        let (cells, footprint, stats) = reference_grid(s, &resolver, &faults, &ids);
+        assert_eq!(
+            part.mapping.iter().copied().collect::<Vec<_>>(),
+            cells,
+            "{name}"
+        );
+        assert_eq!(part.footprint, footprint, "{name} faults");
+        assert_eq!(part.stats_by_service, stats, "{name} faults");
+    }
+}
