@@ -6,8 +6,11 @@
 //! from [`MapClaims`] (recorded at build time or rebuilt here, identical
 //! either way), adjacency from the route view's sorted neighbor lists —
 //! so the bytes are identical at any `--threads` and across runs with the
-//! same seed. The front-end table and reverse index are derived by a
-//! deterministic counting sort, in time linear in the number of cells.
+//! same seed. The file is laid out first and every column is encoded
+//! straight into it, so the writer holds about one file's worth of
+//! memory. The front-end table and reverse index come from a list of
+//! runs of equal serving addresses and a deterministic counting sort, in
+//! time linear in the number of cells.
 //!
 //! [`CellMap`]: itm_types::CellMap
 //! [`MapClaims`]: crate::audit::MapClaims
@@ -16,8 +19,8 @@ use crate::audit::{bits, MapClaims};
 use crate::map::TrafficMap;
 use itm_measure::Substrate;
 use itm_topology::NeighborKind;
-use itm_types::snap::{rel, section, SnapWriter};
-use itm_types::{Asn, DomainTable, ItmError, Result};
+use itm_types::snap::{rel, section, SnapWriter, META_FIELDS};
+use itm_types::{Asn, DomainTable, ItmError, PrefixId, Result};
 
 /// Map a topology relationship onto its on-disk code.
 fn rel_code(kind: NeighborKind) -> u8 {
@@ -28,77 +31,91 @@ fn rel_code(kind: NeighborKind) -> u8 {
     }
 }
 
-/// The front-end table and the reverse index.
+/// Runs of equal serving addresses in cell order, as `(address, length)`.
+///
+/// Neighbouring cells mostly share a front-end (four in five on a
+/// default-topology world), so the front table is searched, and the
+/// reverse index placed, once per run rather than once per cell.
+fn address_runs(addrs: impl Iterator<Item = u32>) -> Vec<(u32, u32)> {
+    let mut runs: Vec<(u32, u32)> = Vec::new();
+    for addr in addrs {
+        match runs.last_mut() {
+            Some((a, len)) if *a == addr => *len += 1,
+            _ => runs.push((addr, 1)),
+        }
+    }
+    runs
+}
+
+/// The front-end table and each run's slot in it.
 ///
 /// The table is every distinct serving address the map knows, ascending:
-/// the footprint addresses plus any cell address outside them. The
-/// reverse index lists cell indices ordered by `(serving address, index)`.
-/// Both come out in time linear in the number of cells: a binary search
-/// gives each cell its slot in the table (a few thousand entries), and a
-/// stable counting sort over the slots yields the index order.
-fn front_table_and_rev(cell_addr: &[u32], mut front_addr: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
-    // Neighbouring cells mostly share a front-end (four in five on a
-    // default-topology world), so the table is searched once per run of
-    // equal addresses, not once per cell.
-    let runs = || cell_addr.chunk_by(|a, b| a == b);
+/// the footprint addresses plus any run address outside them. A binary
+/// search over the table (a few thousand entries) gives each run its slot.
+fn front_table(runs: &[(u32, u32)], mut front_addr: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
     front_addr.sort_unstable();
     front_addr.dedup();
-    let (mut slots, extra) = run_slots(runs(), &front_addr);
+    let (mut slots, extra) = run_slots(runs, &front_addr);
     if !extra.is_empty() {
         // Cell addresses no footprint mentions (no default world has
         // any) join the table, which moves the slots: search again.
         front_addr.extend(extra);
         front_addr.sort_unstable();
         front_addr.dedup();
-        slots = run_slots(runs(), &front_addr).0;
+        slots = run_slots(runs, &front_addr).0;
     }
-
-    // Counting sort: `start[k]` is where slot k's cells begin in the
-    // index. A run is consecutive cell indices with one slot, so its
-    // cells land side by side.
-    let mut start = vec![0u32; front_addr.len() + 1];
-    for (run, &k) in runs().zip(&slots) {
-        start[k as usize + 1] += run.len() as u32;
-    }
-    for k in 1..start.len() {
-        start[k] += start[k - 1];
-    }
-    let mut cell_rev = vec![0u32; cell_addr.len()];
-    let mut first = 0u32;
-    for (run, &k) in runs().zip(&slots) {
-        let at = &mut start[k as usize];
-        let len = run.len() as u32;
-        for (dst, i) in cell_rev[*at as usize..(*at + len) as usize]
-            .iter_mut()
-            .zip(first..)
-        {
-            *dst = i;
-        }
-        *at += len;
-        first += len;
-    }
-    (front_addr, cell_rev)
+    (front_addr, slots)
 }
 
 /// Each run's slot in the sorted `front` table, plus the run addresses
 /// the table lacks (their slot reads 0).
-fn run_slots<'a>(runs: impl Iterator<Item = &'a [u32]>, front: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut slots = Vec::new();
+fn run_slots(runs: &[(u32, u32)], front: &[u32]) -> (Vec<u32>, Vec<u32>) {
     let mut missing = Vec::new();
-    for &a in runs.filter_map(<[u32]>::first) {
-        let k = match front.binary_search(&a) {
+    let slots = runs
+        .iter()
+        .map(|&(a, _)| match front.binary_search(&a) {
             Ok(k) => k as u32,
             Err(_) => {
                 missing.push(a);
                 0
             }
-        };
-        slots.push(k);
-    }
+        })
+        .collect();
     (slots, missing)
 }
 
+/// Write the reverse index into `rev`, the `CELL_REV` payload: cell
+/// indices ordered by `(serving address, index)`, little-endian `u32`s.
+///
+/// A stable counting sort over the run slots: `start[k]` is where slot
+/// k's cells begin in the index. A run is consecutive cell indices with
+/// one slot, so its cells land side by side.
+fn write_reverse_index(runs: &[(u32, u32)], slots: &[u32], n_fronts: usize, rev: &mut [u8]) {
+    let mut start = vec![0u32; n_fronts + 1];
+    for (&(_, len), &k) in runs.iter().zip(slots) {
+        start[k as usize + 1] += len;
+    }
+    for k in 1..start.len() {
+        start[k] += start[k - 1];
+    }
+    let mut first = 0u32;
+    for (&(_, len), &k) in runs.iter().zip(slots) {
+        let at = &mut start[k as usize];
+        let dst = &mut rev[*at as usize * 4..(*at + len) as usize * 4];
+        for (d, i) in dst.chunks_exact_mut(4).zip(first..) {
+            d.copy_from_slice(&i.to_le_bytes());
+        }
+        *at += len;
+        first += len;
+    }
+}
+
 /// Serialize the map into snapshot bytes (see DESIGN.md §14).
+///
+/// Layout first: every section's length is known before any byte is
+/// written, so the file is allocated once and each column is encoded
+/// straight into its payload. Besides the file, the writer holds only
+/// per-run, per-prefix and per-service tables, and the claim bits.
 ///
 /// The claim column reuses the map's recorded [`MapClaims`] when
 /// `record_claims` was on and rebuilds them otherwise; both paths produce
@@ -107,17 +124,21 @@ fn run_slots<'a>(runs: impl Iterator<Item = &'a [u32]>, front: &[u32]) -> (Vec<u
 pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     let _span = itm_obs::span("map.snapshot");
 
+    // Claim bitmaps, aligned with the cell columns. The recorded table is
+    // in the same iteration order, so it maps through directly.
+    let rebuilt;
+    let cell_bits: &[u8] = match &map.claims {
+        Some(c) => &c.cell_bits,
+        None => {
+            rebuilt = MapClaims::record(s, map).cell_bits;
+            &rebuilt
+        }
+    };
+
+    let columns = itm_obs::span("snapshot.columns");
     // ---- Domain table: catalogue order, exactly as the map build interns.
     let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
     let n_services = domains.len();
-    let mut dom_off: Vec<u32> = Vec::with_capacity(n_services + 1);
-    let mut dom_bytes: Vec<u8> = Vec::new();
-    dom_off.push(0);
-    for (_, name) in domains.iter() {
-        dom_bytes.extend_from_slice(name.as_bytes());
-        dom_bytes.push(0); // NUL terminator keeps names greppable in hexdumps
-        dom_off.push(dom_bytes.len() as u32);
-    }
     let mut dom_sorted: Vec<u32> = (0..n_services as u32).collect();
     dom_sorted.sort_by(|&a, &b| {
         domains
@@ -125,45 +146,33 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
             .cmp(domains.name(itm_types::DomainId(b)))
             .then(a.cmp(&b))
     });
+    // Each name is followed by a NUL, which keeps names greppable in
+    // hexdumps.
+    let name_lens = || domains.iter().map(|(_, name)| name.len() as u32 + 1);
+    let dom_len = name_lens().sum::<u32>() as usize;
 
-    // ---- Prefix columns, in prefix-id order.
-    let n_prefixes = s.topo.prefixes.len();
-    let mut pfx_base: Vec<u32> = Vec::with_capacity(n_prefixes);
-    let mut pfx_owner: Vec<u32> = Vec::with_capacity(n_prefixes);
-    for r in s.topo.prefixes.iter() {
-        pfx_base.push(r.net.network().0);
-        pfx_owner.push(r.owner.raw());
-    }
+    // ---- Prefix sort index, in prefix-id order.
+    let prefixes = &s.topo.prefixes;
+    let n_prefixes = prefixes.len();
     let mut pfx_sorted: Vec<u32> = (0..n_prefixes as u32).collect();
-    pfx_sorted.sort_by_key(|&i| (pfx_base[i as usize], i));
+    pfx_sorted.sort_by_key(|&i| (prefixes.get(PrefixId(i)).net.network().0, i));
 
-    // ---- Cell columns: CellMap iteration is already (service, prefix)
-    // sorted, so the service-major runs fall out of a single pass.
+    // ---- Cells: CellMap iteration is already (service, prefix) sorted,
+    // so the service-major runs fall out of a single pass.
     let cells = &map.user_mapping.mapping;
     let n_cells = cells.len();
     let mut cell_svc_off: Vec<u64> = vec![0; n_services + 1];
-    let mut cell_prefix: Vec<u32> = Vec::with_capacity(n_cells);
-    let mut cell_addr: Vec<u32> = Vec::with_capacity(n_cells);
     for c in cells.iter() {
         if let Some(slot) = cell_svc_off.get_mut(c.service.index() + 1) {
             *slot += 1;
         }
-        cell_prefix.push(c.prefix.raw());
-        cell_addr.push(c.addr.0);
     }
     for i in 1..cell_svc_off.len() {
         cell_svc_off[i] += cell_svc_off[i - 1];
     }
 
-    // Claim bitmaps, aligned with the cell columns. The recorded table is
-    // in the same iteration order, so it maps through directly.
-    let mut cell_bits = match &map.claims {
-        Some(c) => c.cell_bits.clone(),
-        None => MapClaims::record(s, map).cell_bits,
-    };
-    cell_bits.resize(n_cells, bits::ECS | bits::CATALOG_PRIOR);
-
-    // ---- Front-end table and reverse index.
+    // ---- Front-end table from the address runs.
+    let runs = address_runs(cells.iter().map(|c| c.addr.0));
     let footprint_addrs: Vec<u32> = map
         .user_mapping
         .footprint
@@ -172,60 +181,105 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
         .flatten()
         .map(|a| a.0)
         .collect();
-    let (front_addr, cell_rev) = front_table_and_rev(&cell_addr, footprint_addrs);
-    let front_owner: Vec<u32> = front_addr
-        .iter()
-        .map(|&a| {
-            s.topo
-                .prefixes
+    let (front_addr, slots) = front_table(&runs, footprint_addrs);
+    let n_fronts = front_addr.len();
+
+    // ---- Route adjacency: the view's neighbor lists are sorted by ASN.
+    let view = &map.route_view;
+    let n_ases = view.n_ases();
+    let adjacency = || (0..n_ases as u32).flat_map(|a| view.neighbors(Asn(a)));
+    let n_route = adjacency().count();
+
+    // ---- Lay out the file, sections in id order, then fill each one.
+    let mut w = SnapWriter::new(&[
+        (section::META, 8, META_FIELDS),
+        (section::DOM_OFF, 4, n_services + 1),
+        (section::DOM_BYTES, 1, dom_len),
+        (section::DOM_SORTED, 4, n_services),
+        (section::PFX_BASE, 4, n_prefixes),
+        (section::PFX_OWNER, 4, n_prefixes),
+        (section::PFX_SORTED, 4, n_prefixes),
+        (section::CELL_SVC_OFF, 8, n_services + 1),
+        (section::CELL_PREFIX, 4, n_cells),
+        (section::CELL_ADDR, 4, n_cells),
+        (section::CELL_BITS, 1, n_cells),
+        (section::CELL_REV, 4, n_cells),
+        (section::FRONT_ADDR, 4, n_fronts),
+        (section::FRONT_OWNER, 4, n_fronts),
+        (section::ROUTE_OFF, 8, n_ases + 1),
+        (section::ROUTE_NBR, 4, n_route),
+        (section::ROUTE_KIND, 1, n_route),
+    ]);
+    w.put_u64(
+        section::META,
+        [
+            s.seed,
+            n_ases as u64,
+            n_prefixes as u64,
+            n_services as u64,
+            n_cells as u64,
+            n_route as u64,
+            n_fronts as u64,
+        ],
+    );
+    w.put_u32(
+        section::DOM_OFF,
+        std::iter::once(0).chain(name_lens().scan(0, |end, len| {
+            *end += len;
+            Some(*end)
+        })),
+    );
+    w.put_u8(
+        section::DOM_BYTES,
+        domains
+            .iter()
+            .flat_map(|(_, name)| name.bytes().chain(std::iter::once(0))),
+    );
+    w.put_u32(section::DOM_SORTED, dom_sorted);
+    w.put_u32(
+        section::PFX_BASE,
+        prefixes.iter().map(|r| r.net.network().0),
+    );
+    w.put_u32(section::PFX_OWNER, prefixes.iter().map(|r| r.owner.raw()));
+    w.put_u32(section::PFX_SORTED, pfx_sorted);
+    w.put_u64(section::CELL_SVC_OFF, cell_svc_off);
+    w.put_u32(section::CELL_PREFIX, cells.iter().map(|c| c.prefix.raw()));
+    w.put_u32(section::CELL_ADDR, cells.iter().map(|c| c.addr.0));
+    // A short claim table (none is) leaves its tail cells with the
+    // defaults every cell has: an ECS measurement and the catalogue prior.
+    let bits = w.payload_mut(section::CELL_BITS);
+    let known = cell_bits.len().min(n_cells);
+    bits[..known].copy_from_slice(&cell_bits[..known]);
+    bits[known..].fill(bits::ECS | bits::CATALOG_PRIOR);
+    w.put_u32(
+        section::FRONT_OWNER,
+        front_addr.iter().map(|&a| {
+            prefixes
                 .lookup(itm_types::Ipv4Addr(a))
                 .map(|r| r.owner.raw())
                 .unwrap_or(u32::MAX)
-        })
-        .collect();
+        }),
+    );
+    w.put_u32(section::FRONT_ADDR, front_addr);
+    w.put_u64(
+        section::ROUTE_OFF,
+        std::iter::once(0).chain((0..n_ases as u32).scan(0, |end, a| {
+            *end += view.neighbors(Asn(a)).len() as u64;
+            Some(*end)
+        })),
+    );
+    w.put_u32(section::ROUTE_NBR, adjacency().map(|(nbr, _)| nbr.raw()));
+    w.put_u8(
+        section::ROUTE_KIND,
+        adjacency().map(|&(_, kind)| rel_code(kind)),
+    );
+    drop(columns);
 
-    // ---- Route adjacency: the view's neighbor lists are sorted by ASN.
-    let n_ases = map.route_view.n_ases();
-    let mut route_off: Vec<u64> = Vec::with_capacity(n_ases + 1);
-    let mut route_nbr: Vec<u32> = Vec::new();
-    let mut route_kind: Vec<u8> = Vec::new();
-    route_off.push(0);
-    for a in 0..n_ases as u32 {
-        for &(nbr, kind) in map.route_view.neighbors(Asn(a)) {
-            route_nbr.push(nbr.raw());
-            route_kind.push(rel_code(kind));
-        }
-        route_off.push(route_nbr.len() as u64);
+    {
+        let _span = itm_obs::span("snapshot.reverse_index");
+        write_reverse_index(&runs, &slots, n_fronts, w.payload_mut(section::CELL_REV));
     }
-
-    // ---- Assemble, sections in id order.
-    let meta = [
-        s.seed,
-        n_ases as u64,
-        n_prefixes as u64,
-        n_services as u64,
-        n_cells as u64,
-        route_nbr.len() as u64,
-        front_addr.len() as u64,
-    ];
-    let mut w = SnapWriter::new();
-    w.section_u64(section::META, &meta);
-    w.section_u32(section::DOM_OFF, &dom_off);
-    w.section_u8(section::DOM_BYTES, &dom_bytes);
-    w.section_u32(section::DOM_SORTED, &dom_sorted);
-    w.section_u32(section::PFX_BASE, &pfx_base);
-    w.section_u32(section::PFX_OWNER, &pfx_owner);
-    w.section_u32(section::PFX_SORTED, &pfx_sorted);
-    w.section_u64(section::CELL_SVC_OFF, &cell_svc_off);
-    w.section_u32(section::CELL_PREFIX, &cell_prefix);
-    w.section_u32(section::CELL_ADDR, &cell_addr);
-    w.section_u8(section::CELL_BITS, &cell_bits);
-    w.section_u32(section::CELL_REV, &cell_rev);
-    w.section_u32(section::FRONT_ADDR, &front_addr);
-    w.section_u32(section::FRONT_OWNER, &front_owner);
-    w.section_u64(section::ROUTE_OFF, &route_off);
-    w.section_u32(section::ROUTE_NBR, &route_nbr);
-    w.section_u8(section::ROUTE_KIND, &route_kind);
+    let _span = itm_obs::span("snapshot.checksum");
     w.finish()
 }
 
@@ -281,6 +335,21 @@ mod tests {
         let mut rev: Vec<u32> = (0..cell_addr.len() as u32).collect();
         rev.sort_by_key(|&i| (cell_addr[i as usize], i));
         (fronts.into_iter().collect(), rev)
+    }
+
+    /// The front table and reverse index as `snapshot_bytes` derives
+    /// them: from the address runs, the index decoded back from its
+    /// payload bytes.
+    fn front_table_and_rev(cell_addr: &[u32], footprint: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
+        let runs = address_runs(cell_addr.iter().copied());
+        let (front, slots) = front_table(&runs, footprint);
+        let mut rev = vec![0u8; cell_addr.len() * 4];
+        write_reverse_index(&runs, &slots, front.len(), &mut rev);
+        let rev = rev
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect();
+        (front, rev)
     }
 
     fn assert_matches_oracle(cell_addr: &[u32], footprint: &[u32]) {

@@ -10,6 +10,9 @@
 //! `routing.visibility.destinations_recomputed` counter shows whether it
 //! did or silently fell back to the full pass.
 //!
+//! The snapshot writer splits its time the same way: claims, columns,
+//! reverse index and checksum each record one span per call.
+//!
 //! The metrics registry is process-global, so the tests here take one
 //! lock.
 
@@ -145,5 +148,26 @@ fn light_epochs_recompute_only_the_trees_a_flap_reaches() {
             recomputed(&light),
             s.topo.n_ases()
         );
+    }
+}
+
+#[test]
+fn snapshot_writer_records_each_phase_once() {
+    let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
+    let map = TrafficMap::build(&s, &MapConfig::default()).expect("map build");
+
+    let report = recorded(|| {
+        itm_core::snapshot_bytes(&s, &map);
+    });
+
+    for key in [
+        "map.snapshot/map.claims",
+        "map.snapshot/snapshot.columns",
+        "map.snapshot/snapshot.reverse_index",
+        "map.snapshot/snapshot.checksum",
+    ] {
+        let n = report.spans.get(key).map_or(0, |s| s.count);
+        assert_eq!(n, 1, "span {key} recorded {n} times");
     }
 }

@@ -375,44 +375,50 @@ pub fn decode_routes(s: &Snapshot) -> Vec<(Asn, Asn, u8)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itm_types::snap::{claim, rel, section, SnapWriter};
+    use crate::tests::fixture;
+    use crate::tests::Col::{U32, U64, U8};
+    use itm_types::snap::{claim, rel, section};
 
     /// Snapshot A: the `tiny()` universe of the crate tests — 2 services,
     /// 3 prefixes, 4 cells, 2 fronts, a 3-AS triangle.
     fn snap_a() -> Snapshot {
-        let mut w = SnapWriter::new();
-        w.section_u64(section::META, &[42, 3, 3, 2, 4, 4, 2]);
-        w.section_u32(section::DOM_OFF, &[0, 10, 20]);
-        w.section_u8(section::DOM_BYTES, b"a.example\0b.example\0");
-        w.section_u32(section::DOM_SORTED, &[0, 1]);
-        w.section_u32(section::PFX_BASE, &[0x0A000100, 0x0A000000, 0x0A000200]);
-        w.section_u32(section::PFX_OWNER, &[1, 0, 2]);
-        w.section_u32(section::PFX_SORTED, &[1, 0, 2]);
-        w.section_u64(section::CELL_SVC_OFF, &[0, 2, 4]);
-        w.section_u32(section::CELL_PREFIX, &[0, 1, 1, 2]);
-        w.section_u32(
-            section::CELL_ADDR,
-            &[0x0A000001, 0x0A000201, 0x0A000001, 0x0A000201],
-        );
-        w.section_u8(
-            section::CELL_BITS,
-            &[
-                claim::ECS,
-                claim::CATALOG_PRIOR,
-                claim::ECS | claim::ANYCAST,
-                0,
-            ],
-        );
-        w.section_u32(section::CELL_REV, &[0, 2, 1, 3]);
-        w.section_u32(section::FRONT_ADDR, &[0x0A000001, 0x0A000201]);
-        w.section_u32(section::FRONT_OWNER, &[1, u32::MAX]);
-        w.section_u64(section::ROUTE_OFF, &[0, 1, 3, 4]);
-        w.section_u32(section::ROUTE_NBR, &[1, 0, 2, 1]);
-        w.section_u8(
-            section::ROUTE_KIND,
-            &[rel::PROVIDER, rel::CUSTOMER, rel::PEER, rel::PEER],
-        );
-        Snapshot::from_bytes(w.finish()).expect("snap_a is well-formed")
+        let bytes = fixture(&[
+            (section::META, U64(&[42, 3, 3, 2, 4, 4, 2])),
+            (section::DOM_OFF, U32(&[0, 10, 20])),
+            (section::DOM_BYTES, U8(b"a.example\0b.example\0")),
+            (section::DOM_SORTED, U32(&[0, 1])),
+            (
+                section::PFX_BASE,
+                U32(&[0x0A000100, 0x0A000000, 0x0A000200]),
+            ),
+            (section::PFX_OWNER, U32(&[1, 0, 2])),
+            (section::PFX_SORTED, U32(&[1, 0, 2])),
+            (section::CELL_SVC_OFF, U64(&[0, 2, 4])),
+            (section::CELL_PREFIX, U32(&[0, 1, 1, 2])),
+            (
+                section::CELL_ADDR,
+                U32(&[0x0A000001, 0x0A000201, 0x0A000001, 0x0A000201]),
+            ),
+            (
+                section::CELL_BITS,
+                U8(&[
+                    claim::ECS,
+                    claim::CATALOG_PRIOR,
+                    claim::ECS | claim::ANYCAST,
+                    0,
+                ]),
+            ),
+            (section::CELL_REV, U32(&[0, 2, 1, 3])),
+            (section::FRONT_ADDR, U32(&[0x0A000001, 0x0A000201])),
+            (section::FRONT_OWNER, U32(&[1, u32::MAX])),
+            (section::ROUTE_OFF, U64(&[0, 1, 3, 4])),
+            (section::ROUTE_NBR, U32(&[1, 0, 2, 1])),
+            (
+                section::ROUTE_KIND,
+                U8(&[rel::PROVIDER, rel::CUSTOMER, rel::PEER, rel::PEER]),
+            ),
+        ]);
+        Snapshot::from_bytes(bytes).expect("snap_a is well-formed")
     }
 
     /// Snapshot B: the same universe one epoch later. Service 0's prefix 1
@@ -420,41 +426,45 @@ mod tests {
     /// and prefix 2 gained a claim; AS0–AS2 peered up and AS1–AS2 turned
     /// into a provider relationship.
     fn snap_b() -> Snapshot {
-        let mut w = SnapWriter::new();
-        w.section_u64(section::META, &[42, 3, 3, 2, 4, 6, 2]);
-        w.section_u32(section::DOM_OFF, &[0, 10, 20]);
-        w.section_u8(section::DOM_BYTES, b"a.example\0b.example\0");
-        w.section_u32(section::DOM_SORTED, &[0, 1]);
-        w.section_u32(section::PFX_BASE, &[0x0A000100, 0x0A000000, 0x0A000200]);
-        w.section_u32(section::PFX_OWNER, &[1, 0, 2]);
-        w.section_u32(section::PFX_SORTED, &[1, 0, 2]);
-        w.section_u64(section::CELL_SVC_OFF, &[0, 3, 4]);
-        w.section_u32(section::CELL_PREFIX, &[0, 1, 2, 2]);
-        w.section_u32(
-            section::CELL_ADDR,
-            &[0x0A000001, 0x0A000001, 0x0A000201, 0x0A000201],
-        );
-        w.section_u8(
-            section::CELL_BITS,
-            &[claim::ECS, claim::ECS, claim::ECS, claim::CATALOG_PRIOR],
-        );
-        w.section_u32(section::CELL_REV, &[0, 1, 2, 3]);
-        w.section_u32(section::FRONT_ADDR, &[0x0A000001, 0x0A000201]);
-        w.section_u32(section::FRONT_OWNER, &[1, u32::MAX]);
-        w.section_u64(section::ROUTE_OFF, &[0, 2, 4, 6]);
-        w.section_u32(section::ROUTE_NBR, &[1, 2, 0, 2, 0, 1]);
-        w.section_u8(
-            section::ROUTE_KIND,
-            &[
-                rel::PROVIDER,
-                rel::PEER,
-                rel::CUSTOMER,
-                rel::PROVIDER,
-                rel::PEER,
-                rel::CUSTOMER,
-            ],
-        );
-        Snapshot::from_bytes(w.finish()).expect("snap_b is well-formed")
+        let bytes = fixture(&[
+            (section::META, U64(&[42, 3, 3, 2, 4, 6, 2])),
+            (section::DOM_OFF, U32(&[0, 10, 20])),
+            (section::DOM_BYTES, U8(b"a.example\0b.example\0")),
+            (section::DOM_SORTED, U32(&[0, 1])),
+            (
+                section::PFX_BASE,
+                U32(&[0x0A000100, 0x0A000000, 0x0A000200]),
+            ),
+            (section::PFX_OWNER, U32(&[1, 0, 2])),
+            (section::PFX_SORTED, U32(&[1, 0, 2])),
+            (section::CELL_SVC_OFF, U64(&[0, 3, 4])),
+            (section::CELL_PREFIX, U32(&[0, 1, 2, 2])),
+            (
+                section::CELL_ADDR,
+                U32(&[0x0A000001, 0x0A000001, 0x0A000201, 0x0A000201]),
+            ),
+            (
+                section::CELL_BITS,
+                U8(&[claim::ECS, claim::ECS, claim::ECS, claim::CATALOG_PRIOR]),
+            ),
+            (section::CELL_REV, U32(&[0, 1, 2, 3])),
+            (section::FRONT_ADDR, U32(&[0x0A000001, 0x0A000201])),
+            (section::FRONT_OWNER, U32(&[1, u32::MAX])),
+            (section::ROUTE_OFF, U64(&[0, 2, 4, 6])),
+            (section::ROUTE_NBR, U32(&[1, 2, 0, 2, 0, 1])),
+            (
+                section::ROUTE_KIND,
+                U8(&[
+                    rel::PROVIDER,
+                    rel::PEER,
+                    rel::CUSTOMER,
+                    rel::PROVIDER,
+                    rel::PEER,
+                    rel::CUSTOMER,
+                ]),
+            ),
+        ]);
+        Snapshot::from_bytes(bytes).expect("snap_b is well-formed")
     }
 
     #[test]
@@ -528,31 +538,35 @@ mod tests {
     fn different_universes_are_rejected() {
         let a = snap_a();
         // Same shape, different domain table.
-        let mut w = SnapWriter::new();
-        w.section_u64(section::META, &[42, 3, 3, 2, 4, 4, 2]);
-        w.section_u32(section::DOM_OFF, &[0, 10, 20]);
-        w.section_u8(section::DOM_BYTES, b"a.example\0c.example\0");
-        w.section_u32(section::DOM_SORTED, &[0, 1]);
-        w.section_u32(section::PFX_BASE, &[0x0A000100, 0x0A000000, 0x0A000200]);
-        w.section_u32(section::PFX_OWNER, &[1, 0, 2]);
-        w.section_u32(section::PFX_SORTED, &[1, 0, 2]);
-        w.section_u64(section::CELL_SVC_OFF, &[0, 2, 4]);
-        w.section_u32(section::CELL_PREFIX, &[0, 1, 1, 2]);
-        w.section_u32(
-            section::CELL_ADDR,
-            &[0x0A000001, 0x0A000201, 0x0A000001, 0x0A000201],
-        );
-        w.section_u8(section::CELL_BITS, &[0, 0, 0, 0]);
-        w.section_u32(section::CELL_REV, &[0, 2, 1, 3]);
-        w.section_u32(section::FRONT_ADDR, &[0x0A000001, 0x0A000201]);
-        w.section_u32(section::FRONT_OWNER, &[1, u32::MAX]);
-        w.section_u64(section::ROUTE_OFF, &[0, 1, 3, 4]);
-        w.section_u32(section::ROUTE_NBR, &[1, 0, 2, 1]);
-        w.section_u8(
-            section::ROUTE_KIND,
-            &[rel::PROVIDER, rel::CUSTOMER, rel::PEER, rel::PEER],
-        );
-        let c = Snapshot::from_bytes(w.finish()).expect("well-formed");
+        let bytes = fixture(&[
+            (section::META, U64(&[42, 3, 3, 2, 4, 4, 2])),
+            (section::DOM_OFF, U32(&[0, 10, 20])),
+            (section::DOM_BYTES, U8(b"a.example\0c.example\0")),
+            (section::DOM_SORTED, U32(&[0, 1])),
+            (
+                section::PFX_BASE,
+                U32(&[0x0A000100, 0x0A000000, 0x0A000200]),
+            ),
+            (section::PFX_OWNER, U32(&[1, 0, 2])),
+            (section::PFX_SORTED, U32(&[1, 0, 2])),
+            (section::CELL_SVC_OFF, U64(&[0, 2, 4])),
+            (section::CELL_PREFIX, U32(&[0, 1, 1, 2])),
+            (
+                section::CELL_ADDR,
+                U32(&[0x0A000001, 0x0A000201, 0x0A000001, 0x0A000201]),
+            ),
+            (section::CELL_BITS, U8(&[0, 0, 0, 0])),
+            (section::CELL_REV, U32(&[0, 2, 1, 3])),
+            (section::FRONT_ADDR, U32(&[0x0A000001, 0x0A000201])),
+            (section::FRONT_OWNER, U32(&[1, u32::MAX])),
+            (section::ROUTE_OFF, U64(&[0, 1, 3, 4])),
+            (section::ROUTE_NBR, U32(&[1, 0, 2, 1])),
+            (
+                section::ROUTE_KIND,
+                U8(&[rel::PROVIDER, rel::CUSTOMER, rel::PEER, rel::PEER]),
+            ),
+        ]);
+        let c = Snapshot::from_bytes(bytes).expect("well-formed");
         let err = MapDiff::compute(&a, &c).expect_err("must reject");
         assert_eq!(
             err,

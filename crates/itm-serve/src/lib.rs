@@ -142,7 +142,8 @@ impl Snapshot {
     /// right element size; section counts agree with the META counts;
     /// every offset array is monotone with the right endpoints; every
     /// binary-searched column is sorted; the domain table is NUL-delimited
-    /// valid UTF-8; and every cross-section index is in range.
+    /// valid UTF-8; the domain sort index is a permutation; and every
+    /// cross-section index is in range.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, SnapError> {
         let dir = snap::parse_dir(&bytes)?;
         let mut secs = [Sec { off: 0, count: 0 }; REQUIRED.len()];
@@ -251,10 +252,22 @@ impl Snapshot {
         if std::str::from_utf8(pool).is_err() {
             return malformed("domain table is not UTF-8");
         }
+        // The domain sort index must be a permutation of the services
+        // ordering their names nondecreasing (the name-lookup invariant).
+        let mut seen = vec![false; self.n_services()];
+        let mut prev_name = "";
         for k in 0..self.dom_sorted.count {
-            if self.u32_in(self.dom_sorted, k) as usize >= self.n_services() {
-                return malformed("domain sort index out of range");
+            let sid = self.u32_in(self.dom_sorted, k);
+            match seen.get_mut(sid as usize) {
+                None => return malformed("domain sort index out of range"),
+                Some(true) => return malformed("domain sort index repeats a service"),
+                Some(slot) => *slot = true,
             }
+            let name = self.domain_of(ServiceId(sid)).unwrap_or("");
+            if name < prev_name {
+                return malformed("domain sort index not sorted by name");
+            }
+            prev_name = name;
         }
 
         // Prefix columns: the sort index must be in range and order the
@@ -272,24 +285,34 @@ impl Snapshot {
             prev_base = base;
         }
 
-        // Cell columns: service runs partition the cells; prefixes are
-        // strictly ascending within each run (the point-lookup invariant).
+        // Cell columns: service runs partition the cells; prefixes are in
+        // range and strictly ascending within each run (the point-lookup
+        // invariant).
         if self.u64_in(self.cell_svc_off, 0) != 0
             || self.u64_in(self.cell_svc_off, self.n_services()) != self.n_cells() as u64
         {
             return malformed("cell service offsets have wrong endpoints");
         }
+        let n_prefixes = self.n_prefixes() as u64;
         for sid in 0..self.n_services() {
             let a = self.u64_in(self.cell_svc_off, sid) as usize;
             let b = self.u64_in(self.cell_svc_off, sid + 1) as usize;
             if b < a || b > self.n_cells() {
                 return malformed("cell service offsets not monotone");
             }
-            for i in a..b {
-                if i > a && self.u32_in(self.cell_prefix, i) <= self.u32_in(self.cell_prefix, i - 1)
-                {
+            let off = self.cell_prefix.off;
+            let run = self.bytes.get(off + a * 4..off + b * 4).unwrap_or(&[]);
+            // The smallest prefix the next cell of the run may hold.
+            let mut floor = 0u64;
+            for c in run.chunks_exact(4) {
+                let prefix = u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]]));
+                if prefix >= n_prefixes {
+                    return malformed("cell prefix out of range");
+                }
+                if prefix < floor {
                     return malformed("cell prefixes not ascending within a service");
                 }
+                floor = prefix + 1;
             }
         }
 
@@ -721,56 +744,88 @@ impl ExactSizeIterator for RouteIter<'_> {}
 mod tests {
     use super::*;
     use itm_types::snap::SnapWriter;
+    use Col::{U32, U64, U8};
+
+    /// One column of a hand-built fixture.
+    pub(crate) enum Col<'a> {
+        U8(&'a [u8]),
+        U32(&'a [u32]),
+        U64(&'a [u64]),
+    }
+
+    /// Write `columns`, in order, as a snapshot file.
+    pub(crate) fn fixture(columns: &[(u32, Col)]) -> Vec<u8> {
+        let layout: Vec<(u32, usize, usize)> = columns
+            .iter()
+            .map(|(id, col)| match col {
+                U8(v) => (*id, 1, v.len()),
+                U32(v) => (*id, 4, v.len()),
+                U64(v) => (*id, 8, v.len()),
+            })
+            .collect();
+        let mut w = SnapWriter::new(&layout);
+        for (id, col) in columns {
+            match col {
+                U8(v) => w.put_u8(*id, v.iter().copied()),
+                U32(v) => w.put_u32(*id, v.iter().copied()),
+                U64(v) => w.put_u64(*id, v.iter().copied()),
+            }
+        }
+        w.finish()
+    }
 
     /// Hand-assemble a tiny but fully consistent snapshot:
     /// 2 services ("a.example", "b.example"), 3 prefixes, 4 cells,
     /// 2 front-ends, 3 ASes with a triangle of relationships.
     fn tiny() -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        // seed, n_ases, n_prefixes, n_services, n_cells, n_route, n_fronts
-        w.section_u64(section::META, &[42, 3, 3, 2, 4, 4, 2]);
-        let names = b"a.example\0b.example\0";
-        w.section_u32(section::DOM_OFF, &[0, 10, 20]);
-        w.section_u8(section::DOM_BYTES, names);
-        w.section_u32(section::DOM_SORTED, &[0, 1]);
-        // Prefixes 10.0.0.0/24 (AS0), 10.0.1.0/24 (AS1), 10.0.2.0/24 (AS2),
-        // stored out of base order to exercise the sort index.
-        w.section_u32(section::PFX_BASE, &[0x0A000100, 0x0A000000, 0x0A000200]);
-        w.section_u32(section::PFX_OWNER, &[1, 0, 2]);
-        w.section_u32(section::PFX_SORTED, &[1, 0, 2]);
-        // Service 0 maps prefixes {0, 1}; service 1 maps {1, 2}.
-        w.section_u64(section::CELL_SVC_OFF, &[0, 2, 4]);
-        w.section_u32(section::CELL_PREFIX, &[0, 1, 1, 2]);
-        // Front 0x0A000001 serves cells 0 and 2; 0x0A000201 serves 1 and 3.
-        w.section_u32(
-            section::CELL_ADDR,
-            &[0x0A000001, 0x0A000201, 0x0A000001, 0x0A000201],
-        );
-        w.section_u8(
-            section::CELL_BITS,
-            &[
-                claim::ECS,
-                claim::CATALOG_PRIOR,
-                claim::ECS | claim::ANYCAST,
-                0,
-            ],
-        );
-        w.section_u32(section::CELL_REV, &[0, 2, 1, 3]);
-        w.section_u32(section::FRONT_ADDR, &[0x0A000001, 0x0A000201]);
-        w.section_u32(section::FRONT_OWNER, &[1, u32::MAX]);
-        // AS0 ↔ AS1 (0's provider is 1), AS1 ↔ AS2 peers.
-        w.section_u64(section::ROUTE_OFF, &[0, 1, 3, 4]);
-        w.section_u32(section::ROUTE_NBR, &[1, 0, 2, 1]);
-        w.section_u8(
-            section::ROUTE_KIND,
-            &[
-                snap::rel::PROVIDER,
-                snap::rel::CUSTOMER,
-                snap::rel::PEER,
-                snap::rel::PEER,
-            ],
-        );
-        w.finish()
+        fixture(&[
+            // seed, n_ases, n_prefixes, n_services, n_cells, n_route, n_fronts
+            (section::META, U64(&[42, 3, 3, 2, 4, 4, 2])),
+            (section::DOM_OFF, U32(&[0, 10, 20])),
+            (section::DOM_BYTES, U8(b"a.example\0b.example\0")),
+            (section::DOM_SORTED, U32(&[0, 1])),
+            // Prefixes 10.0.0.0/24 (AS0), 10.0.1.0/24 (AS1), 10.0.2.0/24
+            // (AS2), stored out of base order to exercise the sort index.
+            (
+                section::PFX_BASE,
+                U32(&[0x0A000100, 0x0A000000, 0x0A000200]),
+            ),
+            (section::PFX_OWNER, U32(&[1, 0, 2])),
+            (section::PFX_SORTED, U32(&[1, 0, 2])),
+            // Service 0 maps prefixes {0, 1}; service 1 maps {1, 2}.
+            (section::CELL_SVC_OFF, U64(&[0, 2, 4])),
+            (section::CELL_PREFIX, U32(&[0, 1, 1, 2])),
+            // Front 0x0A000001 serves cells 0 and 2; 0x0A000201 serves 1
+            // and 3.
+            (
+                section::CELL_ADDR,
+                U32(&[0x0A000001, 0x0A000201, 0x0A000001, 0x0A000201]),
+            ),
+            (
+                section::CELL_BITS,
+                U8(&[
+                    claim::ECS,
+                    claim::CATALOG_PRIOR,
+                    claim::ECS | claim::ANYCAST,
+                    0,
+                ]),
+            ),
+            (section::CELL_REV, U32(&[0, 2, 1, 3])),
+            (section::FRONT_ADDR, U32(&[0x0A000001, 0x0A000201])),
+            (section::FRONT_OWNER, U32(&[1, u32::MAX])),
+            // AS0 ↔ AS1 (0's provider is 1), AS1 ↔ AS2 peers.
+            (section::ROUTE_OFF, U64(&[0, 1, 3, 4])),
+            (section::ROUTE_NBR, U32(&[1, 0, 2, 1])),
+            (
+                section::ROUTE_KIND,
+                U8(&[
+                    snap::rel::PROVIDER,
+                    snap::rel::CUSTOMER,
+                    snap::rel::PEER,
+                    snap::rel::PEER,
+                ]),
+            ),
+        ])
     }
 
     #[test]
@@ -864,10 +919,9 @@ mod tests {
 
     #[test]
     fn missing_section_is_rejected() {
-        let mut w = SnapWriter::new();
-        w.section_u64(section::META, &[0; snap::META_FIELDS]);
+        let bytes = fixture(&[(section::META, U64(&[0; snap::META_FIELDS]))]);
         assert!(matches!(
-            Snapshot::from_bytes(w.finish()),
+            Snapshot::from_bytes(bytes),
             Err(SnapError::MissingSection { .. })
         ));
     }
@@ -876,14 +930,13 @@ mod tests {
     fn inconsistent_counts_are_rejected() {
         // Same sections as tiny() but META claims 5 cells.
         let good = tiny();
-        let mut w = SnapWriter::new();
-        w.section_u64(section::META, &[42, 3, 3, 2, 5, 4, 2]);
         let dir = snap::parse_dir(&good).unwrap();
+        let mut columns = vec![(section::META, U64(&[42, 3, 3, 2, 5, 4, 2]))];
         for e in dir.iter().skip(1) {
             let payload = &good[e.offset as usize..(e.offset + e.len) as usize];
-            w.section_u8(e.id, payload); // byte-count mismatch vs u32 counts
+            columns.push((e.id, U8(payload))); // byte-count mismatch vs u32 counts
         }
-        assert!(Snapshot::from_bytes(w.finish()).is_err());
+        assert!(Snapshot::from_bytes(fixture(&columns)).is_err());
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use itm_core::{snapshot_bytes, MapConfig, ParallelExecutor, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
 use itm_serve::Snapshot;
+use itm_types::snap::{self, section, SnapError, SnapWriter};
 use itm_types::{Asn, Ipv4Addr, PrefixId, ServiceId};
 use proptest::prelude::*;
 
@@ -141,6 +142,96 @@ fn snapshot_bytes_are_identical_across_thread_counts() {
         snapshot_bytes(&s, &m)
     };
     assert_eq!(one, three, "snapshot bytes depend on the thread count");
+}
+
+/// `bytes` with one section's payload edited, rewritten through the
+/// snapshot writer so the checksum is valid and only the content checks
+/// of `Snapshot::from_bytes` can reject it.
+fn with_section_edited(bytes: &[u8], id: u32, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let dir = snap::parse_dir(bytes).unwrap();
+    let layout: Vec<(u32, usize, usize)> = dir
+        .iter()
+        .map(|e| {
+            let width = e.len.checked_div(e.count).unwrap_or(1);
+            (e.id, width as usize, e.count as usize)
+        })
+        .collect();
+    let mut w = SnapWriter::new(&layout);
+    for e in &dir {
+        let payload = &bytes[e.offset as usize..(e.offset + e.len) as usize];
+        w.payload_mut(e.id).copy_from_slice(payload);
+    }
+    edit(w.payload_mut(id));
+    w.finish()
+}
+
+fn open_error(bytes: Vec<u8>) -> Option<SnapError> {
+    Snapshot::from_bytes(bytes).err()
+}
+
+#[test]
+fn a_cell_prefix_out_of_range_is_rejected() {
+    let good = good_bytes();
+    let n_prefixes = Snapshot::from_bytes(good.to_vec()).unwrap().n_prefixes() as u32;
+    // The last cell holds the largest prefix of its service's run, so
+    // raising it past the table keeps the run ascending.
+    let bad = with_section_edited(good, section::CELL_PREFIX, |p| {
+        let n = p.len();
+        p[n - 4..].copy_from_slice(&n_prefixes.to_le_bytes());
+    });
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "cell prefix out of range"
+        })
+    );
+}
+
+#[test]
+fn cell_prefixes_out_of_order_are_rejected() {
+    // Swap the first service's first two cells.
+    let bad = with_section_edited(good_bytes(), section::CELL_PREFIX, |p| {
+        let (a, b) = p.split_at_mut(4);
+        a.swap_with_slice(&mut b[..4]);
+    });
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "cell prefixes not ascending within a service"
+        })
+    );
+}
+
+#[test]
+fn a_domain_sort_index_that_is_no_permutation_is_rejected() {
+    let good = good_bytes();
+    assert!(Snapshot::from_bytes(good.to_vec()).is_ok());
+    // The first service twice: names stay nondecreasing, one is missing.
+    let bad = with_section_edited(good, section::DOM_SORTED, |p| p.copy_within(0..4, 4));
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "domain sort index repeats a service"
+        })
+    );
+}
+
+#[test]
+fn a_domain_sort_index_out_of_name_order_is_rejected() {
+    let good = good_bytes();
+    assert!(Snapshot::from_bytes(good.to_vec()).is_ok());
+    // Swap the first two entries: still a permutation, no longer sorted,
+    // so `service_named` would binary-search past a name.
+    let bad = with_section_edited(good, section::DOM_SORTED, |p| {
+        let (a, b) = p.split_at_mut(4);
+        a.swap_with_slice(&mut b[..4]);
+    });
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "domain sort index not sorted by name"
+        })
+    );
 }
 
 proptest! {

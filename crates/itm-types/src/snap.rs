@@ -304,76 +304,116 @@ pub fn read_u64(bytes: &[u8], off: usize) -> Option<u64> {
     ]))
 }
 
-/// Assembles a snapshot: collect typed sections, then [`SnapWriter::finish`]
-/// lays out header + directory + 8-byte-aligned payloads and stamps the
-/// checksum. Writing sections in a fixed order makes the output a pure
+/// Round `n` up to the next multiple of 8 (the payload alignment).
+fn align8(n: usize) -> usize {
+    (n + 7) & !7
+}
+
+/// Assembles a snapshot layout-first: [`SnapWriter::new`] takes every
+/// section's `(id, element width, element count)`, allocates the whole
+/// file once and writes the header and directory; each column is then
+/// encoded straight into its 8-byte-aligned payload, in any order, and
+/// [`SnapWriter::finish`] stamps the checksum. No section is ever held
+/// twice. Declaring sections in a fixed order makes the output a pure
 /// function of the section contents — byte-identical across runs, thread
 /// counts, and machines.
-#[derive(Debug, Default)]
+///
+/// Writing an undeclared section, encoding a column at a width other
+/// than its declared one, or with more or fewer values than its declared
+/// count panics: the layout and the columns disagree, a bug in the
+/// caller.
+#[derive(Debug)]
 pub struct SnapWriter {
-    sections: Vec<(u32, u64, Vec<u8>)>,
+    out: Vec<u8>,
+    /// Per declared section: id, element width, payload byte range.
+    sections: Vec<(u32, usize, std::ops::Range<usize>)>,
 }
 
 impl SnapWriter {
-    /// An empty writer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a raw byte section (`count` = byte length).
-    pub fn section_u8(&mut self, id: u32, data: &[u8]) {
-        self.sections.push((id, data.len() as u64, data.to_vec()));
-    }
-
-    /// Add a `u32` column section (`count` = element count).
-    pub fn section_u32(&mut self, id: u32, data: &[u32]) {
-        let mut bytes = Vec::with_capacity(data.len() * 4);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
+    /// Lay out a file holding `layout`'s sections, in that order, with
+    /// every payload zeroed. Ids must be distinct.
+    pub fn new(layout: &[(u32, usize, usize)]) -> SnapWriter {
+        let n = layout.len();
+        let mut cursor = align8(HEADER_SIZE + n * DIR_ENTRY_SIZE);
+        let mut sections = Vec::with_capacity(n);
+        for &(id, width, count) in layout {
+            let len = width * count;
+            sections.push((id, width, cursor..cursor + len));
+            cursor = align8(cursor + len);
         }
-        self.sections.push((id, data.len() as u64, bytes));
-    }
-
-    /// Add a `u64` column section (`count` = element count).
-    pub fn section_u64(&mut self, id: u32, data: &[u64]) {
-        let mut bytes = Vec::with_capacity(data.len() * 8);
-        for v in data {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.sections.push((id, data.len() as u64, bytes));
-    }
-
-    /// Lay out the file and stamp `file_len` and the checksum.
-    pub fn finish(self) -> Vec<u8> {
-        let n = self.sections.len();
-        let dir_end = HEADER_SIZE + n * DIR_ENTRY_SIZE;
-        // Payload offsets, 8-byte aligned.
-        let mut offsets = Vec::with_capacity(n);
-        let mut cursor = (dir_end + 7) & !7;
-        for (_, _, bytes) in &self.sections {
-            offsets.push(cursor);
-            cursor = (cursor + bytes.len() + 7) & !7;
-        }
-        let file_len = cursor;
-
-        let mut out = vec![0u8; file_len];
+        let mut out = vec![0u8; cursor];
         out[..8].copy_from_slice(&MAGIC);
         out[8..12].copy_from_slice(&VERSION.to_le_bytes());
         out[12..16].copy_from_slice(&(n as u32).to_le_bytes());
-        // bytes 16..24 (checksum) stay zero until the end.
-        out[24..32].copy_from_slice(&(file_len as u64).to_le_bytes());
-        for (k, (id, count, bytes)) in self.sections.iter().enumerate() {
+        // bytes 16..24 (checksum) stay zero until `finish`.
+        out[24..32].copy_from_slice(&(cursor as u64).to_le_bytes());
+        for (k, (&(id, _, count), (_, _, at))) in layout.iter().zip(&sections).enumerate() {
             let e = HEADER_SIZE + k * DIR_ENTRY_SIZE;
             out[e..e + 4].copy_from_slice(&id.to_le_bytes());
             // e+4..e+8: reserved, zero.
-            out[e + 8..e + 16].copy_from_slice(&(offsets[k] as u64).to_le_bytes());
-            out[e + 16..e + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
-            out[e + 24..e + 32].copy_from_slice(&count.to_le_bytes());
-            out[offsets[k]..offsets[k] + bytes.len()].copy_from_slice(bytes);
+            out[e + 8..e + 16].copy_from_slice(&(at.start as u64).to_le_bytes());
+            out[e + 16..e + 24].copy_from_slice(&(at.len() as u64).to_le_bytes());
+            out[e + 24..e + 32].copy_from_slice(&(count as u64).to_le_bytes());
         }
-        let sum = checksum(&out);
-        out[16..24].copy_from_slice(&sum.to_le_bytes());
-        out
+        SnapWriter { out, sections }
+    }
+
+    /// The payload of section `id`, to be filled in place.
+    pub fn payload_mut(&mut self, id: u32) -> &mut [u8] {
+        self.payload_of(id, None)
+    }
+
+    fn payload_of(&mut self, id: u32, width: Option<usize>) -> &mut [u8] {
+        let declared = self.sections.iter().find(|s| s.0 == id).cloned();
+        assert!(declared.is_some(), "section {id} was not declared");
+        let (_, w, at) = declared.unwrap_or_default();
+        assert!(
+            width.is_none_or(|x| x == w),
+            "section {id} was declared {w} bytes wide"
+        );
+        &mut self.out[at]
+    }
+
+    /// Encode `values` into section `id`, one `W`-byte element each. The
+    /// values must fill the declared count exactly.
+    fn put<const W: usize>(&mut self, id: u32, values: impl IntoIterator<Item = [u8; W]>) {
+        let mut values = values.into_iter();
+        let payload = self.payload_of(id, Some(W));
+        let mut filled = 0;
+        for (dst, v) in payload.chunks_exact_mut(W).zip(&mut values) {
+            dst.copy_from_slice(&v);
+            filled += W;
+        }
+        assert!(
+            filled == payload.len(),
+            "section {id}: fewer values than declared"
+        );
+        assert!(
+            values.next().is_none(),
+            "section {id}: more values than declared"
+        );
+    }
+
+    /// Encode a byte column into section `id`.
+    pub fn put_u8(&mut self, id: u32, values: impl IntoIterator<Item = u8>) {
+        self.put(id, values.into_iter().map(|v| [v]));
+    }
+
+    /// Encode a `u32` column into section `id`, little-endian.
+    pub fn put_u32(&mut self, id: u32, values: impl IntoIterator<Item = u32>) {
+        self.put(id, values.into_iter().map(u32::to_le_bytes));
+    }
+
+    /// Encode a `u64` column into section `id`, little-endian.
+    pub fn put_u64(&mut self, id: u32, values: impl IntoIterator<Item = u64>) {
+        self.put(id, values.into_iter().map(u64::to_le_bytes));
+    }
+
+    /// Stamp the checksum and hand over the file bytes.
+    pub fn finish(mut self) -> Vec<u8> {
+        let sum = checksum(&self.out);
+        self.out[16..24].copy_from_slice(&sum.to_le_bytes());
+        self.out
     }
 }
 
@@ -455,12 +495,136 @@ pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
 mod tests {
     use super::*;
 
+    use proptest::prelude::*;
+
     fn tiny() -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        w.section_u64(section::META, &[7, 1, 2, 3, 4, 5, 6]);
-        w.section_u32(section::PFX_BASE, &[10, 20, 30]);
-        w.section_u8(section::CELL_BITS, &[1, 2, 3, 4, 5]);
+        let mut w = SnapWriter::new(&[
+            (section::META, 8, META_FIELDS),
+            (section::PFX_BASE, 4, 3),
+            (section::CELL_BITS, 1, 5),
+        ]);
+        w.put_u64(section::META, [7, 1, 2, 3, 4, 5, 6]);
+        w.put_u32(section::PFX_BASE, [10, 20, 30]);
+        w.put_u8(section::CELL_BITS, [1, 2, 3, 4, 5]);
         w.finish()
+    }
+
+    /// The writer as first built: every section copied into its own
+    /// `Vec`, then every section copied again into the file buffer.
+    fn two_copy_oracle(sections: &[(u32, u64, Vec<u8>)]) -> Vec<u8> {
+        let n = sections.len();
+        let dir_end = HEADER_SIZE + n * DIR_ENTRY_SIZE;
+        let mut offsets = Vec::with_capacity(n);
+        let mut cursor = (dir_end + 7) & !7;
+        for (_, _, bytes) in sections {
+            offsets.push(cursor);
+            cursor = (cursor + bytes.len() + 7) & !7;
+        }
+        let file_len = cursor;
+        let mut out = vec![0u8; file_len];
+        out[..8].copy_from_slice(&MAGIC);
+        out[8..12].copy_from_slice(&VERSION.to_le_bytes());
+        out[12..16].copy_from_slice(&(n as u32).to_le_bytes());
+        out[24..32].copy_from_slice(&(file_len as u64).to_le_bytes());
+        for (k, (id, count, bytes)) in sections.iter().enumerate() {
+            let e = HEADER_SIZE + k * DIR_ENTRY_SIZE;
+            out[e..e + 4].copy_from_slice(&id.to_le_bytes());
+            out[e + 8..e + 16].copy_from_slice(&(offsets[k] as u64).to_le_bytes());
+            out[e + 16..e + 24].copy_from_slice(&(bytes.len() as u64).to_le_bytes());
+            out[e + 24..e + 32].copy_from_slice(&count.to_le_bytes());
+            out[offsets[k]..offsets[k] + bytes.len()].copy_from_slice(bytes);
+        }
+        let sum = checksum(&out);
+        out[16..24].copy_from_slice(&sum.to_le_bytes());
+        out
+    }
+
+    proptest! {
+        #[test]
+        fn layout_first_writer_matches_the_two_copy_oracle(
+            specs in proptest::collection::vec((0usize..3, 0usize..=100, any::<u64>()), 0..=20)
+        ) {
+            // Section k has id k + 1, a width of 1, 4 or 8 bytes, and
+            // values drawn from a per-section LCG stream.
+            let columns: Vec<(u32, usize, Vec<u64>)> = specs
+                .iter()
+                .enumerate()
+                .map(|(k, &(w, count, seed))| {
+                    let mut x = seed;
+                    let values = (0..count)
+                        .map(|_| {
+                            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                            x
+                        })
+                        .collect();
+                    (k as u32 + 1, [1, 4, 8][w], values)
+                })
+                .collect();
+            let layout: Vec<(u32, usize, usize)> = columns
+                .iter()
+                .map(|(id, width, v)| (*id, *width, v.len()))
+                .collect();
+            let mut w = SnapWriter::new(&layout);
+            let mut oracle = Vec::new();
+            for (id, width, values) in &columns {
+                let it = values.iter().copied();
+                let bytes: Vec<u8> = match width {
+                    1 => {
+                        w.put_u8(*id, it.map(|v| v as u8));
+                        values.iter().map(|&v| v as u8).collect()
+                    }
+                    4 => {
+                        w.put_u32(*id, it.map(|v| v as u32));
+                        values.iter().flat_map(|&v| (v as u32).to_le_bytes()).collect()
+                    }
+                    _ => {
+                        w.put_u64(*id, it);
+                        values.iter().flat_map(|&v| v.to_le_bytes()).collect()
+                    }
+                };
+                oracle.push((*id, values.len() as u64, bytes));
+            }
+            let bytes = w.finish();
+            prop_assert_eq!(&bytes, &two_copy_oracle(&oracle));
+            let dir = parse_dir(&bytes).unwrap();
+            prop_assert_eq!(dir.len(), layout.len());
+            for (e, &(id, width, count)) in dir.iter().zip(&layout) {
+                prop_assert_eq!(
+                    (e.id, e.len, e.count),
+                    (id, (width * count) as u64, count as u64)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn payloads_fill_in_any_order_and_in_place() {
+        let mut w = SnapWriter::new(&[(section::PFX_BASE, 4, 2), (section::CELL_BITS, 1, 3)]);
+        w.payload_mut(section::CELL_BITS)
+            .copy_from_slice(&[9, 8, 7]);
+        w.put_u32(section::PFX_BASE, [1, 2]);
+        let bytes = w.finish();
+        let dir = parse_dir(&bytes).unwrap();
+        assert_eq!(read_u32(&bytes, dir[0].offset as usize + 4), Some(2));
+        assert_eq!(bytes[dir[1].offset as usize + 2], 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer values than declared")]
+    fn a_short_column_panics() {
+        SnapWriter::new(&[(section::PFX_BASE, 4, 2)]).put_u32(section::PFX_BASE, [1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "more values than declared")]
+    fn a_long_column_panics() {
+        SnapWriter::new(&[(section::PFX_BASE, 4, 2)]).put_u32(section::PFX_BASE, [1, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "declared 4 bytes wide")]
+    fn a_column_of_the_wrong_width_panics() {
+        SnapWriter::new(&[(section::PFX_BASE, 4, 2)]).put_u64(section::PFX_BASE, [1, 2]);
     }
 
     #[test]
