@@ -3,7 +3,8 @@
 //! public view (full and after four link flaps), anycast catchments,
 //! open-resolver deployment, root-log collection, cache probing (through
 //! the string API and the id-keyed kernel), one shard of the ECS grid,
-//! redirection selection, and traffic-matrix queries.
+//! redirection selection, traffic-matrix queries, and the snapshot's
+//! whole-file checksum in both format versions.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use itm_measure::{Substrate, SubstrateConfig, UserMapping};
@@ -338,6 +339,27 @@ fn bench_traffic(c: &mut Criterion) {
     g.finish();
 }
 
+fn bench_snapshot_checksum(c: &mut Criterion) {
+    // One buffer the size of the medium world's snapshot (72.5 MB), filled
+    // from an LCG so neither hash sees a degenerate input.
+    let mut x = 42u64;
+    let buf: Vec<u8> = (0..72_500_000)
+        .map(|_| {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (x >> 56) as u8
+        })
+        .collect();
+    let mut g = c.benchmark_group("snap");
+    g.sample_size(10);
+    g.bench_function("checksum_fnv_v1", |b| {
+        b.iter(|| itm_types::snap::checksum_v1(&buf))
+    });
+    g.bench_function("checksum_xxh64_v2", |b| {
+        b.iter(|| itm_types::snap::checksum(&buf))
+    });
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_topology_generation,
@@ -346,6 +368,7 @@ criterion_group!(
     bench_dns_probing,
     bench_obs_overhead,
     bench_probe_kernels,
-    bench_traffic
+    bench_traffic,
+    bench_snapshot_checksum
 );
 criterion_main!(benches);

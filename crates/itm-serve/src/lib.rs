@@ -24,8 +24,9 @@
 //! (no mmap crate), [`Snapshot::open`] reads the file into a `Vec<u8>` and
 //! the query paths are byte-offset-based either way.
 //!
-//! Validation happens once, at open: the whole-file checksum (any single
-//! corrupted byte is a hard error), presence and element sizes of all
+//! Validation happens once, at open: the whole-file checksum (XXH64 in a
+//! v2 file, FNV-1a 64 in a v1 file; any single corrupted byte is a hard
+//! error), presence and element sizes of all
 //! sections, monotonicity of every offset array, sortedness of every
 //! binary-searched column, and UTF-8 of the domain table. After that, the
 //! query methods never panic and never re-validate.
@@ -105,7 +106,7 @@ pub struct Snapshot {
     route_kind: Sec,
 }
 
-/// All sections a v1 snapshot must carry, in id order.
+/// All sections a v1 or v2 snapshot must carry, in id order.
 const REQUIRED: [u32; 17] = [
     section::META,
     section::DOM_OFF,

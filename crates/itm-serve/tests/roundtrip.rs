@@ -1,7 +1,8 @@
 //! Snapshot round-trip: every query the serving layer answers off the
 //! bytes must agree with the in-memory [`TrafficMap`] the bytes were
-//! serialized from, the bytes must be identical at any thread count, and
-//! any corruption must be rejected at open.
+//! serialized from, the bytes must be identical at any thread count, a
+//! format-v1 file must still open and answer alike, and any corruption
+//! of either version must be rejected at open.
 
 use itm_core::{snapshot_bytes, MapConfig, ParallelExecutor, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
@@ -24,6 +25,75 @@ fn good_bytes() -> &'static [u8] {
         let (s, m) = small_world(7);
         snapshot_bytes(&s, &m)
     })
+}
+
+/// `bytes` with its header's version and checksum fields overwritten.
+fn restamped(bytes: &[u8], version: u32, checksum: fn(&[u8]) -> u64) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    out[8..12].copy_from_slice(&version.to_le_bytes());
+    let sum = checksum(&out);
+    out[16..24].copy_from_slice(&sum.to_le_bytes());
+    out
+}
+
+/// The shared small snapshot as a format-v1 file would carry it: version
+/// 1 and the FNV-1a 64 checksum, every other byte unchanged.
+fn v1_bytes() -> &'static [u8] {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    BYTES.get_or_init(|| restamped(good_bytes(), snap::V1, snap::checksum_v1))
+}
+
+#[test]
+fn a_v1_file_answers_every_query_like_the_v2_file() {
+    assert_eq!(&good_bytes()[8..12], &snap::VERSION.to_le_bytes());
+    let v2 = Snapshot::from_bytes(good_bytes().to_vec()).unwrap();
+    let v1 = Snapshot::from_bytes(v1_bytes().to_vec()).unwrap();
+    assert_eq!(v1.n_cells(), v2.n_cells());
+    assert_eq!(v1.n_ases(), v2.n_ases());
+
+    let mut addrs = std::collections::BTreeSet::new();
+    for i in 0..v2.n_cells() {
+        let (svc, pfx, addr) = v2.cell(i).unwrap();
+        assert_eq!(v1.cell(i), Some((svc, pfx, addr)));
+        assert_eq!(v1.point(svc, pfx), v2.point(svc, pfx));
+        addrs.insert(addr);
+    }
+    for sv in 0..v2.n_services() as u32 {
+        for pf in (0..v2.n_prefixes() as u32).step_by(7) {
+            let (svc, pfx) = (ServiceId(sv), PrefixId(pf));
+            assert_eq!(v1.point(svc, pfx), v2.point(svc, pfx));
+        }
+    }
+    for addr in addrs {
+        assert_eq!(v1.reverse(addr), v2.reverse(addr), "reverse({addr})");
+    }
+    for a in 0..v2.n_ases() as u32 {
+        assert!(v1.neighbors(Asn(a)).eq(v2.neighbors(Asn(a))), "AS{a}");
+    }
+}
+
+#[test]
+fn each_version_is_checked_with_its_own_checksum() {
+    for (version, checksum) in [
+        (snap::VERSION, snap::checksum_v1 as fn(&[u8]) -> u64),
+        (snap::V1, snap::checksum),
+    ] {
+        let err = open_error(restamped(good_bytes(), version, checksum));
+        assert!(
+            matches!(err, Some(SnapError::ChecksumMismatch { .. })),
+            "v{version}: {err:?}"
+        );
+    }
+}
+
+#[test]
+fn unknown_versions_are_rejected() {
+    for version in [0, 3] {
+        assert_eq!(
+            open_error(restamped(good_bytes(), version, snap::checksum)),
+            Some(SnapError::BadVersion { found: version })
+        );
+    }
 }
 
 #[test]
@@ -238,17 +308,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Flipping any byte anywhere in the file makes it unopenable — the
-    /// whole-file checksum turns silent corruption into a hard error.
+    /// whole-file checksum turns silent corruption into a hard error, in
+    /// a v2 file and in a v1 file alike.
     #[test]
     fn any_corrupted_byte_is_rejected_at_open(pos in any::<u32>(), flip in 1u8..=255) {
-        let good = good_bytes();
-        let mut bad = good.to_vec();
-        let i = pos as usize % bad.len();
-        bad[i] ^= flip;
-        prop_assert!(
-            Snapshot::from_bytes(bad).is_err(),
-            "corruption at byte {} (xor {:#04x}) went undetected", i, flip
-        );
+        for good in [good_bytes(), v1_bytes()] {
+            let mut bad = good.to_vec();
+            let i = pos as usize % bad.len();
+            bad[i] ^= flip;
+            prop_assert!(
+                Snapshot::from_bytes(bad).is_err(),
+                "corruption at byte {} (xor {:#04x}) went undetected", i, flip
+            );
+        }
     }
 
     /// Truncation at any length is rejected too.

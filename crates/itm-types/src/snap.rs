@@ -12,16 +12,16 @@
 //!   file can be memory-mapped and each section viewed as a typed column;
 //! * columns are **sorted** (cells by `(service, prefix)`, front-ends by
 //!   address, adjacency by neighbor ASN), so lookups are binary searches;
-//! * a **whole-file checksum** (FNV-1a 64 with the checksum field zeroed)
+//! * a **whole-file checksum** (XXH64 with the checksum field zeroed)
 //!   makes any single corrupted byte a hard open-time error.
 //!
 //! Layout (see DESIGN.md §14 for the full specification):
 //!
 //! ```text
 //! offset  0  magic    [u8; 8]  = "ITMSNAP\0"
-//! offset  8  version  u32      = 1
+//! offset  8  version  u32      = 2
 //! offset 12  n_sections u32
-//! offset 16  checksum u64      (FNV-1a 64 over the file, bytes 16..24 zeroed)
+//! offset 16  checksum u64      (XXH64, seed 0, over the file, bytes 16..24 zeroed)
 //! offset 24  file_len u64
 //! offset 32  directory: n_sections × 32-byte entries
 //!            { id u32, reserved u32 = 0, offset u64, len u64, count u64 }
@@ -32,6 +32,11 @@
 //! element count (`len / elem_size` for fixed-width columns). Versioning
 //! rule: any layout or semantic change bumps [`VERSION`]; readers reject
 //! files whose version they do not understand, never guess.
+//!
+//! Version 1 differs from version 2 only in its checksum, FNV-1a 64 over
+//! the same bytes: one dependent multiply per byte, where XXH64 runs four
+//! independent lanes. The writer always writes [`VERSION`]; [`parse_dir`]
+//! still opens v1 files, checking each with its own version's checksum.
 //!
 //! This module owns only the *encoding*: constants, the writer that
 //! assembles header + directory + payloads, the directory parser, and the
@@ -45,8 +50,13 @@ use std::fmt;
 /// The 8-byte file magic.
 pub const MAGIC: [u8; 8] = *b"ITMSNAP\0";
 
-/// Current snapshot schema version. Bump on any layout or semantic change.
-pub const VERSION: u32 = 1;
+/// Current snapshot schema version, the one the writer stamps. Bump on
+/// any layout or semantic change.
+pub const VERSION: u32 = 2;
+
+/// The first schema version, still read: identical to [`VERSION`] but
+/// for its checksum ([`checksum_v1`]).
+pub const V1: u32 = 1;
 
 /// Byte size of one directory entry.
 pub const DIR_ENTRY_SIZE: usize = 32;
@@ -168,10 +178,22 @@ pub mod claim {
     }
 }
 
-/// Whole-file checksum: FNV-1a 64 over `bytes` with the checksum field
-/// (bytes 16..24) treated as zero, so the stored value can live inside
-/// the region it covers.
+/// Whole-file checksum of a v2 file: XXH64 (seed 0) over `bytes` with
+/// the checksum field (bytes 16..24) treated as zero, so the stored value
+/// can live inside the region it covers. The first 32-byte stripe is
+/// hashed from a patched copy and the rest of the file in place.
 pub fn checksum(bytes: &[u8]) -> u64 {
+    let mut head = [0u8; 32];
+    let n = bytes.len().min(head.len());
+    head[..n].copy_from_slice(&bytes[..n]);
+    head[16..24].fill(0);
+    xxh64(&head[..n], &bytes[n..])
+}
+
+/// Whole-file checksum of a v1 file: FNV-1a 64 over `bytes` with the
+/// checksum field (bytes 16..24) treated as zero. Kept only to read v1
+/// files.
+pub fn checksum_v1(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for (i, b) in bytes.iter().enumerate() {
         let v = if (16..24).contains(&i) { 0 } else { *b };
@@ -179,6 +201,85 @@ pub fn checksum(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+#[inline(always)]
+fn le64(b: &[u8]) -> u64 {
+    u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]])
+}
+
+#[inline(always)]
+fn xxh_round(acc: u64, lane: u64) -> u64 {
+    acc.wrapping_add(lane.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
+}
+
+/// Standard XXH64 with seed 0 of the concatenation `head ++ rest`, where
+/// `head` is one whole 32-byte stripe or the entire input (`rest` empty).
+fn xxh64(head: &[u8], rest: &[u8]) -> u64 {
+    debug_assert!(head.len() == 32 || rest.is_empty());
+    let len = (head.len() + rest.len()) as u64;
+    let (mut h, tail) = if len >= 32 {
+        let mut v = [
+            PRIME64_1.wrapping_add(PRIME64_2),
+            PRIME64_2,
+            0,
+            0u64.wrapping_sub(PRIME64_1),
+        ];
+        for stripe in head.chunks_exact(32).chain(rest.chunks_exact(32)) {
+            v[0] = xxh_round(v[0], le64(&stripe[0..]));
+            v[1] = xxh_round(v[1], le64(&stripe[8..]));
+            v[2] = xxh_round(v[2], le64(&stripe[16..]));
+            v[3] = xxh_round(v[3], le64(&stripe[24..]));
+        }
+        let mut h = v[0]
+            .rotate_left(1)
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        for acc in v {
+            h = (h ^ xxh_round(0, acc))
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+        }
+        (h, rest.chunks_exact(32).remainder())
+    } else {
+        (PRIME64_5, head)
+    };
+    h = h.wrapping_add(len);
+    let mut words = tail.chunks_exact(8);
+    for w in &mut words {
+        h = (h ^ xxh_round(0, le64(w)))
+            .rotate_left(27)
+            .wrapping_mul(PRIME64_1)
+            .wrapping_add(PRIME64_4);
+    }
+    let mut tail = words.remainder();
+    if tail.len() >= 4 {
+        let w = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) as u64;
+        h = (h ^ w.wrapping_mul(PRIME64_1))
+            .rotate_left(23)
+            .wrapping_mul(PRIME64_2)
+            .wrapping_add(PRIME64_3);
+        tail = &tail[4..];
+    }
+    for &b in tail {
+        h = (h ^ (b as u64).wrapping_mul(PRIME64_5))
+            .rotate_left(11)
+            .wrapping_mul(PRIME64_1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(PRIME64_2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(PRIME64_3);
+    h ^ (h >> 32)
 }
 
 /// One parsed directory entry.
@@ -260,7 +361,7 @@ impl fmt::Display for SnapError {
             SnapError::BadVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot version {found} (reader speaks {VERSION})"
+                    "unsupported snapshot version {found} (reader speaks {V1} and {VERSION})"
                 )
             }
             SnapError::LengthMismatch { header, actual } => {
@@ -421,8 +522,9 @@ impl SnapWriter {
 ///
 /// Checks, in order: length, magic, version, `file_len`, checksum, then
 /// each directory entry (in bounds, 8-byte aligned, no duplicate ids).
-/// A checksum mismatch is a hard error — a corrupted snapshot must never
-/// answer queries.
+/// Versions [`V1`] and [`VERSION`] are accepted, each checked with its
+/// own checksum. A checksum mismatch is a hard error — a corrupted
+/// snapshot must never answer queries.
 pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
     if bytes.len() < HEADER_SIZE {
         return Err(SnapError::TooShort { len: bytes.len() });
@@ -431,9 +533,11 @@ pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
         return Err(SnapError::BadMagic);
     }
     let version = read_u32(bytes, 8).unwrap_or(0);
-    if version != VERSION {
-        return Err(SnapError::BadVersion { found: version });
-    }
+    let checksum_of: fn(&[u8]) -> u64 = match version {
+        V1 => checksum_v1,
+        VERSION => checksum,
+        found => return Err(SnapError::BadVersion { found }),
+    };
     let file_len = read_u64(bytes, 24).unwrap_or(0);
     if file_len != bytes.len() as u64 {
         return Err(SnapError::LengthMismatch {
@@ -442,7 +546,7 @@ pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
         });
     }
     let stored = read_u64(bytes, 16).unwrap_or(0);
-    let computed = checksum(bytes);
+    let computed = checksum_of(bytes);
     if stored != computed {
         return Err(SnapError::ChecksumMismatch { stored, computed });
     }
@@ -684,11 +788,60 @@ mod tests {
     }
 
     #[test]
-    fn checksum_ignores_its_own_field() {
-        let mut a = tiny();
-        let sum = checksum(&a);
-        a[16..24].copy_from_slice(&[0xFF; 8]);
-        assert_eq!(checksum(&a), sum);
+    fn xxh64_matches_the_reference_answers() {
+        // Shorter than 16 bytes, so the zeroed field does not apply.
+        assert_eq!(checksum(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(checksum(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(checksum(b"abc"), 0x44BC_2CF5_AD77_0999);
+    }
+
+    #[test]
+    fn xxh64_stripes_match_the_zstd_frame_checksum() {
+        // A zstd frame stores the low 32 bits of the content's XXH64
+        // (seed 0): `printf %s "$s" | zstd --check | tail -c 4`. 47 bytes
+        // are one stripe, then an 8-, a 4- and three 1-byte tail steps;
+        // 100 bytes are three stripes and a 4-byte step.
+        let text: Vec<u8> = (0..100u8).map(|i| b'a' + i % 26).collect();
+        assert_eq!(xxh64(&text[..32], &text[32..47]) as u32, 0x8390_46cb);
+        assert_eq!(xxh64(&text[..32], &text[32..]) as u32, 0x2bb5_3c71);
+    }
+
+    #[test]
+    fn fnv1a_v1_checksum_is_unchanged() {
+        assert_eq!(checksum_v1(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(checksum_v1(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    proptest! {
+        /// Lengths 0–100 cross the 32-byte stripe boundary. The checksum
+        /// field never counts; every other byte always does.
+        #[test]
+        fn checksums_cover_every_byte_but_their_own_field(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=100),
+            at in any::<u32>(),
+            flip in 1u8..=255,
+        ) {
+            prop_assume!(!bytes.is_empty());
+            let i = at as usize % bytes.len();
+            let mut moved = bytes.clone();
+            moved[i] ^= flip;
+            for sum in [checksum, checksum_v1] {
+                if (16..24).contains(&i) {
+                    prop_assert_eq!(sum(&moved), sum(&bytes), "byte {} counted", i);
+                } else {
+                    prop_assert!(sum(&moved) != sum(&bytes), "byte {} ignored", i);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bad_version_names_every_version_the_reader_speaks() {
+        let msg = SnapError::BadVersion { found: 3 }.to_string();
+        assert_eq!(
+            msg,
+            "unsupported snapshot version 3 (reader speaks 1 and 2)"
+        );
     }
 
     #[test]
