@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the computational kernels every experiment
 //! leans on: topology generation, BGP route computation, the collector
 //! public view (full and after four link flaps), anycast catchments,
-//! open-resolver deployment, root-log collection, cache probing (through
+//! the front-end directory, open-resolver deployment, root-log collection, cache probing (through
 //! the string API and the id-keyed kernel), one shard of the ECS grid,
 //! redirection selection, traffic-matrix queries, and the snapshot's
 //! whole-file checksum in both format versions.
@@ -75,7 +75,10 @@ fn bench_routing(c: &mut Criterion) {
     }
     g.bench_function("public_view_flap4", |b| {
         b.iter(|| {
-            collectors.public_view_with(&flapped, Some(&prev), |n, job| (0..n).map(job).collect())
+            let full = GraphView::full(&flapped);
+            collectors.public_view_with(&flapped, &full, Some(&prev), |n, job| {
+                (0..n).map(job).collect()
+            })
         })
     });
 
@@ -249,7 +252,9 @@ fn bench_obs_overhead(c: &mut Criterion) {
 }
 
 /// The campaigns' probe kernels on the default substrate, whose
-/// 200-service catalogue is the one the map is built from. The string
+/// 200-service catalogue is the one the map is built from: first the
+/// front-end directory every substrate build lays out (endpoints and the
+/// nearest on-net endpoint of every service for every city). The string
 /// cache probe of a mid-catalogue ECS domain pays a linear domain scan
 /// and a prefix lookup per probe; the id-keyed kernel the campaigns call
 /// pays neither. Then one shard of the ECS user-to-front-end grid (shard
@@ -268,6 +273,9 @@ fn bench_probe_kernels(c: &mut Criterion) {
         .collect();
     let mid = ecs[ecs.len() / 2];
     let mut g = c.benchmark_group("dns");
+    g.bench_function("frontend_directory", |b| {
+        b.iter(|| itm_dns::FrontendDirectory::build(&s.topo, &s.catalog))
+    });
     g.bench_function("cache_probe_1k_mid_catalog", |b| {
         let mut i = 0usize;
         b.iter(|| {

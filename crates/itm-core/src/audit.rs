@@ -40,7 +40,7 @@ use itm_obs::quality::{DisagreementIndex, PairwiseAgreement, QualityReport, Tech
 use itm_obs::Verdict;
 use itm_topology::PrefixKind;
 use itm_traffic::{DeliveryMode, Service};
-use itm_types::{Asn, GeoPoint, Ipv4Addr, PrefixId, ServiceId};
+use itm_types::{Asn, Ipv4Addr, PrefixId, ServiceId};
 use std::collections::BTreeMap;
 
 /// Claim-bitmap bits: which techniques back one measured mapping cell.
@@ -116,8 +116,7 @@ impl MapClaims {
             anycast_site_as.insert(svc, per_as);
         }
 
-        let city_locs: Vec<GeoPoint> = s.topo.world.cities.iter().map(|c| c.location).collect();
-        let city_km = city_distances(&city_locs);
+        let n_cities = s.topo.world.cities.len() as u32;
         let mut tls_nearest_as = BTreeMap::new();
         for (&svc, addrs) in &map.sni_footprints {
             // (city, address, host AS) per confirmed front-end.
@@ -128,7 +127,9 @@ impl MapClaims {
             if fronts.is_empty() {
                 continue;
             }
-            tls_nearest_as.insert(svc, nearest_front_per_city(fronts, &city_km));
+            let nearest =
+                nearest_front_per_city(fronts, n_cities, |from, to| s.topo.city_km(from, to));
+            tls_nearest_as.insert(svc, nearest);
         }
 
         let catalog_prior_as: Vec<Asn> = s
@@ -234,40 +235,28 @@ fn table_claim(table: Option<&Vec<Option<Asn>>>, i: usize) -> Option<Asn> {
     table.and_then(|t| t.get(i).copied().flatten())
 }
 
-/// Great-circle distance between every pair of cities, `km[from][to]`,
-/// computed once. It keeps the argument order the TLS-nearest estimator
-/// compares in (front-end city first), so every value is bit-identical
-/// to a haversine computed in place.
-fn city_distances(locs: &[GeoPoint]) -> Vec<Vec<f64>> {
-    locs.iter()
-        .map(|from| locs.iter().map(|&to| from.distance_km(to)).collect())
-        .collect()
-}
-
-/// The TLS-nearest claim of one service for every client city: the host
-/// AS of the geodesically nearest confirmed front-end, ties toward the
-/// smaller address. `fronts` holds `(city, address, host AS)` per
-/// front-end.
+/// The TLS-nearest claim of one service for every client city below
+/// `n_cities`: the host AS of the geodesically nearest confirmed
+/// front-end, ties toward the smaller address. `fronts` holds `(city,
+/// address, host AS)` per front-end, and `km(from, to)` is the distance
+/// from front-end city `from` to client city `to`.
 ///
 /// Front-ends in one city are equally far from every client, so only the
 /// smallest address of each city can win: the argmin runs over front-end
 /// cities, not front-ends.
 fn nearest_front_per_city(
     mut fronts: Vec<(u32, Ipv4Addr, Asn)>,
-    km: &[Vec<f64>],
+    n_cities: u32,
+    km: impl Fn(u32, u32) -> f64,
 ) -> Vec<Option<Asn>> {
     // Keep each city's smallest address.
     fronts.sort_by_key(|&(city, addr, _)| (city, addr));
     fronts.dedup_by_key(|&mut (city, _, _)| city);
-    (0..km.len())
+    (0..n_cities)
         .map(|to| {
             fronts
                 .iter()
-                .min_by(|a, b| {
-                    km[a.0 as usize][to]
-                        .total_cmp(&km[b.0 as usize][to])
-                        .then(a.1.cmp(&b.1))
-                })
+                .min_by(|a, b| km(a.0, to).total_cmp(&km(b.0, to)).then(a.1.cmp(&b.1)))
                 .map(|&(_, _, host)| host)
         })
         .collect()
@@ -555,6 +544,7 @@ mod tests {
     use super::*;
     use crate::map::MapConfig;
     use itm_measure::SubstrateConfig;
+    use itm_types::GeoPoint;
 
     fn build() -> (Substrate, TrafficMap) {
         let s = Substrate::build(SubstrateConfig::small(), 139).unwrap();
@@ -602,7 +592,9 @@ mod tests {
             .map(|&(c, a, h)| (locs[c as usize], Ipv4Addr(a), Asn(h)))
             .collect();
         (
-            nearest_front_per_city(fast, &city_distances(locs)),
+            nearest_front_per_city(fast, locs.len() as u32, |from, to| {
+                locs[from as usize].distance_km(locs[to as usize])
+            }),
             brute_force_nearest(&slow, locs),
         )
     }

@@ -408,6 +408,7 @@ pub(crate) fn run_pipeline(
                 let _span = itm_obs::span("routes.public_view");
                 CollectorSet::typical(&s.topo, &s.seeds).public_view_with(
                     &s.topo,
+                    &full,
                     p.as_ref().map(|(_, v, _)| v),
                     |n, job| exec.map(n, job),
                 )

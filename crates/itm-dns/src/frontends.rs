@@ -110,13 +110,11 @@ impl FrontendDirectory {
             };
             let mut nearest_onnet_by_city = Vec::with_capacity(n_cities);
             for city in 0..n_cities as u32 {
-                let loc = topo.city_location(city);
                 let best = onnet
                     .iter()
                     .min_by(|(_, a), (_, b)| {
-                        topo.city_location(a.city)
-                            .distance_km(loc)
-                            .total_cmp(&topo.city_location(b.city).distance_km(loc))
+                        topo.city_km(a.city, city)
+                            .total_cmp(&topo.city_km(b.city, city))
                             .then(a.addr.cmp(&b.addr))
                     })
                     .map(|(i, _)| *i as u32)

@@ -31,7 +31,8 @@ pub struct AnycastSite {
     pub asn: Asn,
     /// City (world city index) of the site.
     pub city: u32,
-    /// Site location (redundant with city, cached for distance math).
+    /// Site location (redundant with `city`; [`Catchments::compute`]
+    /// reads the topology's city distances instead).
     pub location: GeoPoint,
 }
 
@@ -94,7 +95,8 @@ impl Catchments {
     /// Compute catchments for `deployment` over the full topology.
     ///
     /// Deterministic given the topology seed; the `intra_as_noise` draws
-    /// come from the `"anycast"` stream of `seeds`.
+    /// come from the `"anycast"` stream of `seeds`. A deployment with no
+    /// sites reaches no client.
     pub fn compute(
         topo: &Topology,
         view: &GraphView,
@@ -102,7 +104,10 @@ impl Catchments {
         seeds: &SeedDomain,
     ) -> Catchments {
         let origins = deployment.origin_ases();
-        let label = origins[0];
+        let mut assignment = vec![None; topo.n_ases()];
+        let Some(&label) = origins.first() else {
+            return Catchments { assignment };
+        };
         let tree = RoutingTree::compute_multi(view, &origins, label);
         let mut rng = seeds.rng("anycast");
 
@@ -119,7 +124,6 @@ impl Catchments {
         let n_cities = topo.world.cities.len();
         let mut nearest: Vec<Option<PopId>> = vec![None; origins.len() * n_cities];
 
-        let mut assignment = vec![None; topo.n_ases()];
         for (i, slot) in assignment.iter_mut().enumerate() {
             let client = Asn(i as u32);
             let Some(winner) = tree.origin_reached(client) else {
@@ -140,13 +144,11 @@ impl Catchments {
                 };
                 let memo = &mut nearest[o * n_cities + city as usize];
                 if memo.is_none() {
-                    let client_loc = topo.city_location(city);
                     *memo = in_as
                         .iter()
                         .min_by(|a, b| {
-                            a.location
-                                .distance_km(client_loc)
-                                .total_cmp(&b.location.distance_km(client_loc))
+                            topo.city_km(a.city, city)
+                                .total_cmp(&topo.city_km(b.city, city))
                                 .then(a.id.cmp(&b.id))
                         })
                         .map(|site| site.id);
@@ -253,6 +255,15 @@ mod tests {
             seen.insert(site);
         }
         assert_eq!(seen.len(), 2, "one origin captured everything");
+    }
+
+    #[test]
+    fn a_deployment_without_sites_reaches_no_client() {
+        let (t, v) = setup();
+        let d = AnycastDeployment::new(&t, &[], 0.0);
+        let c = Catchments::compute(&t, &v, &d, &SeedDomain::new(1));
+        assert_eq!(c.covered(), 0);
+        assert_eq!(assignments(&c), vec![None; t.n_ases()]);
     }
 
     #[test]

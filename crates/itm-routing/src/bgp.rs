@@ -17,10 +17,39 @@
 //! The computation is the classic three-phase BFS (as used by the route
 //! simulation literature the paper leans on \[35, 42\]):
 //! phase 1 floods customer routes "up" provider edges, phase 2 crosses a
-//! single peer edge, phase 3 floods "down" customer edges.
+//! single peer edge, phase 3 floods "down" customer edges. Each phase
+//! walks only the one kind of neighbor it needs ([`GraphView::providers`],
+//! [`GraphView::peers`], [`GraphView::customers`]).
+//!
+//! ## Why visiting order does not matter
+//!
+//! A route is stored packed as `(rank << 62) | (len << 32) | next`, so the
+//! preference order `(rank, len, next)` is integer order, and every
+//! assignment in the three phases is a strict-minimum update: the entry
+//! becomes the candidate only if the candidate is smaller. The minimum of
+//! a set does not depend on the order its members are offered in, so a
+//! phase's result is order-free as long as the *set* of candidates each AS
+//! is offered is. That holds for each phase:
+//!
+//! - **Phase 1** is level-synchronous. Level `l` offers `(Customer, l, u)`
+//!   from every frontier AS `u` to its providers; the candidate depends
+//!   on `l` and `u` alone. The next frontier is the set of ASes whose
+//!   entry fell during the level, which is the set whose minimum offer
+//!   beat their entry, whatever the order.
+//! - **Phase 2** offers `(Peer, len + 1, u)` from every AS `u` holding an
+//!   origin or customer route. It never overwrites such an exporter (a
+//!   peer route ranks below both), and what it writes ranks as a peer
+//!   route, so the exporters and their lengths are fixed before the phase
+//!   starts.
+//! - **Phase 3** is a unit-weight Dijkstra over customer edges, bucketed
+//!   by length. Draining bucket `l` offers only length-`l + 1`
+//!   candidates, which cannot beat any entry of length `≤ l`, so bucket
+//!   `l`'s entries are final before it is drained and each AS in it
+//!   offers one fixed candidate.
+//!
+//! So no frontier or bucket needs sorting.
 
 use crate::view::GraphView;
-use itm_topology::NeighborKind;
 use itm_types::Asn;
 use serde::{Deserialize, Serialize};
 
@@ -37,18 +66,6 @@ pub enum RouteKind {
     Provider,
 }
 
-impl RouteKind {
-    /// Preference rank: lower is better.
-    fn rank(self) -> u8 {
-        match self {
-            RouteKind::Origin => 0,
-            RouteKind::Customer => 1,
-            RouteKind::Peer => 2,
-            RouteKind::Provider => 3,
-        }
-    }
-}
-
 /// One AS's best route toward the tree's destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RouteEntry {
@@ -60,12 +77,65 @@ pub struct RouteEntry {
     pub next: Asn,
 }
 
+/// The packed entry of an AS without a route: above every packed route,
+/// since route lengths stay below `2^30 - 1` and ASNs below `u32::MAX`.
+const UNREACHABLE: u64 = u64::MAX;
+
+/// Packs a route so that integer order is preference order: the rank
+/// (the [`RouteKind`] in declaration order, lower is better) in the top
+/// two bits, then the 30-bit length, then the next hop.
+fn pack(kind: RouteKind, len: u32, next: Asn) -> u64 {
+    ((kind as u64) << 62) | (u64::from(len) << 32) | u64::from(next.raw())
+}
+
+/// The route length of a packed entry.
+fn len_of(e: u64) -> u32 {
+    ((e >> 32) & 0x3FFF_FFFF) as u32
+}
+
+fn unpack(e: u64) -> Option<RouteEntry> {
+    let kind = match e >> 62 {
+        0 => RouteKind::Origin,
+        1 => RouteKind::Customer,
+        2 => RouteKind::Peer,
+        _ if e == UNREACHABLE => return None,
+        _ => RouteKind::Provider,
+    };
+    Some(RouteEntry {
+        kind,
+        len: len_of(e),
+        next: Asn(e as u32),
+    })
+}
+
+/// The buffers one route computation needs, reused across trees.
+#[derive(Debug, Default)]
+pub(crate) struct TreeScratch {
+    frontier: Vec<Asn>,
+    next_frontier: Vec<Asn>,
+    /// Membership flags of `next_frontier`; all false between levels.
+    pending: Vec<bool>,
+    /// Phase 3's length buckets, grown on demand; empty between trees.
+    buckets: Vec<Vec<Asn>>,
+}
+
+impl TreeScratch {
+    fn bucket(&mut self, len: u32) -> &mut Vec<Asn> {
+        let l = len as usize;
+        if self.buckets.len() <= l {
+            self.buckets.resize_with(l + 1, Vec::new);
+        }
+        &mut self.buckets[l]
+    }
+}
+
 /// Best routes from every AS toward one destination.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RoutingTree {
     /// The destination AS.
     pub dst: Asn,
-    entries: Vec<Option<RouteEntry>>,
+    /// Packed route per AS (see [`pack`]), [`UNREACHABLE`] without one.
+    entries: Vec<u64>,
 }
 
 impl RoutingTree {
@@ -80,97 +150,87 @@ impl RoutingTree {
     /// Each client's best route leads to whichever origin wins under the
     /// policy preferences — exactly how an anycast prefix behaves.
     pub fn compute_multi(view: &GraphView, origins: &[Asn], label: Asn) -> RoutingTree {
-        let n = view.n_ases();
-        let mut entries: Vec<Option<RouteEntry>> = vec![None; n];
+        let mut tree = RoutingTree::empty();
+        tree.recompute(view, origins, label, &mut TreeScratch::default());
+        tree
+    }
 
-        // Better-route test implementing (pref, len, next-ASN) order.
-        let better = |cur: &Option<RouteEntry>, cand: RouteEntry| -> bool {
-            match cur {
-                None => true,
-                Some(c) => (cand.kind.rank(), cand.len, cand.next) < (c.kind.rank(), c.len, c.next),
-            }
-        };
+    /// A tree with no entries, to be filled by [`RoutingTree::recompute`].
+    pub(crate) fn empty() -> RoutingTree {
+        RoutingTree {
+            dst: Asn(0),
+            entries: Vec::new(),
+        }
+    }
+
+    /// [`RoutingTree::compute_multi`] into this tree's storage, with
+    /// `scratch`'s buffers.
+    pub(crate) fn recompute(
+        &mut self,
+        view: &GraphView,
+        origins: &[Asn],
+        label: Asn,
+        scratch: &mut TreeScratch,
+    ) {
+        let n = view.n_ases();
+        debug_assert!(n < 1 << 30, "route lengths must fit 30 bits");
+        self.dst = label;
+        let entries = &mut self.entries;
+        entries.clear();
+        entries.resize(n, UNREACHABLE);
+        scratch.pending.resize(n, false);
 
         // ---- Phase 1: customer routes, flooding up provider edges. ----
         // Level-synchronous BFS so the (len, next) tiebreak is exact.
-        let mut frontier: Vec<Asn> = Vec::new();
+        let TreeScratch {
+            frontier,
+            next_frontier,
+            pending,
+            ..
+        } = scratch;
+        frontier.clear();
         for &o in origins {
-            let e = RouteEntry {
-                kind: RouteKind::Origin,
-                len: 0,
-                next: o,
-            };
-            if better(&entries[o.index()], e) {
-                entries[o.index()] = Some(e);
+            let e = pack(RouteKind::Origin, 0, o);
+            if e < entries[o.index()] {
+                entries[o.index()] = e;
                 frontier.push(o);
             }
         }
         let mut level = 0u32;
-        // Membership flags avoid O(frontier²) duplicate checks.
-        let mut pending = vec![false; n];
         while !frontier.is_empty() {
             level += 1;
-            let mut next_frontier: Vec<Asn> = Vec::new();
-            // Iterate the frontier in ASN order for deterministic tiebreaks.
-            frontier.sort_unstable();
-            for &u in &frontier {
-                for &(v, kind) in view.neighbors(u) {
-                    // u exports its (customer/origin) route to its provider v;
-                    // from v's perspective the route is learned from a customer.
-                    if kind != NeighborKind::Provider {
-                        continue;
-                    }
-                    let cand = RouteEntry {
-                        kind: RouteKind::Customer,
-                        len: level,
-                        next: u,
-                    };
-                    let cur = &entries[v.index()];
-                    // Only assign if v has nothing better (earlier level or
-                    // lower next-hop ASN at this level).
-                    let assignable = match cur {
-                        None => true,
-                        Some(c) => {
-                            (cand.kind.rank(), cand.len, cand.next) < (c.kind.rank(), c.len, c.next)
-                        }
-                    };
-                    if assignable {
-                        entries[v.index()] = Some(cand);
-                        if !pending[v.index()] {
-                            pending[v.index()] = true;
+            next_frontier.clear();
+            for &u in frontier.iter() {
+                // u exports its (customer/origin) route to its providers;
+                // from theirs the route is learned from a customer.
+                let cand = pack(RouteKind::Customer, level, u);
+                for &v in view.providers(u) {
+                    if cand < entries[v.index()] {
+                        entries[v.index()] = cand;
+                        if !std::mem::replace(&mut pending[v.index()], true) {
                             next_frontier.push(v);
                         }
                     }
                 }
             }
-            for &v in &next_frontier {
+            for &v in next_frontier.iter() {
                 pending[v.index()] = false;
             }
-            frontier = next_frontier;
+            std::mem::swap(frontier, next_frontier);
         }
 
         // ---- Phase 2: peer routes (one peer edge crossing). ----
         // Exporters: ASes holding Origin/Customer routes.
-        let exporters: Vec<(Asn, u32)> = (0..n)
-            .filter_map(|i| {
-                entries[i].and_then(|e| {
-                    matches!(e.kind, RouteKind::Origin | RouteKind::Customer)
-                        .then_some((Asn(i as u32), e.len))
-                })
-            })
-            .collect();
-        for &(u, ulen) in &exporters {
-            for &(v, kind) in view.neighbors(u) {
-                if kind != NeighborKind::Peer {
-                    continue;
-                }
-                let cand = RouteEntry {
-                    kind: RouteKind::Peer,
-                    len: ulen + 1,
-                    next: u,
-                };
-                if better(&entries[v.index()], cand) {
-                    entries[v.index()] = Some(cand);
+        for i in 0..n {
+            let e = entries[i];
+            if e >> 62 > RouteKind::Customer as u64 {
+                continue;
+            }
+            let u = Asn(i as u32);
+            let cand = pack(RouteKind::Peer, len_of(e) + 1, u);
+            for &v in view.peers(u) {
+                if cand < entries[v.index()] {
+                    entries[v.index()] = cand;
                 }
             }
         }
@@ -179,52 +239,36 @@ impl RoutingTree {
         // Multi-source shortest-path over customer edges, sources = every
         // AS that currently holds a route, keyed by current route length.
         // Bucketed BFS by length keeps it O(V+E).
-        let max_len_cap = (n as u32) + 2;
-        let mut buckets: Vec<Vec<Asn>> = vec![Vec::new(); (max_len_cap + 1) as usize];
-        for (i, entry) in entries.iter().enumerate() {
-            if let Some(e) = entry {
-                buckets[e.len as usize].push(Asn(i as u32));
+        for (i, &e) in entries.iter().enumerate() {
+            if e != UNREACHABLE {
+                scratch.bucket(len_of(e)).push(Asn(i as u32));
             }
         }
-        let mut l = 0usize;
-        while (l as u32) < max_len_cap {
-            if buckets[l].is_empty() {
-                l += 1;
-                continue;
-            }
-            let mut us = std::mem::take(&mut buckets[l]);
-            us.sort_unstable();
-            for u in us {
+        let mut l = 0;
+        while l < scratch.buckets.len() {
+            let mut us = std::mem::take(&mut scratch.buckets[l]);
+            for &u in &us {
                 // u may have been improved since it was bucketed; only
                 // export its *current* route if the length still matches.
-                let Some(e) = entries[u.index()] else {
-                    continue;
-                };
-                if e.len as usize != l {
+                if len_of(entries[u.index()]) as usize != l {
                     continue;
                 }
-                for &(v, kind) in view.neighbors(u) {
-                    // u exports any route to its customers.
-                    if kind != NeighborKind::Customer {
-                        continue;
-                    }
-                    let cand = RouteEntry {
-                        kind: RouteKind::Provider,
-                        len: e.len + 1,
-                        next: u,
-                    };
-                    if better(&entries[v.index()], cand) {
-                        entries[v.index()] = Some(cand);
-                        buckets[(e.len + 1) as usize].push(v);
+                let cand = pack(RouteKind::Provider, l as u32 + 1, u);
+                for &v in view.customers(u) {
+                    if cand < entries[v.index()] {
+                        entries[v.index()] = cand;
+                        scratch.bucket(l as u32 + 1).push(v);
                     }
                 }
             }
+            us.clear();
+            scratch.buckets[l] = us;
+            l += 1;
         }
 
         itm_obs::counter!("routing.trees_computed").inc();
         if itm_obs::enabled() {
-            itm_obs::histogram!("routing.tree_reachable")
-                .record(entries.iter().flatten().count() as u64);
+            itm_obs::histogram!("routing.tree_reachable").record(self.reachable_count() as u64);
         }
         if itm_obs::trace::enabled() {
             itm_obs::trace::emit(
@@ -234,20 +278,15 @@ impl RoutingTree {
                 &format!(
                     "{} origins, {} reachable",
                     origins.len(),
-                    entries.iter().flatten().count()
+                    self.reachable_count()
                 ),
             );
-        }
-
-        RoutingTree {
-            dst: label,
-            entries,
         }
     }
 
     /// The best route at `asn`, if the destination is reachable.
     pub fn route(&self, asn: Asn) -> Option<RouteEntry> {
-        self.entries[asn.index()]
+        unpack(self.entries[asn.index()])
     }
 
     /// The AS path from `src` to the destination, inclusive of both ends.
@@ -256,7 +295,7 @@ impl RoutingTree {
         let mut path = vec![src];
         let mut cur = src;
         loop {
-            let e = self.entries[cur.index()]?;
+            let e = self.route(cur)?;
             if e.kind == RouteKind::Origin {
                 return Some(path);
             }
@@ -271,7 +310,7 @@ impl RoutingTree {
 
     /// AS-path length in hops from `src` (0 when `src` is the origin).
     pub fn path_len(&self, src: Asn) -> Option<u32> {
-        self.entries[src.index()].map(|e| e.len)
+        self.route(src).map(|e| e.len)
     }
 
     /// The origin AS `src`'s traffic ultimately reaches (for anycast trees
@@ -282,7 +321,7 @@ impl RoutingTree {
         // The same cycle guard as `path`: no path is longer than the AS
         // count.
         for _ in 0..=self.entries.len() {
-            let e = self.entries[cur.index()]?;
+            let e = self.route(cur)?;
             if e.kind == RouteKind::Origin {
                 return Some(cur);
             }
@@ -293,7 +332,7 @@ impl RoutingTree {
 
     /// Number of ASes with a route.
     pub fn reachable_count(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.entries.iter().filter(|&&e| e != UNREACHABLE).count()
     }
 }
 

@@ -11,7 +11,7 @@
 //! "available vantage points cannot uncover most peering links" — and it
 //! falls out of the export rules rather than being hard-coded.
 
-use crate::bgp::{RouteKind, RoutingTree};
+use crate::bgp::{RouteKind, RoutingTree, TreeScratch};
 use crate::view::GraphView;
 use itm_topology::{AsClass, Link, LinkClass, LinkId, NeighborKind, Topology};
 use itm_types::rng::SeedDomain;
@@ -51,8 +51,10 @@ impl CollectorSet {
     }
 
     /// A collector set with exactly `n` feeders drawn from the typical
-    /// distribution (for the D3 ablation sweep).
+    /// distribution (for the D3 ablation sweep), or every AS when `n`
+    /// exceeds the AS count.
     pub fn with_count(topo: &Topology, seeds: &SeedDomain, n: usize) -> CollectorSet {
+        let n = n.min(topo.n_ases());
         let base = Self::typical(topo, seeds);
         let mut feeders = base.feeders;
         let mut rng = seeds.rng("collectors-truncate");
@@ -88,15 +90,16 @@ impl CollectorSet {
     /// — the raw material public archives actually contain, and what
     /// relationship inference ([`crate::relationships`]) consumes.
     pub fn archived_paths(&self, topo: &Topology, view: &GraphView) -> Vec<Vec<Asn>> {
-        trees(view, 0..topo.n_ases())
-            .flat_map(|tree| {
-                self.feeders
-                    .iter()
-                    .filter_map(|&f| tree.path(f))
-                    .filter(|p| p.len() >= 2)
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+        map_trees(view, 0..topo.n_ases(), |tree| {
+            self.feeders
+                .iter()
+                .filter_map(|&f| tree.path(f))
+                .filter(|p| p.len() >= 2)
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Build the *public view*: the ground-truth graph restricted to
@@ -106,10 +109,12 @@ impl CollectorSet {
     /// The sequential form of [`CollectorSet::public_view_with`], with no
     /// previous report.
     pub fn public_view(&self, topo: &Topology) -> (GraphView, VisibilityReport) {
-        self.public_view_with(topo, None, |n, job| (0..n).map(job).collect())
+        let full = GraphView::full(topo);
+        self.public_view_with(topo, &full, None, |n, job| (0..n).map(job).collect())
     }
 
-    /// [`CollectorSet::public_view`], reusing the per-destination feeder
+    /// [`CollectorSet::public_view`] over `full`, which must be
+    /// [`GraphView::full`] of `topo`, reusing the per-destination feeder
     /// links of `prev` where a link flap cannot have changed them.
     ///
     /// Only destinations in the customer cone of either end of a link
@@ -133,22 +138,22 @@ impl CollectorSet {
     pub fn public_view_with<R>(
         &self,
         topo: &Topology,
+        full: &GraphView,
         prev: Option<&VisibilityReport>,
         run_shards: R,
     ) -> (GraphView, VisibilityReport)
     where
         R: FnOnce(usize, &(dyn Fn(usize) -> Vec<Vec<LinkId>> + Sync)) -> Vec<Vec<Vec<LinkId>>>,
     {
-        let full = GraphView::full(topo);
         let n = topo.n_ases();
-        let reused = prev.and_then(|p| Some((self.flap_reach(topo, &full, p)?, p)));
+        let reused = prev.and_then(|p| Some((self.flap_reach(topo, full, p)?, p)));
         let (dsts, mut per_dst) = match reused {
             Some((dsts, p)) => (dsts, p.per_dst.clone()),
             None => ((0..n).collect(), vec![Vec::new(); n]),
         };
         let parts = run_shards(dsts.len().div_ceil(DESTS_PER_SHARD), &|k| {
             let chunk = &dsts[k * DESTS_PER_SHARD..dsts.len().min((k + 1) * DESTS_PER_SHARD)];
-            self.destination_links(&full, chunk.iter().copied(), |x, y| {
+            self.destination_links(full, chunk.iter().copied(), |x, y| {
                 let nbs = topo.neighbors(x);
                 let at = nbs.binary_search_by_key(&y, |nb| nb.asn).ok()?;
                 Some(nbs[at].link)
@@ -203,12 +208,7 @@ impl CollectorSet {
                 if std::mem::replace(&mut reached[u.index()], true) {
                     continue;
                 }
-                stack.extend(
-                    view.neighbors(u)
-                        .iter()
-                        .filter(|&&(_, kind)| kind == NeighborKind::Customer)
-                        .map(|&(c, _)| c),
-                );
+                stack.extend(view.customers(u));
             }
         }
         Some((0..reached.len()).filter(|&d| reached[d]).collect())
@@ -224,22 +224,31 @@ impl CollectorSet {
         key: impl Fn(Asn, Asn) -> Option<K>,
     ) -> Vec<Vec<K>> {
         let mut reached = vec![u32::MAX; view.n_ases()];
-        trees(view, dsts)
-            .map(|tree| feeder_edges(&tree, &self.feeders, &mut reached, &key))
-            .collect()
+        map_trees(view, dsts, |tree| {
+            feeder_edges(tree, &self.feeders, &mut reached, &key)
+        })
     }
 }
 
 /// Destinations per shard of [`CollectorSet::public_view_with`].
 const DESTS_PER_SHARD: usize = 64;
 
-/// The routing tree of each destination in `dsts`, in order.
-fn trees<'a>(
-    view: &'a GraphView,
-    dsts: impl IntoIterator<Item = usize> + 'a,
-) -> impl Iterator<Item = RoutingTree> + 'a {
+/// `f` of the routing tree of each destination in `dsts`, in order. One
+/// tree's storage and one scratch serve every destination.
+fn map_trees<T>(
+    view: &GraphView,
+    dsts: impl IntoIterator<Item = usize>,
+    mut f: impl FnMut(&RoutingTree) -> T,
+) -> Vec<T> {
+    let mut tree = RoutingTree::empty();
+    let mut scratch = TreeScratch::default();
     dsts.into_iter()
-        .map(move |d| RoutingTree::compute(view, Asn(d as u32)))
+        .map(|d| {
+            let d = Asn(d as u32);
+            tree.recompute(view, &[d], d, &mut scratch);
+            f(&tree)
+        })
+        .collect()
 }
 
 /// The sorted keys of the links on the feeders' best paths in `tree`;
@@ -402,6 +411,14 @@ mod tests {
         let b = CollectorSet::with_count(&t, &SeedDomain::new(2), 10);
         assert_eq!(a.feeders, b.feeders);
         assert_eq!(a.feeders.len(), 10);
+    }
+
+    #[test]
+    fn with_count_beyond_the_as_count_takes_every_as() {
+        let t = setup();
+        let c = CollectorSet::with_count(&t, &SeedDomain::new(2), t.n_ases() + 5);
+        let every: Vec<Asn> = (0..t.n_ases() as u32).map(Asn).collect();
+        assert_eq!(c.feeders, every);
     }
 
     #[test]

@@ -10,21 +10,51 @@ use itm_topology::{AsRel, Link, NeighborKind, Topology};
 use itm_types::Asn;
 
 /// A (possibly partial) AS-level graph with relationship labels.
+///
+/// Stored flat (compressed sparse rows): AS `i`'s neighbors occupy
+/// `offsets[i]..offsets[i + 1]` of both `adjacency` and `by_kind`.
 #[derive(Debug, Clone)]
 pub struct GraphView {
-    /// adjacency[asn] = (neighbor, our relationship to it), sorted by ASN.
-    adjacency: Vec<Vec<(Asn, NeighborKind)>>,
+    /// Row starts, `n_ases + 1` of them.
+    offsets: Vec<u32>,
+    /// (neighbor, our relationship to it) per row, sorted by ASN.
+    adjacency: Vec<(Asn, NeighborKind)>,
+    /// The same rows split by kind: providers, then peers, then
+    /// customers, each in `adjacency` order (ascending ASN).
+    by_kind: Vec<Asn>,
+    /// Per row, where its peers and its customers start in `by_kind`.
+    kind_starts: Vec<[u32; 2]>,
 }
 
 impl GraphView {
     /// Number of AS slots (dense ASNs).
     pub fn n_ases(&self) -> usize {
-        self.adjacency.len()
+        self.kind_starts.len()
+    }
+
+    fn row(&self, asn: Asn) -> std::ops::Range<usize> {
+        self.offsets[asn.index()] as usize..self.offsets[asn.index() + 1] as usize
     }
 
     /// Neighbors of `asn` with perspective-relative relationships.
     pub fn neighbors(&self, asn: Asn) -> &[(Asn, NeighborKind)] {
-        &self.adjacency[asn.index()]
+        &self.adjacency[self.row(asn)]
+    }
+
+    /// The providers of `asn`, ascending.
+    pub fn providers(&self, asn: Asn) -> &[Asn] {
+        &self.by_kind[self.row(asn).start..self.kind_starts[asn.index()][0] as usize]
+    }
+
+    /// The peers of `asn`, ascending.
+    pub fn peers(&self, asn: Asn) -> &[Asn] {
+        let [peers, customers] = self.kind_starts[asn.index()];
+        &self.by_kind[peers as usize..customers as usize]
+    }
+
+    /// The customers of `asn`, ascending.
+    pub fn customers(&self, asn: Asn) -> &[Asn] {
+        &self.by_kind[self.kind_starts[asn.index()][1] as usize..self.row(asn).end]
     }
 
     /// The complete ground-truth view of a topology.
@@ -34,83 +64,117 @@ impl GraphView {
     /// generated topology the down-set is empty and this is the identity
     /// adjacency copy it always was.
     pub fn full(topo: &Topology) -> GraphView {
-        let adjacency = topo
-            .ases
-            .iter()
-            .map(|a| {
-                topo.neighbors(a.asn)
-                    .iter()
-                    .filter(|n| {
-                        let key = if a.asn <= n.asn {
-                            (a.asn, n.asn)
-                        } else {
-                            (n.asn, a.asn)
-                        };
-                        !topo.is_link_down(key)
-                    })
-                    .map(|n| (n.asn, n.kind))
-                    .collect()
-            })
-            .collect();
-        GraphView { adjacency }
+        let rows = topo.ases.iter().map(|a| {
+            topo.neighbors(a.asn)
+                .iter()
+                .filter(move |n| {
+                    let key = if a.asn <= n.asn {
+                        (a.asn, n.asn)
+                    } else {
+                        (n.asn, a.asn)
+                    };
+                    !topo.is_link_down(key)
+                })
+                .map(|n| (n.asn, n.kind))
+        });
+        Self::from_rows(topo.n_ases(), rows)
     }
 
     /// A view over an explicit link list (e.g. only publicly visible
     /// links). `n_ases` must cover every ASN referenced.
     pub fn from_links<'a>(n_ases: usize, links: impl IntoIterator<Item = &'a Link>) -> GraphView {
-        let mut adjacency: Vec<Vec<(Asn, NeighborKind)>> = vec![Vec::new(); n_ases];
-        for l in links {
-            match l.rel {
-                AsRel::CustomerToProvider => {
-                    adjacency[l.a.index()].push((l.b, NeighborKind::Provider));
-                    adjacency[l.b.index()].push((l.a, NeighborKind::Customer));
-                }
-                AsRel::PeerToPeer => {
-                    adjacency[l.a.index()].push((l.b, NeighborKind::Peer));
-                    adjacency[l.b.index()].push((l.a, NeighborKind::Peer));
-                }
-            }
-        }
-        for adj in &mut adjacency {
-            adj.sort_by_key(|(asn, _)| *asn);
-            adj.dedup();
-        }
-        GraphView { adjacency }
+        Self::from_directed(n_ases, links.into_iter().flat_map(directed).collect())
     }
 
     /// A copy of this view with extra links added (used to test
     /// recommender-completed topologies, E10).
     pub fn with_extra_links<'a>(&self, links: impl IntoIterator<Item = &'a Link>) -> GraphView {
-        let mut v = self.clone();
-        for l in links {
-            match l.rel {
-                AsRel::CustomerToProvider => {
-                    v.adjacency[l.a.index()].push((l.b, NeighborKind::Provider));
-                    v.adjacency[l.b.index()].push((l.a, NeighborKind::Customer));
-                }
-                AsRel::PeerToPeer => {
-                    v.adjacency[l.a.index()].push((l.b, NeighborKind::Peer));
-                    v.adjacency[l.b.index()].push((l.a, NeighborKind::Peer));
-                }
-            }
+        let own = (0..self.n_ases()).flat_map(|i| {
+            let u = Asn(i as u32);
+            self.neighbors(u).iter().map(move |&(v, kind)| (u, v, kind))
+        });
+        Self::from_directed(
+            self.n_ases(),
+            own.chain(links.into_iter().flat_map(directed)).collect(),
+        )
+    }
+
+    /// The view of directed entries `(from, to, kind)`: each row keeps its
+    /// entries in list order, stably sorted by neighbor ASN, with repeated
+    /// entries collapsed.
+    fn from_directed(n_ases: usize, mut entries: Vec<(Asn, Asn, NeighborKind)>) -> GraphView {
+        entries.sort_by_key(|&(u, v, _)| (u, v));
+        entries.dedup();
+        let mut at = 0;
+        let rows = (0..n_ases).map(|i| {
+            let end = at + entries[at..].partition_point(|&(u, _, _)| u.index() == i);
+            let row = entries[at..end].iter().map(|&(_, v, kind)| (v, kind));
+            at = end;
+            row
+        });
+        Self::from_rows(n_ases, rows)
+    }
+
+    /// Lay out `n_ases` rows, each already sorted by neighbor ASN.
+    fn from_rows<R>(n_ases: usize, rows: impl Iterator<Item = R>) -> GraphView
+    where
+        R: Iterator<Item = (Asn, NeighborKind)>,
+    {
+        let mut offsets = Vec::with_capacity(n_ases + 1);
+        let mut adjacency = Vec::new();
+        offsets.push(0);
+        for row in rows {
+            adjacency.extend(row);
+            offsets.push(adjacency.len() as u32);
         }
-        for adj in &mut v.adjacency {
-            adj.sort_by_key(|(asn, _)| *asn);
-            adj.dedup();
+        let mut by_kind = Vec::with_capacity(adjacency.len());
+        let mut kind_starts = Vec::with_capacity(n_ases);
+        for w in offsets.windows(2) {
+            let row = &adjacency[w[0] as usize..w[1] as usize];
+            let of_kind = |kind| {
+                row.iter()
+                    .filter(move |&&(_, x)| x == kind)
+                    .map(|&(v, _)| v)
+            };
+            by_kind.extend(of_kind(NeighborKind::Provider));
+            let peers = by_kind.len() as u32;
+            by_kind.extend(of_kind(NeighborKind::Peer));
+            let customers = by_kind.len() as u32;
+            by_kind.extend(of_kind(NeighborKind::Customer));
+            kind_starts.push([peers, customers]);
         }
-        v
+        GraphView {
+            offsets,
+            adjacency,
+            by_kind,
+            kind_starts,
+        }
     }
 
     /// Total number of directed adjacency entries (2× the link count).
     pub fn n_edges_directed(&self) -> usize {
-        self.adjacency.iter().map(Vec::len).sum()
+        self.adjacency.len()
     }
 
     /// Whether an (undirected) adjacency exists between `x` and `y`.
     pub fn has_edge(&self, x: Asn, y: Asn) -> bool {
-        self.adjacency[x.index()]
+        self.neighbors(x)
             .binary_search_by_key(&y, |(a, _)| *a)
             .is_ok()
+    }
+}
+
+/// Both directed entries `(from, to, kind)` of a link.
+fn directed(l: &Link) -> [(Asn, Asn, NeighborKind); 2] {
+    match l.rel {
+        AsRel::CustomerToProvider => [
+            (l.a, l.b, NeighborKind::Provider),
+            (l.b, l.a, NeighborKind::Customer),
+        ],
+        AsRel::PeerToPeer => [
+            (l.a, l.b, NeighborKind::Peer),
+            (l.b, l.a, NeighborKind::Peer),
+        ],
     }
 }
 

@@ -1,9 +1,10 @@
 //! Property-based tests for route computation: the Gao–Rexford invariants
 //! must hold on *every* topology the generator can produce, and on random
-//! synthetic graphs. The cone rule behind incremental public views gets
-//! its own properties, which honour `PROPTEST_CASES`.
+//! synthetic graphs. The route kernel is checked entry by entry against a
+//! sorting reference, and the cone rule behind incremental public views
+//! gets its own properties; both honour `PROPTEST_CASES`.
 
-use itm_routing::{CollectorSet, GraphView, RouteKind, RoutingTree, VisibilityReport};
+use itm_routing::{CollectorSet, GraphView, RouteEntry, RouteKind, RoutingTree, VisibilityReport};
 use itm_topology::{generate, AsRel, Link, LinkClass, NeighborKind, Topology, TopologyConfig};
 use itm_types::rng::SeedDomain;
 use itm_types::Asn;
@@ -287,14 +288,239 @@ proptest! {
                 topo.toggle_link_down(transit[transit_pick % transit.len()]);
             }
             let want = collectors.public_view(&topo);
-            let seq = collectors.public_view_with(&topo, prev_seq.as_ref(), |n, job| {
+            let full = GraphView::full(&topo);
+            let seq = collectors.public_view_with(&topo, &full, prev_seq.as_ref(), |n, job| {
                 (0..n).map(job).collect()
             });
-            let rev = collectors.public_view_with(&topo, prev_rev.as_ref(), shards_last_first);
+            let rev =
+                collectors.public_view_with(&topo, &full, prev_rev.as_ref(), shards_last_first);
             assert_same_view(topo.n_ases(), &seq, &want)?;
             assert_same_view(topo.n_ases(), &rev, &want)?;
             prev_seq = Some(seq.1);
             prev_rev = Some(rev.1);
+        }
+    }
+}
+
+/// The route computation as it stood before the packed kernel: one
+/// `Option<RouteEntry>` per AS, every neighbor list filtered by kind, and
+/// each frontier and length bucket sorted before it is visited. Kept as
+/// the oracle the kernel must match entry by entry.
+fn reference_tree(view: &GraphView, origins: &[Asn]) -> Vec<Option<RouteEntry>> {
+    let rank = |k: RouteKind| match k {
+        RouteKind::Origin => 0u8,
+        RouteKind::Customer => 1,
+        RouteKind::Peer => 2,
+        RouteKind::Provider => 3,
+    };
+    let n = view.n_ases();
+    let mut entries: Vec<Option<RouteEntry>> = vec![None; n];
+    let better = |cur: &Option<RouteEntry>, cand: RouteEntry| -> bool {
+        match cur {
+            None => true,
+            Some(c) => (rank(cand.kind), cand.len, cand.next) < (rank(c.kind), c.len, c.next),
+        }
+    };
+
+    // Phase 1: customer routes, flooding up provider edges.
+    let mut frontier: Vec<Asn> = Vec::new();
+    for &o in origins {
+        let e = RouteEntry {
+            kind: RouteKind::Origin,
+            len: 0,
+            next: o,
+        };
+        if better(&entries[o.index()], e) {
+            entries[o.index()] = Some(e);
+            frontier.push(o);
+        }
+    }
+    let mut level = 0u32;
+    let mut pending = vec![false; n];
+    while !frontier.is_empty() {
+        level += 1;
+        let mut next_frontier: Vec<Asn> = Vec::new();
+        frontier.sort_unstable();
+        for &u in &frontier {
+            for &(v, kind) in view.neighbors(u) {
+                if kind != NeighborKind::Provider {
+                    continue;
+                }
+                let cand = RouteEntry {
+                    kind: RouteKind::Customer,
+                    len: level,
+                    next: u,
+                };
+                if better(&entries[v.index()], cand) {
+                    entries[v.index()] = Some(cand);
+                    if !pending[v.index()] {
+                        pending[v.index()] = true;
+                        next_frontier.push(v);
+                    }
+                }
+            }
+        }
+        for &v in &next_frontier {
+            pending[v.index()] = false;
+        }
+        frontier = next_frontier;
+    }
+
+    // Phase 2: peer routes (one peer edge crossing).
+    let exporters: Vec<(Asn, u32)> = (0..n)
+        .filter_map(|i| {
+            entries[i].and_then(|e| {
+                matches!(e.kind, RouteKind::Origin | RouteKind::Customer)
+                    .then_some((Asn(i as u32), e.len))
+            })
+        })
+        .collect();
+    for &(u, ulen) in &exporters {
+        for &(v, kind) in view.neighbors(u) {
+            if kind != NeighborKind::Peer {
+                continue;
+            }
+            let cand = RouteEntry {
+                kind: RouteKind::Peer,
+                len: ulen + 1,
+                next: u,
+            };
+            if better(&entries[v.index()], cand) {
+                entries[v.index()] = Some(cand);
+            }
+        }
+    }
+
+    // Phase 3: provider routes, flooding down customer edges.
+    let max_len_cap = (n as u32) + 2;
+    let mut buckets: Vec<Vec<Asn>> = vec![Vec::new(); (max_len_cap + 1) as usize];
+    for (i, entry) in entries.iter().enumerate() {
+        if let Some(e) = entry {
+            buckets[e.len as usize].push(Asn(i as u32));
+        }
+    }
+    let mut l = 0usize;
+    while (l as u32) < max_len_cap {
+        if buckets[l].is_empty() {
+            l += 1;
+            continue;
+        }
+        let mut us = std::mem::take(&mut buckets[l]);
+        us.sort_unstable();
+        for u in us {
+            let Some(e) = entries[u.index()] else {
+                continue;
+            };
+            if e.len as usize != l {
+                continue;
+            }
+            for &(v, kind) in view.neighbors(u) {
+                if kind != NeighborKind::Customer {
+                    continue;
+                }
+                let cand = RouteEntry {
+                    kind: RouteKind::Provider,
+                    len: e.len + 1,
+                    next: u,
+                };
+                if better(&entries[v.index()], cand) {
+                    entries[v.index()] = Some(cand);
+                    buckets[(e.len + 1) as usize].push(v);
+                }
+            }
+        }
+    }
+    entries
+}
+
+/// Every entry of the kernel's tree for `origins` equals the reference's.
+fn assert_matches_reference(view: &GraphView, origins: &[Asn]) -> Result<(), String> {
+    let want = reference_tree(view, origins);
+    let got = RoutingTree::compute_multi(view, origins, origins[0]);
+    for (i, want) in want.iter().enumerate() {
+        prop_assert_eq!(
+            got.route(Asn(i as u32)),
+            *want,
+            "origins {:?} at AS {}",
+            origins,
+            i
+        );
+    }
+    prop_assert_eq!(got.reachable_count(), want.iter().flatten().count());
+    Ok(())
+}
+
+/// The kind-split slices of every AS equal its neighbor list filtered by
+/// kind, in the same order.
+fn assert_kind_split(view: &GraphView) -> Result<(), String> {
+    for i in 0..view.n_ases() {
+        let u = Asn(i as u32);
+        let of = |kind| -> Vec<Asn> {
+            view.neighbors(u)
+                .iter()
+                .filter(|&&(_, k)| k == kind)
+                .map(|&(v, _)| v)
+                .collect()
+        };
+        prop_assert_eq!(
+            view.providers(u),
+            &of(NeighborKind::Provider)[..],
+            "AS {}",
+            i
+        );
+        prop_assert_eq!(view.peers(u), &of(NeighborKind::Peer)[..], "AS {}", i);
+        prop_assert_eq!(
+            view.customers(u),
+            &of(NeighborKind::Customer)[..],
+            "AS {}",
+            i
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn kernel_matches_the_sorting_reference_on_random_graphs(
+        (n, links) in arb_graph(),
+        picks in proptest::collection::vec(any::<usize>(), 1..4),
+        extra in proptest::collection::vec((any::<usize>(), any::<usize>()), 0..3),
+    ) {
+        let view = GraphView::from_links(n, &links);
+        // Extra links may repeat or contradict existing ones.
+        let extra: Vec<Link> = extra
+            .iter()
+            .map(|&(a, b)| Link::transit(Asn((a % n) as u32), Asn((b % n) as u32)))
+            .filter(|l| l.a != l.b)
+            .collect();
+        for view in [view.clone(), view.with_extra_links(&extra)] {
+            assert_kind_split(&view)?;
+            let origins: Vec<Asn> = picks.iter().map(|&p| Asn((p % n) as u32)).collect();
+            assert_matches_reference(&view, &origins)?;
+            for dst in 0..n {
+                assert_matches_reference(&view, &[Asn(dst as u32)])?;
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_sorting_reference_on_flapped_topologies(
+        topo_at in 0usize..3,
+        flaps in proptest::collection::vec(any::<usize>(), 0..12),
+        picks in proptest::collection::vec(any::<usize>(), 1..4),
+    ) {
+        let mut topo = small_topologies()[topo_at].clone();
+        for &f in &flaps {
+            let key = topo.links[f % topo.links.len()].key();
+            topo.toggle_link_down(key);
+        }
+        let view = GraphView::full(&topo);
+        assert_kind_split(&view)?;
+        let n = topo.n_ases();
+        let origins: Vec<Asn> = picks.iter().map(|&p| Asn((p % n) as u32)).collect();
+        assert_matches_reference(&view, &origins)?;
+        for &p in &picks {
+            assert_matches_reference(&view, &[Asn((p.rotate_left(17) % n) as u32)])?;
         }
     }
 }

@@ -61,6 +61,10 @@ pub struct Topology {
     pub cones: CustomerCones,
     /// adjacency[asn] — neighbors with perspective-relative relationship.
     adjacency: Vec<Vec<Neighbor>>,
+    /// Great-circle distance between every pair of cities, row-major by
+    /// the `from` city (see [`Topology::city_km`]). Filled once from
+    /// `world` when the topology is built.
+    city_km: Vec<f64>,
     /// Links currently flapped down (canonical endpoint pairs). Empty on
     /// every generated topology; the epoch engine toggles entries between
     /// map builds. Downed links stay in [`Topology::links`] (they still
@@ -120,6 +124,11 @@ impl Topology {
             adj.sort_by_key(|n| n.asn);
         }
         let cones = CustomerCones::compute(n, &links);
+        let locs: Vec<GeoPoint> = world.cities.iter().map(|c| c.location).collect();
+        let city_km = locs
+            .iter()
+            .flat_map(|from| locs.iter().map(|&to| from.distance_km(to)))
+            .collect();
         Topology {
             config,
             seed,
@@ -132,6 +141,7 @@ impl Topology {
             offnets,
             cones,
             adjacency,
+            city_km,
             links_down: BTreeSet::new(),
         }
     }
@@ -195,6 +205,15 @@ impl Topology {
     /// Geographic location of a city id.
     pub fn city_location(&self, city: u32) -> GeoPoint {
         self.world.cities[city as usize].location
+    }
+
+    /// Great-circle distance in km from city `from` to city `to`, read from
+    /// a table built with the topology. Each value is
+    /// `city_location(from).distance_km(city_location(to))`, bit for bit,
+    /// in that argument order.
+    #[inline]
+    pub fn city_km(&self, from: u32, to: u32) -> f64 {
+        self.city_km[from as usize * self.world.cities.len() + to as usize]
     }
 
     /// Representative location for an AS: its first (primary) city.
@@ -326,5 +345,23 @@ impl Topology {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{generate, TopologyConfig};
+
+    #[test]
+    fn city_km_is_bit_identical_to_the_haversine_in_place() {
+        let t = generate(&TopologyConfig::small(), 3).unwrap();
+        let n = t.world.cities.len() as u32;
+        assert!(n > 1);
+        for from in 0..n {
+            for to in 0..n {
+                let want = t.city_location(from).distance_km(t.city_location(to));
+                assert_eq!(t.city_km(from, to).to_bits(), want.to_bits(), "{from}→{to}");
+            }
+        }
     }
 }
