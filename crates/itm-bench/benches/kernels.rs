@@ -2,12 +2,13 @@
 //! leans on: topology generation, BGP route computation, the collector
 //! public view (full and after four link flaps), anycast catchments,
 //! the front-end directory, open-resolver deployment, root-log collection, cache probing (through
-//! the string API and the id-keyed kernel), one shard of the ECS grid,
-//! redirection selection, traffic-matrix queries, and the snapshot's
-//! whole-file checksum in both format versions.
+//! the string API and the id-keyed kernel), one shard each of the cache-
+//! probing campaign and the ECS grid, redirection selection,
+//! traffic-matrix queries, and the snapshot's whole-file checksum in both
+//! format versions.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use itm_measure::{Substrate, SubstrateConfig, UserMapping};
+use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
 use itm_routing::{AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree};
 use itm_topology::{generate, TopologyConfig};
 use itm_traffic::DeliveryMode;
@@ -255,12 +256,15 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// 200-service catalogue is the one the map is built from: first the
 /// front-end directory every substrate build lays out (endpoints and the
 /// nearest on-net endpoint of every service for every city). The string
-/// cache probe of a mid-catalogue ECS domain pays a linear domain scan
-/// and a prefix lookup per probe; the id-keyed kernel the campaigns call
-/// pays neither. Then one shard of the ECS user-to-front-end grid (shard
-/// 0 of 64): every user prefix of the slice resolved for every
-/// DNS-redirected ECS service, the inner loop of the map's largest
-/// campaign.
+/// cache probe of a mid-catalogue ECS domain pays a linear domain scan,
+/// a prefix lookup and the diurnal curve per probe; the id-keyed kernel
+/// the campaigns call pays none of them, reading each pair's daily
+/// demand and diurnal factor from hoisted values. Then one shard (0 of
+/// 32) of the cache-probing campaign, its diurnal table included: every
+/// prefix of the slice probed for the 10 default domains in 8 rounds.
+/// Then one shard of the ECS user-to-front-end grid (shard 0 of 64):
+/// every user prefix of the slice resolved for every DNS-redirected ECS
+/// service.
 fn bench_probe_kernels(c: &mut Criterion) {
     let s = Substrate::build(SubstrateConfig::default(), 42).unwrap();
     let resolver = s.open_resolver().expect("open resolver");
@@ -295,15 +299,23 @@ fn bench_probe_kernels(c: &mut Criterion) {
     });
     g.bench_function("cache_probe_1k_id", |b| {
         let dom = itm_dns::DomainKey::of(mid);
+        let t = SimTime(3600);
+        let hoisted: Vec<_> = records
+            .iter()
+            .map(|rec| itm_dns::HoistedRate {
+                daily: resolver.daily_demand(rec.id, mid.id),
+                diurnal: resolver.window_diurnal(rec.city, dom, t),
+            })
+            .collect();
         let mut i = 0usize;
         b.iter(|| {
             let mut tally = itm_dns::DnsTally::default();
             let mut hits = 0;
             for _ in 0..1000 {
-                let rec = records[i % records.len()];
+                let k = i % records.len();
                 i += 1;
                 if matches!(
-                    resolver.probe_prefix(rec, dom, SimTime(3600), None, &mut tally),
+                    resolver.probe_prefix(records[k], dom, t, Some(hoisted[k]), &mut tally),
                     itm_dns::ProbeResult::Hit(_)
                 ) {
                     hits += 1;
@@ -316,6 +328,15 @@ fn bench_probe_kernels(c: &mut Criterion) {
     g.finish();
     let mut g = c.benchmark_group("measure");
     g.sample_size(10);
+    g.bench_function("cache_probe_shard", |b| {
+        let campaign = CacheProbeCampaign::default();
+        b.iter(|| {
+            campaign
+                .run_with(&s, &resolver, |_, job| vec![job(0)])
+                .discovered
+                .len()
+        })
+    });
     g.bench_function("ecs_grid_shard", |b| {
         b.iter(|| {
             UserMapping::measure_with(&s, &resolver, |_, job| vec![job(0)])

@@ -107,6 +107,17 @@ impl DomainKey {
     }
 }
 
+/// The parts of an ECS entry's query rate that a campaign hoists out of
+/// its probe loop, for [`OpenResolver::probe_prefix`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct HoistedRate {
+    /// The pair's [`OpenResolver::daily_demand`].
+    pub daily: f64,
+    /// The probed prefix's diurnal multiplier at the start of the probe's
+    /// TTL window: [`OpenResolver::window_diurnal`] of the prefix's city.
+    pub diurnal: f64,
+}
+
 /// The open resolver bound to a substrate.
 pub struct OpenResolver<'a> {
     topo: &'a Topology,
@@ -287,25 +298,42 @@ impl<'a> OpenResolver<'a> {
     /// Daily-mean organic demand (bps) of prefix `p` for service `s`: the
     /// only part of an ECS entry's query rate that does not depend on the
     /// time of day, so a campaign probing the same pair in many rounds
-    /// computes it once and hands it to [`OpenResolver::probe_prefix`].
+    /// computes it once and hands it to [`OpenResolver::probe_prefix`] in
+    /// a [`HoistedRate`].
     pub fn daily_demand(&self, p: PrefixId, s: ServiceId) -> f64 {
         self.traffic
             .demand(self.topo, self.users, self.catalog, p, s)
             .raw()
     }
 
+    /// The diurnal multiplier an ECS probe of `dom` at `t` reads for a
+    /// prefix anchored in `city`: the curve at the city's solar offset, at
+    /// the start of the TTL window containing `t`. `TrafficModel::build`
+    /// gives every prefix its city's solar offset, so this is bit for bit
+    /// the prefix's own multiplier, and a campaign can tabulate it per
+    /// city and pass it in a [`HoistedRate`].
+    pub fn window_diurnal(&self, city: u32, dom: DomainKey, t: SimTime) -> f64 {
+        let ttl = self.catalog.get(dom.service).ttl_secs.max(1) as u64;
+        let offset = self.topo.city_location(city).solar_offset_hours();
+        self.traffic
+            .diurnal_multiplier_at(offset, SimTime(t.as_secs() / ttl * ttl))
+    }
+
     /// Organic open-resolver query rate for (prefix, service) at time `t`,
     /// including the background noise floor.
     pub fn query_rate(&self, p: PrefixId, s: ServiceId, t: SimTime) -> f64 {
-        self.query_rate_from(self.daily_demand(p, s), p, t)
+        self.query_rate_from(
+            self.daily_demand(p, s),
+            self.traffic.diurnal_multiplier(p, t),
+            p,
+        )
     }
 
-    /// The query rate given the pair's daily demand, in the float order of
-    /// `TrafficModel::demand_at`: daily × diurnal factor, then the open
-    /// share and the session size.
-    fn query_rate_from(&self, daily: f64, p: PrefixId, t: SimTime) -> f64 {
-        let organic = daily * self.traffic.diurnal_multiplier(p, t) * self.resolvers.open_share(p)
-            / BITS_PER_SESSION;
+    /// The query rate given the pair's daily demand and diurnal factor, in
+    /// the float order of `TrafficModel::demand_at`: daily × diurnal
+    /// factor, then the open share and the session size.
+    fn query_rate_from(&self, daily: f64, diurnal: f64, p: PrefixId) -> f64 {
+        let organic = daily * diurnal * self.resolvers.open_share(p) / BITS_PER_SESSION;
         organic + self.cfg.noise_qps
     }
 
@@ -315,19 +343,32 @@ impl<'a> OpenResolver<'a> {
         self.hit_probability_with(p, self.catalog.get(s), t, None)
     }
 
-    /// [`OpenResolver::hit_probability`], reusing the pair's daily demand
-    /// when the caller has it.
+    /// [`OpenResolver::hit_probability`], reusing the pair's hoisted rate
+    /// terms when the caller has them.
     fn hit_probability_with(
         &self,
         p: PrefixId,
         svc: &Service,
         t: SimTime,
-        daily: Option<f64>,
+        hoisted: Option<HoistedRate>,
     ) -> f64 {
         let ttl = svc.ttl_secs as f64;
         let rate = if svc.ecs_support {
-            let daily = daily.unwrap_or_else(|| self.daily_demand(p, svc.id));
-            self.query_rate_from(daily, p, t)
+            let h = match hoisted {
+                Some(h) => {
+                    debug_assert_eq!(
+                        h.diurnal.to_bits(),
+                        self.traffic.diurnal_multiplier(p, t).to_bits(),
+                        "hoisted diurnal factor of {p:?} at {t:?}"
+                    );
+                    h
+                }
+                None => HoistedRate {
+                    daily: self.daily_demand(p, svc.id),
+                    diurnal: self.traffic.diurnal_multiplier(p, t),
+                },
+            };
+            self.query_rate_from(h.daily, h.diurnal, p)
         } else {
             // PoP-wide scope: everyone behind the PoP contributes, so the
             // diurnal phase is the *PoP's*, not the probing prefix's —
@@ -393,16 +434,17 @@ impl<'a> OpenResolver<'a> {
     }
 
     /// The cache-probe kernel: [`OpenResolver::probe`] for a routed prefix
-    /// and a resolved domain, with no lookups. `daily` is the pair's
-    /// [`OpenResolver::daily_demand`] when the caller has hoisted it, or
-    /// `None` to compute it on need. Counts into `tally`, not the
-    /// registry; emits the same trace events as `probe`.
+    /// and a resolved domain, with no lookups. `hoisted` carries the
+    /// pair's daily demand and the prefix's window diurnal factor when the
+    /// caller has them, or is `None` to compute both on need; PoP-scope
+    /// domains ignore it. Counts into `tally`, not the registry; emits the
+    /// same trace events as `probe`.
     pub fn probe_prefix(
         &self,
         rec: &PrefixRecord,
         dom: DomainKey,
         t: SimTime,
-        daily: Option<f64>,
+        hoisted: Option<HoistedRate>,
         tally: &mut DnsTally,
     ) -> ProbeResult {
         let sid = dom.service;
@@ -416,7 +458,7 @@ impl<'a> OpenResolver<'a> {
         let window = t.as_secs() / ttl;
         // Evaluate occupancy at the window start so the outcome is truly
         // constant across the whole TTL window, matching a real cache.
-        let p_hit = self.hit_probability_with(rec.id, svc, SimTime(window * ttl), daily);
+        let p_hit = self.hit_probability_with(rec.id, svc, SimTime(window * ttl), hoisted);
         let pop = self.pop_of(rec.id);
         let key = if svc.ecs_support {
             rec.id.raw() as u64
@@ -465,7 +507,7 @@ impl<'a> OpenResolver<'a> {
         rec: &PrefixRecord,
         dom: DomainKey,
         t: SimTime,
-        daily: Option<f64>,
+        hoisted: Option<HoistedRate>,
         faults: &FaultInjector,
         round: u64,
         tally: &mut DnsTally,
@@ -474,7 +516,7 @@ impl<'a> OpenResolver<'a> {
             faults,
             (rec.net.addr(0).0 as u64, dom.hash, round),
             || self.probe_subjects(Some(rec), Some(dom.service)),
-            || self.probe_prefix(rec, dom, t, daily, tally),
+            || self.probe_prefix(rec, dom, t, hoisted, tally),
         )
     }
 

@@ -10,7 +10,7 @@
 //! hit counts feed the relative-activity estimator (Fig. 2).
 
 use crate::substrate::Substrate;
-use itm_dns::{DnsTally, DomainKey, OpenResolver, ProbeResult};
+use itm_dns::{DnsTally, DomainKey, HoistedRate, OpenResolver, ProbeResult};
 use itm_traffic::Service;
 use itm_types::rng::{shard_bounds, DEFAULT_SHARDS};
 use itm_types::{Asn, FaultInjector, FaultPlan, FaultStats, PopId, PrefixId, SimDuration, SimTime};
@@ -129,28 +129,37 @@ impl CacheProbeCampaign {
         let domains = self.pick_domains(s);
         let keys: Vec<DomainKey> = self.pick_services(s).map(DomainKey::of).collect();
         let (rounds, _) = self.schedule();
+        let diurnal = DiurnalTable::build(self, s, resolver, &keys);
 
         let n_shards = self.shard_count(s);
         let parts = run_shards(n_shards, &|shard| {
-            self.probe_shard(s, resolver, &keys, faults, shard, n_shards)
+            self.probe_shard(s, resolver, &keys, &diurnal, faults, shard, n_shards)
         });
 
-        // Merge in shard-index order. Shards cover disjoint prefix slices,
-        // so the unions below are order-insensitive anyway — the fixed
-        // order is the convention every sharded campaign follows.
-        let mut discovered: BTreeSet<PrefixId> = BTreeSet::new();
-        let mut hits_by_prefix: BTreeMap<PrefixId, u32> = BTreeMap::new();
+        // Merge in shard-index order: the shards' slices are consecutive,
+        // so the hit counts come out in prefix order and both maps are
+        // built once from sorted input.
+        let mut hit_counts: Vec<(PrefixId, u32)> = Vec::new();
         let mut issued: u64 = 0;
         let mut fault_stats = FaultStats::default();
         let mut dns = DnsTally::default();
         for part in parts {
-            discovered.extend(part.discovered);
-            hits_by_prefix.extend(part.hits_by_prefix);
+            hit_counts.extend(
+                s.topo
+                    .prefixes
+                    .iter()
+                    .skip(part.lo)
+                    .zip(&part.hits)
+                    .filter(|&(_, &h)| h > 0)
+                    .map(|(rec, &h)| (rec.id, h)),
+            );
             issued += part.issued;
             fault_stats.merge(&part.stats);
             dns.merge(&part.dns);
         }
         dns.flush();
+        let discovered: BTreeSet<PrefixId> = hit_counts.iter().map(|&(p, _)| p).collect();
+        let hits_by_prefix: BTreeMap<PrefixId, u32> = hit_counts.into_iter().collect();
         queries.add(issued);
         // One DNS query ≈ 80 bytes on the wire each way; the campaign's
         // only targets are the open resolver's PoPs.
@@ -185,11 +194,13 @@ impl CacheProbeCampaign {
     /// Probe one shard's slice of the prefix table. Pure given the shard
     /// index: the resolver's cache oracle is deterministic per
     /// (prefix, domain, time), so no shard sees another's state.
+    #[allow(clippy::too_many_arguments)]
     fn probe_shard(
         &self,
         s: &Substrate,
         resolver: &OpenResolver<'_>,
         domains: &[DomainKey],
+        diurnal: &DiurnalTable,
         faults: &FaultInjector,
         shard: usize,
         n_shards: usize,
@@ -208,8 +219,8 @@ impl CacheProbeCampaign {
             );
         }
         let mut part = CacheProbeShard {
-            discovered: BTreeSet::new(),
-            hits_by_prefix: BTreeMap::new(),
+            lo,
+            hits: vec![0; hi - lo],
             issued: 0,
             stats: FaultStats::default(),
             dns: DnsTally::default(),
@@ -218,21 +229,25 @@ impl CacheProbeCampaign {
             let t = SimTime(self.start.as_secs() + round * step);
             for (i, rec) in slice().enumerate() {
                 let row = &daily[i * domains.len()..][..domains.len()];
-                for (&d, &demand) in domains.iter().zip(row) {
+                let factors = diurnal.row(round, rec.city);
+                for ((&d, &demand), &factor) in domains.iter().zip(row).zip(factors) {
                     part.issued += 1;
+                    let hoisted = HoistedRate {
+                        daily: demand,
+                        diurnal: factor,
+                    };
                     let (res, fate) = resolver.probe_prefix_with_faults(
                         rec,
                         d,
                         t,
-                        Some(demand),
+                        Some(hoisted),
                         faults,
                         round,
                         &mut part.dns,
                     );
                     part.stats.record(fate);
                     if let Some(ProbeResult::Hit(_)) = res {
-                        part.discovered.insert(rec.id);
-                        *part.hits_by_prefix.entry(rec.id).or_insert(0) += 1;
+                        part.hits[i] += 1;
                     }
                 }
             }
@@ -241,11 +256,57 @@ impl CacheProbeCampaign {
     }
 }
 
+/// The diurnal factor of every probe a campaign issues, computed once
+/// before the shards run. A probe's factor depends on its round, its
+/// domain (through the TTL window the round's time falls in) and its
+/// prefix's city, so the table holds rounds × domains × cities entries,
+/// laid out by (round, city, domain) so that one prefix's probes in a
+/// round read one contiguous row. Each entry is
+/// [`OpenResolver::window_diurnal`], bit for bit the factor the kernel
+/// would compute for any prefix of that city.
+struct DiurnalTable {
+    n_cities: usize,
+    n_domains: usize,
+    factors: Vec<f64>,
+}
+
+impl DiurnalTable {
+    fn build(
+        c: &CacheProbeCampaign,
+        s: &Substrate,
+        resolver: &OpenResolver<'_>,
+        domains: &[DomainKey],
+    ) -> DiurnalTable {
+        let (rounds, step) = c.schedule();
+        let n_cities = s.topo.world.cities.len();
+        let mut factors = Vec::with_capacity(rounds as usize * n_cities * domains.len());
+        for round in 0..rounds {
+            let t = SimTime(c.start.as_secs() + round * step);
+            for city in 0..n_cities as u32 {
+                factors.extend(domains.iter().map(|&d| resolver.window_diurnal(city, d, t)));
+            }
+        }
+        DiurnalTable {
+            n_cities,
+            n_domains: domains.len(),
+            factors,
+        }
+    }
+
+    /// The factors of `round` for a prefix in `city`, in domain order.
+    fn row(&self, round: u64, city: u32) -> &[f64] {
+        let at = (round as usize * self.n_cities + city as usize) * self.n_domains;
+        &self.factors[at..at + self.n_domains]
+    }
+}
+
 /// One shard's partial campaign output (disjoint prefix slice).
 #[derive(Debug, Clone)]
 pub struct CacheProbeShard {
-    discovered: BTreeSet<PrefixId>,
-    hits_by_prefix: BTreeMap<PrefixId, u32>,
+    /// Index of the slice's first prefix.
+    lo: usize,
+    /// Hits per prefix of the slice, by offset from `lo`.
+    hits: Vec<u32>,
     issued: u64,
     stats: FaultStats,
     dns: DnsTally,
@@ -396,6 +457,39 @@ mod tests {
         }
         .run(&s, &resolver);
         assert!(long.discovered.len() >= short.discovered.len());
+    }
+
+    #[test]
+    fn diurnal_table_is_bit_identical_to_the_curve_in_place() {
+        let mut s = setup();
+        let c = CacheProbeCampaign::default();
+        let (rounds, step) = c.schedule();
+        for shift in [0.0, 3.5] {
+            s.traffic.shift_diurnal_phase(shift);
+            let resolver = s.open_resolver().expect("open resolver");
+            let keys: Vec<DomainKey> = c.pick_services(&s).map(DomainKey::of).collect();
+            let table = DiurnalTable::build(&c, &s, &resolver, &keys);
+            let n_cities = s.topo.world.cities.len();
+            assert_eq!(table.factors.len(), rounds as usize * n_cities * keys.len());
+            for round in 0..rounds {
+                let t = c.start.as_secs() + round * step;
+                for rec in s.topo.prefixes.iter() {
+                    let row = table.row(round, rec.city);
+                    for (d, got) in keys.iter().zip(row) {
+                        let ttl = s.catalog.get(d.service).ttl_secs.max(1) as u64;
+                        let ws = SimTime(t / ttl * ttl);
+                        let want = s.traffic.diurnal_multiplier(rec.id, ws);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "shift {shift}, round {round}, {:?}, {:?}",
+                            rec.id,
+                            d.service
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,15 +7,18 @@
 //! the same kernels. These tests pin that the two paths answer alike —
 //! probe by probe on the small substrate under the off, light and heavy
 //! fault plans, and campaign by campaign against reference loops written
-//! over the string API alone.
+//! over the string API alone. The cache-probe reference evaluates the
+//! diurnal curve on every probe, so it checks the campaign's per-city
+//! diurnal table as well as its kernels.
 
-use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, OpenResolver};
+use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, HoistedRate, OpenResolver};
 use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
 use itm_topology::PrefixKind;
 use itm_traffic::DeliveryMode;
 use itm_types::rng::stable_hash;
 use itm_types::{
-    Cell, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, PrefixId, ProbeFate, ServiceId, SimTime,
+    Cell, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, PrefixId, ProbeFate, ServiceId,
+    SimDuration, SimTime,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
@@ -24,6 +27,18 @@ use std::sync::OnceLock;
 fn substrate() -> &'static Substrate {
     static S: OnceLock<Substrate> = OnceLock::new();
     S.get_or_init(|| Substrate::build(SubstrateConfig::small(), 42).expect("small substrate"))
+}
+
+/// The small world again, its diurnal peak moved by a heavy epoch's
+/// shift: every prefix's multiplier differs from the first world's.
+fn shifted_substrate() -> &'static Substrate {
+    static S: OnceLock<Substrate> = OnceLock::new();
+    S.get_or_init(|| {
+        let mut s = Substrate::build(SubstrateConfig::small(), 42).expect("small substrate");
+        s.traffic
+            .shift_diurnal_phase(itm_types::EpochPlan::heavy().diurnal_shift_hours);
+        s
+    })
 }
 
 fn plans() -> [(&'static str, FaultPlan); 3] {
@@ -54,13 +69,16 @@ proptest! {
         let svc = ecs[service % ecs.len()];
         let dom = DomainKey::of(svc);
         let t = SimTime(secs);
-        let daily = Some(resolver.daily_demand(rec.id, svc.id));
+        let hoisted = Some(HoistedRate {
+            daily: resolver.daily_demand(rec.id, svc.id),
+            diurnal: resolver.window_diurnal(rec.city, dom, t),
+        });
         let mut tally = DnsTally::default();
 
         prop_assert_eq!(resolver.domain_key(&svc.domain), Some(dom));
         let probe = resolver.probe(rec.net, &svc.domain, t);
         prop_assert_eq!(resolver.probe_prefix(rec, dom, t, None, &mut tally), probe);
-        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, daily, &mut tally), probe);
+        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, hoisted, &mut tally), probe);
         let city = resolver.pops()[resolver.pop_of(rec.id).index()].city;
         prop_assert_eq!(
             auth.resolve_record(svc.id, city, Some(rec), &mut tally),
@@ -88,7 +106,7 @@ proptest! {
                 resolver.resolve_for_client_with_faults(rec.id, &svc.domain, &faults).1,
                 fate
             );
-            for d in [None, daily] {
+            for d in [None, hoisted] {
                 prop_assert_eq!(
                     resolver.probe_prefix_with_faults(rec, dom, t, d, &faults, round, &mut tally),
                     probed,
@@ -108,7 +126,9 @@ proptest! {
 }
 
 /// What a cache-probing campaign measures, from a loop over
-/// `probe_with_faults` in (round, prefix, domain) order.
+/// `probe_with_faults` in (round, prefix, domain) order. Each probe looks
+/// its prefix and domain up by name and computes its daily demand and
+/// diurnal factor afresh.
 fn reference_cache_probe(
     c: &CacheProbeCampaign,
     s: &Substrate,
@@ -152,6 +172,78 @@ fn cache_probe_campaign_equals_the_string_api_loop() {
         assert_eq!(got.hits_by_prefix, hits, "{name} faults");
         assert_eq!(got.fault_stats, stats, "{name} faults");
     }
+}
+
+/// Cases for the campaign oracle: `PROPTEST_CASES` when set, else a few,
+/// since each case runs the string-API reference over the whole world.
+fn campaign_cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(6);
+    ProptestConfig::with_cases(cases)
+}
+
+/// A campaign with any cadence from 1 to 24 rounds a day, 1 h to 3 days
+/// long, starting off every TTL boundary (the catalogue's TTLs are all
+/// multiples of 30 s), probing from none to every ECS domain.
+fn arb_campaign() -> impl Strategy<Value = CacheProbeCampaign> {
+    (
+        1u32..=24,
+        3_600u64..=3 * 86_400,
+        0u64..2_880,
+        1u64..30,
+        0usize..=64,
+    )
+        .prop_map(
+            |(rounds_per_day, secs, start_slot, start_offset, n_domains)| CacheProbeCampaign {
+                n_domains,
+                rounds_per_day,
+                duration: SimDuration::secs(secs),
+                start: SimTime(start_slot * 30 + start_offset),
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(campaign_cases())]
+
+    #[test]
+    fn random_campaigns_equal_the_string_api_loop(
+        c in arb_campaign(),
+        world in 0usize..2,
+        plan in 0usize..3,
+    ) {
+        let s = [substrate(), shifted_substrate()][world];
+        let n_ecs = s.catalog.services.iter().filter(|svc| svc.ecs_support).count();
+        // Up to every ECS domain, and sometimes more than there are.
+        let c = CacheProbeCampaign { n_domains: c.n_domains % (n_ecs + 2), ..c };
+        let ttls: BTreeSet<u64> = s.catalog.services.iter().map(|svc| u64::from(svc.ttl_secs)).collect();
+        prop_assert!(
+            ttls.iter().all(|&ttl| !c.start.as_secs().is_multiple_of(ttl)),
+            "aligned start {:?}",
+            c.start
+        );
+        let resolver = s.open_resolver().expect("open resolver");
+        let (name, plan) = plans()[plan].clone();
+        let faults = FaultInjector::new(plan, &s.seeds, "cache_probe");
+        let got = c.run_with_faults(s, &resolver, &faults, sequential);
+        let (discovered, hits, stats) = reference_cache_probe(&c, s, &resolver, &faults);
+        let what = format!("{c:?} on world {world} under {name} faults");
+        prop_assert_eq!(&got.discovered, &discovered, "{}", what);
+        prop_assert_eq!(&got.hits_by_prefix, &hits, "{}", what);
+        prop_assert_eq!(&got.fault_stats, &stats, "{}", what);
+        prop_assert_eq!(got.domains.len(), c.n_domains.min(n_ecs), "{}", what);
+    }
+}
+
+#[test]
+fn the_shifted_world_probes_differently() {
+    let (a, b) = (substrate(), shifted_substrate());
+    let c = CacheProbeCampaign::default();
+    let ra = c.run(a, &a.open_resolver().expect("open resolver"));
+    let rb = c.run(b, &b.open_resolver().expect("open resolver"));
+    assert_ne!(ra.hits_by_prefix, rb.hits_by_prefix);
 }
 
 /// What the ECS grid measures for `services`, from a loop over

@@ -477,6 +477,73 @@ mod tests {
         assert!(p.validate().is_err());
     }
 
+    /// `validate` refuses `p` with an `InvalidConfig` whose reason names
+    /// `field`.
+    fn assert_rejects(p: &EpochPlan, field: &str) {
+        match p.validate() {
+            Err(ItmError::InvalidConfig {
+                field: "epochs",
+                reason,
+            }) => assert!(reason.contains(field), "{reason:?} does not name {field}"),
+            other => panic!("{p:?}: expected InvalidConfig naming {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_every_hostile_input_naming_the_field() {
+        for plan in [EpochPlan::off(), EpochPlan::heavy()] {
+            for field in ["resolver_churn", "vm_churn"] {
+                for v in [
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    -0.1,
+                    -f64::MIN_POSITIVE,
+                    1.0 + f64::EPSILON,
+                    2.0,
+                ] {
+                    let mut p = plan.clone();
+                    *match field {
+                        "resolver_churn" => &mut p.resolver_churn,
+                        _ => &mut p.vm_churn,
+                    } = v;
+                    assert_rejects(&p, field);
+                }
+            }
+            for v in [
+                f64::NAN,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                24.001,
+                -24.001,
+                f64::MAX,
+            ] {
+                let mut p = plan.clone();
+                p.diurnal_shift_hours = v;
+                assert_rejects(&p, "diurnal_shift_hours");
+            }
+            for v in [MAX_EPOCH_MUTATIONS + 1, u32::MAX] {
+                let mut p = plan.clone();
+                p.link_flaps = v;
+                assert_rejects(&p, "link_flaps");
+                let mut p = plan.clone();
+                p.rehome_services = v;
+                assert_rejects(&p, "rehome_services");
+            }
+        }
+        // The boundaries themselves are valid.
+        for d in [-24.0, 24.0] {
+            let p = EpochPlan {
+                resolver_churn: 1.0,
+                link_flaps: MAX_EPOCH_MUTATIONS,
+                vm_churn: 0.0,
+                rehome_services: MAX_EPOCH_MUTATIONS,
+                diurnal_shift_hours: d,
+            };
+            p.validate().expect("boundary values are valid");
+        }
+    }
+
     #[test]
     fn actions_are_deterministic_per_epoch() {
         let p = EpochPlan::heavy();

@@ -413,9 +413,10 @@ impl FaultInjector {
         if base == 0 {
             return 0;
         }
-        let exp = base
-            .checked_shl(attempt.min(MAX_RETRIES_CEILING))
-            .unwrap_or(u64::MAX);
+        // `checked_shl` only refuses shifts of 64 or more; the bits a
+        // smaller shift pushes out of a large base would wrap the delay
+        // below the previous attempt's, so multiply and saturate instead.
+        let exp = base.saturating_mul(1 << attempt.min(MAX_RETRIES_CEILING));
         let jitter = mix64(self.seed ^ mix64(entity ^ JITTER_TAG) ^ mix64(attempt as u64)) % base;
         exp.saturating_add(jitter).min(self.plan.backoff_cap_secs)
     }
@@ -588,6 +589,88 @@ mod tests {
         let z = injector(plan);
         assert_eq!(z.backoff_secs(7, 3), 0);
         assert_eq!(z.total_backoff_secs(7, 8), 0);
+    }
+
+    #[test]
+    fn backoff_saturates_instead_of_wrapping_for_huge_bases() {
+        // `validate` accepts any base up to the cap, so a plan file can
+        // ask for a base whose doublings overflow a u64.
+        for base in [1u64 << 60, u64::MAX / 3, u64::MAX] {
+            let mut plan = FaultPlan::heavy();
+            plan.max_retries = MAX_RETRIES_CEILING;
+            plan.backoff_base_secs = base;
+            plan.backoff_cap_secs = u64::MAX;
+            plan.validate().expect("a huge base below the cap is valid");
+            let inj = injector(plan);
+            let mut prev = 0u64;
+            for k in 0..=MAX_RETRIES_CEILING {
+                let d = inj.backoff_secs(5, k);
+                assert!(d >= prev, "base {base} attempt {k}: {d} < {prev}");
+                prev = d;
+            }
+            assert_eq!(prev, u64::MAX);
+            assert_eq!(inj.total_backoff_secs(5, MAX_RETRIES_CEILING), u64::MAX);
+        }
+    }
+
+    /// `validate` refuses `p` with an `InvalidConfig` whose reason names
+    /// `field`.
+    fn assert_rejects(p: &FaultPlan, field: &str) {
+        match p.validate() {
+            Err(ItmError::InvalidConfig {
+                field: "faults",
+                reason,
+            }) => assert!(reason.contains(field), "{reason:?} does not name {field}"),
+            other => panic!("{p:?}: expected InvalidConfig naming {field}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_every_hostile_input_naming_the_field() {
+        let hostile_rates = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.1,
+            -f64::MIN_POSITIVE,
+            1.0 + f64::EPSILON,
+            2.0,
+            f64::MAX,
+        ];
+        for plan in [FaultPlan::off(), FaultPlan::heavy()] {
+            for field in ["loss", "timeout", "refusal", "churn"] {
+                for v in hostile_rates {
+                    let mut p = plan.clone();
+                    *match field {
+                        "loss" => &mut p.loss,
+                        "timeout" => &mut p.timeout,
+                        "refusal" => &mut p.refusal,
+                        _ => &mut p.churn,
+                    } = v;
+                    assert_rejects(&p, field);
+                }
+            }
+        }
+        for retries in [MAX_RETRIES_CEILING + 1, u32::MAX] {
+            let mut p = FaultPlan::light();
+            p.max_retries = retries;
+            assert_rejects(&p, "max_retries");
+        }
+        for (base, cap) in [(10, 9), (1, 0), (u64::MAX, u64::MAX - 1)] {
+            let mut p = FaultPlan::light();
+            p.backoff_base_secs = base;
+            p.backoff_cap_secs = cap;
+            assert_rejects(&p, "backoff_cap_secs");
+        }
+        // The boundaries themselves are valid.
+        let mut p = FaultPlan::off();
+        p.churn = 1.0;
+        p.max_retries = MAX_RETRIES_CEILING;
+        p.backoff_base_secs = 7;
+        p.backoff_cap_secs = 7;
+        p.validate().expect("boundary values are valid");
+        p.loss = 1.0;
+        p.validate().expect("a certain loss is valid");
     }
 
     #[test]
