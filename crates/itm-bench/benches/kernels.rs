@@ -4,10 +4,11 @@
 //! the front-end directory, open-resolver deployment, root-log collection, cache probing (through
 //! the string API and the id-keyed kernel), one shard each of the cache-
 //! probing campaign and the ECS grid, redirection selection,
-//! traffic-matrix queries, and the snapshot's whole-file checksum in both
-//! format versions.
+//! traffic-matrix queries, the snapshot writer on the medium world, and
+//! the snapshot's whole-file checksum in both format versions.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use itm_core::{MapConfig, ParallelExecutor, TrafficMap};
 use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
 use itm_routing::{AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree};
 use itm_topology::{generate, TopologyConfig};
@@ -262,9 +263,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// demand and diurnal factor from hoisted values. Then one shard (0 of
 /// 32) of the cache-probing campaign, its diurnal table included: every
 /// prefix of the slice probed for the 10 default domains in 8 rounds.
-/// Then one shard of the ECS user-to-front-end grid (shard 0 of 64):
+/// Then one shard of the ECS user-to-front-end grid (shard 0 of 32):
 /// every user prefix of the slice resolved for every DNS-redirected ECS
-/// service.
+/// service, one redirection lookup per run of prefixes that share an AS
+/// and a city.
 fn bench_probe_kernels(c: &mut Criterion) {
     let s = Substrate::build(SubstrateConfig::default(), 42).unwrap();
     let resolver = s.open_resolver().expect("open resolver");
@@ -368,6 +370,22 @@ fn bench_traffic(c: &mut Criterion) {
     g.finish();
 }
 
+/// The snapshot writer on the medium world (the default topology with 15
+/// instead of 40 prefixes per eyeball network: 5.5 M cells, a 72 MB
+/// file), the world the benchmark's build workload publishes.
+fn bench_snapshot_bytes(c: &mut Criterion) {
+    let mut cfg = SubstrateConfig::default();
+    cfg.topology.eyeball_mean_prefixes = 15.0;
+    let s = Substrate::build(cfg, 42).unwrap();
+    let m = TrafficMap::build_with(&s, &MapConfig::default(), &ParallelExecutor::new(2)).unwrap();
+    let mut g = c.benchmark_group("core");
+    g.sample_size(10);
+    g.bench_function("snapshot_bytes", |b| {
+        b.iter(|| itm_core::snapshot_bytes(&s, &m).len())
+    });
+    g.finish();
+}
+
 fn bench_snapshot_checksum(c: &mut Criterion) {
     // One buffer the size of the medium world's snapshot (72.5 MB), filled
     // from an LCG so neither hash sees a degenerate input.
@@ -398,6 +416,7 @@ criterion_group!(
     bench_obs_overhead,
     bench_probe_kernels,
     bench_traffic,
+    bench_snapshot_bytes,
     bench_snapshot_checksum
 );
 criterion_main!(benches);

@@ -62,7 +62,8 @@ pub mod bits {
 /// Compact per-technique claim tables, plus the per-cell claim bitmap.
 ///
 /// Recorded at assembly time when [`crate::MapConfig::record_claims`] is
-/// set (or rebuilt on demand by [`audit`]): dense vectors keyed by the
+/// set (or its tables rebuilt on demand by [`audit`] and the snapshot
+/// writer, which need no stored bitmap): dense vectors keyed by the
 /// same raw indices the rest of the pipeline uses, so deriving any cell's
 /// claim set is O(log services) — cheap enough to sweep hundreds of
 /// millions of cells.
@@ -90,9 +91,27 @@ pub struct MapClaims {
 }
 
 impl MapClaims {
-    /// Build the claim tables from an assembled map.
+    /// Build the claim tables from an assembled map, with the per-cell
+    /// claim bitmap.
     pub fn record(s: &Substrate, map: &TrafficMap) -> MapClaims {
         let _span = itm_obs::span("map.claims");
+        let mut claims = MapClaims::tables(s, map);
+        let cells = &map.user_mapping.mapping;
+        let derive = CellClaims::new(&claims, s);
+        let mut cell_bits = Vec::with_capacity(cells.len());
+        for seg in cells.segments() {
+            let Some(svc) = seg.first().map(|c| derive.service(c.service)) else {
+                continue;
+            };
+            cell_bits.extend(seg.iter().map(|c| derive.bits(&svc, c.prefix)));
+        }
+        claims.cell_bits = cell_bits;
+        claims
+    }
+
+    /// The claim tables alone: everything [`MapClaims::record`] builds
+    /// but the per-cell bitmap.
+    pub(crate) fn tables(s: &Substrate, map: &TrafficMap) -> MapClaims {
         let n_prefixes = s.topo.prefixes.len();
         let n_ases = s.topo.n_ases();
 
@@ -153,7 +172,7 @@ impl MapClaims {
             }
         }
 
-        let mut claims = MapClaims {
+        MapClaims {
             cell_bits: Vec::new(),
             anycast_site_as,
             tls_nearest_as,
@@ -161,41 +180,7 @@ impl MapClaims {
             addr_owner,
             cache_prefix,
             root_as,
-        };
-        // Cells iterate service-major, so each service's claim tables are
-        // looked up once per run of its cells, not once per cell.
-        let mut cell_bits = Vec::with_capacity(map.user_mapping.mapping.len());
-        let mut run = None;
-        for c in map.user_mapping.mapping.iter() {
-            let (anycast_table, tls_table) = match run {
-                Some((svc, tables)) if svc == c.service => tables,
-                _ => {
-                    let tables = (
-                        claims.anycast_site_as.get(&c.service),
-                        claims.tls_nearest_as.get(&c.service),
-                    );
-                    run = Some((c.service, tables));
-                    tables
-                }
-            };
-            let rec = s.topo.prefixes.get(c.prefix);
-            let mut b = bits::ECS | bits::CATALOG_PRIOR;
-            if claims.cache_claim(c.prefix) {
-                b |= bits::CACHE_PROBE;
-            }
-            if claims.root_claim(rec.owner) {
-                b |= bits::ROOT_CRAWL;
-            }
-            if table_claim(anycast_table, rec.owner.index()).is_some() {
-                b |= bits::ANYCAST;
-            }
-            if table_claim(tls_table, rec.city as usize).is_some() {
-                b |= bits::TLS_NEAREST;
-            }
-            cell_bits.push(b);
         }
-        claims.cell_bits = cell_bits;
-        claims
     }
 
     /// The catchment estimator's serving-AS claim for a cell.
@@ -226,6 +211,82 @@ impl MapClaims {
     /// Whether the root crawl claims the AS hosts users.
     pub fn root_claim(&self, a: Asn) -> bool {
         self.root_as.get(a.index()).copied().unwrap_or(false)
+    }
+}
+
+/// The claim tables in the shape the per-cell bitmap is derived from:
+/// the bits every cell of a prefix shares whatever its service (ECS, the
+/// catalogue prior, the prefix's cache-probe claim and its AS's
+/// root-crawl claim), and each prefix's owner and city, through which a
+/// service's [`ServiceClaims`] add the rest. No per-cell lookup is left.
+pub(crate) struct CellClaims<'c> {
+    claims: &'c MapClaims,
+    prefix_bits: Vec<u8>,
+    owners: Vec<u32>,
+    cities: Vec<u32>,
+}
+
+/// One service's claim bits by client AS ([`bits::ANYCAST`]) and by
+/// client city ([`bits::TLS_NEAREST`]); empty when the service has no
+/// such claim table, as no DNS-redirected service has a catchment.
+pub(crate) struct ServiceClaims {
+    anycast: Vec<u8>,
+    tls: Vec<u8>,
+}
+
+impl<'c> CellClaims<'c> {
+    pub(crate) fn new(claims: &'c MapClaims, s: &Substrate) -> CellClaims<'c> {
+        let prefixes = &s.topo.prefixes;
+        CellClaims {
+            claims,
+            prefix_bits: prefixes
+                .iter()
+                .map(|rec| {
+                    let mut b = bits::ECS | bits::CATALOG_PRIOR;
+                    if claims.cache_claim(rec.id) {
+                        b |= bits::CACHE_PROBE;
+                    }
+                    if claims.root_claim(rec.owner) {
+                        b |= bits::ROOT_CRAWL;
+                    }
+                    b
+                })
+                .collect(),
+            owners: prefixes.iter().map(|rec| rec.owner.raw()).collect(),
+            cities: prefixes.iter().map(|rec| rec.city).collect(),
+        }
+    }
+
+    /// The claim bits of `svc`'s cells, by client AS and city.
+    pub(crate) fn service(&self, svc: ServiceId) -> ServiceClaims {
+        let table_bits = |table: Option<&Vec<Option<Asn>>>, bit: u8| -> Vec<u8> {
+            table.map_or_else(Vec::new, |t| {
+                t.iter()
+                    .map(|c| if c.is_some() { bit } else { 0 })
+                    .collect()
+            })
+        };
+        ServiceClaims {
+            anycast: table_bits(self.claims.anycast_site_as.get(&svc), bits::ANYCAST),
+            tls: table_bits(self.claims.tls_nearest_as.get(&svc), bits::TLS_NEAREST),
+        }
+    }
+
+    /// The claim bitmap of `svc`'s cell for prefix `p`.
+    #[inline]
+    pub(crate) fn bits(&self, svc: &ServiceClaims, p: PrefixId) -> u8 {
+        let p = p.index();
+        let at = |table: &[u8], i: Option<&u32>| {
+            i.and_then(|&i| table.get(i as usize)).copied().unwrap_or(0)
+        };
+        let mut b = self.prefix_bits.get(p).copied().unwrap_or(0);
+        if !svc.anycast.is_empty() {
+            b |= at(&svc.anycast, self.owners.get(p));
+        }
+        if !svc.tls.is_empty() {
+            b |= at(&svc.tls, self.cities.get(p));
+        }
+        b
     }
 }
 
@@ -371,7 +432,8 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
     let claims = match &map.claims {
         Some(c) => c,
         None => {
-            rebuilt = MapClaims::record(s, map);
+            let _span = itm_obs::span("map.claims");
+            rebuilt = MapClaims::tables(s, map);
             &rebuilt
         }
     };

@@ -2,25 +2,25 @@
 //! sectioned binary format of [`itm_types::snap`].
 //!
 //! Everything written is a pure function of `(substrate, map)` — cell
-//! columns come from the already-sorted [`CellMap`] iteration, claim bits
-//! from [`MapClaims`] (recorded at build time or rebuilt here, identical
-//! either way), adjacency from the route view's sorted neighbor lists —
-//! so the bytes are identical at any `--threads` and across runs with the
-//! same seed. The file is laid out first and every column is encoded
-//! straight into it, so the writer holds about one file's worth of
-//! memory. The front-end table and reverse index come from a list of
-//! runs of equal serving addresses and a deterministic counting sort, in
-//! time linear in the number of cells.
+//! columns come from the [`CellMap`]'s sorted segments, claim bits from
+//! [`MapClaims`] (recorded at build time or derived here from its tables,
+//! identical either way), adjacency from the route view's sorted neighbor
+//! lists — so the bytes are identical at any `--threads` and across runs
+//! with the same seed. The file is laid out first and every column is
+//! encoded straight into it, so the writer holds about one file's worth
+//! of memory. The cells are read once; the reverse index comes from the
+//! runs of equal serving addresses found in that pass and a
+//! deterministic counting sort, in time linear in the number of cells.
 //!
 //! [`CellMap`]: itm_types::CellMap
 //! [`MapClaims`]: crate::audit::MapClaims
 
-use crate::audit::{bits, MapClaims};
+use crate::audit::{bits, CellClaims, MapClaims};
 use crate::map::TrafficMap;
 use itm_measure::Substrate;
 use itm_topology::NeighborKind;
 use itm_types::snap::{rel, section, SnapWriter, META_FIELDS};
-use itm_types::{Asn, DomainTable, ItmError, PrefixId, Result};
+use itm_types::{Asn, CellMap, DomainTable, ItmError, PrefixId, Result};
 
 /// Map a topology relationship onto its on-disk code.
 fn rel_code(kind: NeighborKind) -> u8 {
@@ -31,82 +31,184 @@ fn rel_code(kind: NeighborKind) -> u8 {
     }
 }
 
-/// Runs of equal serving addresses in cell order, as `(address, length)`.
-///
-/// Neighbouring cells mostly share a front-end (four in five on a
-/// default-topology world), so the front table is searched, and the
-/// reverse index placed, once per run rather than once per cell.
-fn address_runs(addrs: impl Iterator<Item = u32>) -> Vec<(u32, u32)> {
-    let mut runs: Vec<(u32, u32)> = Vec::new();
-    for addr in addrs {
-        match runs.last_mut() {
-            Some((a, len)) if *a == addr => *len += 1,
-            _ => runs.push((addr, 1)),
+/// A small direct-mapped memo in front of the front table's binary
+/// search. A service's runs cycle through a handful of front-ends, so
+/// 99.1% of the medium world's runs find their address here.
+struct SlotMemo {
+    entries: [(u32, u32); SlotMemo::SIZE],
+}
+
+impl SlotMemo {
+    const SIZE: usize = 256;
+    /// Slot value of an empty entry (no table has 2³² entries).
+    const EMPTY: u32 = u32::MAX;
+
+    fn new() -> SlotMemo {
+        SlotMemo {
+            entries: [(0, SlotMemo::EMPTY); SlotMemo::SIZE],
         }
     }
-    runs
-}
 
-/// The front-end table and each run's slot in it.
-///
-/// The table is every distinct serving address the map knows, ascending:
-/// the footprint addresses plus any run address outside them. A binary
-/// search over the table (a few thousand entries) gives each run its slot.
-fn front_table(runs: &[(u32, u32)], mut front_addr: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
-    front_addr.sort_unstable();
-    front_addr.dedup();
-    let (mut slots, extra) = run_slots(runs, &front_addr);
-    if !extra.is_empty() {
-        // Cell addresses no footprint mentions (no default world has
-        // any) join the table, which moves the slots: search again.
-        front_addr.extend(extra);
-        front_addr.sort_unstable();
-        front_addr.dedup();
-        slots = run_slots(runs, &front_addr).0;
+    /// The entry `addr` is memoized in (Fibonacci hashing).
+    fn entry(addr: u32) -> usize {
+        (addr.wrapping_mul(0x9E37_79B9) >> 24) as usize
     }
-    (front_addr, slots)
+
+    /// `addr`'s slot in the sorted `front` table, or `None` when the
+    /// table lacks it.
+    fn slot(&mut self, front: &[u32], addr: u32) -> Option<u32> {
+        let e = &mut self.entries[SlotMemo::entry(addr)];
+        if e.0 == addr && e.1 != SlotMemo::EMPTY {
+            return Some(e.1);
+        }
+        let k = front.binary_search(&addr).ok()? as u32;
+        *e = (addr, k);
+        Some(k)
+    }
 }
 
-/// Each run's slot in the sorted `front` table, plus the run addresses
-/// the table lacks (their slot reads 0).
-fn run_slots(runs: &[(u32, u32)], front: &[u32]) -> (Vec<u32>, Vec<u32>) {
-    let mut missing = Vec::new();
-    let slots = runs
-        .iter()
-        .map(|&(a, _)| match front.binary_search(&a) {
-            Ok(k) => k as u32,
-            Err(_) => {
-                missing.push(a);
+/// Runs of consecutive cells with one serving address, in cell order.
+///
+/// Neighbouring cells mostly share a front-end (about 1.0 M runs over
+/// 5.5 M cells on the medium world), so the front table is searched,
+/// and the reverse index placed, once per run rather than once per cell.
+#[derive(Debug, Default)]
+struct AddressRuns {
+    /// First cell of each run, then the cell count: `n_runs + 1` entries.
+    start: Vec<u32>,
+    /// Each run's slot in the front table.
+    slot: Vec<u32>,
+}
+
+/// Finds the address runs of a cell sequence, one cell at a time, and
+/// each run's slot in the front table.
+struct RunFinder<'f> {
+    front: &'f [u32],
+    memo: SlotMemo,
+    runs: AddressRuns,
+    /// Run addresses the front table lacks.
+    missing: Vec<u32>,
+    last: Option<u32>,
+    next: u32,
+}
+
+impl<'f> RunFinder<'f> {
+    fn new(front: &'f [u32]) -> RunFinder<'f> {
+        RunFinder {
+            front,
+            memo: SlotMemo::new(),
+            runs: AddressRuns::default(),
+            missing: Vec::new(),
+            last: None,
+            next: 0,
+        }
+    }
+
+    /// The next cell is served from `addr`.
+    #[inline]
+    fn cell(&mut self, addr: u32) {
+        if self.last != Some(addr) {
+            self.last = Some(addr);
+            self.runs.start.push(self.next);
+            let slot = self.memo.slot(self.front, addr).unwrap_or_else(|| {
+                self.missing.push(addr);
                 0
+            });
+            self.runs.slot.push(slot);
+        }
+        self.next += 1;
+    }
+
+    /// The runs, or the run addresses the front table lacks.
+    fn finish(mut self) -> Result<AddressRuns, Vec<u32>> {
+        self.runs.start.push(self.next);
+        if self.missing.is_empty() {
+            Ok(self.runs)
+        } else {
+            Err(self.missing)
+        }
+    }
+}
+
+/// The cell columns of a file: `CELL_PREFIX`, `CELL_ADDR` and
+/// `CELL_BITS` payloads.
+struct CellColumns<'w> {
+    prefix: &'w mut [u8],
+    addr: &'w mut [u8],
+    bits: &'w mut [u8],
+}
+
+/// Encode the cell columns of `cells` in one pass over its segments, and
+/// find the address runs on the way. With `claims`, the claim bits are
+/// derived in the same pass; without, the bits column is left alone.
+///
+/// `front` is the sorted front table the file will carry. When a run's
+/// address is missing from it, the columns are still written but the
+/// missing addresses are returned instead of the runs: the table, and so
+/// the file's layout, must grow first.
+fn encode_cells(
+    cells: &CellMap,
+    front: &[u32],
+    claims: Option<&CellClaims<'_>>,
+    cols: CellColumns<'_>,
+) -> Result<AddressRuns, Vec<u32>> {
+    let mut runs = RunFinder::new(front);
+    let mut prefixes = cols.prefix.chunks_exact_mut(4);
+    let mut addrs = cols.addr.chunks_exact_mut(4);
+    let mut bits = cols.bits.iter_mut();
+    for seg in cells.segments() {
+        // The segment leads each zip, so no slot of a column is skipped
+        // at a segment's end.
+        let columns = seg.iter().zip(&mut prefixes).zip(&mut addrs);
+        let svc = claims
+            .zip(seg.first())
+            .map(|(d, c)| (d, d.service(c.service)));
+        match svc {
+            Some((derive, svc)) => {
+                for (((c, p), a), b) in columns.zip(&mut bits) {
+                    p.copy_from_slice(&c.prefix.raw().to_le_bytes());
+                    a.copy_from_slice(&c.addr.0.to_le_bytes());
+                    *b = derive.bits(&svc, c.prefix);
+                    runs.cell(c.addr.0);
+                }
             }
-        })
-        .collect();
-    (slots, missing)
+            None => {
+                for ((c, p), a) in columns {
+                    p.copy_from_slice(&c.prefix.raw().to_le_bytes());
+                    a.copy_from_slice(&c.addr.0.to_le_bytes());
+                    runs.cell(c.addr.0);
+                }
+            }
+        }
+    }
+    runs.finish()
 }
 
 /// Write the reverse index into `rev`, the `CELL_REV` payload: cell
 /// indices ordered by `(serving address, index)`, little-endian `u32`s.
 ///
-/// A stable counting sort over the run slots: `start[k]` is where slot
-/// k's cells begin in the index. A run is consecutive cell indices with
-/// one slot, so its cells land side by side.
-fn write_reverse_index(runs: &[(u32, u32)], slots: &[u32], n_fronts: usize, rev: &mut [u8]) {
-    let mut start = vec![0u32; n_fronts + 1];
-    for (&(_, len), &k) in runs.iter().zip(slots) {
-        start[k as usize + 1] += len;
+/// A stable counting sort of the runs by slot orders them by address,
+/// runs of one address in cell order; the index is then written front to
+/// back, each run's cells side by side.
+fn write_reverse_index(runs: &AddressRuns, n_fronts: usize, rev: &mut [u8]) {
+    let mut at = vec![0u32; n_fronts + 1];
+    for &k in &runs.slot {
+        at[k as usize + 1] += 1;
     }
-    for k in 1..start.len() {
-        start[k] += start[k - 1];
+    for k in 1..at.len() {
+        at[k] += at[k - 1];
     }
-    let mut first = 0u32;
-    for (&(_, len), &k) in runs.iter().zip(slots) {
-        let at = &mut start[k as usize];
-        let dst = &mut rev[*at as usize * 4..(*at + len) as usize * 4];
-        for (d, i) in dst.chunks_exact_mut(4).zip(first..) {
+    let mut order = vec![0u32; runs.slot.len()];
+    for (r, &k) in runs.slot.iter().enumerate() {
+        order[at[k as usize] as usize] = r as u32;
+        at[k as usize] += 1;
+    }
+    let mut dst = rev.chunks_exact_mut(4);
+    for r in order {
+        let cells = runs.start[r as usize]..runs.start[r as usize + 1];
+        for (i, d) in cells.zip(&mut dst) {
             d.copy_from_slice(&i.to_le_bytes());
         }
-        *at += len;
-        first += len;
     }
 }
 
@@ -114,27 +216,62 @@ fn write_reverse_index(runs: &[(u32, u32)], slots: &[u32], n_fronts: usize, rev:
 ///
 /// Layout first: every section's length is known before any byte is
 /// written, so the file is allocated once and each column is encoded
-/// straight into its payload. Besides the file, the writer holds only
-/// per-run, per-prefix and per-service tables, and the claim bits.
+/// straight into its payload. The layout needs the front-end table,
+/// every distinct serving address the map knows: the footprint
+/// addresses, which hold every cell address of a measured map. A cell
+/// address outside them (no default world has any) joins the table and
+/// the file is laid out and written again. Besides the file, the writer
+/// holds only per-run, per-prefix and per-service tables.
 ///
-/// The claim column reuses the map's recorded [`MapClaims`] when
-/// `record_claims` was on and rebuilds them otherwise; both paths produce
-/// the same bytes because claim recording is itself a pure function of
-/// `(substrate, map)`.
+/// The claim column copies the map's recorded [`MapClaims`] when
+/// `record_claims` was on and derives it from the claim tables
+/// otherwise; both paths produce the same bytes because claim recording
+/// is itself a pure function of `(substrate, map)`.
 pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     let _span = itm_obs::span("map.snapshot");
-
-    // Claim bitmaps, aligned with the cell columns. The recorded table is
-    // in the same iteration order, so it maps through directly.
     let rebuilt;
-    let cell_bits: &[u8] = match &map.claims {
-        Some(c) => &c.cell_bits,
+    let claims = match &map.claims {
+        Some(recorded) => recorded,
         None => {
-            rebuilt = MapClaims::record(s, map).cell_bits;
+            let _span = itm_obs::span("map.claims");
+            rebuilt = MapClaims::tables(s, map);
             &rebuilt
         }
     };
+    let footprint = map
+        .user_mapping
+        .footprint
+        .values()
+        .chain(map.sni_footprints.values())
+        .flatten()
+        .map(|a| a.0);
+    let mut front = Vec::new();
+    grow_front(&mut front, footprint.collect());
+    loop {
+        match encode(s, map, claims, &front) {
+            Ok(bytes) => return bytes,
+            Err(extra) => grow_front(&mut front, extra),
+        }
+    }
+}
 
+/// Add addresses to the sorted front table: the footprints', then any
+/// `encode_cells` found missing.
+fn grow_front(front: &mut Vec<u32>, extra: Vec<u32>) {
+    front.extend(extra);
+    front.sort_unstable();
+    front.dedup();
+}
+
+/// [`snapshot_bytes`] with a given front table: the file, or the cell
+/// addresses the table lacks. `claims` are the map's recorded claims, or
+/// the claim tables when it recorded none.
+fn encode(
+    s: &Substrate,
+    map: &TrafficMap,
+    claims: &MapClaims,
+    front_addr: &[u32],
+) -> Result<Vec<u8>, Vec<u32>> {
     let columns = itm_obs::span("snapshot.columns");
     // ---- Domain table: catalogue order, exactly as the map build interns.
     let domains = DomainTable::from_names(s.catalog.services.iter().map(|x| &x.domain));
@@ -157,31 +294,23 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     let mut pfx_sorted: Vec<u32> = (0..n_prefixes as u32).collect();
     pfx_sorted.sort_by_key(|&i| (prefixes.get(PrefixId(i)).net.network().0, i));
 
-    // ---- Cells: CellMap iteration is already (service, prefix) sorted,
-    // so the service-major runs fall out of a single pass.
+    // ---- Cells: each segment holds one service's cells, and segments
+    // ascend by (service, prefix), so the service offsets add up the
+    // segment lengths.
     let cells = &map.user_mapping.mapping;
     let n_cells = cells.len();
     let mut cell_svc_off: Vec<u64> = vec![0; n_services + 1];
-    for c in cells.iter() {
-        if let Some(slot) = cell_svc_off.get_mut(c.service.index() + 1) {
-            *slot += 1;
+    for seg in cells.segments() {
+        let slot = seg
+            .first()
+            .and_then(|c| cell_svc_off.get_mut(c.service.index() + 1));
+        if let Some(slot) = slot {
+            *slot += seg.len() as u64;
         }
     }
     for i in 1..cell_svc_off.len() {
         cell_svc_off[i] += cell_svc_off[i - 1];
     }
-
-    // ---- Front-end table from the address runs.
-    let runs = address_runs(cells.iter().map(|c| c.addr.0));
-    let footprint_addrs: Vec<u32> = map
-        .user_mapping
-        .footprint
-        .values()
-        .chain(map.sni_footprints.values())
-        .flatten()
-        .map(|a| a.0)
-        .collect();
-    let (front_addr, slots) = front_table(&runs, footprint_addrs);
     let n_fronts = front_addr.len();
 
     // ---- Route adjacency: the view's neighbor lists are sorted by ASN.
@@ -210,6 +339,21 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
         (section::ROUTE_NBR, 4, n_route),
         (section::ROUTE_KIND, 1, n_route),
     ]);
+    // The claim bits are copied from the recorded claims, or derived
+    // from the claim tables in the cell pass.
+    let derive = map.claims.is_none().then(|| CellClaims::new(claims, s));
+    let [prefix, addr, bits] =
+        w.payloads_mut([section::CELL_PREFIX, section::CELL_ADDR, section::CELL_BITS]);
+    if map.claims.is_some() {
+        // A short claim table (none is) leaves its tail cells with the
+        // defaults every cell has: an ECS measurement and the catalogue
+        // prior.
+        let known = claims.cell_bits.len().min(n_cells);
+        bits[..known].copy_from_slice(&claims.cell_bits[..known]);
+        bits[known..].fill(bits::ECS | bits::CATALOG_PRIOR);
+    }
+    let cols = CellColumns { prefix, addr, bits };
+    let runs = encode_cells(cells, front_addr, derive.as_ref(), cols)?;
     w.put_u64(
         section::META,
         [
@@ -243,14 +387,6 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
     w.put_u32(section::PFX_OWNER, prefixes.iter().map(|r| r.owner.raw()));
     w.put_u32(section::PFX_SORTED, pfx_sorted);
     w.put_u64(section::CELL_SVC_OFF, cell_svc_off);
-    w.put_u32(section::CELL_PREFIX, cells.iter().map(|c| c.prefix.raw()));
-    w.put_u32(section::CELL_ADDR, cells.iter().map(|c| c.addr.0));
-    // A short claim table (none is) leaves its tail cells with the
-    // defaults every cell has: an ECS measurement and the catalogue prior.
-    let bits = w.payload_mut(section::CELL_BITS);
-    let known = cell_bits.len().min(n_cells);
-    bits[..known].copy_from_slice(&cell_bits[..known]);
-    bits[known..].fill(bits::ECS | bits::CATALOG_PRIOR);
     w.put_u32(
         section::FRONT_OWNER,
         front_addr.iter().map(|&a| {
@@ -260,7 +396,7 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
                 .unwrap_or(u32::MAX)
         }),
     );
-    w.put_u32(section::FRONT_ADDR, front_addr);
+    w.put_u32(section::FRONT_ADDR, front_addr.iter().copied());
     w.put_u64(
         section::ROUTE_OFF,
         std::iter::once(0).chain((0..n_ases as u32).scan(0, |end, a| {
@@ -277,10 +413,10 @@ pub fn snapshot_bytes(s: &Substrate, map: &TrafficMap) -> Vec<u8> {
 
     {
         let _span = itm_obs::span("snapshot.reverse_index");
-        write_reverse_index(&runs, &slots, n_fronts, w.payload_mut(section::CELL_REV));
+        write_reverse_index(&runs, n_fronts, w.payload_mut(section::CELL_REV));
     }
     let _span = itm_obs::span("snapshot.checksum");
-    w.finish()
+    Ok(w.finish())
 }
 
 /// Serialize the map and write it to `path`, returning the byte length.
@@ -296,7 +432,7 @@ mod tests {
     use super::*;
     use crate::map::MapConfig;
     use itm_measure::SubstrateConfig;
-    use itm_types::snap;
+    use itm_types::{snap, Cell, Ipv4Addr, ServiceId};
     use std::collections::BTreeSet;
 
     #[test]
@@ -338,26 +474,67 @@ mod tests {
     }
 
     /// The front table and reverse index as `snapshot_bytes` derives
-    /// them: from the address runs, the index decoded back from its
-    /// payload bytes.
-    fn front_table_and_rev(cell_addr: &[u32], footprint: Vec<u32>) -> (Vec<u32>, Vec<u32>) {
-        let runs = address_runs(cell_addr.iter().copied());
-        let (front, slots) = front_table(&runs, footprint);
+    /// them: the cells, `per_segment` to a service, encoded segment by
+    /// segment against the footprint's table, which grows by any address
+    /// it lacks; then the run-ordered index, decoded back from its
+    /// payload bytes. The encoded address column must read back as the
+    /// cells' addresses.
+    fn front_table_and_rev(
+        cell_addr: &[u32],
+        footprint: Vec<u32>,
+        per_segment: usize,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let mut cells = CellMap::new();
+        for (k, chunk) in cell_addr.chunks(per_segment.max(1)).enumerate() {
+            let first = k * per_segment.max(1);
+            let seg = chunk
+                .iter()
+                .zip(first as u32..)
+                .map(|(&addr, prefix)| Cell {
+                    service: ServiceId(k as u32),
+                    prefix: PrefixId(prefix),
+                    addr: Ipv4Addr(addr),
+                });
+            cells.push_segment(seg.collect());
+        }
+        let mut front = Vec::new();
+        grow_front(&mut front, footprint);
+        let mut prefix_col = vec![0u8; cell_addr.len() * 4];
+        let mut addr_col = vec![0u8; cell_addr.len() * 4];
+        let mut bits_col = vec![0u8; cell_addr.len()];
+        let runs = loop {
+            let cols = CellColumns {
+                prefix: &mut prefix_col,
+                addr: &mut addr_col,
+                bits: &mut bits_col,
+            };
+            match encode_cells(&cells, &front, None, cols) {
+                Ok(runs) => break runs,
+                Err(extra) => grow_front(&mut front, extra),
+            }
+        };
+        assert!(bits_col.iter().all(|&b| b == 0), "no claims, no bits");
+        let decode = |col: &[u8]| -> Vec<u32> {
+            col.chunks_exact(4)
+                .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                .collect()
+        };
+        assert_eq!(decode(&addr_col), cell_addr);
+        let prefixes: Vec<u32> = (0..cell_addr.len() as u32).collect();
+        assert_eq!(decode(&prefix_col), prefixes);
         let mut rev = vec![0u8; cell_addr.len() * 4];
-        write_reverse_index(&runs, &slots, front.len(), &mut rev);
-        let rev = rev
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect();
-        (front, rev)
+        write_reverse_index(&runs, front.len(), &mut rev);
+        (front, decode(&rev))
     }
 
     fn assert_matches_oracle(cell_addr: &[u32], footprint: &[u32]) {
-        assert_eq!(
-            front_table_and_rev(cell_addr, footprint.to_vec()),
-            front_table_and_rev_oracle(cell_addr, footprint),
-            "cells {cell_addr:?}, footprint {footprint:?}"
-        );
+        for per_segment in [1, 2, 3, cell_addr.len().max(1)] {
+            assert_eq!(
+                front_table_and_rev(cell_addr, footprint.to_vec(), per_segment),
+                front_table_and_rev_oracle(cell_addr, footprint),
+                "cells {cell_addr:?}, footprint {footprint:?}, {per_segment} per segment"
+            );
+        }
     }
 
     #[test]
@@ -365,12 +542,26 @@ mod tests {
         // Empty map.
         assert_matches_oracle(&[], &[]);
         assert_matches_oracle(&[], &[7, 3, 7]);
-        // A single front-end serving every cell.
+        // A single front-end serving every cell: one run across segments.
         assert_matches_oracle(&[42; 5], &[42]);
-        // Cell addresses no footprint mentions (the "extra" branch),
-        // below, between and above the footprint, repeated.
+        // Runs of one address that recur after other addresses, so the
+        // counting sort must keep same-slot runs in cell order.
+        assert_matches_oracle(&[4, 4, 2, 2, 2, 4, 9, 2, 4, 4], &[2, 4, 9]);
+        // Cell addresses no footprint mentions (the table grows and the
+        // cells are encoded again), below, between and above the
+        // footprint, repeated.
         assert_matches_oracle(&[9, 1, 30, 9, 20, 1], &[20, 10, 10]);
         assert_matches_oracle(&[5, 5], &[]);
+        // Addresses that share a memo entry, so each evicts the other.
+        let shared: Vec<u32> = (1..)
+            .filter(|&a| SlotMemo::entry(a) == SlotMemo::entry(1))
+            .take(6)
+            .collect();
+        let cells: Vec<u32> = [0, 1, 0, 2, 5, 1, 3, 0, 4]
+            .iter()
+            .map(|&k| shared[k])
+            .collect();
+        assert_matches_oracle(&cells, &shared);
         // A real map.
         let s = Substrate::build(SubstrateConfig::small(), 139).unwrap();
         let m = TrafficMap::build(&s, &MapConfig::default()).unwrap();
@@ -383,7 +574,58 @@ mod tests {
             .flatten()
             .map(|a| a.0)
             .collect();
-        assert_matches_oracle(&cells, &footprint);
+        assert_eq!(
+            front_table_and_rev(&cells, footprint.clone(), 997),
+            front_table_and_rev_oracle(&cells, &footprint)
+        );
+    }
+
+    #[test]
+    fn table_derived_claim_bits_match_the_per_cell_claims() {
+        let s = Substrate::build(SubstrateConfig::small(), 139).unwrap();
+        let m = TrafficMap::build(&s, &MapConfig::default()).unwrap();
+        let claims = MapClaims::record(&s, &m);
+        let cells = &m.user_mapping.mapping;
+        assert_eq!(claims.cell_bits.len(), cells.len());
+        let mut seen = 0u8;
+        for (c, &got) in cells.iter().zip(&claims.cell_bits) {
+            let rec = s.topo.prefixes.get(c.prefix);
+            let mut want = bits::ECS | bits::CATALOG_PRIOR;
+            if claims.cache_claim(c.prefix) {
+                want |= bits::CACHE_PROBE;
+            }
+            if claims.root_claim(rec.owner) {
+                want |= bits::ROOT_CRAWL;
+            }
+            if claims.anycast_claim(c.service, rec.owner).is_some() {
+                want |= bits::ANYCAST;
+            }
+            if claims.tls_claim(c.service, rec.city).is_some() {
+                want |= bits::TLS_NEAREST;
+            }
+            assert_eq!(got, want, "{:?} × {:?}", c.service, c.prefix);
+            seen |= got;
+        }
+        // Both paths of the derivation ran: prefix bits alone, and a
+        // service with a TLS-nearest table.
+        assert_ne!(seen & bits::CACHE_PROBE, 0);
+        assert_ne!(seen & bits::TLS_NEAREST, 0);
+        // The writer's cell pass derives the same bits from the tables.
+        let tables = MapClaims::tables(&s, &m);
+        let derive = CellClaims::new(&tables, &s);
+        let mut cols = [vec![0u8; cells.len() * 4], vec![0u8; cells.len() * 4]];
+        let [prefix, addr] = &mut cols;
+        let mut from_tables = vec![0u8; cells.len()];
+        let cols = CellColumns {
+            prefix,
+            addr,
+            bits: &mut from_tables,
+        };
+        let front: Vec<u32> = cells.iter().map(|c| c.addr.0).collect();
+        let mut front = front;
+        grow_front(&mut front, Vec::new());
+        assert!(encode_cells(cells, &front, Some(&derive), cols).is_ok());
+        assert_eq!(from_tables, claims.cell_bits);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! each only discovers the mapping based on its location").
 
 use crate::frontends::FrontendDirectory;
+use crate::opendns::HoistedAnswer;
 use crate::tally::DnsTally;
 use itm_topology::{PrefixRecord, Topology};
 use itm_traffic::{DeliveryMode, ServiceCatalog};
@@ -87,23 +88,37 @@ impl<'a> AuthoritativeDns<'a> {
         ecs: Option<Ipv4Net>,
     ) -> DnsAnswer {
         let mut tally = DnsTally::default();
-        let ans = self.answer(service, resolver_city, self.ecs_of(ecs), &mut tally);
+        let ans = self.answer(service, resolver_city, self.ecs_of(ecs), None, &mut tally);
         tally.flush();
         ans
     }
 
     /// [`AuthoritativeDns::resolve`] for a routed client the caller has
     /// already located: `ecs` is the client's prefix record, so the answer
-    /// needs no prefix lookup. Counts into `tally`, not the registry.
+    /// needs no prefix lookup. `hoisted`, when given, is the client's
+    /// front-end as [`AuthoritativeDns::redirect`] gives it
+    /// (debug-asserted), resolved once for a run of clients, and the
+    /// answer skips the redirection lookup. Counts into `tally`, not the
+    /// registry.
     pub fn resolve_record(
         &self,
         service: ServiceId,
         resolver_city: u32,
         ecs: Option<&PrefixRecord>,
+        hoisted: Option<HoistedAnswer>,
         tally: &mut DnsTally,
     ) -> DnsAnswer {
         let ecs = ecs.map_or(Ecs::Absent, Ecs::Client);
-        self.answer(service, resolver_city, ecs, tally)
+        self.answer(service, resolver_city, ecs, hoisted.map(|h| h.addr), tally)
+    }
+
+    /// The front-end the redirection policy picks for an ECS query of
+    /// `service` from `client`: a function of the client's AS and city
+    /// alone, so clients that share both get the same one.
+    pub(crate) fn redirect(&self, service: ServiceId, client: &PrefixRecord) -> Ipv4Addr {
+        self.frontends
+            .select(self.topo, service, client.owner, client.city)
+            .addr
     }
 
     /// [`AuthoritativeDns::resolve_record`] under fault injection: the
@@ -113,20 +128,21 @@ impl<'a> AuthoritativeDns<'a> {
     /// retries exhaust, the answer is dropped and a `ProbeFailed` trace
     /// event records the gap. `client_key` is a stable identifier of the
     /// querying client (prefix raw id) so the draw is entity-keyed.
+    #[allow(clippy::too_many_arguments)]
     pub fn resolve_record_with_faults(
         &self,
         service: ServiceId,
         resolver_city: u32,
         ecs: Option<&PrefixRecord>,
+        hoisted: Option<HoistedAnswer>,
         faults: &FaultInjector,
         client_key: u64,
         tally: &mut DnsTally,
     ) -> (Option<DnsAnswer>, ProbeFate) {
+        let resolve =
+            |tally: &mut DnsTally| self.resolve_record(service, resolver_city, ecs, hoisted, tally);
         if faults.is_off() {
-            return (
-                Some(self.resolve_record(service, resolver_city, ecs, tally)),
-                ProbeFate::Observed,
-            );
+            return (Some(resolve(tally)), ProbeFate::Observed);
         }
         let fate = faults.refusal_fate(service.raw() as u64, client_key, resolver_city as u64);
         let subjects = || {
@@ -161,10 +177,7 @@ impl<'a> AuthoritativeDns<'a> {
                 return (None, ProbeFate::Lost);
             }
         }
-        (
-            Some(self.resolve_record(service, resolver_city, ecs, tally)),
-            fate,
-        )
+        (Some(resolve(tally)), fate)
     }
 
     /// Classify an ECS option against the ground-truth prefix table.
@@ -184,6 +197,7 @@ impl<'a> AuthoritativeDns<'a> {
         service: ServiceId,
         resolver_city: u32,
         ecs: Ecs<'_>,
+        hoisted: Option<Ipv4Addr>,
         tally: &mut DnsTally,
     ) -> DnsAnswer {
         if matches!(ecs, Ecs::Absent) {
@@ -212,27 +226,35 @@ impl<'a> AuthoritativeDns<'a> {
                 };
             }
         }
-        let (endpoint, scope) = match ecs {
-            // The true redirection policy for the located client prefix.
-            Ecs::Client(r) if s.ecs_support => (
-                self.frontends.select(self.topo, service, r.owner, r.city),
-                AnswerScope::ClientPrefix(r.net),
-            ),
+        let (addr, scope) = match ecs {
+            // The true redirection policy for the located client prefix,
+            // unless the caller resolved it once for the client's run.
+            Ecs::Client(r) if s.ecs_support => {
+                debug_assert!(
+                    hoisted.is_none_or(|a| a == self.redirect(service, r)),
+                    "hoisted answer of {:?} for {service:?}",
+                    r.id
+                );
+                let addr = hoisted.unwrap_or_else(|| self.redirect(service, r));
+                (addr, AnswerScope::ClientPrefix(r.net))
+            }
             // Unrouted ECS prefix: answer from resolver locale, but still
             // scope it to the (bogus) client net, as real ECS servers do.
             Ecs::Unrouted(net) if s.ecs_support => (
                 self.frontends
-                    .select_by_city(self.topo, service, resolver_city),
+                    .select_by_city(self.topo, service, resolver_city)
+                    .addr,
                 AnswerScope::ClientPrefix(net),
             ),
             _ => (
                 self.frontends
-                    .select_by_city(self.topo, service, resolver_city),
+                    .select_by_city(self.topo, service, resolver_city)
+                    .addr,
                 AnswerScope::ResolverWide,
             ),
         };
         let ans = DnsAnswer {
-            addr: endpoint.addr,
+            addr,
             scope,
             ttl_secs: s.ttl_secs,
         };

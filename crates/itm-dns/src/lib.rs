@@ -45,7 +45,10 @@ pub mod tally;
 pub use authoritative::AuthoritativeDns;
 pub use chromium::ChromiumModel;
 pub use frontends::{Endpoint, FrontendDirectory};
-pub use opendns::{DomainKey, HoistedRate, OpenResolver, OpenResolverConfig, ProbeResult};
+pub use opendns::{
+    ClientRun, ClientRuns, DomainKey, HoistedAnswer, HoistedRate, OpenResolver, OpenResolverConfig,
+    ProbeResult,
+};
 pub use resolvers::{ResolverAssignment, ResolverConfig, ResolverId};
 pub use root::{AnonymizationPolicy, RootLogEntry, RootLogs, RootServerSet};
 pub use tally::DnsTally;

@@ -31,7 +31,7 @@ use crate::authoritative::{AuthoritativeDns, DnsAnswer};
 use crate::resolvers::ResolverAssignment;
 use crate::tally::DnsTally;
 use itm_topology::{PrefixRecord, Topology};
-use itm_traffic::{Service, ServiceCatalog, TrafficModel, UserModel};
+use itm_traffic::{DeliveryMode, Service, ServiceCatalog, TrafficModel, UserModel};
 use itm_types::rng::stable_hash;
 use itm_types::{
     FaultInjector, GeoPoint, Ipv4Addr, Ipv4Net, ItmError, PopId, PrefixId, ProbeFate, SeedDomain,
@@ -116,6 +116,77 @@ pub struct HoistedRate {
     /// The probed prefix's diurnal multiplier at the start of the probe's
     /// TTL window: [`OpenResolver::window_diurnal`] of the prefix's city.
     pub diurnal: f64,
+}
+
+/// The answer an ECS-grid campaign hoists out of its resolution loop, for
+/// [`OpenResolver::resolve_prefix_with_faults`]: the front-end the
+/// redirection policy picks for a client prefix. The policy reads only
+/// the client's AS and city, so one value serves a whole run of
+/// consecutive prefixes that share both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HoistedAnswer {
+    /// The serving address every client of the run is answered with.
+    pub addr: Ipv4Addr,
+}
+
+/// Client prefix records in runs of consecutive records that share an
+/// owner AS and a city: the unit the ECS grid resolves once, since the
+/// redirection policy reads nothing else of a client. The table depends
+/// on the records alone, so one serves every service of a campaign.
+#[derive(Debug, Clone, Default)]
+pub struct ClientRuns<'t> {
+    recs: Vec<&'t PrefixRecord>,
+    /// End of each run in `recs`, ascending.
+    ends: Vec<u32>,
+}
+
+impl<'t> ClientRuns<'t> {
+    /// Group `recs`, in their order, into runs.
+    pub fn new(recs: impl IntoIterator<Item = &'t PrefixRecord>) -> ClientRuns<'t> {
+        let recs: Vec<&PrefixRecord> = recs.into_iter().collect();
+        let mut ends = Vec::new();
+        for (i, w) in recs.windows(2).enumerate() {
+            if (w[0].owner, w[0].city) != (w[1].owner, w[1].city) {
+                ends.push(i as u32 + 1);
+            }
+        }
+        if !recs.is_empty() {
+            ends.push(recs.len() as u32);
+        }
+        ClientRuns { recs, ends }
+    }
+
+    /// Number of records.
+    pub fn len(&self) -> usize {
+        self.recs.len()
+    }
+
+    /// Whether there are no records.
+    pub fn is_empty(&self) -> bool {
+        self.recs.is_empty()
+    }
+
+    /// The runs, in record order; none is empty.
+    pub fn runs(&self) -> impl Iterator<Item = ClientRun<'_, 't>> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts.zip(&self.ends).map(|(a, &b)| ClientRun {
+            recs: &self.recs[a as usize..b as usize],
+        })
+    }
+}
+
+/// One run of a [`ClientRuns`] table: consecutive client records with
+/// one owner AS and one city.
+#[derive(Debug, Clone, Copy)]
+pub struct ClientRun<'r, 't> {
+    recs: &'r [&'t PrefixRecord],
+}
+
+impl<'r, 't> ClientRun<'r, 't> {
+    /// The run's records, in order.
+    pub fn records(&self) -> &'r [&'t PrefixRecord] {
+        self.recs
+    }
 }
 
 /// The open resolver bound to a substrate.
@@ -471,7 +542,7 @@ impl<'a> OpenResolver<'a> {
             // Answer as the authoritative would have for the organic query.
             let pop_city = self.pops[pop.index()].city;
             let ecs = svc.ecs_support.then_some(rec);
-            let ans = self.auth.resolve_record(sid, pop_city, ecs, tally);
+            let ans = self.auth.resolve_record(sid, pop_city, ecs, None, tally);
             itm_obs::trace::emit(
                 itm_obs::trace::Technique::CacheProbe,
                 itm_obs::trace::EventKind::CacheHit,
@@ -563,7 +634,7 @@ impl<'a> OpenResolver<'a> {
     pub fn resolve_for_client(&self, client: PrefixId, domain: &str) -> Option<DnsAnswer> {
         let dom = self.domain_key(domain)?;
         let mut tally = DnsTally::default();
-        let ans = self.resolve_prefix(self.topo.prefixes.get(client), dom, &mut tally);
+        let ans = self.resolve_prefix(self.topo.prefixes.get(client), dom, None, &mut tally);
         tally.flush();
         Some(ans)
     }
@@ -587,6 +658,7 @@ impl<'a> OpenResolver<'a> {
         let out = self.resolve_prefix_with_faults(
             self.topo.prefixes.get(client),
             dom,
+            None,
             faults,
             &mut tally,
         );
@@ -595,18 +667,23 @@ impl<'a> OpenResolver<'a> {
     }
 
     /// The ECS-grid kernel: [`OpenResolver::resolve_for_client`] for a
-    /// client record and a resolved domain, with no lookups. Counts into
-    /// `tally`, not the registry.
+    /// client record and a resolved domain, with no lookups. `hoisted`
+    /// carries the client's front-end when the caller resolved it once
+    /// for the client's run (debug-asserted), or is `None` to look it up.
+    /// Counts into `tally`, not the registry.
     pub fn resolve_prefix(
         &self,
         rec: &PrefixRecord,
         dom: DomainKey,
+        hoisted: Option<HoistedAnswer>,
         tally: &mut DnsTally,
     ) -> DnsAnswer {
         let svc = self.catalog.get(dom.service);
         let pop_city = self.pops[self.pop_of(rec.id).index()].city;
         let ecs = svc.ecs_support.then_some(rec);
-        let ans = self.auth.resolve_record(dom.service, pop_city, ecs, tally);
+        let ans = self
+            .auth
+            .resolve_record(dom.service, pop_city, ecs, hoisted, tally);
         self.emit_scoped(rec, svc, &ans);
         ans
     }
@@ -618,12 +695,13 @@ impl<'a> OpenResolver<'a> {
         &self,
         rec: &PrefixRecord,
         dom: DomainKey,
+        hoisted: Option<HoistedAnswer>,
         faults: &FaultInjector,
         tally: &mut DnsTally,
     ) -> (Option<DnsAnswer>, ProbeFate) {
         if faults.is_off() {
             return (
-                Some(self.resolve_prefix(rec, dom, tally)),
+                Some(self.resolve_prefix(rec, dom, hoisted, tally)),
                 ProbeFate::Observed,
             );
         }
@@ -654,7 +732,7 @@ impl<'a> OpenResolver<'a> {
         let ecs = svc.ecs_support.then_some(rec);
         let (ans, auth_fate) = self
             .auth
-            .resolve_record_with_faults(sid, pop_city, ecs, faults, key_a, tally);
+            .resolve_record_with_faults(sid, pop_city, ecs, hoisted, faults, key_a, tally);
         let combined = hop.combine(auth_fate);
         let Some(ans) = ans else {
             return (None, ProbeFate::Lost);
@@ -675,6 +753,52 @@ impl<'a> OpenResolver<'a> {
         }
         self.emit_scoped(rec, svc, &ans);
         (Some(ans), combined)
+    }
+
+    /// The ECS grid's run kernel: resolve `dom` for one run of client
+    /// records, calling `each` with every record's answer and fate, in
+    /// order. Every answer, fate, count and trace event is the one
+    /// [`OpenResolver::resolve_prefix_with_faults`] gives the record on
+    /// its own.
+    ///
+    /// For a DNS-redirected ECS service the redirection policy reads
+    /// only the client's AS and city, which the run's records share, so
+    /// the front-end is looked up once and handed to the per-record
+    /// kernel as a [`HoistedAnswer`]. With faults off and tracing off no
+    /// record needs a fate draw or an event, so the kernel is skipped
+    /// altogether: the authoritative query count rises by the run length
+    /// and every record gets the run's answer. Any other service is
+    /// resolved record by record.
+    pub fn resolve_run_with_faults(
+        &self,
+        run: ClientRun<'_, '_>,
+        dom: DomainKey,
+        faults: &FaultInjector,
+        tally: &mut DnsTally,
+        mut each: impl FnMut(&PrefixRecord, Option<Ipv4Addr>, ProbeFate),
+    ) {
+        let run = run.records();
+        let svc = self.catalog.get(dom.service);
+        let shared = run
+            .first()
+            .filter(|_| svc.ecs_support && svc.mode == DeliveryMode::DnsRedirection)
+            .map(|first| HoistedAnswer {
+                addr: self.auth.redirect(dom.service, first),
+            });
+        if let Some(h) = shared {
+            if faults.is_off() && !itm_obs::trace::enabled() {
+                tally.auth_queries_ecs += run.len() as u64;
+                for rec in run {
+                    debug_assert_eq!(h.addr, self.auth.redirect(dom.service, rec));
+                    each(rec, Some(h.addr), ProbeFate::Observed);
+                }
+                return;
+            }
+        }
+        for rec in run {
+            let (ans, fate) = self.resolve_prefix_with_faults(rec, dom, shared, faults, tally);
+            each(rec, ans.map(|a| a.addr), fate);
+        }
     }
 
     /// Record an ECS-scoped answer in the trace.
@@ -956,6 +1080,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn client_runs_split_where_the_owner_or_the_city_changes() {
+        let f = fixture();
+        let users: Vec<&PrefixRecord> = f
+            .topo
+            .prefixes
+            .iter()
+            .filter(|r| r.kind == itm_topology::PrefixKind::UserAccess)
+            .collect();
+        let table = ClientRuns::new(users.iter().copied());
+        assert_eq!(table.len(), users.len());
+        let runs: Vec<&[&PrefixRecord]> = table.runs().map(|r| r.records()).collect();
+        assert!(runs.len() < users.len(), "no two neighbours share a run");
+        let key = |r: &PrefixRecord| (r.owner, r.city);
+        for run in &runs {
+            assert!(run.iter().all(|r| key(r) == key(run[0])));
+        }
+        for w in runs.windows(2) {
+            assert_ne!(key(w[0][w[0].len() - 1]), key(w[1][0]));
+        }
+        let flat: Vec<PrefixId> = runs.concat().iter().map(|r| r.id).collect();
+        let ids: Vec<PrefixId> = users.iter().map(|r| r.id).collect();
+        assert_eq!(flat, ids);
+        assert_eq!(ClientRuns::new([]).runs().count(), 0);
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! it, and score the error against the true site city.
 
 use crate::substrate::Substrate;
-use itm_dns::{DnsTally, DomainKey, OpenResolver};
+use itm_dns::{ClientRuns, DnsTally, DomainKey, OpenResolver};
 use itm_topology::PrefixKind;
 use itm_traffic::DeliveryMode;
 use itm_types::rng::{shard_bounds, DEFAULT_SHARDS};
@@ -214,6 +214,12 @@ impl UserMapping {
 
     /// Resolve one shard's slice of the prefix table against every
     /// measurable service (optionally restricted to `subset`).
+    ///
+    /// The slice's user prefixes are grouped once into runs that share an
+    /// owner AS and a city ([`ClientRuns`]), and every service resolves
+    /// run by run, so the redirection policy is consulted once per run.
+    /// Each service's cells fill one segment sized to the slice's user
+    /// prefixes, which is exact when no resolution is lost.
     fn measure_shard(
         s: &Substrate,
         resolver: &OpenResolver<'_>,
@@ -223,6 +229,14 @@ impl UserMapping {
         n_shards: usize,
     ) -> UserMappingShard {
         let (lo, hi) = shard_bounds(s.topo.prefixes.len(), shard, n_shards);
+        let clients = ClientRuns::new(
+            s.topo
+                .prefixes
+                .iter()
+                .skip(lo)
+                .take(hi - lo)
+                .filter(|rec| rec.kind == PrefixKind::UserAccess),
+        );
         let mut part = UserMappingShard {
             mapping: CellMap::new(),
             seen: BTreeMap::new(),
@@ -239,31 +253,38 @@ impl UserMapping {
             }
             let dom = DomainKey::of(svc);
             let svc_stats = part.stats.entry(svc.id).or_default();
+            let mut cells: Vec<Cell> = Vec::with_capacity(clients.len());
             let mut footprint: Vec<Ipv4Addr> = Vec::new();
-            for rec in s.topo.prefixes.iter().skip(lo).take(hi - lo) {
-                if rec.kind != PrefixKind::UserAccess {
-                    continue;
-                }
-                part.issued += 1;
-                let (ans, fate) =
-                    resolver.resolve_prefix_with_faults(rec, dom, faults, &mut part.dns);
-                svc_stats.record(fate);
-                if let Some(ans) = ans {
-                    // Services ascend in catalogue order and the prefix
-                    // slice ascends, so pushes arrive pre-sorted.
-                    part.mapping.push(Cell {
-                        service: svc.id,
-                        prefix: rec.id,
-                        addr: ans.addr,
-                    });
-                    // Consecutive prefixes of one network and city share a
-                    // front-end, so skipping repeats of the last address
-                    // keeps the list short; the sort below removes the rest.
-                    if footprint.last() != Some(&ans.addr) {
-                        footprint.push(ans.addr);
-                    }
-                }
+            for run in clients.runs() {
+                resolver.resolve_run_with_faults(
+                    run,
+                    dom,
+                    faults,
+                    &mut part.dns,
+                    |rec, ans, fate| {
+                        svc_stats.record(fate);
+                        if let Some(addr) = ans {
+                            // The prefix slice ascends, so cells arrive sorted.
+                            cells.push(Cell {
+                                service: svc.id,
+                                prefix: rec.id,
+                                addr,
+                            });
+                            // Consecutive prefixes of one network and city
+                            // share a front-end, so skipping repeats of the
+                            // last address keeps the list short; the sort
+                            // below removes the rest.
+                            if footprint.last() != Some(&addr) {
+                                footprint.push(addr);
+                            }
+                        }
+                    },
+                );
             }
+            part.issued += clients.len() as u64;
+            // Lost resolutions leave the segment short of its capacity.
+            cells.shrink_to_fit();
+            part.mapping.push_segment(cells);
             if !footprint.is_empty() {
                 // Sort footprints inside the shard so the merge never has to.
                 // The shard holds every footprint until the merge: keep

@@ -9,9 +9,11 @@
 //! fault plans, and campaign by campaign against reference loops written
 //! over the string API alone. The cache-probe reference evaluates the
 //! diurnal curve on every probe, so it checks the campaign's per-city
-//! diurnal table as well as its kernels.
+//! diurnal table as well as its kernels. The ECS-grid reference resolves
+//! every cell on its own, so it checks the grid's per-run answers, under
+//! random re-homings of the front-end directory as well.
 
-use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, HoistedRate, OpenResolver};
+use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, HoistedAnswer, HoistedRate, OpenResolver};
 use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
 use itm_topology::PrefixKind;
 use itm_traffic::DeliveryMode;
@@ -81,13 +83,16 @@ proptest! {
         prop_assert_eq!(resolver.probe_prefix(rec, dom, t, hoisted, &mut tally), probe);
         let city = resolver.pops()[resolver.pop_of(rec.id).index()].city;
         prop_assert_eq!(
-            auth.resolve_record(svc.id, city, Some(rec), &mut tally),
+            auth.resolve_record(svc.id, city, Some(rec), None, &mut tally),
             auth.resolve(svc.id, city, Some(rec.net))
         );
-        prop_assert_eq!(
-            resolver.resolve_prefix(rec, dom, &mut tally),
-            resolver.resolve_for_client(rec.id, &svc.domain).expect("known domain")
-        );
+        let resolved = resolver.resolve_for_client(rec.id, &svc.domain).expect("known domain");
+        // The grid hoists the front-end of a DNS-redirected service.
+        let answer = (svc.mode == DeliveryMode::DnsRedirection)
+            .then_some(HoistedAnswer { addr: resolved.addr });
+        for h in [None, answer] {
+            prop_assert_eq!(resolver.resolve_prefix(rec, dom, h, &mut tally), resolved);
+        }
         for (name, plan) in plans() {
             let faults = FaultInjector::new(plan, &s.seeds, "kernels");
             let probed = resolver.probe_with_faults(rec.net, &svc.domain, t, &faults, round);
@@ -113,11 +118,13 @@ proptest! {
                     "probe, {} faults", name
                 );
             }
-            prop_assert_eq!(
-                resolver.resolve_prefix_with_faults(rec, dom, &faults, &mut tally),
-                resolver.resolve_for_client_with_faults(rec.id, &svc.domain, &faults),
-                "resolution, {} faults", name
-            );
+            for h in [None, answer] {
+                prop_assert_eq!(
+                    resolver.resolve_prefix_with_faults(rec, dom, h, &faults, &mut tally),
+                    resolver.resolve_for_client_with_faults(rec.id, &svc.domain, &faults),
+                    "resolution, {} faults", name
+                );
+            }
         }
         // Every kernel probe was a lookup that either hit or missed.
         prop_assert_eq!(tally.cache_lookups_ecs, tally.cache_hit + tally.cache_miss);
@@ -329,5 +336,70 @@ fn ecs_grid_equals_the_string_api_loop() {
         );
         assert_eq!(part.footprint, footprint, "{name} faults");
         assert_eq!(part.stats_by_service, stats, "{name} faults");
+    }
+}
+
+/// The DNS-redirected ECS services: the ones the grid measures.
+fn measurable(s: &Substrate) -> Vec<ServiceId> {
+    s.catalog
+        .services
+        .iter()
+        .filter(|svc| svc.ecs_support && svc.mode == DeliveryMode::DnsRedirection)
+        .map(|svc| svc.id)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(campaign_cases())]
+
+    /// The grid resolves once per run of prefixes that share an AS and a
+    /// city; re-homing services moves which front-end each run gets, and
+    /// the grid must still equal the cell-by-cell reference, for the full
+    /// campaign and for any subset, under every fault plan.
+    #[test]
+    fn the_run_kernel_equals_the_cell_by_cell_grid(
+        shifts in proptest::collection::vec((any::<usize>(), 1u32..8), 0..6),
+        subset_bits in any::<u64>(),
+        full in any::<bool>(),
+        plan in 0usize..3,
+    ) {
+        let s = substrate();
+        let ids = measurable(s);
+        let mut frontends = s.frontends.clone();
+        for &(k, shift) in &shifts {
+            frontends.rehome_service(ids[k % ids.len()], shift);
+        }
+        let resolver = OpenResolver::deploy(
+            &s.topo,
+            &s.users,
+            &s.catalog,
+            &s.traffic,
+            &s.resolvers,
+            AuthoritativeDns::new(&s.topo, &s.catalog, &frontends),
+            s.config.open_resolver.clone(),
+            &s.seeds,
+        )
+        .expect("open resolver");
+        let (name, plan) = plans()[plan].clone();
+        let faults = FaultInjector::new(plan, &s.seeds, "user_mapping");
+        let subset: BTreeSet<ServiceId> = ids
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| subset_bits >> (i % 64) & 1 == 1)
+            .map(|(_, &id)| id)
+            .collect();
+        let (got, services): (UserMapping, Vec<ServiceId>) = if full {
+            (UserMapping::measure_with_faults(s, &resolver, &faults, sequential), ids.clone())
+        } else {
+            (
+                UserMapping::measure_subset_with_faults(s, &resolver, &subset, &faults, sequential),
+                subset.iter().copied().collect(),
+            )
+        };
+        let (cells, footprint, stats) = reference_grid(s, &resolver, &faults, &services);
+        let what = format!("shifts {shifts:?}, {} services, {name} faults", services.len());
+        prop_assert_eq!(got.mapping.iter().copied().collect::<Vec<_>>(), cells, "{}", &what);
+        prop_assert_eq!(&got.footprint, &footprint, "{}", &what);
+        prop_assert_eq!(&got.stats_by_service, &stats, "{}", &what);
     }
 }

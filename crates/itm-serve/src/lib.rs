@@ -28,7 +28,8 @@
 //! v2 file, FNV-1a 64 in a v1 file; any single corrupted byte is a hard
 //! error), presence and element sizes of all
 //! sections, monotonicity of every offset array, sortedness of every
-//! binary-searched column, and UTF-8 of the domain table. After that, the
+//! binary-searched column, that every sort index is a permutation, and
+//! UTF-8 of the domain table. After that, the
 //! query methods never panic and never re-validate.
 
 #![deny(missing_docs)]
@@ -60,6 +61,54 @@ fn elem_size(id: u32) -> usize {
         section::DOM_BYTES | section::CELL_BITS | section::ROUTE_KIND => 1,
         _ => 4,
     }
+}
+
+/// Why a sort index failed [`sort_index_order`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OrderFault {
+    /// An entry points past the keyed column.
+    OutOfRange,
+    /// Keys descend.
+    KeyOrder,
+    /// An entry equals the one before it.
+    Repeat,
+    /// Entries of one key descend.
+    IndexOrder,
+}
+
+/// Check that `index`, a `u32` column, lists indices into `keys`, a
+/// `u32` column of the same length, strictly ascending by `(key,
+/// index)` — the order the writer produces. That also makes it a
+/// permutation: equal indices have equal keys, so a repeated index would
+/// have to sit in the run of its key, where indices strictly ascend; and
+/// as many distinct in-range entries as keys are every index once. No
+/// seen-set is needed, so the check reads each entry and its key once
+/// and keeps nothing.
+fn sort_index_order(index: &[u8], keys: &[u8]) -> Result<(), OrderFault> {
+    let le = |b: &[u8]| u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+    // The smallest (key, index) pair, packed into a u64, that the next
+    // entry may hold.
+    let mut floor = 0u64;
+    for entry in index.chunks_exact(4) {
+        let i = le(entry);
+        let at = i as usize * 4;
+        let key = keys.get(at..at + 4).ok_or(OrderFault::OutOfRange)?;
+        let pair = (u64::from(le(key)) << 32) | u64::from(i);
+        if pair < floor {
+            let prev = floor - 1;
+            return Err(if pair >> 32 < prev >> 32 {
+                OrderFault::KeyOrder
+            } else if pair == prev {
+                OrderFault::Repeat
+            } else {
+                OrderFault::IndexOrder
+            });
+        }
+        // An index below the column length is below u32::MAX, so the
+        // pair never saturates here.
+        floor = pair.saturating_add(1);
+    }
+    Ok(())
 }
 
 /// The answer to a point lookup: the serving replica for one
@@ -143,8 +192,9 @@ impl Snapshot {
     /// right element size; section counts agree with the META counts;
     /// every offset array is monotone with the right endpoints; every
     /// binary-searched column is sorted; the domain table is NUL-delimited
-    /// valid UTF-8; the domain sort index is a permutation; and every
-    /// cross-section index is in range.
+    /// valid UTF-8; the domain sort index, the prefix sort index and the
+    /// cell reverse index are permutations; and every cross-section index
+    /// is in range.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, SnapError> {
         let dir = snap::parse_dir(&bytes)?;
         let mut secs = [Sec { off: 0, count: 0 }; REQUIRED.len()];
@@ -271,19 +321,19 @@ impl Snapshot {
             prev_name = name;
         }
 
-        // Prefix columns: the sort index must be in range and order the
-        // bases it points at nondecreasing.
-        let mut prev_base = 0u32;
-        for k in 0..self.pfx_sorted.count {
-            let i = self.u32_in(self.pfx_sorted, k) as usize;
-            if i >= self.n_prefixes() {
-                return malformed("prefix sort index out of range");
-            }
-            let base = self.u32_in(self.pfx_base, i);
-            if k > 0 && base < prev_base {
-                return malformed("prefix sort index not sorted by base");
-            }
-            prev_base = base;
+        // Prefix columns: the sort index must list every prefix once,
+        // ordered by (base, id) (the prefix-lookup invariant).
+        let order = sort_index_order(
+            self.payload(self.pfx_sorted, 4),
+            self.payload(self.pfx_base, 4),
+        );
+        if let Err(fault) = order {
+            return malformed(match fault {
+                OrderFault::OutOfRange => "prefix sort index out of range",
+                OrderFault::KeyOrder => "prefix sort index not sorted by base",
+                OrderFault::Repeat => "prefix sort index repeats a prefix",
+                OrderFault::IndexOrder => "prefix sort index not in id order within a base",
+            });
         }
 
         // Cell columns: service runs partition the cells; prefixes are in
@@ -317,19 +367,19 @@ impl Snapshot {
             }
         }
 
-        // Reverse index: in range, ordered by the serving address it
-        // dereferences to (the reverse-lookup invariant).
-        let mut prev_addr = 0u32;
-        for k in 0..self.cell_rev.count {
-            let i = self.u32_in(self.cell_rev, k) as usize;
-            if i >= self.n_cells() {
-                return malformed("cell reverse index out of range");
-            }
-            let addr = self.u32_in(self.cell_addr, i);
-            if k > 0 && addr < prev_addr {
-                return malformed("cell reverse index not sorted by address");
-            }
-            prev_addr = addr;
+        // Reverse index: every cell once, ordered by (serving address,
+        // index) (the reverse-lookup invariant).
+        let order = sort_index_order(
+            self.payload(self.cell_rev, 4),
+            self.payload(self.cell_addr, 4),
+        );
+        if let Err(fault) = order {
+            return malformed(match fault {
+                OrderFault::OutOfRange => "cell reverse index out of range",
+                OrderFault::KeyOrder => "cell reverse index not sorted by address",
+                OrderFault::Repeat => "cell reverse index repeats a cell",
+                OrderFault::IndexOrder => "cell reverse index not in cell order within an address",
+            });
         }
 
         // Front-end table: strictly ascending addresses.
@@ -370,6 +420,13 @@ impl Snapshot {
 
     // ---- Raw column accessors. Offsets were bounds-checked at open, so
     // the `unwrap_or` defaults are unreachable for in-range indices.
+
+    /// The payload bytes of a section of `width`-byte elements.
+    fn payload(&self, s: Sec, width: usize) -> &[u8] {
+        self.bytes
+            .get(s.off..s.off + s.count * width)
+            .unwrap_or(&[])
+    }
 
     #[inline]
     fn u32_in(&self, s: Sec, i: usize) -> u32 {

@@ -304,6 +304,98 @@ fn a_domain_sort_index_out_of_name_order_is_rejected() {
     );
 }
 
+/// The little-endian `u32` column of section `id` in `bytes`.
+fn column(bytes: &[u8], id: u32) -> Vec<u32> {
+    let dir = snap::parse_dir(bytes).unwrap();
+    let e = dir.iter().find(|e| e.id == id).unwrap();
+    bytes[e.offset as usize..(e.offset + e.len) as usize]
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        .collect()
+}
+
+#[test]
+fn a_prefix_sort_index_that_is_no_permutation_is_rejected() {
+    let good = good_bytes();
+    // The first entry twice: bases stay nondecreasing, one prefix is
+    // missing, so `find_prefix` would never reach it.
+    let bad = with_section_edited(good, section::PFX_SORTED, |p| p.copy_within(0..4, 4));
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "prefix sort index repeats a prefix"
+        })
+    );
+}
+
+#[test]
+fn a_prefix_sort_index_out_of_id_order_within_a_base_is_rejected() {
+    let good = good_bytes();
+    let sorted = column(good, section::PFX_SORTED);
+    // Give the first two prefixes in base order one base, then swap
+    // them: the index is still sorted by base, but not by (base, id).
+    let (a, b) = (sorted[0] as usize, sorted[1] as usize);
+    let shared = with_section_edited(good, section::PFX_BASE, |p| {
+        p.copy_within(b * 4..b * 4 + 4, a * 4)
+    });
+    assert!(Snapshot::from_bytes(shared.clone()).is_ok());
+    let bad = with_section_edited(&shared, section::PFX_SORTED, |p| {
+        let (x, y) = p[..8].split_at_mut(4);
+        x.swap_with_slice(y);
+    });
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "prefix sort index not in id order within a base"
+        })
+    );
+}
+
+/// The index of the first of two neighbouring reverse-index entries
+/// that point at cells of one address.
+fn same_address_neighbours(bytes: &[u8]) -> usize {
+    let rev = column(bytes, section::CELL_REV);
+    let addrs = column(bytes, section::CELL_ADDR);
+    rev.windows(2)
+        .position(|w| addrs[w[0] as usize] == addrs[w[1] as usize])
+        .expect("an address serves two cells")
+}
+
+#[test]
+fn a_cell_reverse_index_that_is_no_permutation_is_rejected() {
+    let good = good_bytes();
+    // Repeating the first of two neighbours of one address run keeps
+    // the index sorted by address but drops a cell from `reverse`.
+    let k = same_address_neighbours(good);
+    let bad = with_section_edited(good, section::CELL_REV, |p| {
+        p.copy_within(k * 4..k * 4 + 4, k * 4 + 4)
+    });
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "cell reverse index repeats a cell"
+        })
+    );
+}
+
+#[test]
+fn a_cell_reverse_index_out_of_cell_order_within_an_address_is_rejected() {
+    let good = good_bytes();
+    // Swapping two neighbours of one address run keeps a permutation
+    // sorted by address, but not by (address, index).
+    let k = same_address_neighbours(good);
+    let bad = with_section_edited(good, section::CELL_REV, |p| {
+        let (a, b) = p[k * 4..k * 4 + 8].split_at_mut(4);
+        a.swap_with_slice(b);
+    });
+    assert_eq!(
+        open_error(bad),
+        Some(SnapError::Malformed {
+            what: "cell reverse index not in cell order within an address"
+        })
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -98,6 +98,31 @@ impl CellMap {
         self.total += 1;
     }
 
+    /// Append a whole segment: cells of one service, strictly ascending
+    /// by prefix, sorting after the current last cell. The segment is
+    /// kept as it is, capacity included, so a caller that sized it
+    /// exactly adds no slack to the map; an empty one adds nothing.
+    pub fn push_segment(&mut self, seg: Vec<Cell>) {
+        let Some(first) = seg.first() else { return };
+        debug_assert!(
+            self.last_key().is_none_or(|l| l < first.key())
+                && seg
+                    .windows(2)
+                    .all(|w| w[0].service == w[1].service && w[0].key() < w[1].key()),
+            "CellMap::push_segment out of order at {:?}",
+            first.key()
+        );
+        self.firsts.push(first.key());
+        self.total += seg.len();
+        self.segs.push(seg);
+    }
+
+    /// The segments, in order: their concatenation is [`CellMap::iter`],
+    /// and each holds cells of one service.
+    pub fn segments(&self) -> impl Iterator<Item = &[Cell]> {
+        self.segs.iter().map(Vec::as_slice)
+    }
+
     /// Zero-copy merge of per-shard maps into one.
     ///
     /// `parts` must come from shards sweeping contiguous, ascending
@@ -352,6 +377,26 @@ mod tests {
         assert_eq!(m.get(ServiceId(1), PrefixId(0)), None);
         assert_eq!(m.get(ServiceId(2), PrefixId(0)), Some(Ipv4Addr(12)));
         assert_eq!(m.get(ServiceId(9), PrefixId(9)), None);
+    }
+
+    #[test]
+    fn push_segment_matches_push() {
+        let mut pushed = CellMap::new();
+        let mut segments = CellMap::new();
+        let segs = [
+            vec![cell(0, 1, 10), cell(0, 5, 11)],
+            vec![],
+            vec![cell(2, 0, 12)],
+        ];
+        for seg in &segs {
+            for &c in seg {
+                pushed.push(c);
+            }
+            segments.push_segment(seg.clone());
+        }
+        assert_eq!(segments, pushed);
+        let got: Vec<&[Cell]> = segments.segments().collect();
+        assert_eq!(got, vec![&segs[0][..], &segs[2][..]]);
     }
 
     #[test]

@@ -464,6 +464,32 @@ impl SnapWriter {
         self.payload_of(id, None)
     }
 
+    /// The payloads of `N` distinct sections at once, in `ids` order, so
+    /// that one pass can fill several columns.
+    pub fn payloads_mut<const N: usize>(&mut self, ids: [u32; N]) -> [&mut [u8]; N] {
+        let ranges = ids.map(|id| {
+            let declared = self.sections.iter().find(|s| s.0 == id);
+            assert!(declared.is_some(), "section {id} was not declared");
+            declared.map(|s| s.2.clone()).unwrap_or_default()
+        });
+        let mut order: [usize; N] = std::array::from_fn(|k| k);
+        // An empty payload may start where the next one does: it goes first.
+        order.sort_by_key(|&k| (ranges[k].start, ranges[k].end));
+        let mut out: [&mut [u8]; N] = std::array::from_fn(|_| Default::default());
+        let mut rest = &mut self.out[..];
+        let mut base = 0;
+        for k in order {
+            let at = &ranges[k];
+            assert!(at.start >= base, "section {} requested twice", ids[k]);
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(at.start - base);
+            let (payload, tail) = tail.split_at_mut(at.len());
+            out[k] = payload;
+            rest = tail;
+            base = at.end;
+        }
+        out
+    }
+
     fn payload_of(&mut self, id: u32, width: Option<usize>) -> &mut [u8] {
         let declared = self.sections.iter().find(|s| s.0 == id).cloned();
         assert!(declared.is_some(), "section {id} was not declared");
@@ -711,6 +737,32 @@ mod tests {
         let dir = parse_dir(&bytes).unwrap();
         assert_eq!(read_u32(&bytes, dir[0].offset as usize + 4), Some(2));
         assert_eq!(bytes[dir[1].offset as usize + 2], 7);
+    }
+
+    #[test]
+    fn several_payloads_borrow_at_once() {
+        // An empty section shares its offset with the next one.
+        let mut w = SnapWriter::new(&[
+            (section::PFX_BASE, 4, 2),
+            (section::CELL_PREFIX, 4, 0),
+            (section::CELL_BITS, 1, 3),
+        ]);
+        let [bits, empty, base] =
+            w.payloads_mut([section::CELL_BITS, section::CELL_PREFIX, section::PFX_BASE]);
+        assert_eq!((bits.len(), empty.len(), base.len()), (3, 0, 8));
+        bits.copy_from_slice(&[9, 8, 7]);
+        base[4..].copy_from_slice(&2u32.to_le_bytes());
+        let bytes = w.finish();
+        let dir = parse_dir(&bytes).unwrap();
+        assert_eq!(read_u32(&bytes, dir[0].offset as usize + 4), Some(2));
+        assert_eq!(bytes[dir[2].offset as usize + 2], 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "requested twice")]
+    fn a_payload_borrowed_twice_panics() {
+        let mut w = SnapWriter::new(&[(section::PFX_BASE, 4, 2)]);
+        w.payloads_mut([section::PFX_BASE, section::PFX_BASE]);
     }
 
     #[test]
