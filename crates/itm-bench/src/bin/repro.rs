@@ -89,14 +89,23 @@
 //! that are missing, corrupted, version-mismatched, or describe
 //! different universes exit 2; an empty delta (e.g. a snapshot diffed
 //! against itself) exits 0.
+//!
+//! The experiment list lives in one table, [`EXPERIMENTS`]: run order,
+//! the `--exp` ids, the usage text's id lists and the map-building check
+//! all come from it, so adding an experiment means adding one row. Every
+//! mode returns its exit code or a [`UsageError`]; `main` alone prints
+//! the error and exits 2.
 
+use itm_bench::plan::{self, Plan};
 use itm_bench::{ablations, experiments, ExperimentResult};
 use itm_core::{MapConfig, MapSummary, ParallelExecutor, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
 use itm_obs::ProvenanceIndex;
+use itm_serve::Snapshot;
 use itm_topology::TopologyConfig;
-use itm_types::{FaultPlan, PrefixId, ServiceId};
+use itm_types::{EpochPlan, FaultPlan, PrefixId, ServiceId};
 use std::io::Write;
+use std::process::ExitCode;
 use std::time::Instant;
 
 // The instrumented allocator wrapper. Installation is free when tracking
@@ -109,47 +118,136 @@ static ALLOC: itm_obs::alloc::TrackingAlloc = itm_obs::alloc::TrackingAlloc::new
 /// and each of its rows.
 const BENCH_SCHEMA_VERSION: u64 = 1;
 
-/// Experiment ids, in run order.
-const EXPERIMENT_IDS: &[&str] = &[
-    "map",
-    "table1",
-    "fig1a",
-    "fig1b",
-    "fig2",
-    "pathlen",
-    "anycast",
-    "coverage",
-    "ecs",
-    "pathpred",
-    "recommend",
-    "ipid",
-    "visibility",
-    "consolidation",
-    "cachehost",
-    "assoc",
-    "staleness",
+/// What an experiment's run function reads.
+struct Ctx<'a> {
+    s: &'a Substrate,
+    /// The assembled map; built whenever a selected row needs it.
+    map: Option<&'a TrafficMap>,
+    cfg: &'a SubstrateConfig,
+    seed: u64,
+    out_dir: &'a str,
+}
+
+impl Ctx<'_> {
+    fn map(&self) -> &TrafficMap {
+        self.map
+            .expect("the map is built for every map-building row")
+    }
+}
+
+/// One experiment: its id, whether it runs on the assembled map, and its
+/// run function. Ids starting `ab_` are ablations (run with
+/// `--ablations`, or singly via `--exp`).
+type Experiment = (&'static str, bool, fn(&Ctx) -> ExperimentResult);
+
+/// Every experiment, in run order.
+const EXPERIMENTS: &[Experiment] = &[
+    ("map", true, map_summary),
+    ("table1", true, |c| experiments::table1(c.s, c.map())),
+    ("fig1a", true, |c| experiments::fig1a(c.s, c.map())),
+    ("fig1b", true, |c| experiments::fig1b(c.s, c.map())),
+    ("fig2", true, |c| experiments::fig2(c.s, c.map())),
+    ("coverage", true, |c| {
+        experiments::coverage_claims(c.s, c.map())
+    }),
+    ("ecs", true, |c| experiments::ecs(c.s, c.map())),
+    ("pathlen", false, |c| experiments::pathlen(c.s)),
+    ("anycast", false, |c| experiments::anycast(c.s)),
+    ("pathpred", false, |c| experiments::pathpred(c.s)),
+    ("recommend", false, |c| experiments::recommend(c.s)),
+    ("ipid", false, |c| experiments::ipid(c.s)),
+    ("visibility", false, |c| experiments::visibility(c.s)),
+    ("consolidation", false, |c| experiments::consolidation(c.s)),
+    ("cachehost", false, |c| experiments::cachehost(c.s)),
+    ("assoc", false, |c| experiments::assoc(c.s)),
+    ("staleness", false, |c| experiments::staleness(c.s)),
+    ("ab_ecs_scope", false, |c| ablations::ab_ecs_scope(c.s)),
+    ("ab_resolver_assumption", false, |c| {
+        ablations::ab_resolver_assumption(c.cfg, c.seed)
+    }),
+    ("ab_collectors", false, |c| ablations::ab_collectors(c.s)),
+    ("ab_recommend_features", false, |c| {
+        ablations::ab_recommend_features(c.s)
+    }),
+    ("ab_probe_budget", false, |c| {
+        ablations::ab_probe_budget(c.s)
+    }),
 ];
 
-/// Ablation ids (run with `--ablations`, or singly via `--exp ab_*`).
-const ABLATION_IDS: &[&str] = &[
-    "ab_ecs_scope",
-    "ab_resolver_assumption",
-    "ab_collectors",
-    "ab_recommend_features",
-    "ab_probe_budget",
-];
+fn is_ablation(id: &str) -> bool {
+    id.starts_with("ab_")
+}
 
+/// The ids of the table rows `keep` accepts, space-separated.
+fn experiment_ids(keep: impl Fn(&Experiment) -> bool) -> String {
+    let ids: Vec<&str> = EXPERIMENTS
+        .iter()
+        .filter(|e| keep(e))
+        .map(|e| e.0)
+        .collect();
+    ids.join(" ")
+}
+
+/// The `map` experiment: write `map_summary.json` and report its counts.
+fn map_summary(c: &Ctx) -> ExperimentResult {
+    let summary = MapSummary::extract(c.s, c.map());
+    let path = format!("{}/map_summary.json", c.out_dir);
+    std::fs::write(&path, summary.to_json().expect("serializable")).expect("write map summary");
+    eprintln!("  wrote {path}");
+    ExperimentResult {
+        id: "map",
+        title: "assembled traffic map (map_summary.json)".into(),
+        csv_header: "metric,value".into(),
+        csv_rows: vec![
+            format!("user_prefixes,{}", summary.user_prefixes.len()),
+            format!("mapping_cells,{}", summary.mapping_cells),
+            format!("offnets,{}", summary.offnets.len()),
+            format!("route_edges,{}", summary.route_edges),
+            format!("invisible_peering,{:.4}", summary.invisible_peering),
+        ],
+        headline: vec![
+            (
+                "user prefixes".into(),
+                summary.user_prefixes.len().to_string(),
+            ),
+            ("mapping cells".into(), summary.mapping_cells.to_string()),
+            (
+                "offnet deployments".into(),
+                summary.offnets.len().to_string(),
+            ),
+            ("route edges".into(), summary.route_edges.to_string()),
+        ],
+    }
+}
+
+/// A bad invocation, caught before (or instead of) the work it asked
+/// for. `main` prints it and exits 2.
+enum UsageError {
+    /// A malformed command line: printed with the usage text after it.
+    Usage(String),
+    /// A well-formed command line naming a bad path or file.
+    Plain(String),
+}
+
+/// What a mode returns: its exit code (0 done, 1 a negative answer or a
+/// failed gate) or the usage error that stopped it.
+type Outcome = Result<ExitCode, UsageError>;
+
+#[derive(Default)]
 struct Args {
     exp: Option<String>,
     seed: u64,
-    size: String,
+    /// `--size`; `None` means `default` (or, for `--bench-record`, the
+    /// whole `small,default,large` trajectory).
+    size: Option<String>,
     ablations: bool,
     out_dir: String,
     metrics: bool,
-    /// Worker threads for the map build (0 was rejected at parse time);
-    /// defaults to the machine's available parallelism. Any value produces
-    /// byte-identical output — shards are fixed, threads only run them.
-    threads: usize,
+    /// `--threads` (0 is rejected at parse time); `None` means the
+    /// machine's available parallelism, or one worker for
+    /// `--bench-record` so peak-byte accounting is deterministic. Any
+    /// value produces byte-identical output.
+    threads: Option<usize>,
     /// `--trace` was given; `Some(path)` if it carried an explicit output
     /// path, `None` for the default `<out>/trace.json`.
     trace: Option<Option<String>>,
@@ -160,23 +258,15 @@ struct Args {
     audit: Option<Option<String>>,
     /// Fault plan the map build runs under (default: off).
     faults: FaultPlan,
-    /// `--threads` was given explicitly (bench-record defaults to one
-    /// worker otherwise, so peak-byte accounting is deterministic).
-    threads_explicit: bool,
-    /// `--size` was given explicitly (bench-record records the full
-    /// small,default,large trajectory otherwise).
-    size_explicit: bool,
     /// `--bench-record`: run the map build per size with profiling on and
     /// append trajectory rows instead of running experiments.
     bench_record: bool,
-    /// Trajectory file `--bench-record` appends to.
-    bench_out: String,
+    /// `--bench-out`: the trajectory file a bench mode appends to
+    /// (default: the mode's own `BENCH_*.json`).
+    bench_out: Option<String>,
     /// `--bench-baseline FILE`: exit 1 if peak tracked bytes regress >10%
     /// against the matching-size rows of this baseline trajectory.
     bench_baseline: Option<String>,
-    /// `--bench-out` was given explicitly (`--bench-query` appends to
-    /// `BENCH_query.json` by default instead of the map-build trajectory).
-    bench_out_explicit: bool,
     /// `--snapshot` was given; `Some(path)` if it carried an explicit
     /// file, `None` for the default `<out>/map.snap`. In build mode this
     /// is where the snapshot is written; with `--query` it is where the
@@ -191,18 +281,42 @@ struct Args {
     /// `--epochs N`: run the continuous-map loop for N epochs of churn
     /// after the initial full build.
     epochs: Option<u32>,
-    /// Churn plan the epoch loop runs under (default: light).
-    epoch_plan: itm_types::EpochPlan,
-    /// Raw `--epoch-plan` argument, kept for labelling metrics rows.
-    epoch_plan_raw: String,
-    /// `--epoch-plan` was given explicitly (only legal with `--epochs`).
-    epoch_plan_explicit: bool,
+    /// `--epoch-plan`: the raw argument (labels metrics rows) and the
+    /// churn plan it names; `None` means `light`.
+    epoch_plan: Option<(String, EpochPlan)>,
     /// `--epoch-verify`: full-rebuild every epoch, assert byte-identity,
     /// and record incremental-vs-full speedup rows.
     epoch_verify: bool,
     /// `--diff A B`: diff two snapshots and exit without building.
     diff: Option<(String, String)>,
 }
+
+impl Args {
+    fn size(&self) -> &str {
+        self.size.as_deref().unwrap_or("default")
+    }
+
+    fn threads(&self) -> usize {
+        self.threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1)
+        })
+    }
+
+    /// Whether the run includes table row `id`: the one `--exp` names, or
+    /// every experiment (ablations only with `--ablations`).
+    fn selects(&self, id: &str) -> bool {
+        match &self.exp {
+            Some(exp) => exp == id,
+            None => self.ablations || !is_ablation(id),
+        }
+    }
+}
+
+const QUERY_EXPECTS: &str =
+    "--query expects: point PREFIX SERVICE | reverse ADDR | route ASN [ASN]";
+const PLAN_EXPECTS: &str = "off|light|heavy|FILE";
 
 fn usage() -> String {
     format!(
@@ -236,283 +350,147 @@ fn usage() -> String {
          --diff writes every cell and route delta between two snapshots \
          (with technique provenance) to <out>/map_diff.json;\n\
          --audit writes <out>/map_quality.json (override with out=FILE) and \
-         needs a map-building experiment: map table1 fig1a fig1b fig2 \
-         coverage ecs;\n\
+         needs a map-building experiment: {};\n\
          PREFIX is pfxN, a bare index, or a /24 like 10.0.0.0/24;\n\
          SERVICE is svcN, a bare index, or a domain like svc0.example;\n\
          a --faults FILE is a JSON object with any of: loss, timeout, \
          refusal, churn, max_retries, backoff_base_secs, backoff_cap_secs\n\
          experiment ids: {}\n\
          ablation ids (with --exp): {}",
-        EXPERIMENT_IDS.join(" "),
-        ABLATION_IDS.join(" ")
+        experiment_ids(|e| e.1),
+        experiment_ids(|e| !is_ablation(e.0)),
+        experiment_ids(|e| is_ablation(e.0)),
     )
 }
 
-fn parse_args() -> Args {
+/// The command line after the program name, read one flag at a time.
+struct Argv(std::iter::Peekable<std::vec::IntoIter<String>>);
+
+impl Argv {
+    /// The next token, if it is an operand (flags never start another
+    /// flag's value).
+    fn operand(&mut self) -> Option<String> {
+        self.0.next_if(|v| !v.starts_with("--"))
+    }
+
+    /// The value a flag requires; missing, it is a usage error saying
+    /// what the flag expects.
+    fn value(&mut self, flag: &str, expects: &str) -> Result<String, UsageError> {
+        self.operand()
+            .ok_or_else(|| UsageError::Usage(format!("{flag} expects {expects}")))
+    }
+
+    /// The two values a flag requires.
+    fn pair(&mut self, flag: &str, expects: &str) -> Result<(String, String), UsageError> {
+        Ok((self.value(flag, expects)?, self.value(flag, expects)?))
+    }
+
+    /// A flag's integer value, at least `min`.
+    fn int<T: std::str::FromStr + PartialOrd>(
+        &mut self,
+        flag: &str,
+        expects: &str,
+        min: T,
+    ) -> Result<T, UsageError> {
+        let raw = self.value(flag, expects)?;
+        match raw.parse() {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(UsageError::Usage(format!(
+                "{flag} expects {expects}, got {raw:?}"
+            ))),
+        }
+    }
+
+    /// A flag's plan: a named profile or a JSON plan file.
+    fn plan<P: Plan>(&mut self, flag: &str) -> Result<(String, P), UsageError> {
+        let raw = self.value(flag, PLAN_EXPECTS)?;
+        let plan = plan::load(flag, &raw).map_err(UsageError::Usage)?;
+        Ok((raw, plan))
+    }
+}
+
+/// Parse and cross-check the command line; `None` means `--help`. Every
+/// rejection here comes before any filesystem work.
+fn parse_args() -> Result<Option<Args>, UsageError> {
     let mut args = Args {
-        exp: None,
         seed: 42,
-        size: "default".into(),
-        ablations: false,
         out_dir: "results".into(),
-        metrics: false,
-        threads: std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
-        trace: None,
-        explain: None,
-        audit: None,
-        faults: FaultPlan::off(),
-        threads_explicit: false,
-        size_explicit: false,
-        bench_record: false,
-        bench_out: "BENCH_map_build.json".into(),
-        bench_baseline: None,
-        bench_out_explicit: false,
-        snapshot: None,
-        query: None,
-        bench_query: false,
-        epochs: None,
-        epoch_plan: itm_types::EpochPlan::light(),
-        epoch_plan_raw: "light".into(),
-        epoch_plan_explicit: false,
-        epoch_verify: false,
-        diff: None,
+        ..Default::default()
     };
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        let a = argv[i].as_str();
-        // The value following a flag, if any (flags never start another
-        // flag's value).
-        let value = |i: usize| -> Option<String> {
-            argv.get(i + 1).filter(|v| !v.starts_with("--")).cloned()
-        };
-        match a {
-            "--exp" => {
-                args.exp = value(i);
-                i += 2;
-            }
-            "--seed" => {
-                let raw = value(i).unwrap_or_default();
-                args.seed = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("--seed expects an integer, got {raw:?}");
-                    std::process::exit(2);
-                });
-                i += 2;
-            }
+    let mut argv = Argv(
+        std::env::args()
+            .skip(1)
+            .collect::<Vec<_>>()
+            .into_iter()
+            .peekable(),
+    );
+    while let Some(flag) = argv.0.next() {
+        match flag.as_str() {
+            "--exp" => args.exp = Some(argv.value("--exp", "an experiment id")?),
+            "--seed" => args.seed = argv.int("--seed", "an integer", 0)?,
             "--size" => {
-                // A missing value must not silently mean "default": the
-                // size labels bench rows and artifacts, so it follows the
-                // same exit-2 contract as --bench-out and friends.
-                let Some(v) = value(i) else {
-                    eprintln!(
-                        "--size expects small|default|large (a comma list \
-                         with --bench-record)\n{}",
-                        usage()
-                    );
-                    std::process::exit(2);
-                };
-                args.size = v;
-                args.size_explicit = true;
-                i += 2;
+                // The size labels bench rows and artifacts, so a missing
+                // value must never silently mean "default".
+                let expects = "small|default|large (a comma list with --bench-record)";
+                args.size = Some(argv.value("--size", expects)?);
             }
-            "--ablations" => {
-                args.ablations = true;
-                i += 1;
-            }
-            "--threads" => {
-                let raw = value(i).unwrap_or_default();
-                args.threads = match raw.parse() {
-                    Ok(n) if n >= 1 => n,
-                    _ => {
-                        eprintln!("--threads expects a positive integer, got {raw:?}");
-                        std::process::exit(2);
-                    }
-                };
-                args.threads_explicit = true;
-                i += 2;
-            }
-            "--bench-record" => {
-                args.bench_record = true;
-                i += 1;
-            }
-            "--epochs" => {
-                let raw = value(i).unwrap_or_default();
-                args.epochs = match raw.parse::<u32>() {
-                    Ok(n) if n >= 1 => Some(n),
-                    _ => {
-                        eprintln!(
-                            "--epochs expects a positive integer, got {raw:?}\n{}",
-                            usage()
-                        );
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--epoch-plan" => {
-                let raw = value(i).unwrap_or_default();
-                args.epoch_plan = parse_epoch_plan(&raw);
-                args.epoch_plan_raw = raw;
-                args.epoch_plan_explicit = true;
-                i += 2;
-            }
-            "--epoch-verify" => {
-                args.epoch_verify = true;
-                i += 1;
-            }
-            "--diff" => {
-                let (Some(a), Some(b)) = (value(i), value(i + 1)) else {
-                    eprintln!("--diff expects two snapshot paths\n{}", usage());
-                    std::process::exit(2);
-                };
-                args.diff = Some((a, b));
-                i += 3;
-            }
-            "--bench-query" => {
-                args.bench_query = true;
-                i += 1;
-            }
-            "--snapshot" => match value(i) {
-                Some(path) => {
-                    args.snapshot = Some(Some(path));
-                    i += 2;
-                }
-                None => {
-                    args.snapshot = Some(None);
-                    i += 1;
-                }
-            },
-            "--query" => {
-                // Greedy: the kind plus every following non-flag operand.
-                let mut spec = Vec::new();
-                let mut j = i + 1;
-                while j < argv.len() && !argv[j].starts_with("--") {
-                    spec.push(argv[j].clone());
-                    j += 1;
-                }
-                if spec.is_empty() {
-                    eprintln!(
-                        "--query expects: point PREFIX SERVICE | reverse ADDR | \
-                         route ASN [ASN]\n{}",
-                        usage()
-                    );
-                    std::process::exit(2);
-                }
-                args.query = Some(spec);
-                i = j;
-            }
-            "--bench-out" => {
-                let Some(path) = value(i) else {
-                    eprintln!("--bench-out expects a file path\n{}", usage());
-                    std::process::exit(2);
-                };
-                args.bench_out = path;
-                args.bench_out_explicit = true;
-                i += 2;
-            }
+            "--threads" => args.threads = Some(argv.int("--threads", "a positive integer", 1)?),
+            "--epochs" => args.epochs = Some(argv.int("--epochs", "a positive integer", 1)?),
+            "--epoch-plan" => args.epoch_plan = Some(argv.plan("--epoch-plan")?),
+            "--faults" => args.faults = argv.plan::<FaultPlan>("--faults")?.1,
+            "--diff" => args.diff = Some(argv.pair("--diff", "two snapshot paths")?),
+            "--explain" => args.explain = Some(argv.pair("--explain", "PREFIX and SERVICE")?),
+            // Greedy: the kind plus every following operand (shape checked
+            // below).
+            "--query" => args.query = Some(std::iter::from_fn(|| argv.operand()).collect()),
+            "--bench-out" => args.bench_out = Some(argv.value("--bench-out", "a file path")?),
             "--bench-baseline" => {
-                let Some(path) = value(i) else {
-                    eprintln!("--bench-baseline expects a file path\n{}", usage());
-                    std::process::exit(2);
-                };
-                args.bench_baseline = Some(path);
-                i += 2;
+                args.bench_baseline = Some(argv.value("--bench-baseline", "a file path")?)
             }
-            "--metrics" => {
-                args.metrics = true;
-                i += 1;
-            }
-            "--trace" => match value(i) {
-                Some(path) => {
-                    args.trace = Some(Some(path));
-                    i += 2;
-                }
-                None => {
-                    args.trace = Some(None);
-                    i += 1;
-                }
-            },
-            "--audit" => match value(i) {
-                Some(spec) => {
-                    args.audit = Some(Some(spec));
-                    i += 2;
-                }
-                None => {
-                    args.audit = Some(None);
-                    i += 1;
-                }
-            },
-            "--explain" => {
-                let (Some(pfx), Some(svc)) = (value(i), value(i + 1)) else {
-                    eprintln!("--explain expects PREFIX and SERVICE\n{}", usage());
-                    std::process::exit(2);
-                };
-                args.explain = Some((pfx, svc));
-                i += 3;
-            }
-            "--faults" => {
-                let raw = value(i).unwrap_or_default();
-                args.faults = parse_fault_plan(&raw);
-                i += 2;
-            }
-            "--out" => {
-                args.out_dir = value(i).unwrap_or_else(|| "results".into());
-                i += 2;
-            }
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                std::process::exit(0);
-            }
+            "--out" => args.out_dir = argv.value("--out", "a directory")?,
+            "--snapshot" => args.snapshot = Some(argv.operand()),
+            "--trace" => args.trace = Some(argv.operand()),
+            "--audit" => args.audit = Some(argv.operand()),
+            "--ablations" => args.ablations = true,
+            "--metrics" => args.metrics = true,
+            "--bench-record" => args.bench_record = true,
+            "--bench-query" => args.bench_query = true,
+            "--epoch-verify" => args.epoch_verify = true,
+            "--help" | "-h" => return Ok(None),
             other => {
-                eprintln!("unknown argument {other}; try --help");
-                std::process::exit(2);
+                return Err(UsageError::Plain(format!(
+                    "unknown argument {other}; try --help"
+                )))
             }
         }
     }
     // Reject unknown experiment ids up front, before the (expensive)
     // substrate build.
-    if let Some(exp) = args.exp.as_deref() {
-        if !EXPERIMENT_IDS.contains(&exp) && !ABLATION_IDS.contains(&exp) {
-            eprintln!("unknown experiment id {exp:?}\n{}", usage());
-            std::process::exit(2);
+    if let Some(exp) = &args.exp {
+        if !EXPERIMENTS.iter().any(|e| e.0 == exp) {
+            return Err(UsageError::Usage(format!("unknown experiment id {exp:?}")));
         }
     }
     // Comma-separated sizes exist only in bench-record mode; everywhere
-    // else an unknown size silently meaning "default" would be a trap.
-    if !args.bench_record && args.size.contains(',') {
-        eprintln!(
-            "--size takes a comma list only with --bench-record\n{}",
-            usage()
-        );
-        std::process::exit(2);
-    }
-    // Unknown sizes are usage errors everywhere — checked here, before
-    // any filesystem work, so `--size lrage` can never label artifacts
-    // from a silently-substituted default build. Bench-record validates
-    // its comma list entry-by-entry in `bench_sizes` instead.
-    if !args.bench_record && !matches!(args.size.as_str(), "small" | "default" | "large") {
-        eprintln!(
-            "unknown --size {:?} (small|default|large)\n{}",
-            args.size,
-            usage()
-        );
-        std::process::exit(2);
+    // else an unknown size is a usage error, so `--size lrage` can never
+    // label artifacts from a silently substituted default build.
+    // Bench-record checks its list entry by entry in `bench_sizes`.
+    if !args.bench_record {
+        if args.size().contains(',') {
+            return Err(UsageError::Usage(
+                "--size takes a comma list only with --bench-record".into(),
+            ));
+        }
+        size_config(&args)?;
     }
     // The three diverging modes are mutually exclusive.
     if (args.bench_record && args.bench_query)
         || (args.query.is_some() && (args.bench_record || args.bench_query))
     {
-        eprintln!(
-            "--bench-record, --bench-query, and --query are mutually \
-             exclusive\n{}",
-            usage()
-        );
-        std::process::exit(2);
+        return Err(UsageError::Usage(
+            "--bench-record, --bench-query, and --query are mutually exclusive".into(),
+        ));
     }
-    // Validate the --query spec shape up front: kind + argument count.
     if let Some(spec) = &args.query {
         let ok = match spec.first().map(|s| s.as_str()) {
             Some("point") => spec.len() == 3,
@@ -521,88 +499,87 @@ fn parse_args() -> Args {
             _ => false,
         };
         if !ok {
-            eprintln!(
-                "--query expects: point PREFIX SERVICE | reverse ADDR | \
-                 route ASN [ASN]\n{}",
-                usage()
-            );
-            std::process::exit(2);
+            return Err(UsageError::Usage(QUERY_EXPECTS.into()));
         }
     }
-    // The diff mode is read-mostly and never builds anything; combining
-    // it with a build mode would silently ignore one of the two.
-    if args.diff.is_some()
-        && (args.epochs.is_some()
-            || args.query.is_some()
-            || args.bench_record
-            || args.bench_query
-            || args.exp.is_some()
-            || args.explain.is_some()
-            || args.audit.is_some()
-            || args.snapshot.is_some()
-            || args.ablations)
-    {
-        eprintln!("--diff does not combine with other modes\n{}", usage());
-        std::process::exit(2);
+    let other_modes = args.exp.is_some()
+        || args.explain.is_some()
+        || args.audit.is_some()
+        || args.ablations
+        || args.query.is_some()
+        || args.bench_record
+        || args.bench_query;
+    // The diff mode never builds anything; combining it with a build
+    // mode would silently ignore one of the two.
+    if args.diff.is_some() && (other_modes || args.epochs.is_some() || args.snapshot.is_some()) {
+        return Err(UsageError::Usage(
+            "--diff does not combine with other modes".into(),
+        ));
     }
-    // The epoch loop drives its own builds; experiment selection, query
-    // modes, and the bench recorders do not compose with it.
-    if args.epochs.is_some()
-        && (args.query.is_some()
-            || args.bench_record
-            || args.bench_query
-            || args.exp.is_some()
-            || args.explain.is_some()
-            || args.audit.is_some()
-            || args.ablations)
-    {
-        eprintln!(
+    // The epoch loop drives its own builds.
+    if args.epochs.is_some() && other_modes {
+        return Err(UsageError::Usage(
             "--epochs does not combine with --exp, --explain, --query, \
-             --audit, --ablations, or the bench recorders\n{}",
-            usage()
-        );
-        std::process::exit(2);
+             --audit, --ablations, or the bench recorders"
+                .into(),
+        ));
     }
-    // Epoch sub-flags without the mode itself are silent no-ops — reject.
-    if args.epochs.is_none() && (args.epoch_plan_explicit || args.epoch_verify) {
-        eprintln!(
-            "--epoch-plan and --epoch-verify need --epochs N\n{}",
-            usage()
-        );
-        std::process::exit(2);
+    // Epoch sub-flags without the mode itself are silent no-ops.
+    if args.epochs.is_none() && (args.epoch_plan.is_some() || args.epoch_verify) {
+        return Err(UsageError::Usage(
+            "--epoch-plan and --epoch-verify need --epochs N".into(),
+        ));
     }
-    args
+    Ok(Some(args))
+}
+
+/// Resolve a size name to a substrate config.
+fn config_for(size: &str) -> Option<SubstrateConfig> {
+    match size {
+        "small" => Some(SubstrateConfig::small()),
+        "default" => Some(SubstrateConfig::default()),
+        "large" => Some(SubstrateConfig {
+            topology: TopologyConfig::large(),
+            ..Default::default()
+        }),
+        _ => None,
+    }
+}
+
+/// The substrate config `--size` names (outside `--bench-record`).
+fn size_config(args: &Args) -> Result<SubstrateConfig, UsageError> {
+    config_for(args.size()).ok_or_else(|| {
+        UsageError::Usage(format!(
+            "unknown --size {:?} (small|default|large)",
+            args.size()
+        ))
+    })
 }
 
 /// The sizes a `--bench-record` run covers, parsed from `--size` (comma
-/// list; default all three). Unknown names are usage errors — unlike the
-/// experiment path, nothing here may silently fall back to `default`.
-fn bench_sizes(args: &Args) -> Vec<String> {
-    let raw = if args.size_explicit {
-        args.size.clone()
-    } else {
-        // --size was not given: record the whole trajectory.
-        "small,default,large".to_string()
-    };
-    let sizes: Vec<String> = raw
+/// list; default all three). Unknown names are usage errors — nothing
+/// here may silently fall back to `default`.
+fn bench_sizes(args: &Args) -> Result<Vec<(&str, SubstrateConfig)>, UsageError> {
+    let raw = args.size.as_deref().unwrap_or("small,default,large");
+    let sizes: Vec<&str> = raw
         .split(',')
-        .map(|s| s.trim().to_string())
+        .map(str::trim)
         .filter(|s| !s.is_empty())
         .collect();
     if sizes.is_empty() {
-        eprintln!("--bench-record: --size lists no sizes\n{}", usage());
-        std::process::exit(2);
-    }
-    for s in &sizes {
-        if !matches!(s.as_str(), "small" | "default" | "large") {
-            eprintln!(
-                "--bench-record: unknown size {s:?} (small|default|large)\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
+        return Err(UsageError::Usage(
+            "--bench-record: --size lists no sizes".into(),
+        ));
     }
     sizes
+        .into_iter()
+        .map(|s| match config_for(s) {
+            Some(cfg) => Ok((s, cfg)),
+            None => Err(UsageError::Usage(format!(
+                "--bench-record: unknown size {s:?} (small|default|large)"
+            ))),
+        })
+        .collect()
 }
 
 /// The `--bench-record` mode: one profiled map build per requested size,
@@ -614,19 +591,15 @@ fn bench_sizes(args: &Args) -> Vec<String> {
 /// dependent: at one thread every count and byte in a row except
 /// `build_ms`, `peak_rss_bytes`, and `shard_skew_x1000` reproduces
 /// exactly for the same seed.
-fn bench_record(args: &Args) -> ! {
-    let sizes = bench_sizes(args);
-    require_writable_file(&args.bench_out);
-    let threads = if args.threads_explicit {
-        args.threads
-    } else {
-        1
-    };
+fn bench_record(args: &Args) -> Outcome {
+    let sizes = bench_sizes(args)?;
+    let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_map_build.json");
+    require_writable_file(bench_out)?;
+    let threads = args.threads.unwrap_or(1);
     itm_obs::alloc::set_enabled(true);
     itm_obs::set_enabled(true);
     let mut new_rows: Vec<serde_json::Value> = Vec::new();
-    for size in &sizes {
-        let cfg = config_for(size);
+    for (size, cfg) in sizes {
         let t0 = Instant::now();
         eprintln!(
             "bench-record: building substrate (size={size}, seed={})…",
@@ -678,7 +651,7 @@ fn bench_record(args: &Args) -> ! {
         );
         new_rows.push(serde_json::json!({
             "schema_version": BENCH_SCHEMA_VERSION,
-            "size": size.as_str(),
+            "size": size,
             "seed": args.seed,
             "threads": threads as u64,
             "build_ms": build_ms,
@@ -694,48 +667,45 @@ fn bench_record(args: &Args) -> ! {
             "top_phases": top_phases,
         }));
     }
-    append_bench_rows(&args.bench_out, &new_rows);
+    append_bench_rows(bench_out, &new_rows)?;
     eprintln!(
-        "bench-record: appended {} row(s) to {}",
-        new_rows.len(),
-        args.bench_out
+        "bench-record: appended {} row(s) to {bench_out}",
+        new_rows.len()
     );
-    if let Some(baseline) = &args.bench_baseline {
-        check_bench_regression(baseline, &new_rows);
-    }
-    std::process::exit(0);
+    let regressed = match &args.bench_baseline {
+        Some(baseline) => check_bench_regression(baseline, &new_rows)?,
+        None => false,
+    };
+    Ok(ExitCode::from(u8::from(regressed)))
 }
 
 /// Append rows to the trajectory file, creating it (with the schema
 /// header) if absent. A file with a different schema version or shape is
 /// an error, not something to silently rewrite.
-fn append_bench_rows(path: &str, new_rows: &[serde_json::Value]) {
-    use serde_json::Value;
-    let mut rows: Vec<Value> = Vec::new();
-    match std::fs::read_to_string(path) {
-        Ok(text) if !text.trim().is_empty() => {
-            let v: Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("{path}: existing trajectory is not valid JSON: {e}");
-                std::process::exit(2);
-            });
-            match v.get("schema_version").and_then(|s| s.as_u64()) {
-                Some(BENCH_SCHEMA_VERSION) => {}
-                other => {
-                    eprintln!(
-                        "{path}: trajectory schema_version {other:?} != {BENCH_SCHEMA_VERSION}"
-                    );
-                    std::process::exit(2);
-                }
-            }
-            match v.get("rows").and_then(|r| r.as_array()) {
-                Some(existing) => rows.extend(existing.iter().cloned()),
-                None => {
-                    eprintln!("{path}: trajectory has no rows array");
-                    std::process::exit(2);
-                }
+fn append_bench_rows(path: &str, new_rows: &[serde_json::Value]) -> Result<(), UsageError> {
+    let mut rows: Vec<serde_json::Value> = Vec::new();
+    let text = std::fs::read_to_string(path).unwrap_or_default();
+    if !text.trim().is_empty() {
+        let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| {
+            UsageError::Plain(format!(
+                "{path}: existing trajectory is not valid JSON: {e}"
+            ))
+        })?;
+        match v.get("schema_version").and_then(|s| s.as_u64()) {
+            Some(BENCH_SCHEMA_VERSION) => {}
+            other => {
+                return Err(UsageError::Plain(format!(
+                    "{path}: trajectory schema_version {other:?} != {BENCH_SCHEMA_VERSION}"
+                )))
             }
         }
-        _ => {}
+        let existing = v.get("rows").and_then(|r| r.as_array());
+        rows.extend(
+            existing
+                .ok_or_else(|| UsageError::Plain(format!("{path}: trajectory has no rows array")))?
+                .iter()
+                .cloned(),
+        );
     }
     rows.extend(new_rows.iter().cloned());
     let doc = serde_json::json!({
@@ -744,21 +714,22 @@ fn append_bench_rows(path: &str, new_rows: &[serde_json::Value]) {
     });
     let text = serde_json::to_string_pretty(&doc).expect("serializable");
     std::fs::write(path, text).expect("write trajectory");
+    Ok(())
 }
 
 /// Compare freshly recorded rows against the latest matching-size row of
-/// a baseline trajectory: a >10% growth in peak tracked bytes fails the
-/// run (exit 1). Sizes absent from the baseline pass vacuously.
-fn check_bench_regression(baseline_path: &str, new_rows: &[serde_json::Value]) {
-    use serde_json::Value;
-    let text = std::fs::read_to_string(baseline_path).unwrap_or_else(|e| {
-        eprintln!("--bench-baseline: cannot read {baseline_path}: {e}");
-        std::process::exit(2);
-    });
-    let v: Value = serde_json::from_str(&text).unwrap_or_else(|e| {
-        eprintln!("--bench-baseline: {baseline_path} is not valid JSON: {e}");
-        std::process::exit(2);
-    });
+/// a baseline trajectory: true when peak tracked bytes grew more than
+/// 10% at any size. Sizes absent from the baseline pass vacuously.
+fn check_bench_regression(
+    baseline_path: &str,
+    new_rows: &[serde_json::Value],
+) -> Result<bool, UsageError> {
+    let what = "--bench-baseline";
+    let text = std::fs::read_to_string(baseline_path)
+        .map_err(|e| UsageError::Plain(format!("{what}: cannot read {baseline_path}: {e}")))?;
+    let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| {
+        UsageError::Plain(format!("{what}: {baseline_path} is not valid JSON: {e}"))
+    })?;
     let empty = Vec::new();
     let base_rows = v.get("rows").and_then(|r| r.as_array()).unwrap_or(&empty);
     let mut regressed = false;
@@ -793,9 +764,7 @@ fn check_bench_regression(baseline_path: &str, new_rows: &[serde_json::Value]) {
             );
         }
     }
-    if regressed {
-        std::process::exit(1);
-    }
+    Ok(regressed)
 }
 
 /// The snapshot path: explicit `--snapshot FILE` or `<out>/map.snap`.
@@ -806,32 +775,38 @@ fn snapshot_path(args: &Args) -> String {
     }
 }
 
-/// Resolve a `--query` PREFIX argument (pfxN, bare index, or a /24 like
-/// 10.0.0.0/24) against the snapshot's prefix table.
-fn snap_prefix(snap: &itm_serve::Snapshot, raw: &str) -> Option<PrefixId> {
-    let text = raw.strip_prefix("pfx").unwrap_or(raw);
-    if let Ok(n) = text.parse::<u32>() {
-        return ((n as usize) < snap.n_prefixes()).then_some(PrefixId(n));
-    }
-    let net: itm_types::Ipv4Net = raw.parse().ok()?;
-    snap.find_prefix(net)
+/// Open a snapshot; the error is `<context>cannot open snapshot …`.
+fn open_snapshot(path: &str, context: &str) -> Result<Snapshot, UsageError> {
+    Snapshot::open(path)
+        .map_err(|e| UsageError::Plain(format!("{context}cannot open snapshot {path}: {e}")))
 }
 
-/// Resolve a `--query` SERVICE argument (svcN, bare index, or a domain
-/// name) against the snapshot's domain table.
-fn snap_service(snap: &itm_serve::Snapshot, raw: &str) -> Option<ServiceId> {
-    let text = raw.strip_prefix("svc").unwrap_or(raw);
-    if let Ok(n) = text.parse::<u32>() {
-        return ((n as usize) < snap.n_services()).then_some(ServiceId(n));
-    }
-    snap.service_named(raw)
+/// Write the snapshot of `map` to `path`, returning its size in bytes.
+fn write_snapshot(s: &Substrate, map: &TrafficMap, path: &str) -> Result<u64, UsageError> {
+    itm_core::write_snapshot(s, map, path)
+        .map_err(|e| UsageError::Plain(format!("cannot write snapshot {path}: {e}")))
 }
 
-/// Resolve a `--query` ASN argument (asN or a bare index).
-fn snap_asn(snap: &itm_serve::Snapshot, raw: &str) -> Option<itm_types::Asn> {
-    let text = raw.strip_prefix("as").unwrap_or(raw);
-    let n: u32 = text.parse().ok()?;
-    ((n as usize) < snap.n_ases()).then_some(itm_types::Asn(n))
+/// Resolve a PREFIX (`pfxN`, index or /24), SERVICE (`svcN`, index or
+/// domain) or ASN (`asN` or index) argument, by its `tag`, against the
+/// substrate (`--explain`) or a snapshot (`--query`): an index must be
+/// below `n`, anything else is looked up by `named`.
+fn resolve(
+    raw: &str,
+    tag: &str,
+    n: usize,
+    named: impl FnOnce(&str) -> Option<u32>,
+) -> Result<u32, UsageError> {
+    let found = match raw.strip_prefix(tag).unwrap_or(raw).parse::<u32>() {
+        Ok(i) => ((i as usize) < n).then_some(i),
+        Err(_) => named(raw),
+    };
+    let what = match tag {
+        "pfx" => "prefix",
+        "svc" => "service",
+        _ => "ASN",
+    };
+    found.ok_or_else(|| UsageError::Usage(format!("cannot resolve {what} {raw:?}")))
 }
 
 /// The `--query` mode: open the snapshot and answer one lookup, exiting
@@ -839,25 +814,16 @@ fn snap_asn(snap: &itm_serve::Snapshot, raw: &str) -> Option<itm_types::Asn> {
 /// nothing, and 2 on unresolvable arguments or an unopenable (missing,
 /// corrupted, foreign-version) snapshot. Never builds a substrate — the
 /// whole point of the serving layer is that queries cost microseconds.
-fn run_query(args: &Args, spec: &[String]) -> ! {
-    let path = snapshot_path(args);
-    let snap = match itm_serve::Snapshot::open(&path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open snapshot {path}: {e}");
-            std::process::exit(2);
-        }
-    };
+fn run_query(args: &Args, spec: &[String]) -> Outcome {
+    let snap = open_snapshot(&snapshot_path(args), "")?;
     let found = match spec[0].as_str() {
         "point" => {
-            let Some(prefix) = snap_prefix(&snap, &spec[1]) else {
-                eprintln!("cannot resolve prefix {:?}\n{}", spec[1], usage());
-                std::process::exit(2);
-            };
-            let Some(service) = snap_service(&snap, &spec[2]) else {
-                eprintln!("cannot resolve service {:?}\n{}", spec[2], usage());
-                std::process::exit(2);
-            };
+            let prefix = PrefixId(resolve(&spec[1], "pfx", snap.n_prefixes(), |r| {
+                Some(snap.find_prefix(r.parse().ok()?)?.raw())
+            })?);
+            let service = ServiceId(resolve(&spec[2], "svc", snap.n_services(), |r| {
+                Some(snap.service_named(r)?.raw())
+            })?);
             let net = snap
                 .prefix_net(prefix)
                 .map(|n| n.to_string())
@@ -891,8 +857,10 @@ fn run_query(args: &Args, spec: &[String]) -> ! {
         }
         "reverse" => {
             let Ok(addr) = spec[1].parse::<itm_types::Ipv4Addr>() else {
-                eprintln!("cannot parse address {:?}\n{}", spec[1], usage());
-                std::process::exit(2);
+                return Err(UsageError::Usage(format!(
+                    "cannot parse address {:?}",
+                    spec[1]
+                )));
             };
             let cells = snap.reverse(addr);
             for (service, prefix) in &cells {
@@ -918,16 +886,11 @@ fn run_query(args: &Args, spec: &[String]) -> ! {
         }
         // Shape was validated at parse time, so this arm is "route".
         _ => {
-            let Some(a) = snap_asn(&snap, &spec[1]) else {
-                eprintln!("cannot resolve ASN {:?}\n{}", spec[1], usage());
-                std::process::exit(2);
-            };
+            let asn = |raw: &str| resolve(raw, "as", snap.n_ases(), |_| None).map(itm_types::Asn);
+            let a = asn(&spec[1])?;
             match spec.get(2) {
                 Some(raw_b) => {
-                    let Some(b) = snap_asn(&snap, raw_b) else {
-                        eprintln!("cannot resolve ASN {raw_b:?}\n{}", usage());
-                        std::process::exit(2);
-                    };
+                    let b = asn(raw_b)?;
                     match snap.edge(a, b) {
                         Some(code) => {
                             println!(
@@ -959,7 +922,7 @@ fn run_query(args: &Args, spec: &[String]) -> ! {
             }
         }
     };
-    std::process::exit(if found { 0 } else { 1 });
+    Ok(ExitCode::from(u8::from(!found)))
 }
 
 /// The `--bench-query` mode: build the map once at `--size` (default
@@ -970,32 +933,29 @@ fn run_query(args: &Args, spec: &[String]) -> ! {
 ///
 /// The query list is pre-generated from the run seed so the timed loop
 /// measures lookups only, and the same seed replays the same mix.
-fn bench_query(args: &Args) -> ! {
+fn bench_query(args: &Args) -> Outcome {
     use rand::Rng;
-    let bench_out = if args.bench_out_explicit {
-        args.bench_out.clone()
-    } else {
-        "BENCH_query.json".to_string()
-    };
-    require_writable_file(&bench_out);
-    let cfg = config_for(&args.size);
+    let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_query.json");
+    require_writable_file(bench_out)?;
+    let cfg = size_config(args)?;
+    let threads = args.threads();
     let t0 = Instant::now();
     eprintln!(
         "bench-query: building substrate (size={}, seed={})…",
-        args.size, args.seed
+        args.size(),
+        args.seed
     );
     let s = Substrate::build(cfg, args.seed).expect("valid config");
     eprintln!(
-        "  substrate up [{:.1?}]; building map ({} threads)…",
-        t0.elapsed(),
-        args.threads
+        "  substrate up [{:.1?}]; building map ({threads} threads)…",
+        t0.elapsed()
     );
-    let exec = ParallelExecutor::new(args.threads);
+    let exec = ParallelExecutor::new(threads);
     let map = TrafficMap::build_with(&s, &MapConfig::default(), &exec).expect("map build");
     eprintln!("  map built [{:.1?}]; serializing snapshot…", t0.elapsed());
     let bytes = itm_core::snapshot_bytes(&s, &map);
     let snapshot_bytes_len = bytes.len() as u64;
-    let snap = itm_serve::Snapshot::from_bytes(bytes).expect("fresh snapshot validates");
+    let snap = Snapshot::from_bytes(bytes).expect("fresh snapshot validates");
     let n_cells = snap.n_cells();
     let n_services = snap.n_services() as u32;
     let n_prefixes = snap.n_prefixes() as u32;
@@ -1033,12 +993,12 @@ fn bench_query(args: &Args) -> ! {
         elapsed.as_millis()
     );
     append_bench_rows(
-        &bench_out,
+        bench_out,
         &[serde_json::json!({
             "schema_version": BENCH_SCHEMA_VERSION,
-            "size": args.size.as_str(),
+            "size": args.size(),
             "seed": args.seed,
-            "threads": args.threads as u64,
+            "threads": threads as u64,
             "queries": N_QUERIES as u64,
             "elapsed_ms": elapsed.as_millis() as u64,
             "qps": qps,
@@ -1046,9 +1006,9 @@ fn bench_query(args: &Args) -> ! {
             "cells": n_cells as u64,
             "snapshot_bytes": snapshot_bytes_len,
         })],
-    );
+    )?;
     eprintln!("bench-query: appended 1 row to {bench_out}");
-    std::process::exit(0);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// JSON null for `None`, the displayed value otherwise.
@@ -1064,24 +1024,12 @@ fn opt_json<T: std::fmt::Display>(v: Option<T>) -> serde_json::Value {
 /// and print a kind-by-kind tally. Unopenable snapshots (missing,
 /// corrupted, foreign-version) and snapshots of different universes exit
 /// 2; any computed diff — including an empty one — exits 0.
-fn run_diff(args: &Args, path_a: &str, path_b: &str) -> ! {
-    let open = |path: &str| match itm_serve::Snapshot::open(path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("--diff: cannot open snapshot {path}: {e}");
-            std::process::exit(2);
-        }
-    };
-    let a = open(path_a);
-    let b = open(path_b);
-    let diff = match itm_serve::MapDiff::compute(&a, &b) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("--diff: {path_a} vs {path_b}: {e}");
-            std::process::exit(2);
-        }
-    };
-    ensure_out_dir(&args.out_dir);
+fn run_diff(args: &Args, path_a: &str, path_b: &str) -> Outcome {
+    let a = open_snapshot(path_a, "--diff: ")?;
+    let b = open_snapshot(path_b, "--diff: ")?;
+    let diff = itm_serve::MapDiff::compute(&a, &b)
+        .map_err(|e| UsageError::Plain(format!("--diff: {path_a} vs {path_b}: {e}")))?;
+    ensure_out_dir(&args.out_dir)?;
     let cells: Vec<serde_json::Value> = diff
         .cells
         .iter()
@@ -1136,7 +1084,7 @@ fn run_diff(args: &Args, path_a: &str, path_b: &str) -> ! {
             diff.routes.len()
         );
     }
-    std::process::exit(0);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The `--epochs` mode: one full build, then N epochs of deterministic
@@ -1145,57 +1093,50 @@ fn run_diff(args: &Args, path_a: &str, path_b: &str) -> ! {
 /// `--snapshot` every epoch's map is serialized (the final epoch also to
 /// the base path, so `--query` and `--diff` pick it up unadorned). With
 /// `--epoch-verify`, every epoch also runs a from-scratch build and the
-/// run dies (exit 1) unless the incremental map is byte-identical —
+/// run stops (exit 1) unless the incremental map is byte-identical —
 /// recording incremental-vs-full speedup rows to the `BENCH_epoch.json`
 /// trajectory.
-fn run_epochs(args: &Args, epochs: u32) -> ! {
+fn run_epochs(args: &Args, epochs: u32) -> Outcome {
     use itm_core::{apply_epoch, build_incremental, map_fingerprint};
-    ensure_out_dir(&args.out_dir);
+    ensure_out_dir(&args.out_dir)?;
     let metrics_path = format!("{}/epoch_metrics.json", args.out_dir);
-    require_writable_file(&metrics_path);
-    let bench_out = if args.bench_out_explicit {
-        args.bench_out.clone()
-    } else {
-        "BENCH_epoch.json".to_string()
-    };
+    require_writable_file(&metrics_path)?;
+    let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_epoch.json");
     if args.epoch_verify {
-        require_writable_file(&bench_out);
+        require_writable_file(bench_out)?;
     }
     let snap_base: Option<String> = args.snapshot.as_ref().map(|_| snapshot_path(args));
     if let Some(base) = &snap_base {
-        require_writable_file(base);
+        require_writable_file(base)?;
     }
+    let (plan_name, plan) = args
+        .epoch_plan
+        .clone()
+        .unwrap_or_else(|| ("light".into(), EpochPlan::light()));
+    let threads = args.threads();
 
-    let cfg = config_for(&args.size);
+    let cfg = size_config(args)?;
     let t0 = Instant::now();
     eprintln!(
         "building substrate (size={}, seed={})…",
-        args.size, args.seed
+        args.size(),
+        args.seed
     );
     let mut s = Substrate::build(cfg, args.seed).expect("valid config");
     eprintln!("  substrate up [{:.1?}]", t0.elapsed());
-    let exec = ParallelExecutor::new(args.threads);
+    let exec = ParallelExecutor::new(threads);
     let map_cfg = MapConfig {
         faults: args.faults.clone(),
         ..Default::default()
     };
 
-    let write_snap = |s: &Substrate, map: &TrafficMap, epoch: u32| {
-        let Some(base) = &snap_base else { return };
-        let path = format!("{base}.epoch{epoch}");
-        match itm_core::write_snapshot(s, map, &path) {
-            Ok(n) => eprintln!("  wrote {path} ({n} bytes)"),
-            Err(e) => {
-                eprintln!("cannot write snapshot {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+    let write_snap = |s: &Substrate, map: &TrafficMap, path: &str| -> Result<(), UsageError> {
+        let n = write_snapshot(s, map, path)?;
+        eprintln!("  wrote {path} ({n} bytes)");
+        Ok(())
     };
 
-    eprintln!(
-        "epoch 0: full build ({} threads, plan {})…",
-        args.threads, args.epoch_plan_raw
-    );
+    eprintln!("epoch 0: full build ({threads} threads, plan {plan_name})…");
     let t = Instant::now();
     let mut map = TrafficMap::build_with(&s, &map_cfg, &exec).expect("map build");
     let full0_ms = t.elapsed().as_millis() as u64;
@@ -1204,21 +1145,26 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
         full0_ms,
         map.user_mapping.mapping.len()
     );
-    write_snap(&s, &map, 0);
+    if let Some(base) = &snap_base {
+        write_snap(&s, &map, &format!("{base}.epoch0"))?;
+    }
 
-    let mut rows: Vec<serde_json::Value> = Vec::new();
+    let row =
+        |epoch: u32, actions: usize, dirty: Vec<&str>, ms: u64, s: &Substrate, map: &TrafficMap| {
+            serde_json::json!({
+                "epoch": u64::from(epoch),
+                "actions": actions as u64,
+                "dirty": dirty,
+                "build_ms": ms,
+                "mapping_cells": map.user_mapping.mapping.len() as u64,
+                "fingerprint": format!("{:016x}", map_fingerprint(s, map)),
+            })
+        };
+    let mut rows = vec![row(0, 0, Vec::new(), full0_ms, &s, &map)];
     let mut bench_rows: Vec<serde_json::Value> = Vec::new();
-    rows.push(serde_json::json!({
-        "epoch": 0u64,
-        "actions": 0u64,
-        "dirty": Vec::<&str>::new(),
-        "build_ms": full0_ms,
-        "mapping_cells": map.user_mapping.mapping.len() as u64,
-        "fingerprint": format!("{:016x}", map_fingerprint(&s, &map)),
-    }));
 
     for epoch in 1..=epochs {
-        let (actions, dirty) = apply_epoch(&mut s, &args.epoch_plan, epoch);
+        let (actions, dirty) = apply_epoch(&mut s, &plan, epoch);
         let t = Instant::now();
         map = build_incremental(&s, &map_cfg, &exec, map, &dirty).expect("incremental build");
         let inc_ms = t.elapsed().as_millis() as u64;
@@ -1228,14 +1174,7 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
             dirty.names().join(" "),
             inc_ms
         );
-        rows.push(serde_json::json!({
-            "epoch": u64::from(epoch),
-            "actions": actions.len() as u64,
-            "dirty": dirty.names(),
-            "build_ms": inc_ms,
-            "mapping_cells": map.user_mapping.mapping.len() as u64,
-            "fingerprint": format!("{:016x}", map_fingerprint(&s, &map)),
-        }));
+        rows.push(row(epoch, actions.len(), dirty.names(), inc_ms, &s, &map));
         if args.epoch_verify {
             let t = Instant::now();
             let full = TrafficMap::build_with(&s, &map_cfg, &exec).expect("map build");
@@ -1246,10 +1185,10 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
             if !identical {
                 eprintln!(
                     "epoch {epoch}: INCREMENTAL MAP DIVERGED from the \
-                     from-scratch rebuild (plan {}, seed {})",
-                    args.epoch_plan_raw, args.seed
+                     from-scratch rebuild (plan {plan_name}, seed {})",
+                    args.seed
                 );
-                std::process::exit(1);
+                return Ok(ExitCode::FAILURE);
             }
             let speedup_x1000 = full_ms.saturating_mul(1000) / inc_ms.max(1);
             eprintln!(
@@ -1260,10 +1199,10 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
             );
             bench_rows.push(serde_json::json!({
                 "schema_version": BENCH_SCHEMA_VERSION,
-                "size": args.size.as_str(),
+                "size": args.size(),
                 "seed": args.seed,
-                "threads": args.threads as u64,
-                "plan": args.epoch_plan_raw.as_str(),
+                "threads": threads as u64,
+                "plan": plan_name.as_str(),
                 "epoch": u64::from(epoch),
                 "incremental_ms": inc_ms,
                 "full_ms": full_ms,
@@ -1272,27 +1211,23 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
                 "byte_identical": true,
             }));
         }
-        write_snap(&s, &map, epoch);
+        if let Some(base) = &snap_base {
+            write_snap(&s, &map, &format!("{base}.epoch{epoch}"))?;
+        }
     }
 
     // The final epoch's snapshot also lands at the base path, so query
     // and diff tooling finds the freshest map without a suffix.
-    if let (Some(base), true) = (&snap_base, epochs > 0) {
-        match itm_core::write_snapshot(&s, &map, base) {
-            Ok(n) => eprintln!("  wrote {base} ({n} bytes)"),
-            Err(e) => {
-                eprintln!("cannot write snapshot {base}: {e}");
-                std::process::exit(2);
-            }
-        }
+    if let Some(base) = &snap_base {
+        write_snap(&s, &map, base)?;
     }
 
     let doc = serde_json::json!({
         "schema_version": BENCH_SCHEMA_VERSION,
-        "size": args.size.as_str(),
+        "size": args.size(),
         "seed": args.seed,
-        "threads": args.threads as u64,
-        "plan": args.epoch_plan_raw.as_str(),
+        "threads": threads as u64,
+        "plan": plan_name.as_str(),
         "epochs": u64::from(epochs),
         "rows": rows,
     });
@@ -1300,259 +1235,61 @@ fn run_epochs(args: &Args, epochs: u32) -> ! {
     std::fs::write(&metrics_path, text).expect("write epoch metrics");
     eprintln!("wrote {metrics_path}");
     if args.epoch_verify {
-        append_bench_rows(&bench_out, &bench_rows);
+        append_bench_rows(bench_out, &bench_rows)?;
         eprintln!(
             "epochs: appended {} row(s) to {bench_out}",
             bench_rows.len()
         );
     }
     eprintln!(
-        "ran {epochs} epoch(s) under plan {} [total {:.1?}]",
-        args.epoch_plan_raw,
+        "ran {epochs} epoch(s) under plan {plan_name} [total {:.1?}]",
         t0.elapsed()
     );
-    std::process::exit(0);
-}
-
-/// Resolve a `--faults` argument: a named profile (`off`, `light`,
-/// `heavy`) or a path to a JSON plan file. Unknown profiles, unreadable
-/// files, malformed JSON, and out-of-range rates are all usage errors
-/// (exit 2) caught before the expensive substrate build.
-fn parse_fault_plan(raw: &str) -> FaultPlan {
-    if raw.is_empty() {
-        eprintln!("--faults expects off|light|heavy|FILE\n{}", usage());
-        std::process::exit(2);
-    }
-    if let Some(plan) = FaultPlan::profile(raw) {
-        return plan;
-    }
-    // Not a named profile: treat as a JSON plan file. Bare words that
-    // were meant as profile names fall through here and fail the read
-    // with a clear message either way.
-    let text = match std::fs::read_to_string(raw) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "--faults: {raw:?} is neither a profile (off|light|heavy) \
-                 nor a readable plan file: {e}\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-    };
-    let plan = match fault_plan_from_json(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("--faults: cannot parse plan file {raw}: {e}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = plan.validate() {
-        eprintln!("--faults: invalid plan in {raw}: {e}\n{}", usage());
-        std::process::exit(2);
-    }
-    plan
-}
-
-/// Parse a JSON fault plan: an object whose fields all default to the
-/// off plan's zeros, so `{}` is a valid (clean) plan and a partial file
-/// like `{"loss": 0.1, "max_retries": 2}` works as expected.
-fn fault_plan_from_json(text: &str) -> Result<FaultPlan, serde_json::Error> {
-    use serde_json::{Error, Value};
-    let v: Value = serde_json::from_str(text)?;
-    if !matches!(v, Value::Object(_)) {
-        return Err(Error::new("fault plan: expected a JSON object"));
-    }
-    let rate = |name: &str| -> Result<f64, Error> {
-        match v.get(name) {
-            None => Ok(0.0),
-            Some(x) => x
-                .as_f64()
-                .ok_or_else(|| Error::new(format!("fault plan: {name} must be a number"))),
-        }
-    };
-    let count = |name: &str| -> Result<u64, Error> {
-        match v.get(name) {
-            None => Ok(0),
-            Some(x) => x.as_u64().ok_or_else(|| {
-                Error::new(format!("fault plan: {name} must be a non-negative integer"))
-            }),
-        }
-    };
-    Ok(FaultPlan {
-        loss: rate("loss")?,
-        timeout: rate("timeout")?,
-        refusal: rate("refusal")?,
-        churn: rate("churn")?,
-        max_retries: count("max_retries")?.min(u64::from(u32::MAX)) as u32,
-        backoff_base_secs: count("backoff_base_secs")?,
-        backoff_cap_secs: count("backoff_cap_secs")?,
-    })
-}
-
-/// Resolve an `--epoch-plan` argument: a named profile (`off`, `light`,
-/// `heavy`) or a path to a JSON plan file. Unknown profiles, unreadable
-/// files, malformed JSON, and out-of-range rates are all usage errors
-/// (exit 2) caught before the expensive substrate build — the same
-/// contract as `--faults`.
-fn parse_epoch_plan(raw: &str) -> itm_types::EpochPlan {
-    if raw.is_empty() {
-        eprintln!("--epoch-plan expects off|light|heavy|FILE\n{}", usage());
-        std::process::exit(2);
-    }
-    if let Some(plan) = itm_types::EpochPlan::profile(raw) {
-        return plan;
-    }
-    let text = match std::fs::read_to_string(raw) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!(
-                "--epoch-plan: {raw:?} is neither a profile (off|light|heavy) \
-                 nor a readable plan file: {e}\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-    };
-    let plan = match epoch_plan_from_json(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!(
-                "--epoch-plan: cannot parse plan file {raw}: {e}\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = plan.validate() {
-        eprintln!("--epoch-plan: invalid plan in {raw}: {e}\n{}", usage());
-        std::process::exit(2);
-    }
-    plan
-}
-
-/// Parse a JSON epoch plan: an object whose fields all default to the
-/// off plan's zeros, so `{}` is a valid (static) plan and a partial file
-/// like `{"link_flaps": 4, "rehome_services": 2}` works as expected.
-fn epoch_plan_from_json(text: &str) -> Result<itm_types::EpochPlan, serde_json::Error> {
-    use serde_json::{Error, Value};
-    let v: Value = serde_json::from_str(text)?;
-    if !matches!(v, Value::Object(_)) {
-        return Err(Error::new("epoch plan: expected a JSON object"));
-    }
-    let num = |name: &str| -> Result<f64, Error> {
-        match v.get(name) {
-            None => Ok(0.0),
-            Some(x) => x
-                .as_f64()
-                .ok_or_else(|| Error::new(format!("epoch plan: {name} must be a number"))),
-        }
-    };
-    let count = |name: &str| -> Result<u32, Error> {
-        match v.get(name) {
-            None => Ok(0),
-            Some(x) => x
-                .as_u64()
-                .ok_or_else(|| {
-                    Error::new(format!("epoch plan: {name} must be a non-negative integer"))
-                })
-                .map(|n| n.min(u64::from(u32::MAX)) as u32),
-        }
-    };
-    Ok(itm_types::EpochPlan {
-        resolver_churn: num("resolver_churn")?,
-        link_flaps: count("link_flaps")?,
-        vm_churn: num("vm_churn")?,
-        rehome_services: count("rehome_services")?,
-        diurnal_shift_hours: num("diurnal_shift_hours")?,
-    })
-}
-
-/// Experiments that build (and share) the full traffic map.
-fn needs_map(id: &str) -> bool {
-    matches!(
-        id,
-        "map" | "table1" | "fig1a" | "fig1b" | "fig2" | "coverage" | "ecs"
-    )
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Resolve a `--audit` sub-option string: a comma list of `key=value`
 /// pairs where the only recognized key is `out` (the report path).
-/// Unknown sub-options are usage errors (exit 2), caught before any
-/// expensive work. Returns the explicit output path, if one was given.
-fn parse_audit_out(spec: &str) -> Option<String> {
+/// Returns the explicit output path, if one was given.
+fn parse_audit_out(spec: &str) -> Result<Option<String>, UsageError> {
     let mut out = None;
-    for part in spec.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
+    for part in spec.split(',').map(str::trim).filter(|p| !p.is_empty()) {
         match part.split_once('=') {
             Some(("out", path)) if !path.is_empty() => out = Some(path.to_string()),
             _ => {
-                eprintln!(
-                    "--audit: unknown sub-option {part:?} (expected out=FILE)\n{}",
-                    usage()
-                );
-                std::process::exit(2);
+                return Err(UsageError::Usage(format!(
+                    "--audit: unknown sub-option {part:?} (expected out=FILE)"
+                )))
             }
         }
     }
-    out
-}
-
-/// Resolve a size name to a substrate config. Unknown names are usage
-/// errors (exit 2): a typo'd `--size` must never silently run — and
-/// mislabel — a default-size build. `parse_args` rejects bad sizes before
-/// any filesystem work; this arm is the backstop for new call sites.
-fn config_for(size: &str) -> SubstrateConfig {
-    match size {
-        "small" => SubstrateConfig::small(),
-        "default" => SubstrateConfig::default(),
-        "large" => SubstrateConfig {
-            topology: TopologyConfig::large(),
-            ..Default::default()
-        },
-        other => {
-            eprintln!(
-                "unknown --size {other:?} (small|default|large)\n{}",
-                usage()
-            );
-            std::process::exit(2);
-        }
-    }
+    Ok(out)
 }
 
 /// Create the output directory and verify it is actually writable
-/// (`create_dir_all` succeeds on an existing read-only directory), exiting
-/// with status 2 on failure as for any other bad invocation.
-fn ensure_out_dir(dir: &str) {
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("cannot create output dir {dir}: {e}");
-        std::process::exit(2);
-    }
+/// (`create_dir_all` succeeds on an existing read-only directory).
+fn ensure_out_dir(dir: &str) -> Result<(), UsageError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| UsageError::Plain(format!("cannot create output dir {dir}: {e}")))?;
     let probe = format!("{dir}/.write_probe");
-    if let Err(e) = std::fs::write(&probe, b"") {
-        eprintln!("output dir {dir} is not writable: {e}");
-        std::process::exit(2);
-    }
+    std::fs::write(&probe, b"")
+        .map_err(|e| UsageError::Plain(format!("output dir {dir} is not writable: {e}")))?;
     let _ = std::fs::remove_file(&probe);
+    Ok(())
 }
 
 /// Verify an output file path is writable before doing any expensive
-/// work, exiting with status 2 otherwise — the same preflight contract as
-/// `ensure_out_dir`, so `--trace FILE` can no longer burn a full map
-/// build and then fail at the final write. Opens in append mode so an
-/// existing file's contents survive a later abort.
-fn require_writable_file(path: &str) {
-    if let Err(e) = std::fs::OpenOptions::new()
+/// work — the same preflight contract as `ensure_out_dir`, so `--trace
+/// FILE` can no longer burn a full map build and then fail at the final
+/// write. Opens in append mode so an existing file's contents survive a
+/// later abort.
+fn require_writable_file(path: &str) -> Result<(), UsageError> {
+    std::fs::OpenOptions::new()
         .create(true)
         .append(true)
         .open(path)
-    {
-        eprintln!("output file {path} is not writable: {e}");
-        std::process::exit(2);
-    }
+        .map(drop)
+        .map_err(|e| UsageError::Plain(format!("output file {path} is not writable: {e}")))
 }
 
 /// Turn tracing on for this process: virtual timestamps seeded from the
@@ -1565,38 +1302,17 @@ fn enable_tracing(seed: u64) {
     itm_obs::trace::set_enabled(true);
 }
 
-/// Resolve a `--explain` PREFIX argument (pfxN, bare index, or /24).
-fn parse_prefix(s: &Substrate, raw: &str) -> Option<u32> {
-    let text = raw.strip_prefix("pfx").unwrap_or(raw);
-    if let Ok(n) = text.parse::<u32>() {
-        return (n < s.topo.prefixes.len() as u32).then_some(n);
-    }
-    let net: itm_types::Ipv4Net = raw.parse().ok()?;
-    s.topo.prefixes.find(net).map(|rec| rec.id.raw())
-}
-
-/// Resolve a `--explain` SERVICE argument (svcN, bare index, or domain).
-fn parse_service(s: &Substrate, raw: &str) -> Option<u32> {
-    let text = raw.strip_prefix("svc").unwrap_or(raw);
-    if let Ok(n) = text.parse::<u32>() {
-        return (n < s.catalog.len() as u32).then_some(n);
-    }
-    s.catalog.by_domain(raw).map(|svc| svc.id.raw())
-}
-
 /// The `--explain` mode: build the map with tracing on, index the trace,
 /// and print the evidence chain behind one asserted edge. When the edge
 /// is missing and the build ran under a fault plan, the recorded probe
 /// failures for that cell explain the gap.
-fn explain_edge(s: &Substrate, pfx_arg: &str, svc_arg: &str, faults: &FaultPlan) -> ! {
-    let Some(prefix) = parse_prefix(s, pfx_arg) else {
-        eprintln!("cannot resolve prefix {pfx_arg:?}\n{}", usage());
-        std::process::exit(2);
-    };
-    let Some(service) = parse_service(s, svc_arg) else {
-        eprintln!("cannot resolve service {svc_arg:?}\n{}", usage());
-        std::process::exit(2);
-    };
+fn explain_edge(s: &Substrate, pfx_arg: &str, svc_arg: &str, faults: &FaultPlan) -> Outcome {
+    let prefix = resolve(pfx_arg, "pfx", s.topo.prefixes.len(), |r| {
+        Some(s.topo.prefixes.find(r.parse().ok()?)?.id.raw())
+    })?;
+    let service = resolve(svc_arg, "svc", s.catalog.len(), |r| {
+        Some(s.catalog.by_domain(r)?.id.raw())
+    })?;
     let t = Instant::now();
     eprintln!("building map with tracing enabled…");
     let map_cfg = MapConfig {
@@ -1650,21 +1366,14 @@ fn explain_edge(s: &Substrate, pfx_arg: &str, svc_arg: &str, faults: &FaultPlan)
         }
     };
     print_cell_verdicts(s, &map, prefix, service);
-    std::process::exit(if found { 0 } else { 1 });
+    Ok(ExitCode::from(u8::from(!found)))
 }
 
 /// The `--explain` quality addendum: what every replica estimator claims
 /// for the cell, how each claim scores against the substrate's ground
 /// truth, and the estimator's overall accuracy on this build for context.
 fn print_cell_verdicts(s: &Substrate, map: &TrafficMap, prefix: u32, service: u32) {
-    let rebuilt;
-    let claims = match map.claims.as_ref() {
-        Some(c) => c,
-        None => {
-            rebuilt = itm_core::MapClaims::record(s, map);
-            &rebuilt
-        }
-    };
+    let claims = map.claims.as_ref().expect("explain builds record claims");
     let t = Instant::now();
     eprintln!("scoring techniques against ground truth…");
     let q = itm_core::audit(s, map);
@@ -1700,81 +1409,72 @@ fn print_cell_verdicts(s: &Substrate, map: &TrafficMap, prefix: u32, service: u3
     }
 }
 
-fn main() {
-    let args = parse_args();
-    if args.bench_record {
-        bench_record(&args);
+/// Add the per-technique fault ledger (issued = observed + degraded +
+/// lost) to a report as its `faults` key; a clean build adds no key.
+fn add_fault_ledger(report: &mut serde_json::Value, map: &TrafficMap) {
+    if map.fault_report.is_empty() {
+        return;
     }
-    if args.bench_query {
-        bench_query(&args);
+    if let serde_json::Value::Object(root) = report {
+        let ledger = map.fault_report.iter().map(|(technique, st)| {
+            let row = serde_json::json!({
+                "issued": st.issued(),
+                "observed": st.observed,
+                "degraded": st.degraded,
+                "lost": st.lost,
+                "retries": st.retries,
+            });
+            (technique.clone(), row)
+        });
+        root.insert("faults".into(), serde_json::Value::Object(ledger.collect()));
     }
-    // Query mode is read-only: it neither builds a substrate nor touches
-    // the output dir, it just opens the snapshot and answers.
-    if let Some(spec) = &args.query {
-        run_query(&args, spec);
-    }
-    // Diff mode opens two existing snapshots; it never builds anything.
-    if let Some((a, b)) = &args.diff {
-        run_diff(&args, a, b);
-    }
-    // The continuous-map loop drives its own full + incremental builds.
-    if let Some(n) = args.epochs {
-        run_epochs(&args, n);
-    }
-    ensure_out_dir(&args.out_dir);
+}
 
-    // Resolve the snapshot destination and preflight it with the other
-    // output paths; like --audit, a snapshot needs the assembled map, so
-    // `--exp` (when given) must name a map-building experiment.
-    let snapshot_file: Option<String> = args.snapshot.as_ref().map(|_| snapshot_path(&args));
-    if snapshot_file.is_some() {
-        if let Some(exp) = args.exp.as_deref() {
-            if !needs_map(exp) {
-                eprintln!(
-                    "--snapshot needs a map-building experiment (map table1 \
-                     fig1a fig1b fig2 coverage ecs), got {exp:?}\n{}",
-                    usage()
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+/// The default mode: build the substrate (and the map, when a selected
+/// experiment needs it), then run the selected table rows and write
+/// their CSVs and `summary.txt`.
+fn run_experiments(args: &Args) -> Outcome {
+    ensure_out_dir(&args.out_dir)?;
+    let selected: Vec<&Experiment> = EXPERIMENTS.iter().filter(|e| args.selects(e.0)).collect();
+    let builds_map = selected.iter().any(|e| e.1);
+    // A snapshot and an audit need the assembled map, so `--exp` (when
+    // given) must name a map-building experiment.
+    let needs_map_build = |flag: &str| {
+        UsageError::Usage(format!(
+            "{flag} needs a map-building experiment ({}), got {:?}",
+            experiment_ids(|e| e.1),
+            args.exp.as_deref().unwrap_or_default()
+        ))
+    };
+
+    // Resolve every output path and preflight it with the output dir:
+    // each failure exits 2 before the substrate build.
+    let snapshot_file = args.snapshot.as_ref().map(|_| snapshot_path(args));
     if let Some(path) = &snapshot_file {
-        require_writable_file(path);
+        if !builds_map {
+            return Err(needs_map_build("--snapshot"));
+        }
+        require_writable_file(path)?;
     }
-
-    // Resolve the trace destination now and preflight it alongside the
-    // output dir: both failure modes exit 2 before the substrate build.
-    let trace_file: Option<String> = args.trace.as_ref().map(|t| {
+    let trace_file = args.trace.as_ref().map(|t| {
         t.clone()
             .unwrap_or_else(|| format!("{}/trace.json", args.out_dir))
     });
     if let Some(path) = &trace_file {
-        require_writable_file(path);
+        require_writable_file(path)?;
     }
-
-    // Resolve the audit destination and preflight it the same way. An
-    // audit needs the assembled map, so `--exp` (when given) must name a
-    // map-building experiment — also checked before the substrate build.
-    let audit_file: Option<String> = args.audit.as_ref().map(|spec| {
-        spec.as_deref()
-            .and_then(parse_audit_out)
-            .unwrap_or_else(|| format!("{}/map_quality.json", args.out_dir))
-    });
-    if audit_file.is_some() {
-        if let Some(exp) = args.exp.as_deref() {
-            if !needs_map(exp) {
-                eprintln!(
-                    "--audit needs a map-building experiment (map table1 fig1a \
-                     fig1b fig2 coverage ecs), got {exp:?}\n{}",
-                    usage()
-                );
-                std::process::exit(2);
-            }
-        }
-    }
+    let audit_file = match &args.audit {
+        Some(spec) => Some(
+            parse_audit_out(spec.as_deref().unwrap_or(""))?
+                .unwrap_or_else(|| format!("{}/map_quality.json", args.out_dir)),
+        ),
+        None => None,
+    };
     if let Some(path) = &audit_file {
-        require_writable_file(path);
+        if !builds_map {
+            return Err(needs_map_build("--audit"));
+        }
+        require_writable_file(path)?;
     }
 
     if args.trace.is_some() || args.explain.is_some() {
@@ -1799,11 +1499,13 @@ fn main() {
         itm_obs::counter_with("probe.connects", &[("technique", "sni_scan")]);
     }
 
-    let cfg = config_for(&args.size);
+    let cfg = size_config(args)?;
+    let threads = args.threads();
     let t0 = Instant::now();
     eprintln!(
         "building substrate (size={}, seed={})…",
-        args.size, args.seed
+        args.size(),
+        args.seed
     );
     let s = Substrate::build(cfg.clone(), args.seed).expect("valid config");
     eprintln!(
@@ -1816,34 +1518,25 @@ fn main() {
     );
 
     if let Some((pfx_arg, svc_arg)) = &args.explain {
-        explain_edge(&s, pfx_arg, svc_arg, &args.faults);
+        return explain_edge(&s, pfx_arg, svc_arg, &args.faults);
     }
 
     // Experiments that need the full map share one build.
-    let want = |id: &str| args.exp.as_deref().map(|e| e == id).unwrap_or(true);
-
-    let map = if ["map", "table1", "fig1a", "fig1b", "fig2", "coverage", "ecs"]
-        .iter()
-        .any(|id| want(id) && needs_map(id))
-    {
+    let map = if builds_map {
         let t1 = Instant::now();
-        if args.faults.is_off() {
-            eprintln!("running measurement pipeline ({} threads)…", args.threads);
+        let f = &args.faults;
+        if f.is_off() {
+            eprintln!("running measurement pipeline ({threads} threads)…");
         } else {
             eprintln!(
-                "running measurement pipeline ({} threads, faults on: \
+                "running measurement pipeline ({threads} threads, faults on: \
                  loss={} timeout={} refusal={} churn={} retries={})…",
-                args.threads,
-                args.faults.loss,
-                args.faults.timeout,
-                args.faults.refusal,
-                args.faults.churn,
-                args.faults.max_retries
+                f.loss, f.timeout, f.refusal, f.churn, f.max_retries
             );
         }
-        let exec = ParallelExecutor::new(args.threads);
+        let exec = ParallelExecutor::new(threads);
         let map_cfg = MapConfig {
-            faults: args.faults.clone(),
+            faults: f.clone(),
             record_claims: audit_file.is_some(),
             ..Default::default()
         };
@@ -1859,13 +1552,8 @@ fn main() {
     if let (Some(path), Some(map)) = (&snapshot_file, &map) {
         let t = Instant::now();
         eprintln!("writing snapshot…");
-        match itm_core::write_snapshot(&s, map, path) {
-            Ok(n) => eprintln!("  wrote {path} ({n} bytes) [{:.1?}]", t.elapsed()),
-            Err(e) => {
-                eprintln!("cannot write snapshot {path}: {e}");
-                std::process::exit(2);
-            }
-        }
+        let n = write_snapshot(&s, map, path)?;
+        eprintln!("  wrote {path} ({n} bytes) [{:.1?}]", t.elapsed());
     }
 
     // The quality audit: score every technique against ground truth and
@@ -1878,146 +1566,31 @@ fn main() {
         let q = itm_core::audit(&s, map);
         assert!(q.is_consistent(), "audit accounting invariant violated");
         let mut v = q.to_json_value();
-        // A faulted audit carries the per-technique fault accounting,
-        // exactly as the map summary does; a clean one omits the key.
-        if !map.fault_report.is_empty() {
-            if let serde_json::Value::Object(root) = &mut v {
-                let mut faults = serde_json::Map::new();
-                for (technique, st) in &map.fault_report {
-                    faults.insert(
-                        technique.clone(),
-                        serde_json::json!({
-                            "issued": st.issued(),
-                            "observed": st.observed,
-                            "degraded": st.degraded,
-                            "lost": st.lost,
-                            "retries": st.retries,
-                        }),
-                    );
-                }
-                root.insert("faults".into(), serde_json::Value::Object(faults));
-            }
-        }
+        add_fault_ledger(&mut v, map);
         let text = serde_json::to_string_pretty(&v).expect("serializable");
         std::fs::write(path, text).expect("write audit report");
         eprintln!("  wrote {path} [{:.1?}]", t.elapsed());
     }
 
-    let mut results: Vec<ExperimentResult> = Vec::new();
-    let mut run = |id: &str, f: &mut dyn FnMut() -> ExperimentResult| {
-        if want(id) {
-            let t = Instant::now();
-            eprintln!("running {id}…");
-            let r = f();
-            eprintln!("  done [{:.1?}]", t.elapsed());
-            results.push(r);
-        }
+    let ctx = Ctx {
+        s: &s,
+        map: map.as_ref(),
+        cfg: &cfg,
+        seed: args.seed,
+        out_dir: &args.out_dir,
     };
-
-    if let Some(map) = &map {
-        run("map", &mut || {
-            let summary = MapSummary::extract(&s, map);
-            let path = format!("{}/map_summary.json", args.out_dir);
-            std::fs::write(&path, summary.to_json().expect("serializable"))
-                .expect("write map summary");
-            eprintln!("  wrote {path}");
-            ExperimentResult {
-                id: "map",
-                title: "assembled traffic map (map_summary.json)".into(),
-                csv_header: "metric,value".into(),
-                csv_rows: vec![
-                    format!("user_prefixes,{}", summary.user_prefixes.len()),
-                    format!("mapping_cells,{}", summary.mapping_cells),
-                    format!("offnets,{}", summary.offnets.len()),
-                    format!("route_edges,{}", summary.route_edges),
-                    format!("invisible_peering,{:.4}", summary.invisible_peering),
-                ],
-                headline: vec![
-                    (
-                        "user prefixes".into(),
-                        summary.user_prefixes.len().to_string(),
-                    ),
-                    ("mapping cells".into(), summary.mapping_cells.to_string()),
-                    (
-                        "offnet deployments".into(),
-                        summary.offnets.len().to_string(),
-                    ),
-                    ("route edges".into(), summary.route_edges.to_string()),
-                ],
-            }
-        });
-        run("table1", &mut || experiments::table1(&s, map));
-        run("fig1a", &mut || experiments::fig1a(&s, map));
-        run("fig1b", &mut || experiments::fig1b(&s, map));
-        run("fig2", &mut || experiments::fig2(&s, map));
-        run("coverage", &mut || experiments::coverage_claims(&s, map));
-        run("ecs", &mut || experiments::ecs(&s, map));
-    }
-    run("pathlen", &mut || experiments::pathlen(&s));
-    run("anycast", &mut || experiments::anycast(&s));
-    run("pathpred", &mut || experiments::pathpred(&s));
-    run("recommend", &mut || experiments::recommend(&s));
-    run("ipid", &mut || experiments::ipid(&s));
-    run("visibility", &mut || experiments::visibility(&s));
-    run("consolidation", &mut || experiments::consolidation(&s));
-    run("cachehost", &mut || experiments::cachehost(&s));
-    run("assoc", &mut || experiments::assoc(&s));
-    run("staleness", &mut || experiments::staleness(&s));
-
-    if args.ablations
-        || args
-            .exp
-            .as_deref()
-            .map(|e| e.starts_with("ab_"))
-            .unwrap_or(false)
-    {
-        run("ab_ecs_scope", &mut || ablations::ab_ecs_scope(&s));
-        run("ab_resolver_assumption", &mut || {
-            ablations::ab_resolver_assumption(&cfg, args.seed)
-        });
-        run("ab_collectors", &mut || ablations::ab_collectors(&s));
-        run("ab_recommend_features", &mut || {
-            ablations::ab_recommend_features(&s)
-        });
-        run("ab_probe_budget", &mut || ablations::ab_probe_budget(&s));
-    }
-
-    if results.is_empty() {
-        // `--exp ab_*` without --ablations still runs (handled above), so
-        // the only way here is an ablation id filtered out by a logic bug.
-        eprintln!(
-            "no experiment matched {:?}\n{}",
-            args.exp.as_deref().unwrap_or(""),
-            usage()
-        );
-        std::process::exit(2);
+    let mut results: Vec<ExperimentResult> = Vec::new();
+    for (id, _, run) in selected {
+        let t = Instant::now();
+        eprintln!("running {id}…");
+        results.push(run(&ctx));
+        eprintln!("  done [{:.1?}]", t.elapsed());
     }
 
     if args.metrics {
-        let report = itm_obs::snapshot();
-        let mut v = report.to_json();
-        // A faulted metrics run surfaces the per-technique fault
-        // accounting here too, not only in the map summary: issued =
-        // observed + degraded + lost per technique.
+        let mut v = itm_obs::snapshot().to_json();
         if let Some(map) = &map {
-            if !map.fault_report.is_empty() {
-                if let serde_json::Value::Object(root) = &mut v {
-                    let mut faults = serde_json::Map::new();
-                    for (technique, st) in &map.fault_report {
-                        faults.insert(
-                            technique.clone(),
-                            serde_json::json!({
-                                "issued": st.issued(),
-                                "observed": st.observed,
-                                "degraded": st.degraded,
-                                "lost": st.lost,
-                                "retries": st.retries,
-                            }),
-                        );
-                    }
-                    root.insert("faults".into(), serde_json::Value::Object(faults));
-                }
-            }
+            add_fault_ledger(&mut v, map);
         }
         let path = format!("{}/metrics.json", args.out_dir);
         let text = serde_json::to_string_pretty(&v).expect("serializable");
@@ -2052,7 +1625,7 @@ fn main() {
     writeln!(
         f,
         "itm repro — size={}, seed={}, total {:.1?}",
-        args.size,
+        args.size(),
         args.seed,
         t0.elapsed()
     )
@@ -2064,4 +1637,36 @@ fn main() {
         args.out_dir,
         t0.elapsed()
     );
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Dispatch to the one mode the command line asks for.
+fn run() -> Outcome {
+    let Some(args) = parse_args()? else {
+        eprintln!("{}", usage());
+        return Ok(ExitCode::SUCCESS);
+    };
+    if args.bench_record {
+        bench_record(&args)
+    } else if args.bench_query {
+        bench_query(&args)
+    } else if let Some(spec) = &args.query {
+        // Read-only: opens the snapshot and answers, no build, no out dir.
+        run_query(&args, spec)
+    } else if let Some((a, b)) = &args.diff {
+        run_diff(&args, a, b)
+    } else if let Some(n) = args.epochs {
+        run_epochs(&args, n)
+    } else {
+        run_experiments(&args)
+    }
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(code) => return code,
+        Err(UsageError::Usage(msg)) => eprintln!("{msg}\n{}", usage()),
+        Err(UsageError::Plain(msg)) => eprintln!("{msg}"),
+    }
+    ExitCode::from(2)
 }

@@ -13,6 +13,7 @@
 
 pub mod ablations;
 pub mod experiments;
+pub mod plan;
 
 use std::fmt::Write as _;
 

@@ -959,3 +959,73 @@ fn bench_baseline_gates_peak_memory_regressions() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("no baseline row for size=small"), "{err}");
 }
+
+#[test]
+fn a_flag_missing_its_value_exits_2_instead_of_taking_the_next_flag() {
+    // Every flag that requires a value, at the end of the argument list
+    // and followed by another flag. Neither may swallow the next flag or
+    // fall back to a default.
+    for flag in [
+        "--exp",
+        "--seed",
+        "--size",
+        "--threads",
+        "--epochs",
+        "--epoch-plan",
+        "--faults",
+        "--diff",
+        "--explain",
+        "--query",
+        "--bench-out",
+        "--bench-baseline",
+        "--out",
+    ] {
+        for spec in [vec![flag], vec![flag, "--metrics"]] {
+            let out = repro(&spec);
+            assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains(&format!("{flag} expects")), "{spec:?}: {err}");
+            assert!(err.contains("usage: repro"), "{spec:?}: {err}");
+            assert!(!err.contains("building substrate"), "{spec:?}: {err}");
+        }
+    }
+
+    // `--exp` used to take no value here and run all 17 experiments
+    // without writing metrics.json; `--out` used to pass `--exp` over and
+    // fail on "unknown argument pathlen".
+    for spec in [
+        vec!["--exp", "--metrics", "--size", "small"],
+        vec!["--out", "--exp", "pathlen"],
+    ] {
+        let out = repro(&spec);
+        assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("{} expects", spec[0])), "{err}");
+        assert!(!err.contains("unknown argument"), "{err}");
+        assert!(!err.contains("building substrate"), "{err}");
+    }
+}
+
+#[test]
+fn deeply_nested_plan_files_exit_2() {
+    // The JSON parser recurses once per level; past its depth limit a
+    // plan file is a parse error, never a stack overflow.
+    for (name, open) in [
+        ("nested-brackets.json", "["),
+        ("nested-objects.json", "{\"a\":"),
+    ] {
+        let plan = scratch().join(name);
+        std::fs::write(&plan, open.repeat(100_000)).unwrap();
+        let plan = plan.to_str().unwrap();
+        for spec in [
+            vec!["--faults", plan],
+            vec!["--epochs", "1", "--epoch-plan", plan],
+        ] {
+            let out = repro(&spec);
+            assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("cannot parse plan file"), "{err}");
+            assert!(!err.contains("building substrate"), "{err}");
+        }
+    }
+}

@@ -157,127 +157,36 @@ impl MapDiff {
 
         let mut diff = MapDiff::default();
         for sid in 0..a.n_services() {
-            let svc = ServiceId(sid as u32);
-            diff.diff_service(a, b, svc);
+            let service = ServiceId(sid as u32);
+            let cells =
+                |s| claimed_cells(s, service).map(|(prefix, addr, bits)| (prefix, (addr, bits)));
+            merge_join(cells(a), cells(b), |prefix, old, new| {
+                diff.cells.push(CellDelta {
+                    service,
+                    prefix,
+                    old_addr: old.map(|(addr, _)| addr),
+                    new_addr: new.map(|(addr, _)| addr),
+                    old_bits: old.map_or(0, |(_, bits)| bits),
+                    new_bits: new.map_or(0, |(_, bits)| bits),
+                })
+            });
         }
         for asn in 0..a.n_ases() {
-            diff.diff_adjacency(a, b, Asn(asn as u32));
+            let from = Asn(asn as u32);
+            merge_join(
+                a.neighbors(from),
+                b.neighbors(from),
+                |to, old_kind, new_kind| {
+                    diff.routes.push(RouteDelta {
+                        from,
+                        to,
+                        old_kind,
+                        new_kind,
+                    })
+                },
+            );
         }
         Ok(diff)
-    }
-
-    /// Merge-walk one service's sorted prefix runs in both snapshots.
-    fn diff_service(&mut self, a: &Snapshot, b: &Snapshot, svc: ServiceId) {
-        let removed = |p: PrefixId, addr: Ipv4Addr| CellDelta {
-            service: svc,
-            prefix: p,
-            old_addr: Some(addr),
-            new_addr: None,
-            old_bits: a.point(svc, p).map_or(0, |ans| ans.claim_bits),
-            new_bits: 0,
-        };
-        let added = |q: PrefixId, addr: Ipv4Addr| CellDelta {
-            service: svc,
-            prefix: q,
-            old_addr: None,
-            new_addr: Some(addr),
-            old_bits: 0,
-            new_bits: b.point(svc, q).map_or(0, |ans| ans.claim_bits),
-        };
-        let mut ia = a.cells_of(svc).peekable();
-        let mut ib = b.cells_of(svc).peekable();
-        loop {
-            let delta = match (ia.peek().copied(), ib.peek().copied()) {
-                (None, None) => break,
-                (Some((p, addr)), None) => {
-                    ia.next();
-                    removed(p, addr)
-                }
-                (None, Some((q, addr))) => {
-                    ib.next();
-                    added(q, addr)
-                }
-                (Some((p, old)), Some((q, new))) => {
-                    if p < q {
-                        ia.next();
-                        removed(p, old)
-                    } else if q < p {
-                        ib.next();
-                        added(q, new)
-                    } else {
-                        ia.next();
-                        ib.next();
-                        let old_bits = a.point(svc, p).map_or(0, |ans| ans.claim_bits);
-                        let new_bits = b.point(svc, p).map_or(0, |ans| ans.claim_bits);
-                        if old == new && old_bits == new_bits {
-                            continue;
-                        }
-                        CellDelta {
-                            service: svc,
-                            prefix: p,
-                            old_addr: Some(old),
-                            new_addr: Some(new),
-                            old_bits,
-                            new_bits,
-                        }
-                    }
-                }
-            };
-            self.cells.push(delta);
-        }
-    }
-
-    /// Merge-walk one AS's sorted neighbor runs in both snapshots.
-    fn diff_adjacency(&mut self, a: &Snapshot, b: &Snapshot, from: Asn) {
-        let removed = |n: Asn, kind: u8| RouteDelta {
-            from,
-            to: n,
-            old_kind: Some(kind),
-            new_kind: None,
-        };
-        let added = |m: Asn, kind: u8| RouteDelta {
-            from,
-            to: m,
-            old_kind: None,
-            new_kind: Some(kind),
-        };
-        let mut ia = a.neighbors(from).peekable();
-        let mut ib = b.neighbors(from).peekable();
-        loop {
-            let delta = match (ia.peek().copied(), ib.peek().copied()) {
-                (None, None) => break,
-                (Some((n, kind)), None) => {
-                    ia.next();
-                    removed(n, kind)
-                }
-                (None, Some((m, kind))) => {
-                    ib.next();
-                    added(m, kind)
-                }
-                (Some((n, old)), Some((m, new))) => {
-                    if n < m {
-                        ia.next();
-                        removed(n, old)
-                    } else if m < n {
-                        ib.next();
-                        added(m, new)
-                    } else {
-                        ia.next();
-                        ib.next();
-                        if old == new {
-                            continue;
-                        }
-                        RouteDelta {
-                            from,
-                            to: n,
-                            old_kind: Some(old),
-                            new_kind: Some(new),
-                        }
-                    }
-                }
-            };
-            self.routes.push(delta);
-        }
     }
 
     /// True when the snapshots were structurally identical.
@@ -294,14 +203,10 @@ impl MapDiff {
     /// (verification helper: the round-trip test asserts it equals B's
     /// decoded cells exactly).
     pub fn apply_cells(&self, a: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
-        let mut grid: BTreeMap<(u32, u32), (Ipv4Addr, u8)> = BTreeMap::new();
-        for sid in 0..a.n_services() {
-            let svc = ServiceId(sid as u32);
-            for (p, addr) in a.cells_of(svc) {
-                let bits = a.point(svc, p).map_or(0, |ans| ans.claim_bits);
-                grid.insert((svc.raw(), p.raw()), (addr, bits));
-            }
-        }
+        let mut grid: BTreeMap<(u32, u32), (Ipv4Addr, u8)> = decode_cells(a)
+            .into_iter()
+            .map(|(svc, p, addr, bits)| ((svc.raw(), p.raw()), (addr, bits)))
+            .collect();
         for d in &self.cells {
             let key = (d.service.raw(), d.prefix.raw());
             match d.new_addr {
@@ -351,12 +256,47 @@ pub fn decode_cells(s: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
     let mut out = Vec::with_capacity(s.n_cells());
     for sid in 0..s.n_services() {
         let svc = ServiceId(sid as u32);
-        for (p, addr) in s.cells_of(svc) {
-            let bits = s.point(svc, p).map_or(0, |ans| ans.claim_bits);
-            out.push((svc, p, addr, bits));
-        }
+        out.extend(claimed_cells(s, svc).map(|(p, addr, bits)| (svc, p, addr, bits)));
     }
     out
+}
+
+/// One service's cells with their claim bits, in prefix order, read by
+/// index from the cell columns (no per-cell search).
+fn claimed_cells(
+    s: &Snapshot,
+    service: ServiceId,
+) -> impl Iterator<Item = (PrefixId, Ipv4Addr, u8)> + '_ {
+    s.cell_run(service).map(|i| s.cell_at(i))
+}
+
+/// Merge-join two runs in strictly ascending key order, calling
+/// `delta(key, in_a, in_b)` for every key whose value differs between
+/// the runs (`None` on the side that lacks the key).
+fn merge_join<K: Ord + Copy, V: PartialEq + Copy>(
+    a: impl Iterator<Item = (K, V)>,
+    b: impl Iterator<Item = (K, V)>,
+    mut delta: impl FnMut(K, Option<V>, Option<V>),
+) {
+    use std::cmp::Ordering::{Greater, Less};
+    let (mut a, mut b) = (a.peekable(), b.peekable());
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (None, None) => return,
+            (Some(_), None) => Less,
+            (None, Some(_)) => Greater,
+            (Some((ka, _)), Some((kb, _))) => ka.cmp(kb),
+        };
+        let in_a = if order == Greater { None } else { a.next() };
+        let in_b = if order == Less { None } else { b.next() };
+        let ((Some((key, _)), _) | (None, Some((key, _)))) = (in_a, in_b) else {
+            return;
+        };
+        let (va, vb) = (in_a.map(|(_, v)| v), in_b.map(|(_, v)| v));
+        if va != vb {
+            delta(key, va, vb);
+        }
+    }
 }
 
 /// Decode a snapshot's full directed adjacency in canonical order (the
@@ -465,6 +405,134 @@ mod tests {
             ),
         ]);
         Snapshot::from_bytes(bytes).expect("snap_b is well-formed")
+    }
+
+    /// The diff as first written, kept as the reference: a merge walk
+    /// over `cells_of` that reads both sides' claim bits with `point()`,
+    /// two binary searches per shared cell.
+    fn point_reference(a: &Snapshot, b: &Snapshot) -> MapDiff {
+        let mut diff = MapDiff::default();
+        for sid in 0..a.n_services() {
+            let svc = ServiceId(sid as u32);
+            let bits = |s: &Snapshot, p| s.point(svc, p).map_or(0, |ans| ans.claim_bits);
+            let cell = |p, old: Option<Ipv4Addr>, new: Option<Ipv4Addr>| CellDelta {
+                service: svc,
+                prefix: p,
+                old_addr: old,
+                new_addr: new,
+                old_bits: old.map_or(0, |_| bits(a, p)),
+                new_bits: new.map_or(0, |_| bits(b, p)),
+            };
+            let mut ia = a.cells_of(svc).peekable();
+            let mut ib = b.cells_of(svc).peekable();
+            loop {
+                let delta = match (ia.peek().copied(), ib.peek().copied()) {
+                    (None, None) => break,
+                    (Some((p, old)), None) => {
+                        ia.next();
+                        cell(p, Some(old), None)
+                    }
+                    (None, Some((q, new))) => {
+                        ib.next();
+                        cell(q, None, Some(new))
+                    }
+                    (Some((p, old)), Some((q, new))) => {
+                        if p < q {
+                            ia.next();
+                            cell(p, Some(old), None)
+                        } else if q < p {
+                            ib.next();
+                            cell(q, None, Some(new))
+                        } else {
+                            ia.next();
+                            ib.next();
+                            if old == new && bits(a, p) == bits(b, p) {
+                                continue;
+                            }
+                            cell(p, Some(old), Some(new))
+                        }
+                    }
+                };
+                diff.cells.push(delta);
+            }
+        }
+        for asn in 0..a.n_ases() {
+            let from = Asn(asn as u32);
+            let route = |to, old_kind, new_kind| RouteDelta {
+                from,
+                to,
+                old_kind,
+                new_kind,
+            };
+            let mut ia = a.neighbors(from).peekable();
+            let mut ib = b.neighbors(from).peekable();
+            loop {
+                let delta = match (ia.peek().copied(), ib.peek().copied()) {
+                    (None, None) => break,
+                    (Some((n, kind)), None) => {
+                        ia.next();
+                        route(n, Some(kind), None)
+                    }
+                    (None, Some((m, kind))) => {
+                        ib.next();
+                        route(m, None, Some(kind))
+                    }
+                    (Some((n, old)), Some((m, new))) => {
+                        if n < m {
+                            ia.next();
+                            route(n, Some(old), None)
+                        } else if m < n {
+                            ib.next();
+                            route(m, None, Some(new))
+                        } else {
+                            ia.next();
+                            ib.next();
+                            if old == new {
+                                continue;
+                            }
+                            route(n, Some(old), Some(new))
+                        }
+                    }
+                };
+                diff.routes.push(delta);
+            }
+        }
+        diff
+    }
+
+    /// A small-world snapshot before and after three epochs of `plan`.
+    fn small_world_epochs(plan: &itm_types::EpochPlan) -> (Snapshot, Snapshot) {
+        use itm_core::{apply_epoch, snapshot_bytes, MapConfig, TrafficMap};
+        use itm_measure::{Substrate, SubstrateConfig};
+        let mut s = Substrate::build(SubstrateConfig::small(), 42).expect("small world");
+        let snap = |s: &Substrate| {
+            let map = TrafficMap::build(s, &MapConfig::default()).expect("map build");
+            Snapshot::from_bytes(snapshot_bytes(s, &map)).expect("fresh snapshot")
+        };
+        let before = snap(&s);
+        for epoch in 1..=3 {
+            apply_epoch(&mut s, plan, epoch);
+        }
+        (before, snap(&s))
+    }
+
+    #[test]
+    fn the_index_walk_equals_the_point_reference() {
+        let check = |a: &Snapshot, b: &Snapshot| {
+            for (x, y) in [(a, b), (b, a), (a, a)] {
+                let d = MapDiff::compute(x, y).expect("compatible");
+                assert_eq!(d, point_reference(x, y));
+                assert_eq!(d.apply_cells(x), decode_cells(y));
+                assert_eq!(d.apply_routes(x), decode_routes(y));
+            }
+        };
+        check(&snap_a(), &snap_b());
+        for plan in [itm_types::EpochPlan::light(), itm_types::EpochPlan::heavy()] {
+            let (before, after) = small_world_epochs(&plan);
+            let d = MapDiff::compute(&before, &after).expect("compatible");
+            assert!(!d.cells.is_empty() && !d.routes.is_empty(), "{plan:?}");
+            check(&before, &after);
+        }
     }
 
     #[test]

@@ -595,12 +595,7 @@ impl Snapshot {
     /// One binary search over the service's prefix run — `O(log cells)`
     /// byte probes, no allocation.
     pub fn point(&self, service: ServiceId, prefix: PrefixId) -> Option<PointAnswer> {
-        let s = service.index();
-        if s >= self.n_services() {
-            return None;
-        }
-        let lo = self.u64_in(self.cell_svc_off, s) as usize;
-        let hi = self.u64_in(self.cell_svc_off, s + 1) as usize;
+        let std::ops::Range { start: lo, end: hi } = self.cell_run(service);
         let i = self.lower_bound(lo, hi, prefix.raw(), |i| self.u32_in(self.cell_prefix, i));
         if i >= hi || self.u32_in(self.cell_prefix, i) != prefix.raw() {
             return None;
@@ -616,20 +611,33 @@ impl Snapshot {
     /// All ⟨prefix, replica⟩ cells of one service, in ascending prefix
     /// order.
     pub fn cells_of(&self, service: ServiceId) -> CellsIter<'_> {
-        let s = service.index();
-        let (lo, hi) = if s < self.n_services() {
-            (
-                self.u64_in(self.cell_svc_off, s) as usize,
-                self.u64_in(self.cell_svc_off, s + 1) as usize,
-            )
-        } else {
-            (0, 0)
-        };
+        let run = self.cell_run(service);
         CellsIter {
             snap: self,
-            i: lo,
-            hi,
+            i: run.start,
+            hi: run.end,
         }
+    }
+
+    /// The global cell indices of one service's run (empty for an unknown
+    /// service).
+    pub(crate) fn cell_run(&self, service: ServiceId) -> std::ops::Range<usize> {
+        let s = service.index();
+        if s >= self.n_services() {
+            return 0..0;
+        }
+        self.u64_in(self.cell_svc_off, s) as usize..self.u64_in(self.cell_svc_off, s + 1) as usize
+    }
+
+    /// The ⟨prefix, replica, claim bits⟩ of global cell index `i`, read
+    /// straight from the three cell columns (`i` must be below
+    /// [`n_cells`](Self::n_cells)).
+    pub(crate) fn cell_at(&self, i: usize) -> (PrefixId, Ipv4Addr, u8) {
+        (
+            PrefixId(self.u32_in(self.cell_prefix, i)),
+            Ipv4Addr(self.u32_in(self.cell_addr, i)),
+            self.u8_in(self.cell_bits, i),
+        )
     }
 
     /// Reverse lookup: every ⟨service, prefix⟩ cell served by front-end
@@ -751,12 +759,9 @@ impl Iterator for CellsIter<'_> {
         if self.i >= self.hi {
             return None;
         }
-        let i = self.i;
+        let (prefix, addr, _) = self.snap.cell_at(self.i);
         self.i += 1;
-        Some((
-            PrefixId(self.snap.u32_in(self.snap.cell_prefix, i)),
-            Ipv4Addr(self.snap.u32_in(self.snap.cell_addr, i)),
-        ))
+        Some((prefix, addr))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {

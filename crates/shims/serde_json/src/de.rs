@@ -1,13 +1,21 @@
 //! A strict recursive-descent JSON parser.
+//!
+//! Arrays and objects nest at most [`MAX_DEPTH`] deep, serde_json's own
+//! limit: the parser recurses once per level, so an unbounded document
+//! of `[`s would overflow the stack instead of failing to parse.
 
 use crate::value::{Map, Number, Value};
 use crate::{Deserialize, Error};
+
+/// The deepest nesting of arrays and objects a document may have.
+pub(crate) const MAX_DEPTH: usize = 128;
 
 /// Parse a complete JSON document into `T`.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -21,6 +29,8 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -62,12 +72,23 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err("recursion limit exceeded"))
+            }
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object a level deeper than the current one.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {

@@ -302,6 +302,28 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_capped_at_the_depth_limit() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}1{}", open.repeat(depth), close.repeat(depth))
+        };
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            let deepest = nested(open, close, de::MAX_DEPTH);
+            assert!(
+                from_str::<Value>(&deepest).is_ok(),
+                "{open} x {}",
+                de::MAX_DEPTH
+            );
+            let over = nested(open, close, de::MAX_DEPTH + 1);
+            let err = from_str::<Value>(&over).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+            // Far past the limit: an error, never a stack overflow.
+            let hostile = open.repeat(100_000);
+            let err = from_str::<Value>(&hostile).unwrap_err();
+            assert!(err.to_string().contains("recursion limit"), "{err}");
+        }
+    }
+
+    #[test]
     fn numbers_round_trip() {
         for text in ["0", "-7", "18446744073709551615", "0.125", "-2.5e3"] {
             let v: Value = from_str(text).unwrap();
