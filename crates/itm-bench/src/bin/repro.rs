@@ -8,7 +8,7 @@
 //! cargo run --release -p itm-bench --bin repro -- --exp coverage --metrics
 //! cargo run --release -p itm-bench --bin repro -- --exp map --trace
 //! cargo run --release -p itm-bench --bin repro -- --exp map --threads 8
-//! cargo run --release -p itm-bench --bin repro -- --size small --explain pfx0 svc0
+//! cargo run --release -p itm-bench --bin repro -- --explain pfx0 svc0
 //! cargo run --release -p itm-bench --bin repro -- --exp map --faults light
 //! cargo run --release -p itm-bench --bin repro -- --exp map --audit
 //! cargo run --release -p itm-bench --bin repro -- --exp map --audit out=q.json
@@ -30,8 +30,6 @@
 //! instrumentation (phase timings, probe budgets) to
 //! `results/metrics.json`; `--trace [path]` records the causal event
 //! trace in Chrome trace format (load it in Perfetto / `chrome://tracing`);
-//! `--explain <prefix> <service>` builds the map with tracing on and
-//! prints the evidence chain behind one asserted map edge;
 //! `--threads N` sizes the map-build worker pool (default: available
 //! parallelism) — output is byte-identical at any thread count;
 //! `--faults PROFILE` runs the campaigns under a deterministic fault plan
@@ -50,10 +48,14 @@
 //! `<out>/map.snap`): byte-identical at any `--threads`, and rejected on
 //! open if any single byte is corrupted. `--query` answers point, reverse,
 //! and route lookups zero-copy off such a snapshot — no substrate build,
-//! the provenance (technique claim list) of every point answer included —
-//! and `--bench-query` builds the map once and appends a sustained
-//! point-lookup throughput row to the schema-versioned `BENCH_query.json`
-//! trajectory.
+//! the provenance (technique claim list) of every point answer included.
+//! `--explain <prefix> <service>` is `--query point <prefix> <service>`:
+//! which techniques saw that cell, read from the snapshot the user holds.
+//! Both take no build flag (`--exp`, `--ablations`, `--audit`, `--trace`,
+//! `--metrics`, a `--faults` plan, `--epochs`, `--diff`): one beside them
+//! exits 2 rather than being ignored. `--bench-query` builds the map
+//! once and appends a sustained point-lookup throughput row to the
+//! schema-versioned `BENCH_query.json` trajectory.
 //!
 //! `--audit [out=FILE]` scores every measurement technique against the
 //! substrate's ground truth and writes a schema-versioned
@@ -100,7 +102,6 @@ use itm_bench::plan::{self, Plan};
 use itm_bench::{ablations, experiments, ExperimentResult};
 use itm_core::{MapConfig, MapSummary, ParallelExecutor, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
-use itm_obs::ProvenanceIndex;
 use itm_serve::Snapshot;
 use itm_topology::TopologyConfig;
 use itm_types::{EpochPlan, FaultPlan, PrefixId, ServiceId};
@@ -251,8 +252,6 @@ struct Args {
     /// `--trace` was given; `Some(path)` if it carried an explicit output
     /// path, `None` for the default `<out>/trace.json`.
     trace: Option<Option<String>>,
-    /// `--explain <prefix> <service>`: explain one map edge and exit.
-    explain: Option<(String, String)>,
     /// `--audit` was given; `Some(spec)` if it carried a sub-option
     /// string (`out=FILE`), `None` for the defaults.
     audit: Option<Option<String>>,
@@ -272,8 +271,9 @@ struct Args {
     /// is where the snapshot is written; with `--query` it is where the
     /// snapshot is read from.
     snapshot: Option<Option<String>>,
-    /// `--query KIND ARGS…`: answer one query off an existing snapshot
-    /// and exit without building anything.
+    /// `--query KIND ARGS…` (or `--explain P S`, which is `point P S`):
+    /// answer one query off an existing snapshot and exit without
+    /// building anything.
     query: Option<Vec<String>>,
     /// `--bench-query`: build the map once, snapshot it, and benchmark
     /// sustained point-lookup throughput into the query trajectory.
@@ -335,7 +335,9 @@ fn usage() -> String {
          --snapshot writes the queryable map snapshot (default \
          <out>/map.snap) and needs a map-building experiment; \
          --query answers one lookup off an existing snapshot (path from \
-         --snapshot, default <out>/map.snap) without building anything; \
+         --snapshot, default <out>/map.snap) without building anything, \
+         and takes no build flag; --explain PREFIX SERVICE is \
+         --query point PREFIX SERVICE; \
          --bench-query benchmarks point-lookup throughput into \
          BENCH_query.json (override with --bench-out);\n\
          --epochs runs the continuous-map loop: one full build, then N \
@@ -417,6 +419,7 @@ fn parse_args() -> Result<Option<Args>, UsageError> {
         out_dir: "results".into(),
         ..Default::default()
     };
+    let mut explain = None;
     let mut argv = Argv(
         std::env::args()
             .skip(1)
@@ -439,7 +442,7 @@ fn parse_args() -> Result<Option<Args>, UsageError> {
             "--epoch-plan" => args.epoch_plan = Some(argv.plan("--epoch-plan")?),
             "--faults" => args.faults = argv.plan::<FaultPlan>("--faults")?.1,
             "--diff" => args.diff = Some(argv.pair("--diff", "two snapshot paths")?),
-            "--explain" => args.explain = Some(argv.pair("--explain", "PREFIX and SERVICE")?),
+            "--explain" => explain = Some(argv.pair("--explain", "PREFIX and SERVICE")?),
             // Greedy: the kind plus every following operand (shape checked
             // below).
             "--query" => args.query = Some(std::iter::from_fn(|| argv.operand()).collect()),
@@ -463,6 +466,15 @@ fn parse_args() -> Result<Option<Args>, UsageError> {
                 )))
             }
         }
+    }
+    // `--explain P S` is the point query `--query point P S`.
+    if let Some((prefix, service)) = explain {
+        if args.query.is_some() {
+            return Err(UsageError::Usage(
+                "--explain and --query are mutually exclusive".into(),
+            ));
+        }
+        args.query = Some(vec!["point".into(), prefix, service]);
     }
     // Reject unknown experiment ids up front, before the (expensive)
     // substrate build.
@@ -501,9 +513,26 @@ fn parse_args() -> Result<Option<Args>, UsageError> {
         if !ok {
             return Err(UsageError::Usage(QUERY_EXPECTS.into()));
         }
+        // A lookup builds nothing, so a build flag beside it would be
+        // silently ignored.
+        if args.exp.is_some()
+            || args.ablations
+            || args.audit.is_some()
+            || args.trace.is_some()
+            || args.metrics
+            || !args.faults.is_off()
+            || args.epochs.is_some()
+            || args.diff.is_some()
+        {
+            return Err(UsageError::Usage(
+                "a lookup (--query, --explain) reads a snapshot and does not \
+                 combine with --exp, --ablations, --audit, --trace, --metrics, \
+                 --faults, --epochs or --diff"
+                    .into(),
+            ));
+        }
     }
     let other_modes = args.exp.is_some()
-        || args.explain.is_some()
         || args.audit.is_some()
         || args.ablations
         || args.query.is_some()
@@ -594,7 +623,7 @@ fn bench_sizes(args: &Args) -> Result<Vec<(&str, SubstrateConfig)>, UsageError> 
 fn bench_record(args: &Args) -> Outcome {
     let sizes = bench_sizes(args)?;
     let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_map_build.json");
-    require_writable_file(bench_out)?;
+    let prior_rows = read_trajectory(bench_out)?;
     let threads = args.threads.unwrap_or(1);
     itm_obs::alloc::set_enabled(true);
     itm_obs::set_enabled(true);
@@ -667,7 +696,7 @@ fn bench_record(args: &Args) -> Outcome {
             "top_phases": top_phases,
         }));
     }
-    append_bench_rows(bench_out, &new_rows)?;
+    append_bench_rows(bench_out, prior_rows, &new_rows);
     eprintln!(
         "bench-record: appended {} row(s) to {bench_out}",
         new_rows.len()
@@ -679,42 +708,49 @@ fn bench_record(args: &Args) -> Outcome {
     Ok(ExitCode::from(u8::from(regressed)))
 }
 
-/// Append rows to the trajectory file, creating it (with the schema
-/// header) if absent. A file with a different schema version or shape is
-/// an error, not something to silently rewrite.
-fn append_bench_rows(path: &str, new_rows: &[serde_json::Value]) -> Result<(), UsageError> {
-    let mut rows: Vec<serde_json::Value> = Vec::new();
-    let text = std::fs::read_to_string(path).unwrap_or_default();
-    if !text.trim().is_empty() {
-        let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| {
-            UsageError::Plain(format!(
-                "{path}: existing trajectory is not valid JSON: {e}"
-            ))
-        })?;
-        match v.get("schema_version").and_then(|s| s.as_u64()) {
-            Some(BENCH_SCHEMA_VERSION) => {}
-            other => {
-                return Err(UsageError::Plain(format!(
-                    "{path}: trajectory schema_version {other:?} != {BENCH_SCHEMA_VERSION}"
-                )))
-            }
-        }
-        let existing = v.get("rows").and_then(|r| r.as_array());
-        rows.extend(
-            existing
-                .ok_or_else(|| UsageError::Plain(format!("{path}: trajectory has no rows array")))?
-                .iter()
-                .cloned(),
-        );
+/// Preflight a bench trajectory before any build: the rows it already
+/// holds (none when it is new, which the writability check leaves
+/// empty), or the reason it cannot take more. A file that cannot be read,
+/// or has another schema version or shape, is an error (exit 2, file
+/// untouched), never rewritten.
+fn read_trajectory(path: &str) -> Result<Vec<serde_json::Value>, UsageError> {
+    require_writable_file(path)?;
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| UsageError::Plain(format!("{path}: cannot read existing trajectory: {e}")))?;
+    if text.trim().is_empty() {
+        return Ok(Vec::new());
     }
-    rows.extend(new_rows.iter().cloned());
+    let v: serde_json::Value = serde_json::from_str(&text).map_err(|e| {
+        UsageError::Plain(format!(
+            "{path}: existing trajectory is not valid JSON: {e}"
+        ))
+    })?;
+    match v.get("schema_version").and_then(|s| s.as_u64()) {
+        Some(BENCH_SCHEMA_VERSION) => {}
+        other => {
+            return Err(UsageError::Plain(format!(
+                "{path}: trajectory schema_version {other:?} != {BENCH_SCHEMA_VERSION}"
+            )))
+        }
+    }
+    match v.get("rows").and_then(|r| r.as_array()) {
+        Some(rows) => Ok(rows.clone()),
+        None => Err(UsageError::Plain(format!(
+            "{path}: trajectory has no rows array"
+        ))),
+    }
+}
+
+/// Write the trajectory: the rows [`read_trajectory`] found, then the new
+/// ones, under the schema header.
+fn append_bench_rows(path: &str, mut rows: Vec<serde_json::Value>, new_rows: &[serde_json::Value]) {
+    rows.extend_from_slice(new_rows);
     let doc = serde_json::json!({
         "schema_version": BENCH_SCHEMA_VERSION,
         "rows": rows,
     });
     let text = serde_json::to_string_pretty(&doc).expect("serializable");
     std::fs::write(path, text).expect("write trajectory");
-    Ok(())
 }
 
 /// Compare freshly recorded rows against the latest matching-size row of
@@ -788,9 +824,9 @@ fn write_snapshot(s: &Substrate, map: &TrafficMap, path: &str) -> Result<u64, Us
 }
 
 /// Resolve a PREFIX (`pfxN`, index or /24), SERVICE (`svcN`, index or
-/// domain) or ASN (`asN` or index) argument, by its `tag`, against the
-/// substrate (`--explain`) or a snapshot (`--query`): an index must be
-/// below `n`, anything else is looked up by `named`.
+/// domain) or ASN (`asN` or index) argument, by its `tag`, against a
+/// snapshot: an index must be below `n`, anything else is looked up by
+/// `named`.
 fn resolve(
     raw: &str,
     tag: &str,
@@ -809,11 +845,12 @@ fn resolve(
     found.ok_or_else(|| UsageError::Usage(format!("cannot resolve {what} {raw:?}")))
 }
 
-/// The `--query` mode: open the snapshot and answer one lookup, exiting
-/// 0 on a hit, 1 when the query is well-formed but the map asserts
-/// nothing, and 2 on unresolvable arguments or an unopenable (missing,
-/// corrupted, foreign-version) snapshot. Never builds a substrate — the
-/// whole point of the serving layer is that queries cost microseconds.
+/// The `--query` mode (`--explain` is its point lookup): open the
+/// snapshot and answer one lookup, exiting 0 on a hit, 1 when the query
+/// is well-formed but the map asserts nothing, and 2 on unresolvable
+/// arguments or an unopenable (missing, corrupted, foreign-version)
+/// snapshot. Never builds a substrate — the whole point of the serving
+/// layer is that queries cost microseconds.
 fn run_query(args: &Args, spec: &[String]) -> Outcome {
     let snap = open_snapshot(&snapshot_path(args), "")?;
     let found = match spec[0].as_str() {
@@ -936,7 +973,7 @@ fn run_query(args: &Args, spec: &[String]) -> Outcome {
 fn bench_query(args: &Args) -> Outcome {
     use rand::Rng;
     let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_query.json");
-    require_writable_file(bench_out)?;
+    let prior_rows = read_trajectory(bench_out)?;
     let cfg = size_config(args)?;
     let threads = args.threads();
     let t0 = Instant::now();
@@ -994,6 +1031,7 @@ fn bench_query(args: &Args) -> Outcome {
     );
     append_bench_rows(
         bench_out,
+        prior_rows,
         &[serde_json::json!({
             "schema_version": BENCH_SCHEMA_VERSION,
             "size": args.size(),
@@ -1006,7 +1044,7 @@ fn bench_query(args: &Args) -> Outcome {
             "cells": n_cells as u64,
             "snapshot_bytes": snapshot_bytes_len,
         })],
-    )?;
+    );
     eprintln!("bench-query: appended 1 row to {bench_out}");
     Ok(ExitCode::SUCCESS)
 }
@@ -1102,9 +1140,11 @@ fn run_epochs(args: &Args, epochs: u32) -> Outcome {
     let metrics_path = format!("{}/epoch_metrics.json", args.out_dir);
     require_writable_file(&metrics_path)?;
     let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_epoch.json");
-    if args.epoch_verify {
-        require_writable_file(bench_out)?;
-    }
+    let prior_rows = if args.epoch_verify {
+        read_trajectory(bench_out)?
+    } else {
+        Vec::new()
+    };
     let snap_base: Option<String> = args.snapshot.as_ref().map(|_| snapshot_path(args));
     if let Some(base) = &snap_base {
         require_writable_file(base)?;
@@ -1235,7 +1275,7 @@ fn run_epochs(args: &Args, epochs: u32) -> Outcome {
     std::fs::write(&metrics_path, text).expect("write epoch metrics");
     eprintln!("wrote {metrics_path}");
     if args.epoch_verify {
-        append_bench_rows(bench_out, &bench_rows)?;
+        append_bench_rows(bench_out, prior_rows, &bench_rows);
         eprintln!(
             "epochs: appended {} row(s) to {bench_out}",
             bench_rows.len()
@@ -1300,113 +1340,6 @@ fn enable_tracing(seed: u64) {
     itm_obs::trace::set_seed(seed);
     itm_obs::trace::reset();
     itm_obs::trace::set_enabled(true);
-}
-
-/// The `--explain` mode: build the map with tracing on, index the trace,
-/// and print the evidence chain behind one asserted edge. When the edge
-/// is missing and the build ran under a fault plan, the recorded probe
-/// failures for that cell explain the gap.
-fn explain_edge(s: &Substrate, pfx_arg: &str, svc_arg: &str, faults: &FaultPlan) -> Outcome {
-    let prefix = resolve(pfx_arg, "pfx", s.topo.prefixes.len(), |r| {
-        Some(s.topo.prefixes.find(r.parse().ok()?)?.id.raw())
-    })?;
-    let service = resolve(svc_arg, "svc", s.catalog.len(), |r| {
-        Some(s.catalog.by_domain(r)?.id.raw())
-    })?;
-    let t = Instant::now();
-    eprintln!("building map with tracing enabled…");
-    let map_cfg = MapConfig {
-        faults: faults.clone(),
-        // Claim tables feed the per-technique verdict lines below.
-        record_claims: true,
-        ..Default::default()
-    };
-    let map = TrafficMap::build(s, &map_cfg).expect("map build");
-    eprintln!("  map built [{:.1?}]", t.elapsed());
-    let snap = itm_obs::trace::snapshot();
-    eprintln!(
-        "  {} trace events captured ({} dropped)",
-        snap.records.len(),
-        snap.dropped_events
-    );
-    let index = ProvenanceIndex::build(&snap);
-    let found = match index.explain(prefix, service) {
-        Some(chain) => {
-            println!("{}", chain.render());
-            true
-        }
-        None => {
-            let failures = index.failures(prefix, service);
-            if failures.is_empty() {
-                eprintln!(
-                    "no edge asserted for pfx{prefix} × svc{service}; the map \
-                     did not measure that cell (try a user-access prefix and an \
-                     ECS service, or list edges via a larger trace capacity)"
-                );
-            } else {
-                eprintln!(
-                    "no edge asserted for pfx{prefix} × svc{service}; \
-                     {} recorded probe failure(s) explain the gap:",
-                    failures.len()
-                );
-                const FAILURE_CAP: usize = 20;
-                for r in failures.iter().take(FAILURE_CAP) {
-                    eprintln!(
-                        "  [{} {}] {}",
-                        r.technique.as_str(),
-                        r.kind.as_str(),
-                        r.detail
-                    );
-                }
-                if failures.len() > FAILURE_CAP {
-                    eprintln!("  … and {} more", failures.len() - FAILURE_CAP);
-                }
-            }
-            false
-        }
-    };
-    print_cell_verdicts(s, &map, prefix, service);
-    Ok(ExitCode::from(u8::from(!found)))
-}
-
-/// The `--explain` quality addendum: what every replica estimator claims
-/// for the cell, how each claim scores against the substrate's ground
-/// truth, and the estimator's overall accuracy on this build for context.
-fn print_cell_verdicts(s: &Substrate, map: &TrafficMap, prefix: u32, service: u32) {
-    let claims = map.claims.as_ref().expect("explain builds record claims");
-    let t = Instant::now();
-    eprintln!("scoring techniques against ground truth…");
-    let q = itm_core::audit(s, map);
-    eprintln!("  audit done [{:.1?}]", t.elapsed());
-    let (truth, verdicts) =
-        itm_core::audit::explain_cell(s, map, claims, PrefixId(prefix), ServiceId(service));
-    println!(
-        "\ntechnique verdicts for pfx{prefix} × svc{service} (ground truth: AS{}):",
-        truth.raw()
-    );
-    for v in &verdicts {
-        let claim = match v.claimed {
-            Some(a) => format!("AS{}", a.raw()),
-            None => "-".to_string(),
-        };
-        let ctx = q
-            .techniques
-            .get(v.technique)
-            .map(|t| {
-                format!(
-                    "overall precision {:.3}, coverage {:.3}",
-                    t.overall.precision(),
-                    t.overall.coverage()
-                )
-            })
-            .unwrap_or_default();
-        println!(
-            "  {:<13} {:<12} {:<10} ({ctx})",
-            v.technique,
-            v.verdict.as_str(),
-            claim
-        );
-    }
 }
 
 /// Add the per-technique fault ledger (issued = observed + degraded +
@@ -1477,7 +1410,7 @@ fn run_experiments(args: &Args) -> Outcome {
         require_writable_file(path)?;
     }
 
-    if args.trace.is_some() || args.explain.is_some() {
+    if args.trace.is_some() {
         enable_tracing(args.seed);
     }
 
@@ -1516,10 +1449,6 @@ fn run_experiments(args: &Args) -> Outcome {
         s.catalog.len(),
         t0.elapsed()
     );
-
-    if let Some((pfx_arg, svc_arg)) = &args.explain {
-        return explain_edge(&s, pfx_arg, svc_arg, &args.faults);
-    }
 
     // Experiments that need the full map share one build.
     let map = if builds_map {

@@ -1029,3 +1029,149 @@ fn deeply_nested_plan_files_exit_2() {
         }
     }
 }
+
+#[test]
+fn explain_is_the_point_query_off_the_snapshot() {
+    let dir = scratch().join("explain-out");
+    let out = repro(&[
+        "--exp",
+        "map",
+        "--size",
+        "small",
+        "--seed",
+        "42",
+        "--out",
+        dir.to_str().unwrap(),
+        "--snapshot",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let snap_path = dir.join("map.snap");
+    let snap = snap_path.to_str().unwrap();
+    let mut bad = std::fs::read(&snap_path).unwrap();
+    let mid = bad.len() / 2;
+    bad[mid] ^= 0xFF;
+    let bad_path = dir.join("corrupt.snap");
+    std::fs::write(&bad_path, &bad).unwrap();
+
+    // A held cell (exit 0), a cell the map does not hold (exit 1), an
+    // unresolvable prefix and a corrupted snapshot (exit 2): `--explain`
+    // answers each exactly as the point query does.
+    for (prefix, service, path, code) in [
+        ("pfx2081", "svc5", snap, 0),
+        ("pfx0", "svc0", snap, 1),
+        ("pfx999999", "svc5", snap, 2),
+        ("pfx2081", "svc5", bad_path.to_str().unwrap(), 2),
+    ] {
+        let explain = repro(&["--explain", prefix, service, "--snapshot", path]);
+        let query = repro(&["--query", "point", prefix, service, "--snapshot", path]);
+        assert_eq!(explain.status.code(), Some(code), "{explain:?}");
+        assert_eq!(explain.status, query.status);
+        assert_eq!(explain.stdout, query.stdout, "{prefix} × {service}");
+        assert_eq!(explain.stderr, query.stderr, "{prefix} × {service}");
+        let err = String::from_utf8_lossy(&explain.stderr);
+        assert!(!err.contains("building substrate"), "{err}");
+    }
+    let held = repro(&["--explain", "pfx2081", "svc5", "--snapshot", snap]);
+    let text = String::from_utf8_lossy(&held.stdout);
+    assert!(text.contains("→ 1.8.72.10 (AS118)"), "{text}");
+    assert!(text.contains("techniques: "), "{text}");
+
+    // Without --snapshot it reads <out>/map.snap.
+    let default = repro(&[
+        "--explain",
+        "pfx2081",
+        "svc5",
+        "--out",
+        dir.to_str().unwrap(),
+    ]);
+    assert_eq!(default.status.code(), Some(0), "{default:?}");
+    assert_eq!(default.stdout, held.stdout);
+}
+
+#[test]
+fn lookups_reject_build_flags_before_opening_the_snapshot() {
+    let missing = scratch().join("no-such-lookup.snap");
+    let missing = missing.to_str().unwrap();
+    let lookups = [
+        vec!["--query", "point", "pfx20000", "svc1"],
+        vec!["--explain", "pfx20000", "svc1"],
+    ];
+    let build_flags: [&[&str]; 8] = [
+        &["--exp", "map"],
+        &["--ablations"],
+        &["--audit"],
+        &["--trace"],
+        &["--metrics"],
+        &["--faults", "heavy"],
+        &["--epochs", "2"],
+        &["--diff", "a.snap", "b.snap"],
+    ];
+    for lookup in &lookups {
+        for flag in build_flags {
+            let mut spec = lookup.clone();
+            spec.extend_from_slice(&["--snapshot", missing]);
+            spec.extend_from_slice(flag);
+            let out = repro(&spec);
+            assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(err.contains("does not combine"), "{spec:?}: {err}");
+            assert!(err.contains("usage: repro"), "{spec:?}: {err}");
+            assert!(!err.contains("cannot open snapshot"), "{spec:?}: {err}");
+        }
+        // `--faults off` asks for nothing the lookup ignores: the run goes
+        // on to open the (missing) snapshot.
+        let mut spec = lookup.clone();
+        spec.extend_from_slice(&["--snapshot", missing, "--faults", "off"]);
+        let out = repro(&spec);
+        assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("cannot open snapshot"), "{spec:?}: {err}");
+    }
+
+    let out = repro(&[
+        "--explain",
+        "pfx0",
+        "svc0",
+        "--query",
+        "point",
+        "pfx0",
+        "svc0",
+    ]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("mutually exclusive"), "{err}");
+}
+
+#[test]
+fn an_unreadable_trajectory_exits_2_and_is_left_untouched() {
+    // One row whose note holds a byte that is not UTF-8: the file is
+    // unreadable as text, so it is an error, never an empty trajectory.
+    let mut bytes = br#"{"schema_version": 1, "rows": [{"size": "small", "note": ""#.to_vec();
+    bytes.push(0xFF);
+    bytes.extend_from_slice(br#""}]}"#);
+    let file = scratch().join("bench-not-utf8.json");
+    let path = file.to_str().unwrap();
+    for spec in [
+        vec!["--bench-query", "--size", "small", "--bench-out", path],
+        vec!["--bench-record", "--size", "small", "--bench-out", path],
+        vec![
+            "--epochs",
+            "1",
+            "--epoch-verify",
+            "--size",
+            "small",
+            "--out",
+            scratch().join("bench-not-utf8-out").to_str().unwrap(),
+            "--bench-out",
+            path,
+        ],
+    ] {
+        std::fs::write(&file, &bytes).unwrap();
+        let out = repro(&spec);
+        assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("cannot read existing trajectory"), "{err}");
+        assert!(!err.contains("building substrate"), "{err}");
+        assert_eq!(std::fs::read(&file).unwrap(), bytes, "{spec:?}");
+    }
+}

@@ -326,6 +326,23 @@ fn nearest_front_per_city(
 /// Replica-plane estimator names, in the fixed order claims are listed.
 pub const REPLICA_TECHNIQUES: [&str; 4] = ["ecs", "anycast", "tls_nearest", "catalog_prior"];
 
+/// One cell's replica-plane claims, in [`REPLICA_TECHNIQUES`] order, and
+/// the `fused` claim: the [`TrafficMap::serving_as_for`] cascade of ECS,
+/// then the catchment, then the prior. `ecs` is the host AS of the cell's
+/// measured address; the tables and `prior` are the service's own.
+fn replica_claims(
+    ecs: Option<Asn>,
+    anycast_table: Option<&Vec<Option<Asn>>>,
+    tls_table: Option<&Vec<Option<Asn>>>,
+    prior: Option<Asn>,
+    owner: Asn,
+    city: u32,
+) -> ([Option<Asn>; 4], Option<Asn>) {
+    let anycast = table_claim(anycast_table, owner.index());
+    let tls = table_claim(tls_table, city as usize);
+    ([ecs, anycast, tls, prior], ecs.or(anycast).or(prior))
+}
+
 /// One prefix of the audited universe, with everything the per-cell loop
 /// needs precomputed.
 struct UniversePrefix {
@@ -372,53 +389,6 @@ fn verdict_for(claim: Option<Asn>, truth: Asn) -> Verdict {
 pub fn truth_serving_as(s: &Substrate, svc: ServiceId, owner: Asn, city: u32) -> Asn {
     let e = s.frontends.select(&s.topo, svc, owner, city);
     e.offnet_host.unwrap_or(e.asn)
-}
-
-/// Per-technique verdicts for a single cell, for `repro --explain`.
-#[derive(Debug, Clone)]
-pub struct CellVerdict {
-    /// Technique name (a key of [`QualityReport::techniques`]).
-    pub technique: &'static str,
-    /// The claim, if the technique spoke.
-    pub claimed: Option<Asn>,
-    /// How the claim scored against the truth.
-    pub verdict: Verdict,
-}
-
-/// Score one cell across every replica estimator (fused last).
-pub fn explain_cell(
-    s: &Substrate,
-    map: &TrafficMap,
-    claims: &MapClaims,
-    p: PrefixId,
-    svc: ServiceId,
-) -> (Asn, Vec<CellVerdict>) {
-    let rec = s.topo.prefixes.get(p);
-    let truth = truth_serving_as(s, svc, rec.owner, rec.city);
-    let ecs = map
-        .user_mapping
-        .mapping
-        .get(svc, p)
-        .and_then(|addr| claims.owner_of(addr));
-    let anycast = claims.anycast_claim(svc, rec.owner);
-    let tls = claims.tls_claim(svc, rec.city);
-    let prior = claims.prior_claim(svc);
-    let fused = ecs.or(anycast).or(prior);
-    let verdicts = [
-        ("ecs", ecs),
-        ("anycast", anycast),
-        ("tls_nearest", tls),
-        ("catalog_prior", prior),
-        ("fused", fused),
-    ]
-    .into_iter()
-    .map(|(technique, claimed)| CellVerdict {
-        technique,
-        claimed,
-        verdict: verdict_for(claimed, truth),
-    })
-    .collect();
-    (truth, verdicts)
 }
 
 /// Run the full quality audit of a map against its substrate.
@@ -518,17 +488,11 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
                     break;
                 }
             }
-            let anycast = table_claim(anycast_table, up.owner.index());
-            let tls = table_claim(tls_table, up.city as usize);
-            let fused = ecs.or(anycast).or(prior);
+            let (replica, fused) =
+                replica_claims(ecs, anycast_table, tls_table, prior, up.owner, up.city);
 
             let mut cell: Vec<(&str, u32)> = Vec::with_capacity(5);
-            for (name, claim) in [
-                ("ecs", ecs),
-                ("anycast", anycast),
-                ("tls_nearest", tls),
-                ("catalog_prior", prior),
-            ] {
+            for (name, claim) in REPLICA_TECHNIQUES.into_iter().zip(replica) {
                 if let Some(a) = audits.get_mut(name) {
                     a.record(Some(class), Some(up.tier), verdict_for(claim, truth), true);
                 }
@@ -785,35 +749,30 @@ mod tests {
         let (s, m) = build();
         let claims = m.claims.as_ref().unwrap();
         let mut checked = 0;
-        for r in s.topo.prefixes.iter().take(200) {
+        // Every user cell: anycast claims mostly equal the prior, so only
+        // a full sweep reaches cells where the cascade order matters.
+        for r in s.topo.prefixes.iter() {
             if r.kind != PrefixKind::UserAccess {
                 continue;
             }
-            for svc in s.catalog.services.iter().take(10) {
-                let (_, verdicts) = explain_cell(&s, &m, claims, r.id, svc.id);
-                let fused = verdicts
-                    .iter()
-                    .find(|v| v.technique == "fused")
-                    .and_then(|v| v.claimed);
+            for svc in &s.catalog.services {
+                let ecs = m
+                    .user_mapping
+                    .mapping
+                    .get(svc.id, r.id)
+                    .and_then(|addr| claims.owner_of(addr));
+                let (_, fused) = replica_claims(
+                    ecs,
+                    claims.anycast_site_as.get(&svc.id),
+                    claims.tls_nearest_as.get(&svc.id),
+                    claims.prior_claim(svc.id),
+                    r.owner,
+                    r.city,
+                );
                 assert_eq!(fused, m.serving_as_for(&s, r.id, svc.id));
                 checked += 1;
             }
         }
         assert!(checked > 0);
-    }
-
-    #[test]
-    fn explain_cell_scores_a_measured_cell() {
-        let (s, m) = build();
-        let claims = m.claims.as_ref().unwrap();
-        let first = m.user_mapping.mapping.iter().next().unwrap();
-        let (svc, p) = (first.service, first.prefix);
-        let (truth, verdicts) = explain_cell(&s, &m, claims, p, svc);
-        assert_eq!(verdicts.len(), 5);
-        let ecs = verdicts.iter().find(|v| v.technique == "ecs").unwrap();
-        // The measured mapping is exact for ECS services, so the claim
-        // matches the truth.
-        assert_eq!(ecs.claimed, Some(truth));
-        assert_eq!(ecs.verdict, Verdict::Asserted);
     }
 }

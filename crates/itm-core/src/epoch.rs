@@ -24,12 +24,11 @@
 //! recomputing it. The dirty model in [`itm_types::epoch`] records which
 //! substrate inputs each mutation touches.
 //!
-//! Two intentional divergences, both in the trace (an observability
-//! stream, not part of the map; snapshot bytes and the fingerprint do not
-//! cover it): the incremental path does not re-emit per-cell
-//! `EdgeAsserted` events for retained cells, and its public view emits
-//! `RouteResolved` only for the destinations it recomputes — those in the
-//! customer cones of the links whose flap state changed (see
+//! One intentional divergence, in the trace (an observability stream, not
+//! part of the map; snapshot bytes and the fingerprint do not cover it):
+//! the incremental public view emits `RouteResolved` only for the
+//! destinations it recomputes — those in the customer cones of the links
+//! whose flap state changed (see
 //! [`itm_routing::CollectorSet::public_view_with`]), where a full build
 //! emits one per AS.
 

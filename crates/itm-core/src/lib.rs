@@ -46,7 +46,7 @@ pub mod snapshot;
 pub mod summary;
 pub mod weighted;
 
-pub use audit::{audit, CellVerdict, MapClaims};
+pub use audit::{audit, MapClaims};
 pub use coverage::{CoverageReport, Table1Row};
 pub use epoch::{apply_epoch, build_incremental, map_fingerprint};
 pub use exec::ParallelExecutor;

@@ -60,8 +60,8 @@ pub struct MapConfig {
     pub faults: FaultPlan,
     /// Record per-cell claim bitmaps and per-technique claim tables
     /// ([`crate::audit::MapClaims`]) at assembly time, for the quality
-    /// audit and `--explain` verdicts. Off by default: a clean build's
-    /// memory profile and summary are unchanged.
+    /// audit. Off by default: a clean build's memory profile and summary
+    /// are unchanged.
     #[serde(default)]
     pub record_claims: bool,
 }
@@ -141,32 +141,8 @@ impl TrafficMap {
             itm_obs::trace::Technique::MapAssembly,
             "traffic map assembly",
         );
-        let map = run_pipeline(s, cfg, exec, None, &DirtySet::all())
-            .map_err(|e| ItmError::in_campaign("map.build", e))?;
-
-        // Assert the map's edges into the trace: one event per measured
-        // (service, prefix) cell, each linking the serving address and AS
-        // so provenance queries can join it back to the observations that
-        // produced it. CellMap iteration is sorted by (service, prefix),
-        // so the event stream is byte-stable without an explicit sort.
-        if itm_obs::trace::enabled() {
-            for c in map.user_mapping.mapping.iter() {
-                let mut subjects = itm_obs::trace::Subjects::none()
-                    .prefix(c.prefix.raw())
-                    .service(c.service.raw())
-                    .addr(c.addr.0);
-                if let Some(r) = s.topo.prefixes.lookup(c.addr) {
-                    subjects = subjects.asn(r.owner.raw());
-                }
-                itm_obs::trace::emit(
-                    itm_obs::trace::Technique::MapAssembly,
-                    itm_obs::trace::EventKind::EdgeAsserted,
-                    subjects,
-                    &s.catalog.get(c.service).domain,
-                );
-            }
-        }
-        Ok(map)
+        run_pipeline(s, cfg, exec, None, &DirtySet::all())
+            .map_err(|e| ItmError::in_campaign("map.build", e))
     }
 
     /// Predict the AS path from a client AS toward the AS serving

@@ -1,14 +1,12 @@
-//! Tracing must explain the map without perturbing it.
+//! Tracing must record the map build without perturbing it.
 //!
 //! One test body (not several) because the trace log is global: parallel
-//! test threads toggling it would race. Three properties are checked on a
+//! test threads toggling it would race. Two properties are checked on a
 //! single traced small-substrate run:
 //!
 //! 1. byte-identical map summary with tracing on vs off (tracing is an
 //!    observer, not a participant);
-//! 2. every surviving `EdgeAsserted` event joins to a non-empty evidence
-//!    chain — no edge the map asserts is unexplained;
-//! 3. the Chrome-trace export round-trips as JSON with the schema
+//! 2. the Chrome-trace export round-trips as JSON with the schema
 //!    Perfetto needs (`traceEvents` with `ph`/`ts`/`pid`/`tid`/`name`,
 //!    balanced B/E pairs per thread).
 
@@ -23,7 +21,7 @@ fn build_summary(seed: u64) -> String {
 }
 
 #[test]
-fn tracing_is_deterministic_and_every_edge_has_evidence() {
+fn tracing_is_deterministic_and_exports_a_valid_chrome_trace() {
     // Baseline: everything off (the default state).
     itm_obs::set_enabled(false);
     itm_obs::trace::set_enabled(false);
@@ -42,27 +40,9 @@ fn tracing_is_deterministic_and_every_edge_has_evidence() {
 
     // 1. Tracing never perturbs the map.
     assert_eq!(off, on, "tracing changed the map summary");
-
-    // 2. Every asserted edge is explainable.
     assert!(!snap.records.is_empty(), "traced run recorded nothing");
-    let index = itm_obs::ProvenanceIndex::build(&snap);
-    let mut edges = 0usize;
-    for edge in index.edges() {
-        let chain = index.explain_edge(edge);
-        assert!(
-            !chain.evidence.is_empty(),
-            "edge without evidence: {:?}",
-            edge.subjects
-        );
-        // Evidence precedes nothing it depends on: emission order holds.
-        for w in chain.evidence.windows(2) {
-            assert!(w[0].id < w[1].id);
-        }
-        edges += 1;
-    }
-    assert!(edges > 0, "traced run asserted no edges");
 
-    // 3. The Chrome-trace export is schema-valid JSON.
+    // 2. The Chrome-trace export is schema-valid JSON.
     let exported = serde_json::to_string(&itm_obs::chrome_trace(&snap)).unwrap();
     let v: Value = serde_json::from_str(&exported).expect("trace.json is not valid JSON");
     let events = v

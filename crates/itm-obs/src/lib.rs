@@ -26,12 +26,11 @@
 //!
 //! A fourth primitive lives alongside the registry: the **trace log**
 //! ([`trace`]) — a bounded, lock-sharded ring of typed causal events
-//! (probes, cache hits, certificate matches, asserted map edges) with
+//! (probes, cache hits, certificate matches, probe failures) with
 //! RNG-seeded virtual timestamps. It exports as Chrome trace-format JSON
-//! ([`chrome_trace`]) for Perfetto timelines and is queried through a
-//! [`ProvenanceIndex`] (`explain(edge) → EvidenceChain`). Like the
-//! registry it is process-global, **disabled** by default, and gated by a
-//! single relaxed atomic load per emission. See DESIGN.md §7.
+//! ([`chrome_trace`]) for Perfetto timelines. Like the registry it is
+//! process-global, **disabled** by default, and gated by a single relaxed
+//! atomic load per emission. See DESIGN.md §7.
 //!
 //! Naming convention: `subsystem.metric` in lower snake-case segments,
 //! labels in `{key="value"}` suffix form, sorted by key. See
@@ -40,7 +39,6 @@
 pub mod alloc;
 pub mod chrome;
 mod histogram;
-pub mod provenance;
 pub mod quality;
 mod registry;
 mod report;
@@ -50,7 +48,6 @@ pub mod trace;
 
 pub use chrome::chrome_trace;
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use provenance::{EvidenceChain, ProvenanceIndex};
 pub use quality::{QualityReport, TechniqueAudit, TechniqueScore, Verdict};
 pub use registry::{Counter, Registry};
 pub use report::MetricsReport;

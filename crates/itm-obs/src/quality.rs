@@ -6,7 +6,7 @@
 //! substrate knows the ground truth, every technique's view can be scored
 //! exactly. This module holds the *scoring machinery* in substrate-free
 //! form (raw `u32` subject ids, the same interning convention as the
-//! [`crate::provenance`] index and the trace [`crate::trace::Subjects`]):
+//! trace [`crate::trace::Subjects`]):
 //! the sweep that enumerates cells and computes claims lives in
 //! `itm-core::audit`, which owns the ground truth.
 //!
@@ -46,17 +46,6 @@ pub enum Verdict {
     Contradicted,
     /// The technique made no claim about this cell.
     Silent,
-}
-
-impl Verdict {
-    /// Stable lower-case name used in exports and `--explain` output.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Verdict::Asserted => "asserted",
-            Verdict::Contradicted => "contradicted",
-            Verdict::Silent => "silent",
-        }
-    }
 }
 
 /// Verdict counters for one technique over one cell population.

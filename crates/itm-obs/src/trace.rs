@@ -2,7 +2,7 @@
 //! pipeline events.
 //!
 //! Where counters answer "how many probes did we send", the trace log
-//! answers "*which* probe justified this edge". Every event carries:
+//! answers "*which* probe saw what, and when". Every event carries:
 //!
 //! * a [`TraceId`] naming the measurement campaign it belongs to and an
 //!   optional parent [`EventId`] (the campaign root), forming a causality
@@ -134,8 +134,6 @@ pub enum EventKind {
     IpidSampled,
     /// Per-AS activity signals were fused into one estimate.
     ActivityFused,
-    /// Map assembly asserted a user-prefix → service edge.
-    EdgeAsserted,
     /// A probe exhausted its retries; the campaign recorded a gap
     /// instead of an observation (deterministic fault injection).
     ProbeFailed,
@@ -167,7 +165,6 @@ impl EventKind {
             EventKind::IpidSampled => "IpidSampled",
             EventKind::LogLineAttributed => "LogLineAttributed",
             EventKind::ActivityFused => "ActivityFused",
-            EventKind::EdgeAsserted => "EdgeAsserted",
             EventKind::ProbeFailed => "ProbeFailed",
             EventKind::ProbeRetried => "ProbeRetried",
             EventKind::SpanBegin => "SpanBegin",
