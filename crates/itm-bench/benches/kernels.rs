@@ -10,7 +10,9 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use itm_core::{MapConfig, ParallelExecutor, TrafficMap};
 use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
-use itm_routing::{AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree};
+use itm_routing::{
+    flapped_cones, AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree,
+};
 use itm_topology::{generate, TopologyConfig};
 use itm_traffic::DeliveryMode;
 use itm_types::rng::SeedDomain;
@@ -78,7 +80,9 @@ fn bench_routing(c: &mut Criterion) {
     g.bench_function("public_view_flap4", |b| {
         b.iter(|| {
             let full = GraphView::full(&flapped);
-            collectors.public_view_with(&flapped, &full, Some(&prev), |n, job| {
+            let before = prev.links_down().expect("a computed report");
+            let reach = flapped_cones(&flapped, &full, before).expect("peering flaps");
+            collectors.public_view_with(&flapped, &full, Some((&prev, &reach)), |n, job| {
                 (0..n).map(job).collect()
             })
         })

@@ -559,6 +559,18 @@ fn parse_args() -> Result<Option<Args>, UsageError> {
             "--epoch-plan and --epoch-verify need --epochs N".into(),
         ));
     }
+    // So are the trajectory flags outside the modes that write or gate a
+    // trajectory.
+    if args.bench_out.is_some() && !(args.bench_record || args.bench_query || args.epoch_verify) {
+        return Err(UsageError::Usage(
+            "--bench-out needs --bench-record, --bench-query or --epochs N --epoch-verify".into(),
+        ));
+    }
+    if args.bench_baseline.is_some() && !args.bench_record {
+        return Err(UsageError::Usage(
+            "--bench-baseline needs --bench-record".into(),
+        ));
+    }
     Ok(Some(args))
 }
 

@@ -1175,3 +1175,76 @@ fn an_unreadable_trajectory_exits_2_and_is_left_untouched() {
         assert_eq!(std::fs::read(&file).unwrap(), bytes, "{spec:?}");
     }
 }
+
+#[test]
+fn trajectory_flags_outside_their_modes_exit_2() {
+    // `--bench-out` and `--bench-baseline` used to be ignored here: the
+    // run exited 0, wrote no trajectory and never read the baseline.
+    let out_file = scratch().join("bench-out-ignored.json");
+    let out_path = out_file.to_str().unwrap();
+    let missing = scratch().join("no-such-baseline.json");
+    let missing = missing.to_str().unwrap();
+    let epochs_out = scratch().join("bench-out-epochs");
+    let epochs_out = epochs_out.to_str().unwrap();
+    for (spec, why) in [
+        (
+            vec![
+                "--exp",
+                "pathlen",
+                "--size",
+                "small",
+                "--bench-baseline",
+                missing,
+                "--bench-out",
+                out_path,
+            ],
+            "--bench-out needs",
+        ),
+        (
+            vec!["--exp", "map", "--size", "small", "--bench-out", out_path],
+            "--bench-out needs",
+        ),
+        (
+            vec![
+                "--epochs",
+                "1",
+                "--size",
+                "small",
+                "--out",
+                epochs_out,
+                "--bench-out",
+                out_path,
+            ],
+            "--bench-out needs",
+        ),
+        (
+            vec![
+                "--bench-query",
+                "--size",
+                "small",
+                "--bench-baseline",
+                missing,
+            ],
+            "--bench-baseline needs --bench-record",
+        ),
+        (
+            vec![
+                "--exp",
+                "pathlen",
+                "--size",
+                "small",
+                "--bench-baseline",
+                missing,
+            ],
+            "--bench-baseline needs --bench-record",
+        ),
+    ] {
+        let out = repro(&spec);
+        assert_eq!(out.status.code(), Some(2), "{spec:?}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(why), "{spec:?}: {err}");
+        assert!(err.contains("usage: repro"), "{spec:?}: {err}");
+        assert!(!err.contains("building substrate"), "{spec:?}: {err}");
+        assert!(!out_file.exists(), "{spec:?} wrote {out_path}");
+    }
+}

@@ -323,8 +323,11 @@ fn nearest_front_per_city(
         .collect()
 }
 
-/// Replica-plane estimator names, in the fixed order claims are listed.
-pub const REPLICA_TECHNIQUES: [&str; 4] = ["ecs", "anycast", "tls_nearest", "catalog_prior"];
+/// Replica-plane technique names, indexed as the audit tallies them: the
+/// four estimators in the order each cell's claims are listed, then
+/// `fused`.
+pub const REPLICA_TECHNIQUES: [&str; 5] =
+    ["ecs", "anycast", "tls_nearest", "catalog_prior", "fused"];
 
 /// One cell's replica-plane claims, in [`REPLICA_TECHNIQUES`] order, and
 /// the `fused` claim: the [`TrafficMap::serving_as_for`] cascade of ECS,
@@ -459,13 +462,9 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
     };
 
     // ---- Replica plane ----
-    let mut audits: BTreeMap<&'static str, TechniqueAudit> = ["fused"]
-        .iter()
-        .chain(REPLICA_TECHNIQUES.iter())
-        .map(|&name| (name, TechniqueAudit::new("replica")))
-        .collect();
-    let mut disagreement = DisagreementIndex::default();
-    let mut pairwise = PairwiseAgreement::default();
+    let mut audits = REPLICA_TECHNIQUES.map(|_| TechniqueAudit::new("replica"));
+    let mut disagreement = DisagreementIndex::new(&REPLICA_TECHNIQUES);
+    let mut pairwise = PairwiseAgreement::new(&REPLICA_TECHNIQUES);
 
     for svc in &s.catalog.services {
         let class = service_class(svc);
@@ -491,23 +490,20 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
             let (replica, fused) =
                 replica_claims(ecs, anycast_table, tls_table, prior, up.owner, up.city);
 
-            let mut cell: Vec<(&str, u32)> = Vec::with_capacity(5);
-            for (name, claim) in REPLICA_TECHNIQUES.into_iter().zip(replica) {
-                if let Some(a) = audits.get_mut(name) {
-                    a.record(Some(class), Some(up.tier), verdict_for(claim, truth), true);
-                }
+            // The cell's claims, by technique index: the estimators',
+            // then the fused one.
+            let mut cell = [(0, 0); REPLICA_TECHNIQUES.len()];
+            let mut claimed = 0;
+            for (t, claim) in replica.into_iter().chain([fused]).enumerate() {
+                audits[t].record(Some(class), Some(up.tier), verdict_for(claim, truth), true);
                 if let Some(c) = claim {
-                    cell.push((name, c.raw()));
+                    cell[claimed] = (t, c.raw());
+                    claimed += 1;
                 }
             }
-            disagreement.observe(&cell);
-            if let Some(c) = fused {
-                cell.push(("fused", c.raw()));
-            }
-            pairwise.observe(&cell);
-            if let Some(a) = audits.get_mut("fused") {
-                a.record(Some(class), Some(up.tier), verdict_for(fused, truth), true);
-            }
+            let estimators = claimed - usize::from(fused.is_some());
+            disagreement.observe(&cell[..estimators]);
+            pairwise.observe(&cell[..claimed]);
         }
     }
 
@@ -554,7 +550,7 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
         cloud.record(None, None, v, is_true);
     }
 
-    for (name, a) in audits {
+    for (name, a) in REPLICA_TECHNIQUES.into_iter().zip(audits) {
         report.techniques.insert(name.to_string(), a);
     }
     report.techniques.insert("cache_probe".to_string(), cache);

@@ -28,9 +28,9 @@
 //! part of the map; snapshot bytes and the fingerprint do not cover it):
 //! the incremental public view emits `RouteResolved` only for the
 //! destinations it recomputes — those in the customer cones of the links
-//! whose flap state changed (see
-//! [`itm_routing::CollectorSet::public_view_with`]), where a full build
-//! emits one per AS.
+//! whose flap state changed (see [`itm_routing::flapped_cones`]), where a
+//! full build emits one per AS — and the anycast stage only for the
+//! catchments it recomputes, those with an origin in such a cone.
 
 use crate::exec::ParallelExecutor;
 use crate::map::{run_pipeline, MapConfig, TrafficMap};

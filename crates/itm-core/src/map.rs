@@ -20,8 +20,12 @@
 //! epoch's dirty set. Both record the same per-stage spans
 //! (`resolver.deploy`, `users.activity`, `services.scan`,
 //! `services.anycast`, `routes.assemble` with `routes.public_view` and
-//! `routes.cloud_probe` inside). A rebuilt public view reuses the previous
-//! map's per-destination feeder links for the trees no link flap reaches.
+//! `routes.cloud_probe` inside). Both stages that walk routing trees
+//! follow the cone rule ([`itm_routing::flapped_cones`]): a rebuilt
+//! public view reuses the previous map's per-destination feeder links for
+//! the trees no link flap reaches, and the anycast stage keeps the
+//! previous catchments of every service none of whose origins a flap
+//! reaches.
 //!
 //! The result is self-contained and serializable (minus the prediction
 //! view, which is recomputed from stored links).
@@ -32,7 +36,8 @@ use itm_measure::{
     RootCrawler, Substrate, UserMapping,
 };
 use itm_routing::{
-    AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree, VisibilityReport,
+    flapped_cones, AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree,
+    VisibilityReport,
 };
 use itm_tls::{detect_offnets, OffnetFinding, ScanConfig, SniScan, TlsScan};
 use itm_traffic::DeliveryMode;
@@ -340,35 +345,52 @@ pub(crate) fn run_pipeline(
     };
     drop(services_span);
 
-    // Anycast catchments for anycast services: one shard per anycast
-    // service, merged into a BTreeMap (disjoint service keys).
+    // Per AS, whether it lies in the cone of a link whose flap state
+    // differs from the previous public view's: the trees a flap can
+    // change are those with an origin marked here. `None` (no previous
+    // map, or a transit link changed) marks every AS.
     let anycast_span = itm_obs::span("services.anycast");
     let full = s.full_view();
+    let reach = p_routes
+        .as_ref()
+        .and_then(|(_, v, _)| flapped_cones(&s.topo, &full, v.links_down()?));
+
+    // Anycast catchments: one shard per anycast service whose tree the
+    // flaps can reach, the rest kept from the previous map, merged into
+    // a BTreeMap (disjoint service keys).
     let catchments = match p_catchments {
         Some(x) if keep(Campaign::Anycast) => x,
-        _ => {
-            let anycast_services: Vec<ServiceId> = s
-                .catalog
-                .services
-                .iter()
-                .filter(|svc| svc.mode == DeliveryMode::Anycast)
-                .map(|svc| svc.id)
-                .collect();
-            let computed = exec.map(anycast_services.len(), &|k| {
-                let svc = anycast_services[k];
+        p => {
+            let mut kept = p.unwrap_or_default();
+            let mut todo: Vec<(ServiceId, AnycastDeployment)> = Vec::new();
+            for svc in &s.catalog.services {
+                if svc.mode != DeliveryMode::Anycast {
+                    continue;
+                }
                 let sites: Vec<(Asn, u32)> = s
                     .frontends
-                    .endpoints(svc)
+                    .endpoints(svc.id)
                     .iter()
                     .map(|e| (e.offnet_host.unwrap_or(e.asn), e.city))
                     .collect();
                 let dep = AnycastDeployment::new(&s.topo, &sites, cfg.anycast_noise);
+                let reached = reach
+                    .as_ref()
+                    .is_none_or(|r| dep.origin_ases().iter().any(|o| r[o.index()]));
+                if reached || !kept.contains_key(&svc.id) {
+                    todo.push((svc.id, dep));
+                }
+            }
+            itm_obs::counter!("routing.anycast.catchments_recomputed").add(todo.len() as u64);
+            let computed = exec.map(todo.len(), &|k| {
+                let (svc, dep) = &todo[k];
                 (
-                    svc,
-                    Catchments::compute(&s.topo, &full, &dep, &s.seeds.child("map-anycast")),
+                    *svc,
+                    Catchments::compute(&s.topo, &full, dep, &s.seeds.child("map-anycast")),
                 )
             });
-            computed.into_iter().collect()
+            kept.extend(computed);
+            kept
         }
     };
     drop(anycast_span);
@@ -382,10 +404,11 @@ pub(crate) fn run_pipeline(
         p => {
             let (public_view, visibility) = {
                 let _span = itm_obs::span("routes.public_view");
+                let prev = p.as_ref().zip(reach.as_deref());
                 CollectorSet::typical(&s.topo, &s.seeds).public_view_with(
                     &s.topo,
                     &full,
-                    p.as_ref().map(|(_, v, _)| v),
+                    prev.map(|((_, v, _), r)| (v, r)),
                     |n, job| exec.map(n, job),
                 )
             };

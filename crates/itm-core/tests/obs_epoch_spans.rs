@@ -8,7 +8,8 @@
 //! Route assembly is another: a light epoch recomputes only the routing
 //! trees its link flaps can reach, and the
 //! `routing.visibility.destinations_recomputed` counter shows whether it
-//! did or silently fell back to the full pass.
+//! did or silently fell back to the full pass. Anycast catchments follow
+//! the same rule, counted by `routing.anycast.catchments_recomputed`.
 //!
 //! The snapshot writer splits its time the same way: claims, columns,
 //! reverse index and checksum each record one span per call.
@@ -19,8 +20,10 @@
 use itm_core::{apply_epoch, build_incremental, MapConfig, ParallelExecutor, TrafficMap};
 use itm_measure::{Substrate, SubstrateConfig};
 use itm_obs::MetricsReport;
+use itm_routing::flapped_cones;
+use itm_traffic::DeliveryMode;
 use itm_types::epoch::EpochPlan;
-use itm_types::SimTime;
+use itm_types::{Asn, SimTime};
 use std::sync::Mutex;
 
 static OBS: Mutex<()> = Mutex::new(());
@@ -149,6 +152,63 @@ fn light_epochs_recompute_only_the_trees_a_flap_reaches() {
             s.topo.n_ases()
         );
     }
+}
+
+#[test]
+fn light_epochs_recompute_only_the_catchments_a_flap_reaches() {
+    let _lock = OBS.lock().unwrap_or_else(|e| e.into_inner());
+    let cfg = MapConfig::default();
+    let exec = ParallelExecutor::sequential();
+    let mut s = Substrate::build(SubstrateConfig::small(), 42).unwrap();
+    let recomputed = |r: &MetricsReport| r.counter("routing.anycast.catchments_recomputed");
+    // The origin ASes of every anycast deployment.
+    let origins: Vec<Vec<Asn>> = s
+        .catalog
+        .services
+        .iter()
+        .filter(|svc| svc.mode == DeliveryMode::Anycast)
+        .map(|svc| {
+            let endpoints = s.frontends.endpoints(svc.id);
+            endpoints
+                .iter()
+                .map(|e| e.offnet_host.unwrap_or(e.asn))
+                .collect()
+        })
+        .collect();
+    let anycast = origins.len() as u64;
+    assert!(anycast > 0, "no anycast service to count");
+
+    let mut map = None;
+    let full = recorded(|| map = Some(TrafficMap::build_with(&s, &cfg, &exec).expect("build")));
+    assert_eq!(recomputed(&full), anycast);
+
+    // The small world has three anycast services, and a light epoch's
+    // four flaps often reach all of them; so each epoch must recompute
+    // exactly the services with an origin in a flapped cone, and the
+    // epochs together fewer than every service every epoch.
+    let epochs = 6;
+    let mut total = 0;
+    let mut map = map.expect("built");
+    for epoch in 0..epochs {
+        let before = s.topo.links_down().clone();
+        let (_, dirty) = apply_epoch(&mut s, &EpochPlan::light(), epoch);
+        let reach = flapped_cones(&s.topo, &s.full_view(), &before).expect("peering flaps");
+        let reached = origins
+            .iter()
+            .filter(|o| o.iter().any(|a| reach[a.index()]))
+            .count() as u64;
+        let mut next = None;
+        let light = recorded(|| {
+            next = Some(build_incremental(&s, &cfg, &exec, map, &dirty).expect("light epoch"));
+        });
+        map = next.expect("rebuilt");
+        assert_eq!(recomputed(&light), reached, "epoch {epoch}");
+        total += recomputed(&light);
+    }
+    assert!(
+        total < u64::from(epochs) * anycast,
+        "{epochs} light epochs recomputed {total} catchments of {anycast} services"
+    );
 }
 
 #[test]

@@ -9,7 +9,7 @@
 
 use crate::substrate::Substrate;
 use itm_routing::{GraphView, VantagePoints};
-use itm_topology::Link;
+use itm_topology::{Link, LinkId};
 use itm_types::{Asn, FaultInjector, FaultPlan, FaultStats, SeedDomain};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -129,13 +129,21 @@ impl CloudProbeResult {
     /// The discovered links as `Link` values (relationships taken from
     /// ground truth — campaigns infer them with standard algorithms; we
     /// grant perfect inference, the optimistic case).
+    ///
+    /// In link-table order: each discovered key is looked up in its low
+    /// endpoint's ASN-sorted neighbor list, and the link ids are sorted.
     pub fn as_links(&self, s: &Substrate) -> Vec<Link> {
-        s.topo
+        let mut ids: Vec<LinkId> = self
             .links
             .iter()
-            .filter(|l| self.links.contains(&l.key()))
-            .copied()
-            .collect()
+            .filter_map(|&(a, b)| {
+                let nbs = s.topo.neighbors(a);
+                let at = nbs.binary_search_by_key(&b, |nb| nb.asn).ok()?;
+                Some(nbs[at].link)
+            })
+            .collect();
+        ids.sort_unstable();
+        ids.iter().map(|id| s.topo.links[id.index()]).collect()
     }
 
     /// The discovered link set in normalized `Link::key()` form — the
@@ -184,5 +192,34 @@ mod tests {
         }
         // as_links round-trips the set.
         assert_eq!(r.as_links(&s).len(), r.links.len());
+    }
+
+    /// The filter `as_links` replaced: every topology link, in table
+    /// order, whose key was discovered.
+    fn filtered(r: &CloudProbeResult, s: &Substrate) -> Vec<Link> {
+        let discovered = |l: &&Link| r.links.contains(&l.key());
+        s.topo.links.iter().filter(discovered).copied().collect()
+    }
+
+    #[test]
+    fn as_links_equals_the_link_table_filter() {
+        let s = Substrate::build(SubstrateConfig::small(), 137).unwrap();
+        let mut r = CloudProbeResult::run(&s, &s.full_view(), &SeedDomain::new(137));
+        assert_eq!(r.as_links(&s), filtered(&r, &s));
+        // Every link, plus keys that name no link (a non-adjacent pair,
+        // one past the last AS): those are skipped.
+        let n = s.topo.n_ases() as u32;
+        r.links = s.topo.links.iter().map(|l| l.key()).collect();
+        let absent = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (Asn(a), Asn(b))))
+            .find(|&(a, b)| !s.topo.has_link(a, b))
+            .expect("a non-adjacent pair");
+        r.links.insert(absent);
+        r.links.insert((Asn(0), Asn(n)));
+        let all = r.as_links(&s);
+        assert_eq!(all, filtered(&r, &s));
+        assert_eq!(all.len(), s.topo.links.len());
+        r.links.clear();
+        assert!(r.as_links(&s).is_empty());
     }
 }

@@ -27,8 +27,10 @@
 //! * [`PairwiseAgreement`] — for every technique pair, over the cells
 //!   both claimed, how often they named the same replica.
 //!
-//! All containers are `BTreeMap`s and all outputs are emitted in sorted
-//! key order, so a [`QualityReport`]'s JSON is a pure function of its
+//! The two per-cell tallies name techniques by their index in a fixed
+//! name table, so observing a cell allocates nothing; names appear only
+//! when a report is rendered. All outputs are emitted in sorted key
+//! order, so a [`QualityReport`]'s JSON is a pure function of its
 //! content — byte-identical across runs and thread counts.
 
 use serde_json::Value;
@@ -158,17 +160,21 @@ impl TechniqueAudit {
         truth_relevant: bool,
     ) {
         self.overall.record(verdict, truth_relevant);
-        if let Some(c) = class {
-            self.by_service_class
-                .entry(c.to_string())
-                .or_default()
-                .record(verdict, truth_relevant);
-        }
-        if let Some(t) = tier {
-            self.by_population_tier
-                .entry(t.to_string())
-                .or_default()
-                .record(verdict, truth_relevant);
+        let slices = [
+            (&mut self.by_service_class, class),
+            (&mut self.by_population_tier, tier),
+        ];
+        for (slices, key) in slices {
+            let Some(key) = key else { continue };
+            // Look up before inserting: the key is copied only once.
+            match slices.get_mut(key) {
+                Some(score) => score.record(verdict, truth_relevant),
+                None => {
+                    let mut score = TechniqueScore::default();
+                    score.record(verdict, truth_relevant);
+                    slices.insert(key.to_string(), score);
+                }
+            }
         }
     }
 
@@ -193,16 +199,22 @@ impl TechniqueAudit {
     }
 }
 
+/// One technique's claim on a cell: the technique's index in the tally's
+/// name table, and the claimed subject id.
+pub type Claim = (usize, u32);
+
 /// Per-cell disagreement accounting over the independent replica
 /// estimators.
 ///
-/// For each cell, callers pass the list of `(technique, claimed subject)`
-/// pairs. The index records how many techniques spoke, how many distinct
-/// answers they gave, and — for cells with two or more claimants — which
-/// techniques dissent from the plurality answer (ties broken toward the
-/// smallest subject id, for determinism).
+/// For each cell, callers pass the list of [`Claim`]s. The index records
+/// how many techniques spoke, how many distinct answers they gave, and —
+/// for cells with two or more claimants — which techniques dissent from
+/// the plurality answer (ties broken toward the smallest subject id, for
+/// determinism).
 #[derive(Debug, Clone, Default)]
 pub struct DisagreementIndex {
+    /// Technique names, indexed like [`Claim`]s.
+    names: &'static [&'static str],
     /// Cells with at least one claim.
     pub cells_claimed: u64,
     /// Cells with ≥2 claimants, all naming the same replica.
@@ -211,26 +223,36 @@ pub struct DisagreementIndex {
     pub split: u64,
     /// Histogram keyed `(claimants, distinct answers)` → cell count.
     pub histogram: BTreeMap<(u8, u8), u64>,
-    /// Per-technique count of cells where its claim differs from the
-    /// plurality answer.
-    pub dissent: BTreeMap<String, u64>,
+    /// Per technique (indexed like `names`), the cells where its claim
+    /// differs from the plurality answer.
+    dissent: Vec<u64>,
 }
 
 impl DisagreementIndex {
-    /// Record one cell's claims: `(technique name, claimed subject id)`.
-    /// Cells with no claims are not recorded (they carry no agreement
-    /// signal).
-    pub fn observe(&mut self, claims: &[(&str, u32)]) {
+    /// An empty index over the techniques `names` lists.
+    pub fn new(names: &'static [&'static str]) -> DisagreementIndex {
+        DisagreementIndex {
+            names,
+            dissent: vec![0; names.len()],
+            ..DisagreementIndex::default()
+        }
+    }
+
+    /// Record one cell's claims; each technique index must be below the
+    /// name table's length. Cells with no claims are not recorded (they
+    /// carry no agreement signal).
+    pub fn observe(&mut self, claims: &[Claim]) {
         if claims.is_empty() {
             return;
         }
         self.cells_claimed += 1;
         let plurality = plurality_of(claims);
-        let mut distinct: Vec<u32> = claims.iter().map(|&(_, a)| a).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
+        // A subject is counted at its first claim.
+        let distinct = (0..claims.len())
+            .filter(|&i| claims[..i].iter().all(|&(_, b)| b != claims[i].1))
+            .count();
         let claimants = claims.len().min(u8::MAX as usize) as u8;
-        let n_distinct = distinct.len().min(u8::MAX as usize) as u8;
+        let n_distinct = distinct.min(u8::MAX as usize) as u8;
         *self.histogram.entry((claimants, n_distinct)).or_default() += 1;
         if claims.len() >= 2 {
             if n_distinct == 1 {
@@ -239,9 +261,9 @@ impl DisagreementIndex {
                 self.split += 1;
             }
         }
-        for &(name, asn) in claims {
+        for &(t, asn) in claims {
             if asn != plurality {
-                *self.dissent.entry(name.to_string()).or_default() += 1;
+                self.dissent[t] += 1;
             }
         }
     }
@@ -264,27 +286,36 @@ impl DisagreementIndex {
             "split": (self.split),
             "histogram": (Value::Array(histogram)),
             "dissent": (Value::Object(
-                self.dissent
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Value::from(v)))
+                self.dissent()
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), Value::from(v)))
                     .collect(),
             )),
         })
     }
+
+    /// Per technique that dissented at least once, by name, the cells
+    /// where its claim differs from the plurality answer.
+    pub fn dissent(&self) -> BTreeMap<&'static str, u64> {
+        let mut out = BTreeMap::new();
+        for (&name, &d) in self.names.iter().zip(&self.dissent) {
+            if d > 0 {
+                *out.entry(name).or_default() += d;
+            }
+        }
+        out
+    }
 }
 
-/// The plurality answer of a claim list: the most-voted subject id, ties
-/// broken toward the smallest id.
-fn plurality_of(claims: &[(&str, u32)]) -> u32 {
-    let mut votes: BTreeMap<u32, u32> = BTreeMap::new();
+/// The plurality answer of a non-empty claim list: the most-voted
+/// subject id, ties broken toward the smallest id.
+fn plurality_of(claims: &[Claim]) -> u32 {
+    let votes = |a: u32| claims.iter().filter(|&&(_, b)| b == a).count();
+    let mut best = (0usize, 0u32); // (votes, subject)
     for &(_, a) in claims {
-        *votes.entry(a).or_default() += 1;
-    }
-    let mut best = (0u32, 0u32); // (votes, subject); BTreeMap ascends, so
-                                 // first max wins = smallest subject.
-    for (&subject, &n) in &votes {
-        if n > best.0 {
-            best = (n, subject);
+        let n = votes(a);
+        if n > best.0 || (n == best.0 && a < best.1) {
+            best = (n, a);
         }
     }
     best.1
@@ -293,22 +324,29 @@ fn plurality_of(claims: &[(&str, u32)]) -> u32 {
 /// Pairwise technique agreement over jointly-claimed cells.
 #[derive(Debug, Clone, Default)]
 pub struct PairwiseAgreement {
-    /// `(a, b)` with `a < b` → `(both claimed, agreed)`.
-    pub pairs: BTreeMap<(String, String), (u64, u64)>,
+    /// Technique names, indexed like [`Claim`]s.
+    names: &'static [&'static str],
+    /// `(both claimed, agreed)` of technique indices `i ≤ j` at
+    /// `i * names.len() + j`.
+    counts: Vec<(u64, u64)>,
 }
 
 impl PairwiseAgreement {
+    /// An empty tally over the techniques `names` lists.
+    pub fn new(names: &'static [&'static str]) -> PairwiseAgreement {
+        PairwiseAgreement {
+            names,
+            counts: vec![(0, 0); names.len() * names.len()],
+        }
+    }
+
     /// Record one cell's claims (same shape as
     /// [`DisagreementIndex::observe`]).
-    pub fn observe(&mut self, claims: &[(&str, u32)]) {
-        for (i, &(na, aa)) in claims.iter().enumerate() {
-            for &(nb, ab) in claims.iter().skip(i + 1) {
-                let key = if na <= nb {
-                    (na.to_string(), nb.to_string())
-                } else {
-                    (nb.to_string(), na.to_string())
-                };
-                let slot = self.pairs.entry(key).or_default();
+    pub fn observe(&mut self, claims: &[Claim]) {
+        let n = self.names.len();
+        for (i, &(ta, aa)) in claims.iter().enumerate() {
+            for &(tb, ab) in &claims[i + 1..] {
+                let slot = &mut self.counts[ta.min(tb) * n + ta.max(tb)];
                 slot.0 += 1;
                 if aa == ab {
                     slot.1 += 1;
@@ -317,14 +355,31 @@ impl PairwiseAgreement {
         }
     }
 
+    /// `(both claimed, agreed)` per jointly-claimed technique pair,
+    /// keyed by the two names in ascending order.
+    pub fn pairs(&self) -> BTreeMap<(&'static str, &'static str), (u64, u64)> {
+        let n = self.names.len();
+        let mut out: BTreeMap<_, (u64, u64)> = BTreeMap::new();
+        for (k, &(both, agree)) in self.counts.iter().enumerate() {
+            if both == 0 {
+                continue;
+            }
+            let (a, b) = (self.names[k / n], self.names[k % n]);
+            let slot = out.entry((a.min(b), a.max(b))).or_default();
+            slot.0 += both;
+            slot.1 += agree;
+        }
+        out
+    }
+
     fn to_json_value(&self) -> Value {
         let rows: Vec<Value> = self
-            .pairs
+            .pairs()
             .iter()
             .map(|((a, b), &(both, agree))| {
                 serde_json::json!({
-                    "a": (a.as_str()),
-                    "b": (b.as_str()),
+                    "a": (*a),
+                    "b": (*b),
                     "both_claimed": (both),
                     "agreed": (agree),
                     "rate": (ratio(agree, both)),
@@ -449,15 +504,21 @@ mod tests {
         assert_eq!(a.by_population_tier["t3_high"].contradicted, 1);
     }
 
+    const NAMES: [&str; 4] = ["ecs", "anycast", "tls_nearest", "catalog_prior"];
+    const ECS: usize = 0;
+    const ANYCAST: usize = 1;
+    const TLS: usize = 2;
+    const PRIOR: usize = 3;
+
     #[test]
     fn disagreement_counts_split_and_dissent() {
-        let mut d = DisagreementIndex::default();
+        let mut d = DisagreementIndex::new(&NAMES);
         // Unanimous pair.
-        d.observe(&[("ecs", 17), ("anycast", 17)]);
+        d.observe(&[(ECS, 17), (ANYCAST, 17)]);
         // Split 2-1: plurality is 17, tls dissents.
-        d.observe(&[("ecs", 17), ("catalog_prior", 17), ("tls_nearest", 23)]);
+        d.observe(&[(ECS, 17), (PRIOR, 17), (TLS, 23)]);
         // Single claimant: counted, but neither unanimous nor split.
-        d.observe(&[("ecs", 5)]);
+        d.observe(&[(ECS, 5)]);
         // No claims: ignored.
         d.observe(&[]);
         assert_eq!(d.cells_claimed, 3);
@@ -466,28 +527,50 @@ mod tests {
         assert_eq!(d.histogram[&(2, 1)], 1);
         assert_eq!(d.histogram[&(3, 2)], 1);
         assert_eq!(d.histogram[&(1, 1)], 1);
-        assert_eq!(d.dissent.get("tls_nearest"), Some(&1));
-        assert_eq!(d.dissent.get("ecs"), None);
+        assert_eq!(d.dissent(), BTreeMap::from([("tls_nearest", 1)]));
+        let json = d.to_json_value();
+        let dissent = serde_json::to_string(json.get("dissent").unwrap()).unwrap();
+        assert_eq!(dissent, r#"{"tls_nearest":1}"#);
     }
 
     #[test]
     fn plurality_tie_breaks_toward_smallest_subject() {
-        let mut d = DisagreementIndex::default();
-        d.observe(&[("a", 9), ("b", 3)]);
+        let mut d = DisagreementIndex::new(&["a", "b"]);
+        d.observe(&[(0, 9), (1, 3)]);
         // 1-1 tie → plurality 3, so "a" (claiming 9) dissents.
-        assert_eq!(d.dissent.get("a"), Some(&1));
-        assert_eq!(d.dissent.get("b"), None);
+        assert_eq!(d.dissent(), BTreeMap::from([("a", 1)]));
+        // A tie listed the other way round breaks the same way.
+        d.observe(&[(1, 3), (0, 9), (1, 9), (0, 3)]);
+        assert_eq!(d.dissent(), BTreeMap::from([("a", 2), ("b", 1)]));
     }
 
     #[test]
     fn pairwise_agreement_is_order_independent() {
-        let mut p = PairwiseAgreement::default();
-        p.observe(&[("ecs", 17), ("anycast", 17), ("tls_nearest", 23)]);
-        p.observe(&[("anycast", 4), ("ecs", 4)]);
-        let key = ("anycast".to_string(), "ecs".to_string());
-        assert_eq!(p.pairs[&key], (2, 2));
-        let key2 = ("ecs".to_string(), "tls_nearest".to_string());
-        assert_eq!(p.pairs[&key2], (1, 0));
+        let mut p = PairwiseAgreement::new(&NAMES);
+        p.observe(&[(ECS, 17), (ANYCAST, 17), (TLS, 23)]);
+        p.observe(&[(ANYCAST, 4), (ECS, 4)]);
+        let pairs = p.pairs();
+        assert_eq!(pairs[&("anycast", "ecs")], (2, 2));
+        assert_eq!(pairs[&("ecs", "tls_nearest")], (1, 0));
+        assert_eq!(pairs.len(), 3, "{pairs:?}");
+        let rows = p.to_json_value();
+        let names: Vec<(&str, &str)> = rows
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|r| {
+                let name = |k| r.get(k).and_then(Value::as_str).unwrap();
+                (name("a"), name("b"))
+            })
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("anycast", "ecs"),
+                ("anycast", "tls_nearest"),
+                ("ecs", "tls_nearest")
+            ]
+        );
     }
 
     #[test]

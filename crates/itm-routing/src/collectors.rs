@@ -115,19 +115,17 @@ impl CollectorSet {
 
     /// [`CollectorSet::public_view`] over `full`, which must be
     /// [`GraphView::full`] of `topo`, reusing the per-destination feeder
-    /// links of `prev` where a link flap cannot have changed them.
+    /// links of a previous report where a link flap cannot have changed
+    /// them.
     ///
-    /// Only destinations in the customer cone of either end of a link
-    /// whose down-state differs from `prev`'s are recomputed — the *cone
-    /// rule*. [`RoutingTree::compute_multi`] consults a peer edge only in
-    /// its phase 2, and only from an AS holding an origin or customer
-    /// route, i.e. an AS whose customer cone contains the destination. A
-    /// destination outside `cone(a) ∪ cone(b)` therefore gets the same
-    /// tree whether peer link `(a, b)` is up or down, and so the same
-    /// feeder paths. Every destination is recomputed when there is no
-    /// `prev`, when its feeders differ from these, or when a differing
-    /// link is not a peering link (a transit edge changes the cones
-    /// themselves).
+    /// `prev` pairs that report with the [`flapped_cones`] of `topo`
+    /// since the down-set it was computed under
+    /// ([`VisibilityReport::links_down`]). Only the destinations the mask
+    /// marks are recomputed — the *cone rule*: a destination outside
+    /// every flapped cone gets the same tree, and so the same feeder
+    /// paths. Every destination is recomputed when there is no `prev`
+    /// (the caller passes none when [`flapped_cones`] is `None`) or when
+    /// the report's feeders differ from these.
     ///
     /// The recomputed destinations split into shards of a fixed size (so
     /// the full pass's shard count depends on the AS count alone);
@@ -139,16 +137,18 @@ impl CollectorSet {
         &self,
         topo: &Topology,
         full: &GraphView,
-        prev: Option<&VisibilityReport>,
+        prev: Option<(&VisibilityReport, &[bool])>,
         run_shards: R,
     ) -> (GraphView, VisibilityReport)
     where
         R: FnOnce(usize, &(dyn Fn(usize) -> Vec<Vec<LinkId>> + Sync)) -> Vec<Vec<Vec<LinkId>>>,
     {
         let n = topo.n_ases();
-        let reused = prev.and_then(|p| Some((self.flap_reach(topo, full, p)?, p)));
-        let (dsts, mut per_dst) = match reused {
-            Some((dsts, p)) => (dsts, p.per_dst.clone()),
+        let reused = prev.filter(|(p, reach)| {
+            p.feeders == self.feeders && p.per_dst.len() == n && reach.len() == n
+        });
+        let (dsts, mut per_dst): (Vec<usize>, _) = match reused {
+            Some((p, reach)) => ((0..n).filter(|&d| reach[d]).collect(), p.per_dst.clone()),
             None => ((0..n).collect(), vec![Vec::new(); n]),
         };
         let parts = run_shards(dsts.len().div_ceil(DESTS_PER_SHARD), &|k| {
@@ -175,43 +175,8 @@ impl CollectorSet {
         let mut report = VisibilityReport::build(topo, &visible);
         report.per_dst = per_dst;
         report.feeders = self.feeders.clone();
-        report.links_down = topo.links_down().clone();
+        report.links_down = Some(topo.links_down().clone());
         (GraphView::from_links(n, vis_links), report)
-    }
-
-    /// The destinations whose trees may differ between `prev`'s world and
-    /// `topo`, ascending, or `None` when every destination must be
-    /// recomputed (see [`CollectorSet::public_view_with`]).
-    fn flap_reach(
-        &self,
-        topo: &Topology,
-        view: &GraphView,
-        prev: &VisibilityReport,
-    ) -> Option<Vec<usize>> {
-        if prev.feeders != self.feeders || prev.per_dst.len() != topo.n_ases() {
-            return None;
-        }
-        let mut reached = vec![false; topo.n_ases()];
-        let mut stack: Vec<Asn> = Vec::new();
-        for &(a, b) in prev.links_down.symmetric_difference(topo.links_down()) {
-            let peering = topo
-                .neighbors(a)
-                .iter()
-                .any(|nb| nb.asn == b && nb.kind == NeighborKind::Peer);
-            if !peering {
-                return None;
-            }
-            // Mark cone(a) ∪ cone(b): every AS below a or b along
-            // provider→customer edges, themselves included.
-            stack.extend([a, b]);
-            while let Some(u) = stack.pop() {
-                if std::mem::replace(&mut reached[u.index()], true) {
-                    continue;
-                }
-                stack.extend(view.customers(u));
-            }
-        }
-        Some((0..reached.len()).filter(|&d| reached[d]).collect())
     }
 
     /// For each destination in `dsts`, in order, the sorted keys of the
@@ -228,6 +193,46 @@ impl CollectorSet {
             feeder_edges(tree, &self.feeders, &mut reached, &key)
         })
     }
+}
+
+/// Per AS, whether it lies in `cone(a) ∪ cone(b)` of a link `(a, b)`
+/// whose down-state differs between `before` and `topo`'s current
+/// down-set (the cones are walked in `view`, along provider→customer
+/// edges, endpoints included); `None` when such a link is not a peering
+/// link.
+///
+/// The *cone rule*: [`RoutingTree::compute_multi`] reads a peer edge only
+/// in its phase 2, and only from an AS holding an origin or customer
+/// route, i.e. an AS whose customer cone holds one of the origins. A tree
+/// none of whose origins is marked is therefore the same whether the
+/// flapped peer links are up or down: the public view keeps the feeder
+/// paths of every unmarked destination, and the map keeps the catchments
+/// of every anycast deployment with no marked origin. A transit flap
+/// changes the cones themselves, hence `None`.
+pub fn flapped_cones(
+    topo: &Topology,
+    view: &GraphView,
+    before: &BTreeSet<(Asn, Asn)>,
+) -> Option<Vec<bool>> {
+    let mut reached = vec![false; topo.n_ases()];
+    let mut stack: Vec<Asn> = Vec::new();
+    for &(a, b) in before.symmetric_difference(topo.links_down()) {
+        let peering = topo
+            .neighbors(a)
+            .iter()
+            .any(|nb| nb.asn == b && nb.kind == NeighborKind::Peer);
+        if !peering {
+            return None;
+        }
+        stack.extend([a, b]);
+        while let Some(u) = stack.pop() {
+            if std::mem::replace(&mut reached[u.index()], true) {
+                continue;
+            }
+            stack.extend(view.customers(u));
+        }
+    }
+    Some(reached)
 }
 
 /// Destinations per shard of [`CollectorSet::public_view_with`].
@@ -303,7 +308,7 @@ pub struct VisibilityReport {
     feeders: Vec<Asn>,
     /// The links that were flapped down when they were computed.
     #[serde(skip)]
-    links_down: BTreeSet<(Asn, Asn)>,
+    links_down: Option<BTreeSet<(Asn, Asn)>>,
 }
 
 impl VisibilityReport {
@@ -337,8 +342,15 @@ impl VisibilityReport {
             visible: visible.iter().filter(|&&v| v).count(),
             per_dst: Vec::new(),
             feeders: Vec::new(),
-            links_down: BTreeSet::new(),
+            links_down: None,
         }
+    }
+
+    /// The link down-set of the world the report was computed in, to
+    /// pass to [`flapped_cones`]; `None` for a deserialized report, which
+    /// does not keep it.
+    pub fn links_down(&self) -> Option<&BTreeSet<(Asn, Asn)>> {
+        self.links_down.as_ref()
     }
 
     /// Fraction of links of a class that are invisible.

@@ -40,7 +40,7 @@ pub mod view;
 
 pub use anycast::{AnycastDeployment, AnycastSite, Catchments};
 pub use bgp::{RouteEntry, RouteKind, RoutingTree};
-pub use collectors::{CollectorSet, VisibilityReport};
+pub use collectors::{flapped_cones, CollectorSet, VisibilityReport};
 pub use ipid::IpidCounter;
 pub use relationships::{InferredRel, InferredRelationships};
 pub use routers::{Hop, RouterMap, Traceroute};

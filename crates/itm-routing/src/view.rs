@@ -64,17 +64,20 @@ impl GraphView {
     /// generated topology the down-set is empty and this is the identity
     /// adjacency copy it always was.
     pub fn full(topo: &Topology) -> GraphView {
+        // Flag the downed links by id: one lookup per downed link rather
+        // than a set probe per adjacency entry.
+        let mut down = vec![false; topo.links.len()];
+        for &(a, b) in topo.links_down() {
+            let nbs = topo.neighbors(a);
+            if let Ok(at) = nbs.binary_search_by_key(&b, |nb| nb.asn) {
+                down[nbs[at].link.index()] = true;
+            }
+        }
+        let down = &down;
         let rows = topo.ases.iter().map(|a| {
             topo.neighbors(a.asn)
                 .iter()
-                .filter(move |n| {
-                    let key = if a.asn <= n.asn {
-                        (a.asn, n.asn)
-                    } else {
-                        (n.asn, a.asn)
-                    };
-                    !topo.is_link_down(key)
-                })
+                .filter(|n| !down[n.link.index()])
                 .map(|n| (n.asn, n.kind))
         });
         Self::from_rows(topo.n_ases(), rows)
@@ -102,15 +105,35 @@ impl GraphView {
     /// The view of directed entries `(from, to, kind)`: each row keeps its
     /// entries in list order, stably sorted by neighbor ASN, with repeated
     /// entries collapsed.
-    fn from_directed(n_ases: usize, mut entries: Vec<(Asn, Asn, NeighborKind)>) -> GraphView {
-        entries.sort_by_key(|&(u, v, _)| (u, v));
-        entries.dedup();
-        let mut at = 0;
-        let rows = (0..n_ases).map(|i| {
-            let end = at + entries[at..].partition_point(|&(u, _, _)| u.index() == i);
-            let row = entries[at..end].iter().map(|&(_, v, kind)| (v, kind));
-            at = end;
-            row
+    ///
+    /// A counting pass buckets the entries by row, in list order, and
+    /// each row is then stably sorted on its own: the same rows as one
+    /// stable sort of the whole list by `(from, to)`, without comparing
+    /// entries of different rows. Every `from` must be below `n_ases`.
+    fn from_directed(n_ases: usize, entries: Vec<(Asn, Asn, NeighborKind)>) -> GraphView {
+        let mut starts = vec![0u32; n_ases + 1];
+        for &(u, _, _) in &entries {
+            starts[u.index() + 1] += 1;
+        }
+        for i in 0..n_ases {
+            starts[i + 1] += starts[i];
+        }
+        let mut fill = starts.clone();
+        let mut rows = vec![(Asn(0), NeighborKind::Peer); entries.len()];
+        for (u, v, kind) in entries {
+            let at = &mut fill[u.index()];
+            rows[*at as usize] = (v, kind);
+            *at += 1;
+        }
+        for w in starts.windows(2) {
+            rows[w[0] as usize..w[1] as usize].sort_by_key(|&(v, _)| v);
+        }
+        let rows = starts.windows(2).map(|w| {
+            let row = &rows[w[0] as usize..w[1] as usize];
+            row.iter()
+                .enumerate()
+                .filter(move |&(j, e)| j == 0 || row[j - 1] != *e)
+                .map(|(_, &e)| e)
         });
         Self::from_rows(n_ases, rows)
     }
@@ -182,6 +205,113 @@ fn directed(l: &Link) -> [(Asn, Asn, NeighborKind); 2] {
 mod tests {
     use super::*;
     use itm_topology::{generate, LinkClass, TopologyConfig};
+    use proptest::prelude::*;
+
+    type Entry = (Asn, Asn, NeighborKind);
+
+    /// The rows `from_directed` built with one global sort: every entry
+    /// stably sorted by `(from, to)`, consecutive repeats collapsed.
+    fn global_sort_rows(n: usize, mut entries: Vec<Entry>) -> Vec<Vec<(Asn, NeighborKind)>> {
+        entries.sort_by_key(|&(u, v, _)| (u, v));
+        entries.dedup();
+        (0..n)
+            .map(|i| {
+                let row = entries.iter().filter(|&&(u, _, _)| u.index() == i);
+                row.map(|&(_, v, kind)| (v, kind)).collect()
+            })
+            .collect()
+    }
+
+    fn assert_rows(view: &GraphView, want: &[Vec<(Asn, NeighborKind)>]) -> Result<(), String> {
+        prop_assert_eq!(view.n_ases(), want.len());
+        prop_assert_eq!(
+            view.n_edges_directed(),
+            want.iter().map(Vec::len).sum::<usize>()
+        );
+        for (i, row) in want.iter().enumerate() {
+            let u = Asn(i as u32);
+            prop_assert_eq!(view.neighbors(u), &row[..], "row {}", i);
+            let of = |kind| -> Vec<Asn> {
+                row.iter()
+                    .filter(|&&(_, k)| k == kind)
+                    .map(|&(v, _)| v)
+                    .collect()
+            };
+            prop_assert_eq!(view.providers(u), &of(NeighborKind::Provider)[..]);
+            prop_assert_eq!(view.peers(u), &of(NeighborKind::Peer)[..]);
+            prop_assert_eq!(view.customers(u), &of(NeighborKind::Customer)[..]);
+        }
+        Ok(())
+    }
+
+    const KINDS: [NeighborKind; 3] = [
+        NeighborKind::Provider,
+        NeighborKind::Peer,
+        NeighborKind::Customer,
+    ];
+
+    /// Directed entries over `n` rows with few distinct neighbors, so
+    /// rows repeat entries, hold one neighbor under several kinds, or
+    /// stay empty.
+    fn arb_entries() -> impl Strategy<Value = (usize, Vec<Entry>)> {
+        (1usize..12).prop_flat_map(|n| {
+            let entry = (0..n as u32, 0u32..5, 0usize..3);
+            proptest::collection::vec(entry, 0..40).prop_map(move |raw| {
+                let entries = raw
+                    .into_iter()
+                    .map(|(u, v, k)| (Asn(u), Asn(v), KINDS[k]))
+                    .collect();
+                (n.max(5), entries)
+            })
+        })
+    }
+
+    /// Links over `n` ASes, either relationship, repeats allowed.
+    fn links_of(n: usize, raw: &[(u32, u32, bool)]) -> Vec<Link> {
+        raw.iter()
+            .map(|&(a, b, peer)| {
+                let (a, b) = (Asn(a % n as u32), Asn(b % n as u32));
+                if peer {
+                    Link::peering(a, b, LinkClass::Transit)
+                } else {
+                    Link::transit(a, b)
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn from_directed_equals_the_global_sort((n, entries) in arb_entries()) {
+            let want = global_sort_rows(n, entries.clone());
+            assert_rows(&GraphView::from_directed(n, entries), &want)?;
+        }
+
+        #[test]
+        fn with_extra_links_equals_the_global_sort(
+            n in 2usize..10,
+            base in proptest::collection::vec((0u32..10, 0u32..10, any::<bool>()), 0..20),
+            reuse in proptest::collection::vec(any::<usize>(), 0..6),
+            fresh in proptest::collection::vec((0u32..10, 0u32..10, any::<bool>()), 0..6),
+        ) {
+            let base = links_of(n, &base);
+            let view = GraphView::from_links(n, &base);
+            assert_rows(&view, &global_sort_rows(n, base.iter().flat_map(directed).collect()))?;
+            // Extra links that repeat base links, then arbitrary ones.
+            let mut extra: Vec<Link> = reuse
+                .iter()
+                .filter(|_| !base.is_empty())
+                .map(|&k| base[k % base.len()])
+                .collect();
+            extra.extend(links_of(n, &fresh));
+            let own = (0..n).flat_map(|i| {
+                let u = Asn(i as u32);
+                view.neighbors(u).iter().map(move |&(v, kind)| (u, v, kind))
+            });
+            let entries: Vec<Entry> = own.chain(extra.iter().flat_map(directed)).collect();
+            assert_rows(&view.with_extra_links(&extra), &global_sort_rows(n, entries))?;
+        }
+    }
 
     #[test]
     fn full_view_matches_topology() {

@@ -2,9 +2,13 @@
 //! must hold on *every* topology the generator can produce, and on random
 //! synthetic graphs. The route kernel is checked entry by entry against a
 //! sorting reference, and the cone rule behind incremental public views
-//! gets its own properties; both honour `PROPTEST_CASES`.
+//! and retained anycast catchments gets its own properties; both honour
+//! `PROPTEST_CASES`.
 
-use itm_routing::{CollectorSet, GraphView, RouteEntry, RouteKind, RoutingTree, VisibilityReport};
+use itm_routing::{
+    flapped_cones, AnycastDeployment, Catchments, CollectorSet, GraphView, RouteEntry, RouteKind,
+    RoutingTree, VisibilityReport,
+};
 use itm_topology::{generate, AsRel, Link, LinkClass, NeighborKind, Topology, TopologyConfig};
 use itm_types::rng::SeedDomain;
 use itm_types::Asn;
@@ -18,24 +22,25 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<Link>)> {
     (3usize..24).prop_flat_map(|n| {
         let providers: Vec<BoxedStrategy<u32>> = (1..n).map(|i| (0..i as u32).boxed()).collect();
         let peers = proptest::collection::vec((0..n as u32, 0..n as u32), 0..n);
-        (providers, peers).prop_map(move |(prov, peers)| {
-            let mut links: Vec<Link> = prov
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| Link::transit(Asn(i as u32 + 1), Asn(p)))
-                .collect();
-            for (a, b) in peers {
-                if a != b
-                    && !links
-                        .iter()
-                        .any(|l| l.key() == Link::peering(Asn(a), Asn(b), LinkClass::Transit).key())
-                {
-                    links.push(Link::peering(Asn(a), Asn(b), LinkClass::Transit));
-                }
-            }
-            (n, links)
-        })
+        (providers, peers).prop_map(move |(prov, peers)| (n, policy_links(&prov, &peers)))
     })
+}
+
+/// AS `i + 1` buys transit from `providers[i]`, and each distinct
+/// non-self pair of `peers` not already linked peers.
+fn policy_links(providers: &[u32], peers: &[(u32, u32)]) -> Vec<Link> {
+    let mut links: Vec<Link> = providers
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| Link::transit(Asn(i as u32 + 1), Asn(p)))
+        .collect();
+    for &(a, b) in peers {
+        let link = Link::peering(Asn(a.min(b)), Asn(a.max(b)), LinkClass::Transit);
+        if a != b && !links.iter().any(|l| l.key() == link.key()) {
+            links.push(link);
+        }
+    }
+    links
 }
 
 /// Check that a path is valley-free and matches the view's relationships:
@@ -207,6 +212,24 @@ fn shards_last_first<T>(n: usize, job: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
     done
 }
 
+/// A previous report with the [`flapped_cones`] of `topo` since it was
+/// computed, or `None` where the public view must take the full pass.
+fn with_reach<'a>(
+    topo: &Topology,
+    full: &GraphView,
+    prev: Option<&'a VisibilityReport>,
+) -> Option<(&'a VisibilityReport, Vec<bool>)> {
+    let prev = prev?;
+    Some((prev, flapped_cones(topo, full, prev.links_down()?)?))
+}
+
+/// [`with_reach`]'s result as `public_view_with` takes it.
+fn as_prev<'a>(
+    r: &'a Option<(&'a VisibilityReport, Vec<bool>)>,
+) -> Option<(&'a VisibilityReport, &'a [bool])> {
+    r.as_ref().map(|(p, reach)| (*p, &reach[..]))
+}
+
 fn assert_same_view(
     n: usize,
     (got_view, got): &(GraphView, VisibilityReport),
@@ -289,11 +312,13 @@ proptest! {
             }
             let want = collectors.public_view(&topo);
             let full = GraphView::full(&topo);
-            let seq = collectors.public_view_with(&topo, &full, prev_seq.as_ref(), |n, job| {
+            let reach_seq = with_reach(&topo, &full, prev_seq.as_ref());
+            let seq = collectors.public_view_with(&topo, &full, as_prev(&reach_seq), |n, job| {
                 (0..n).map(job).collect()
             });
+            let reach_rev = with_reach(&topo, &full, prev_rev.as_ref());
             let rev =
-                collectors.public_view_with(&topo, &full, prev_rev.as_ref(), shards_last_first);
+                collectors.public_view_with(&topo, &full, as_prev(&reach_rev), shards_last_first);
             assert_same_view(topo.n_ases(), &seq, &want)?;
             assert_same_view(topo.n_ases(), &rev, &want)?;
             prev_seq = Some(seq.1);
@@ -522,5 +547,140 @@ proptest! {
         for &p in &picks {
             assert_matches_reference(&view, &[Asn((p.rotate_left(17) % n) as u32)])?;
         }
+    }
+}
+
+/// A random policy graph over the ASes of a small generated Internet
+/// (their classes and cities kept, every link replaced): AS `i > 0` buys
+/// transit from some `j < i`, and random peer links sprinkle on top.
+fn arb_world() -> impl Strategy<Value = Topology> {
+    (0usize..3).prop_flat_map(|at| {
+        let n = small_topologies()[at].n_ases();
+        let providers: Vec<BoxedStrategy<u32>> = (1..n).map(|i| (0..i as u32).boxed()).collect();
+        let peers = proptest::collection::vec((0..n as u32, 0..n as u32), 0..2 * n);
+        (providers, peers).prop_map(move |(prov, peers)| {
+            let base = &small_topologies()[at];
+            Topology::from_parts(
+                base.config.clone(),
+                base.seed,
+                base.world.clone(),
+                base.ases.clone(),
+                policy_links(&prov, &peers),
+                base.facilities.clone(),
+                base.ixps.clone(),
+                base.prefixes.clone(),
+                base.offnets.clone(),
+            )
+        })
+    })
+}
+
+/// Flap the peering links `history` picks, then the ones `step` picks,
+/// and check the cone rule for anycast across `step`: every deployment
+/// none of whose origins lies in a flapped cone has the same multi-origin
+/// tree, entry for entry, and the same catchments before and after.
+/// `sites` picks site ASes among the unmarked ASes (so every such
+/// deployment is checked) and `free` among all ASes.
+fn check_untouched_deployments(
+    mut topo: Topology,
+    history: &[usize],
+    step: &[usize],
+    sites: &[Vec<(usize, usize)>],
+    free: &[Vec<(usize, usize)>],
+) -> Result<(), String> {
+    let peering: Vec<(Asn, Asn)> = topo
+        .links
+        .iter()
+        .filter(|l| l.is_peering())
+        .map(|l| l.key())
+        .collect();
+    prop_assume!(!peering.is_empty());
+    for &f in history {
+        topo.toggle_link_down(peering[f % peering.len()]);
+    }
+    let before = topo.clone();
+    for &f in step {
+        topo.toggle_link_down(peering[f % peering.len()]);
+    }
+    let (view_before, view_after) = (GraphView::full(&before), GraphView::full(&topo));
+    let reach = flapped_cones(&topo, &view_after, before.links_down());
+    let reach = reach.ok_or("a peering flap fell back to the full pass")?;
+    let unmarked: Vec<Asn> = (0..topo.n_ases())
+        .filter(|&i| !reach[i])
+        .map(|i| Asn(i as u32))
+        .collect();
+    let n_cities = topo.world.cities.len();
+    let picked = sites.iter().filter(|_| !unmarked.is_empty()).map(|d| {
+        d.iter()
+            .map(|&(a, c)| (unmarked[a % unmarked.len()], (c % n_cities) as u32))
+            .collect::<Vec<_>>()
+    });
+    let drawn = free.iter().map(|d| {
+        d.iter()
+            .map(|&(a, c)| (Asn((a % topo.n_ases()) as u32), (c % n_cities) as u32))
+            .collect::<Vec<_>>()
+    });
+    for sites in picked.chain(drawn) {
+        let dep = AnycastDeployment::new(&topo, &sites, 0.3);
+        let origins = dep.origin_ases();
+        if origins.iter().any(|o| reach[o.index()]) {
+            continue;
+        }
+        let up = RoutingTree::compute_multi(&view_before, &origins, origins[0]);
+        let down = RoutingTree::compute_multi(&view_after, &origins, origins[0]);
+        let seeds = SeedDomain::new(origins[0].raw() as u64);
+        let kept = Catchments::compute(&before, &view_before, &dep, &seeds);
+        let fresh = Catchments::compute(&topo, &view_after, &dep, &seeds);
+        for x in 0..topo.n_ases() {
+            let x = Asn(x as u32);
+            prop_assert_eq!(
+                up.route(x),
+                down.route(x),
+                "origins {:?} at {}",
+                &origins,
+                x
+            );
+            prop_assert_eq!(
+                kept.site_of(x),
+                fresh.site_of(x),
+                "origins {:?} at {}",
+                &origins,
+                x
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Up to three deployments of one to four (AS pick, city pick) sites.
+fn arb_deployments() -> impl Strategy<Value = Vec<Vec<(usize, usize)>>> {
+    proptest::collection::vec(
+        proptest::collection::vec((any::<usize>(), any::<usize>()), 1..5),
+        0..4,
+    )
+}
+
+proptest! {
+    #[test]
+    fn catchments_outside_the_flapped_cones_survive_on_small_topologies(
+        topo_at in 0usize..3,
+        history in proptest::collection::vec(any::<usize>(), 0..6),
+        step in proptest::collection::vec(any::<usize>(), 1..5),
+        sites in arb_deployments(),
+        free in arb_deployments(),
+    ) {
+        let topo = small_topologies()[topo_at].clone();
+        check_untouched_deployments(topo, &history, &step, &sites, &free)?;
+    }
+
+    #[test]
+    fn catchments_outside_the_flapped_cones_survive_on_random_graphs(
+        topo in arb_world(),
+        history in proptest::collection::vec(any::<usize>(), 0..6),
+        step in proptest::collection::vec(any::<usize>(), 1..5),
+        sites in arb_deployments(),
+        free in arb_deployments(),
+    ) {
+        check_untouched_deployments(topo, &history, &step, &sites, &free)?;
     }
 }

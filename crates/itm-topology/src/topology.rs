@@ -146,13 +146,6 @@ impl Topology {
         }
     }
 
-    /// Whether the link with canonical key `(a, b)` is currently flapped
-    /// down. Always false on a freshly generated topology.
-    #[inline]
-    pub fn is_link_down(&self, key: (Asn, Asn)) -> bool {
-        !self.links_down.is_empty() && self.links_down.contains(&key)
-    }
-
     /// Toggle a link's flap state; returns true when the link is now down.
     /// `key` must be in canonical (low ASN first) order, as produced by
     /// [`Link::key`].
