@@ -262,9 +262,10 @@ fn bench_obs_overhead(c: &mut Criterion) {
 /// front-end directory every substrate build lays out (endpoints and the
 /// nearest on-net endpoint of every service for every city). The string
 /// cache probe of a mid-catalogue ECS domain pays a linear domain scan,
-/// a prefix lookup and the diurnal curve per probe; the id-keyed kernel
-/// the campaigns call pays none of them, reading each pair's daily
-/// demand and diurnal factor from hoisted values. Then one shard (0 of
+/// a prefix lookup and the diurnal curve per probe; the hoisted kernel
+/// the campaigns call pays none of them, reading each prefix's and the
+/// domain's draw terms and each pair's rate from hoisted values (one
+/// mix, one `exp` and a compare per probe). Then one shard (0 of
 /// 32) of the cache-probing campaign, its diurnal table included: every
 /// prefix of the slice probed for the 10 default domains in 8 rounds.
 /// Then one shard of the ECS user-to-front-end grid (shard 0 of 32):
@@ -304,13 +305,17 @@ fn bench_probe_kernels(c: &mut Criterion) {
         })
     });
     g.bench_function("cache_probe_1k_id", |b| {
-        let dom = itm_dns::DomainKey::of(mid);
+        let d = resolver.hoist_domain(itm_dns::DomainKey::of(mid));
         let t = SimTime(3600);
+        let w = d.window(t);
         let hoisted: Vec<_> = records
             .iter()
-            .map(|rec| itm_dns::HoistedRate {
-                daily: resolver.daily_demand(rec.id, mid.id),
-                diurnal: resolver.window_diurnal(rec.city, dom, t),
+            .map(|rec| {
+                let p = resolver.hoist_prefix(rec);
+                let daily = resolver.daily_demand(rec.id, mid.id);
+                let rate =
+                    resolver.ecs_rate(&p, daily, resolver.window_diurnal(rec.city, d.key, t));
+                (p, rate)
             })
             .collect();
         let mut i = 0usize;
@@ -318,10 +323,10 @@ fn bench_probe_kernels(c: &mut Criterion) {
             let mut tally = itm_dns::DnsTally::default();
             let mut hits = 0;
             for _ in 0..1000 {
-                let k = i % records.len();
+                let (p, rate) = &hoisted[i % records.len()];
                 i += 1;
                 if matches!(
-                    resolver.probe_prefix(records[k], dom, t, Some(hoisted[k]), &mut tally),
+                    resolver.probe_hoisted(p, &d, w, *rate, &mut tally),
                     itm_dns::ProbeResult::Hit(_)
                 ) {
                     hits += 1;

@@ -31,6 +31,12 @@
 //! whose flap state changed (see [`itm_routing::flapped_cones`]), where a
 //! full build emits one per AS — and the anycast stage only for the
 //! catchments it recomputes, those with an origin in such a cone.
+//!
+//! Both kinds of build resolve each public-view tree only on the feeders'
+//! upward closure and the destination's ancestors (DESIGN.md §15.4), so
+//! those `RouteResolved` events say what was resolved ("1 origins,
+//! resolved on 13 ancestors and a 137-AS upward closure") where a full
+//! tree's say how many ASes it reaches; their subjects are unchanged.
 
 use crate::exec::ParallelExecutor;
 use crate::map::{run_pipeline, MapConfig, TrafficMap};

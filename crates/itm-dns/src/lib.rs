@@ -46,8 +46,8 @@ pub use authoritative::AuthoritativeDns;
 pub use chromium::ChromiumModel;
 pub use frontends::{Endpoint, FrontendDirectory};
 pub use opendns::{
-    ClientRun, ClientRuns, DomainKey, HoistedAnswer, HoistedRate, OpenResolver, OpenResolverConfig,
-    ProbeResult,
+    ClientRun, ClientRuns, DomainKey, HoistedAnswer, HoistedDomain, HoistedPrefix, HoistedWindow,
+    OpenResolver, OpenResolverConfig, ProbeResult,
 };
 pub use resolvers::{ResolverAssignment, ResolverConfig, ResolverId};
 pub use root::{AnonymizationPolicy, RootLogEntry, RootLogs, RootServerSet};

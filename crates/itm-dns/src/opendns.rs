@@ -17,28 +17,33 @@
 //! over every prefix × service) is built on the first PoP-scope read,
 //! because the map's campaigns only probe ECS domains and never need it.
 //!
-//! Two equivalent interfaces are provided:
+//! Caches are probed through an *analytic oracle*
+//! ([`OpenResolver::probe`]): occupancy of a cache entry during a TTL
+//! window is a deterministic Bernoulli draw with the Poisson no-arrival
+//! probability `1 − exp(−rate·TTL)`. Within a window the outcome is fixed
+//! (as a real cache's would be), across windows it redraws. This makes a
+//! full Internet sweep O(prefixes × domains) without any simulation time
+//! stepping.
 //!
-//! * [`CacheSim`] — a real insert/expire cache for event-level tests.
-//! * [`OpenResolver::probe`] — the *analytic oracle*: occupancy of a cache
-//!   entry during a TTL window is a deterministic Bernoulli draw with the
-//!   Poisson no-arrival probability `1 − exp(−rate·TTL)`. Within a window
-//!   the outcome is fixed (as a real cache's would be), across windows it
-//!   redraws. This makes a full Internet sweep O(prefixes × domains)
-//!   without any simulation time stepping.
+//! One kernel, [`OpenResolver::probe_hoisted`], decides every probe. The
+//! occupancy draw is `mix(seed ^ mix(key) ^ mix(service ⋘ 17) ^
+//! mix(window ⋘ 34))`, so each term can be mixed once where it stops
+//! changing: per prefix ([`HoistedPrefix`]), per domain
+//! ([`HoistedDomain`]) and per domain at one probe time
+//! ([`HoistedWindow`]). A campaign builds these tables outside its loops;
+//! the string API and [`OpenResolver::probe_prefix`] build them per call.
 
 use crate::authoritative::{AuthoritativeDns, DnsAnswer};
 use crate::resolvers::ResolverAssignment;
 use crate::tally::DnsTally;
 use itm_topology::{PrefixRecord, Topology};
 use itm_traffic::{DeliveryMode, Service, ServiceCatalog, TrafficModel, UserModel};
-use itm_types::rng::stable_hash;
+use itm_types::rng::{mix64 as mix, stable_hash};
 use itm_types::{
     FaultInjector, GeoPoint, Ipv4Addr, Ipv4Net, ItmError, PopId, PrefixId, ProbeFate, SeedDomain,
     ServiceId, SimTime,
 };
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Mean bits transferred per user session-with-DNS-lookup; converts demand
@@ -107,16 +112,69 @@ impl DomainKey {
     }
 }
 
-/// The parts of an ECS entry's query rate that a campaign hoists out of
-/// its probe loop, for [`OpenResolver::probe_prefix`].
+/// A probed domain's terms of [`OpenResolver::probe_hoisted`], made once
+/// per campaign by [`OpenResolver::hoist_domain`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HoistedRate {
-    /// The pair's [`OpenResolver::daily_demand`].
-    pub daily: f64,
-    /// The probed prefix's diurnal multiplier at the start of the probe's
-    /// TTL window: [`OpenResolver::window_diurnal`] of the prefix's city.
-    pub diurnal: f64,
+pub struct HoistedDomain {
+    /// The domain.
+    pub key: DomainKey,
+    /// Whether its cache entries are scoped to the client prefix.
+    ecs: bool,
+    /// The length of a cache window in seconds: the TTL, at least 1.
+    window_secs: u64,
+    /// The TTL as the occupancy probability's factor (not clamped).
+    ttl_secs: f64,
+    /// The service's term of the occupancy draw.
+    service_term: u64,
 }
+
+impl HoistedDomain {
+    /// The cache window of this domain that holds `t`.
+    pub fn window(&self, t: SimTime) -> HoistedWindow {
+        let window = t.as_secs() / self.window_secs;
+        HoistedWindow {
+            start: SimTime(window * self.window_secs),
+            term: mix(window.rotate_left(34)),
+        }
+    }
+}
+
+/// One domain's cache window at a probe time: where it starts (the time
+/// a probe's rate is evaluated at, so the outcome is constant across the
+/// window, as a real cache's is) and its term of the occupancy draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HoistedWindow {
+    start: SimTime,
+    term: u64,
+}
+
+impl HoistedWindow {
+    /// The start of the window.
+    pub fn start(&self) -> SimTime {
+        self.start
+    }
+}
+
+/// A probed prefix's terms of [`OpenResolver::probe_hoisted`], made once
+/// per campaign shard by [`OpenResolver::hoist_prefix`]: its record, its
+/// term of a client-scoped occupancy draw, and its open-resolver share.
+#[derive(Debug, Clone, Copy)]
+pub struct HoistedPrefix<'t> {
+    rec: &'t PrefixRecord,
+    key_term: u64,
+    open_share: f64,
+}
+
+impl<'t> HoistedPrefix<'t> {
+    /// The prefix's record.
+    pub fn record(&self) -> &'t PrefixRecord {
+        self.rec
+    }
+}
+
+/// The high bit that keys a PoP-wide entry's draw apart from every
+/// client prefix's.
+const POP_SCOPE: u64 = 0x8000_0000_0000_0000;
 
 /// The answer an ECS-grid campaign hoists out of its resolution loop, for
 /// [`OpenResolver::resolve_prefix_with_faults`]: the front-end the
@@ -369,8 +427,7 @@ impl<'a> OpenResolver<'a> {
     /// Daily-mean organic demand (bps) of prefix `p` for service `s`: the
     /// only part of an ECS entry's query rate that does not depend on the
     /// time of day, so a campaign probing the same pair in many rounds
-    /// computes it once and hands it to [`OpenResolver::probe_prefix`] in
-    /// a [`HoistedRate`].
+    /// computes it once and hands it to [`OpenResolver::ecs_rate`].
     pub fn daily_demand(&self, p: PrefixId, s: ServiceId) -> f64 {
         self.traffic
             .demand(self.topo, self.users, self.catalog, p, s)
@@ -382,7 +439,7 @@ impl<'a> OpenResolver<'a> {
     /// the start of the TTL window containing `t`. `TrafficModel::build`
     /// gives every prefix its city's solar offset, so this is bit for bit
     /// the prefix's own multiplier, and a campaign can tabulate it per
-    /// city and pass it in a [`HoistedRate`].
+    /// city and pass it to [`OpenResolver::ecs_rate`].
     pub fn window_diurnal(&self, city: u32, dom: DomainKey, t: SimTime) -> f64 {
         let ttl = self.catalog.get(dom.service).ttl_secs.max(1) as u64;
         let offset = self.topo.city_location(city).solar_offset_hours();
@@ -396,50 +453,33 @@ impl<'a> OpenResolver<'a> {
         self.query_rate_from(
             self.daily_demand(p, s),
             self.traffic.diurnal_multiplier(p, t),
-            p,
+            self.resolvers.open_share(p),
         )
     }
 
-    /// The query rate given the pair's daily demand and diurnal factor, in
-    /// the float order of `TrafficModel::demand_at`: daily × diurnal
-    /// factor, then the open share and the session size.
-    fn query_rate_from(&self, daily: f64, diurnal: f64, p: PrefixId) -> f64 {
-        let organic = daily * diurnal * self.resolvers.open_share(p) / BITS_PER_SESSION;
+    /// The query rate given the pair's daily demand, its diurnal factor
+    /// and the prefix's open share, in the float order of
+    /// `TrafficModel::demand_at`: daily × diurnal factor, then the open
+    /// share and the session size.
+    fn query_rate_from(&self, daily: f64, diurnal: f64, open_share: f64) -> f64 {
+        let organic = daily * diurnal * open_share / BITS_PER_SESSION;
         organic + self.cfg.noise_qps
     }
 
-    /// Probability that the cache entry for `(s, scope of p)` is occupied
-    /// during the TTL window containing `t`.
-    pub fn hit_probability(&self, p: PrefixId, s: ServiceId, t: SimTime) -> f64 {
-        self.hit_probability_with(p, self.catalog.get(s), t, None)
+    /// The query rate of a client-scoped entry for a campaign that
+    /// hoisted its terms: the pair's [`OpenResolver::daily_demand`] and
+    /// the prefix's diurnal multiplier at the window start (its city's
+    /// [`OpenResolver::window_diurnal`]). Bit for bit the rate
+    /// [`OpenResolver::probe_prefix`] computes, for
+    /// [`OpenResolver::probe_hoisted`].
+    pub fn ecs_rate(&self, p: &HoistedPrefix<'_>, daily: f64, diurnal: f64) -> f64 {
+        self.query_rate_from(daily, diurnal, p.open_share)
     }
 
-    /// [`OpenResolver::hit_probability`], reusing the pair's hoisted rate
-    /// terms when the caller has them.
-    fn hit_probability_with(
-        &self,
-        p: PrefixId,
-        svc: &Service,
-        t: SimTime,
-        hoisted: Option<HoistedRate>,
-    ) -> f64 {
-        let ttl = svc.ttl_secs as f64;
-        let rate = if svc.ecs_support {
-            let h = match hoisted {
-                Some(h) => {
-                    debug_assert_eq!(
-                        h.diurnal.to_bits(),
-                        self.traffic.diurnal_multiplier(p, t).to_bits(),
-                        "hoisted diurnal factor of {p:?} at {t:?}"
-                    );
-                    h
-                }
-                None => HoistedRate {
-                    daily: self.daily_demand(p, svc.id),
-                    diurnal: self.traffic.diurnal_multiplier(p, t),
-                },
-            };
-            self.query_rate_from(h.daily, h.diurnal, p)
+    /// The query rate of the cache entry for `(svc, scope of p)` at `t`.
+    fn entry_rate(&self, p: PrefixId, svc: &Service, t: SimTime) -> f64 {
+        if svc.ecs_support {
+            self.query_rate(p, svc.id, t)
         } else {
             // PoP-wide scope: everyone behind the PoP contributes, so the
             // diurnal phase is the *PoP's*, not the probing prefix's —
@@ -449,8 +489,35 @@ impl<'a> OpenResolver<'a> {
             let base = self.pop_service_qps()[pop * self.catalog.len() + svc.id.index()];
             let offset = self.pops[pop].location.solar_offset_hours();
             base * self.traffic.diurnal_multiplier_at(offset, t) + self.cfg.noise_qps
-        };
-        1.0 - (-rate * ttl).exp()
+        }
+    }
+
+    /// Probability that the cache entry for `(s, scope of p)` is occupied
+    /// during the TTL window containing `t`.
+    pub fn hit_probability(&self, p: PrefixId, s: ServiceId, t: SimTime) -> f64 {
+        let svc = self.catalog.get(s);
+        occupancy(self.entry_rate(p, svc, t), svc.ttl_secs as f64)
+    }
+
+    /// The terms of `dom` for [`OpenResolver::probe_hoisted`].
+    pub fn hoist_domain(&self, dom: DomainKey) -> HoistedDomain {
+        let svc = self.catalog.get(dom.service);
+        HoistedDomain {
+            key: dom,
+            ecs: svc.ecs_support,
+            window_secs: svc.ttl_secs.max(1) as u64,
+            ttl_secs: svc.ttl_secs as f64,
+            service_term: mix((dom.service.raw() as u64).rotate_left(17)),
+        }
+    }
+
+    /// The terms of a routed prefix for [`OpenResolver::probe_hoisted`].
+    pub fn hoist_prefix<'t>(&self, rec: &'t PrefixRecord) -> HoistedPrefix<'t> {
+        HoistedPrefix {
+            rec,
+            key_term: mix(rec.id.raw() as u64),
+            open_share: self.resolvers.open_share(rec.id),
+        }
     }
 
     /// Resolve a domain name once, for campaigns that probe it many times.
@@ -504,44 +571,57 @@ impl<'a> OpenResolver<'a> {
         out
     }
 
-    /// The cache-probe kernel: [`OpenResolver::probe`] for a routed prefix
-    /// and a resolved domain, with no lookups. `hoisted` carries the
-    /// pair's daily demand and the prefix's window diurnal factor when the
-    /// caller has them, or is `None` to compute both on need; PoP-scope
-    /// domains ignore it. Counts into `tally`, not the registry; emits the
-    /// same trace events as `probe`.
+    /// [`OpenResolver::probe`] for a routed prefix and a resolved domain,
+    /// with no lookups: the hoisted terms and the entry's rate at the
+    /// window start are made for this one probe, then
+    /// [`OpenResolver::probe_hoisted`] decides it. Counts into `tally`,
+    /// not the registry.
     pub fn probe_prefix(
         &self,
         rec: &PrefixRecord,
         dom: DomainKey,
         t: SimTime,
-        hoisted: Option<HoistedRate>,
         tally: &mut DnsTally,
     ) -> ProbeResult {
-        let sid = dom.service;
-        let svc = self.catalog.get(sid);
-        if svc.ecs_support {
+        let d = self.hoist_domain(dom);
+        let w = d.window(t);
+        let rate = self.entry_rate(rec.id, self.catalog.get(dom.service), w.start);
+        self.probe_hoisted(&self.hoist_prefix(rec), &d, w, rate, tally)
+    }
+
+    /// The cache-probe kernel: is `d` cached for `p`'s scope in window
+    /// `w` (`d.window(t)` of the probe time `t`)? `rate` is the entry's
+    /// query rate at the window start: [`OpenResolver::ecs_rate`] for a
+    /// client-scoped domain. Each probe costs one mix, one `exp` and a
+    /// compare; the catalogue and the PoP are read only for a hit, a
+    /// PoP-scope domain or a traced miss. Counts into `tally`, not the
+    /// registry, and emits the `CacheHit`/`CacheMiss` events of `probe`.
+    pub fn probe_hoisted(
+        &self,
+        p: &HoistedPrefix<'_>,
+        d: &HoistedDomain,
+        w: HoistedWindow,
+        rate: f64,
+        tally: &mut DnsTally,
+    ) -> ProbeResult {
+        let rec = p.rec;
+        let key_term = if d.ecs {
             tally.cache_lookups_ecs += 1;
+            p.key_term
         } else {
             tally.cache_lookups_pop += 1;
-        }
-        let ttl = svc.ttl_secs.max(1) as u64;
-        let window = t.as_secs() / ttl;
-        // Evaluate occupancy at the window start so the outcome is truly
-        // constant across the whole TTL window, matching a real cache.
-        let p_hit = self.hit_probability_with(rec.id, svc, SimTime(window * ttl), hoisted);
-        let pop = self.pop_of(rec.id);
-        let key = if svc.ecs_support {
-            rec.id.raw() as u64
-        } else {
             // PoP-wide entry: same draw for every prefix behind the PoP.
-            0x8000_0000_0000_0000 | pop.raw() as u64
+            mix(POP_SCOPE | self.pop_of(rec.id).raw() as u64)
         };
-        if deterministic_draw(self.draw_seed, key, sid.raw() as u64, window) < p_hit {
+        let k = mix(self.draw_seed ^ key_term ^ d.service_term ^ w.term);
+        let draw = (k >> 11) as f64 / (1u64 << 53) as f64;
+        let sid = d.key.service;
+        if draw < occupancy(rate, d.ttl_secs) {
             tally.cache_hit += 1;
             // Answer as the authoritative would have for the organic query.
+            let pop = self.pop_of(rec.id);
             let pop_city = self.pops[pop.index()].city;
-            let ecs = svc.ecs_support.then_some(rec);
+            let ecs = d.ecs.then_some(rec);
             let ans = self.auth.resolve_record(sid, pop_city, ecs, None, tally);
             itm_obs::trace::emit(
                 itm_obs::trace::Technique::CacheProbe,
@@ -551,43 +631,45 @@ impl<'a> OpenResolver<'a> {
                     .service(sid.raw())
                     .addr(ans.addr.0)
                     .pop(pop.raw()),
-                &svc.domain,
+                &self.catalog.get(sid).domain,
             );
             ProbeResult::Hit(ans.addr)
         } else {
             tally.cache_miss += 1;
-            itm_obs::trace::emit(
-                itm_obs::trace::Technique::CacheProbe,
-                itm_obs::trace::EventKind::CacheMiss,
-                itm_obs::trace::Subjects::none()
-                    .prefix(rec.id.raw())
-                    .service(sid.raw())
-                    .pop(pop.raw()),
-                &svc.domain,
-            );
+            if itm_obs::trace::enabled() {
+                itm_obs::trace::emit(
+                    itm_obs::trace::Technique::CacheProbe,
+                    itm_obs::trace::EventKind::CacheMiss,
+                    itm_obs::trace::Subjects::none()
+                        .prefix(rec.id.raw())
+                        .service(sid.raw())
+                        .pop(self.pop_of(rec.id).raw()),
+                    &self.catalog.get(sid).domain,
+                );
+            }
             ProbeResult::Miss
         }
     }
 
-    /// [`OpenResolver::probe_prefix`] under fault injection, with the
+    /// [`OpenResolver::probe_hoisted`] under fault injection, with the
     /// fate keys of [`OpenResolver::probe_with_faults`]: the prefix's
     /// network address, the domain's hash and the round.
     #[allow(clippy::too_many_arguments)]
-    pub fn probe_prefix_with_faults(
+    pub fn probe_hoisted_with_faults(
         &self,
-        rec: &PrefixRecord,
-        dom: DomainKey,
-        t: SimTime,
-        hoisted: Option<HoistedRate>,
+        p: &HoistedPrefix<'_>,
+        d: &HoistedDomain,
+        w: HoistedWindow,
+        rate: f64,
         faults: &FaultInjector,
         round: u64,
         tally: &mut DnsTally,
     ) -> (Option<ProbeResult>, ProbeFate) {
         faulted_probe(
             faults,
-            (rec.net.addr(0).0 as u64, dom.hash, round),
-            || self.probe_subjects(Some(rec), Some(dom.service)),
-            || self.probe_prefix(rec, dom, t, hoisted, tally),
+            (p.rec.net.addr(0).0 as u64, d.key.hash, round),
+            || self.probe_subjects(Some(p.rec), Some(d.key.service)),
+            || self.probe_hoisted(p, d, w, rate, tally),
         )
     }
 
@@ -609,7 +691,7 @@ impl<'a> OpenResolver<'a> {
             tally.cache_miss += 1;
             return ProbeResult::Miss;
         };
-        self.probe_prefix(rec, dom, t, None, tally)
+        self.probe_prefix(rec, dom, t, tally)
     }
 
     /// Trace subjects of a faulted probe: whatever the lookups found.
@@ -878,86 +960,15 @@ fn nearest_pop(pops: &[Pop], loc: GeoPoint) -> Option<&Pop> {
     })
 }
 
-/// Uniform [0,1) draw, stable in all four keys.
-fn deterministic_draw(seed: u64, a: u64, b: u64, c: u64) -> f64 {
-    use itm_types::rng::mix64 as mix;
-    let k = mix(seed ^ mix(a) ^ mix(b.rotate_left(17)) ^ mix(c.rotate_left(34)));
-    (k >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// An event-level cache with real insert/expire semantics, used to check
-/// that the analytic oracle's behaviour matches a concrete cache.
-#[derive(Debug, Default)]
-pub struct CacheSim {
-    entries: HashMap<(ServiceId, CacheScopeKey), (Ipv4Addr, SimTime)>,
-}
-
-/// Cache key scope for [`CacheSim`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheScopeKey {
-    /// Scoped to a client /24.
-    Prefix(Ipv4Net),
-    /// Scoped to a PoP.
-    Pop(PopId),
-}
-
-impl CacheSim {
-    /// Create an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert an answer observed at `now`.
-    pub fn insert(&mut self, s: ServiceId, scope: CacheScopeKey, ans: &DnsAnswer, now: SimTime) {
-        let expiry = SimTime(now.as_secs() + ans.ttl_secs as u64);
-        self.entries.insert((s, scope), (ans.addr, expiry));
-    }
-
-    /// Look up without mutating (RD=0 semantics).
-    pub fn lookup(&self, s: ServiceId, scope: CacheScopeKey, now: SimTime) -> Option<Ipv4Addr> {
-        self.entries
-            .get(&(s, scope))
-            .filter(|(_, exp)| *exp > now)
-            .map(|(a, _)| *a)
-    }
-
-    /// Drop expired entries.
-    pub fn evict_expired(&mut self, now: SimTime) {
-        let before = self.entries.len();
-        self.entries.retain(|_, (_, exp)| *exp > now);
-        itm_obs::counter!("dns.cache.evictions").add((before - self.entries.len()) as u64);
-    }
-
-    /// Live entry count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Scope key an organic query by `client` for service `s` would use.
-    pub fn scope_for(
-        catalog: &ServiceCatalog,
-        resolver: &OpenResolver<'_>,
-        s: ServiceId,
-        client_net: Ipv4Net,
-        client: PrefixId,
-    ) -> CacheScopeKey {
-        if catalog.get(s).ecs_support {
-            CacheScopeKey::Prefix(client_net)
-        } else {
-            CacheScopeKey::Pop(resolver.pop_of(client))
-        }
-    }
+/// The probability that an entry with query rate `rate` (qps) is
+/// occupied: no arrival in the last `ttl_secs` is `exp(−rate·TTL)`.
+fn occupancy(rate: f64, ttl_secs: f64) -> f64 {
+    1.0 - (-rate * ttl_secs).exp()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::authoritative::AnswerScope;
     use crate::frontends::FrontendDirectory;
     use crate::resolvers::ResolverConfig;
     use itm_topology::{generate, PrefixKind, TopologyConfig};
@@ -1315,25 +1326,56 @@ mod tests {
         assert!(checked > 0, "no hits at all — model too cold");
     }
 
+    /// The occupancy draw as one function of its four keys, the way it
+    /// was written before its terms were hoisted.
+    fn four_key_draw(seed: u64, a: u64, b: u64, c: u64) -> f64 {
+        let k = mix(seed ^ mix(a) ^ mix(b.rotate_left(17)) ^ mix(c.rotate_left(34)));
+        (k >> 11) as f64 / (1u64 << 53) as f64
+    }
+
     #[test]
-    fn cache_sim_semantics() {
-        let mut c = CacheSim::new();
-        let ans = DnsAnswer {
-            addr: Ipv4Addr::new(9, 9, 9, 9),
-            scope: AnswerScope::ResolverWide,
-            ttl_secs: 60,
-        };
-        let scope = CacheScopeKey::Pop(PopId(0));
-        assert!(c.lookup(ServiceId(0), scope, SimTime(0)).is_none());
-        c.insert(ServiceId(0), scope, &ans, SimTime(0));
-        assert_eq!(
-            c.lookup(ServiceId(0), scope, SimTime(59)),
-            Some(Ipv4Addr::new(9, 9, 9, 9))
-        );
-        assert!(c.lookup(ServiceId(0), scope, SimTime(60)).is_none());
-        assert_eq!(c.len(), 1);
-        c.evict_expired(SimTime(61));
-        assert!(c.is_empty());
+    fn hoisted_probes_draw_like_the_four_key_draw() {
+        let f = fixture();
+        let r = resolver(&f);
+        let mut tally = DnsTally::default();
+        for svc in &f.catalog.services {
+            let d = r.hoist_domain(DomainKey::of(svc));
+            let ttl = svc.ttl_secs.max(1) as u64;
+            for rec in f.topo.prefixes.iter().step_by(7) {
+                let p = r.hoist_prefix(rec);
+                let key = if svc.ecs_support {
+                    rec.id.raw() as u64
+                } else {
+                    POP_SCOPE | r.pop_of(rec.id).raw() as u64
+                };
+                for secs in [0, 1_799, 7 * 3600 + 5, 86_400 + 1_800] {
+                    let t = SimTime(secs);
+                    let w = d.window(t);
+                    assert_eq!(w.start(), SimTime(secs / ttl * ttl));
+                    let p_hit = r.hit_probability(rec.id, svc.id, w.start());
+                    let hit =
+                        four_key_draw(r.draw_seed, key, svc.id.raw() as u64, secs / ttl) < p_hit;
+                    let rate = if svc.ecs_support {
+                        r.ecs_rate(
+                            &p,
+                            r.daily_demand(rec.id, svc.id),
+                            r.window_diurnal(rec.city, d.key, t),
+                        )
+                    } else {
+                        r.entry_rate(rec.id, svc, w.start())
+                    };
+                    let got = r.probe_hoisted(&p, &d, w, rate, &mut tally);
+                    assert_eq!(
+                        matches!(got, ProbeResult::Hit(_)),
+                        hit,
+                        "{:?} {:?} at {t:?}",
+                        rec.id,
+                        svc.id
+                    );
+                    assert_eq!(r.probe_prefix(rec, d.key, t, &mut tally), got);
+                }
+            }
+        }
     }
 
     #[test]

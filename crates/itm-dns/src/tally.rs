@@ -1,6 +1,6 @@
 //! Caller-held tallies of the DNS counters.
 //!
-//! The id-keyed kernels ([`crate::OpenResolver::probe_prefix`],
+//! The kernels ([`crate::OpenResolver::probe_hoisted`],
 //! [`crate::AuthoritativeDns::resolve_record`] and their fault-injected
 //! forms) count into a [`DnsTally`] instead of the global registry, so a
 //! campaign shard touches no shared atomics per probe. A campaign merges

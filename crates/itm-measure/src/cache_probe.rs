@@ -10,7 +10,7 @@
 //! hit counts feed the relative-activity estimator (Fig. 2).
 
 use crate::substrate::Substrate;
-use itm_dns::{DnsTally, DomainKey, HoistedRate, OpenResolver, ProbeResult};
+use itm_dns::{DnsTally, DomainKey, HoistedDomain, HoistedPrefix, OpenResolver, ProbeResult};
 use itm_traffic::Service;
 use itm_types::rng::{shard_bounds, DEFAULT_SHARDS};
 use itm_types::{Asn, FaultInjector, FaultPlan, FaultStats, PopId, PrefixId, SimDuration, SimTime};
@@ -128,12 +128,13 @@ impl CacheProbeCampaign {
         let queries = itm_obs::counter!("probe.queries", "technique" => "cache_probe");
         let domains = self.pick_domains(s);
         let keys: Vec<DomainKey> = self.pick_services(s).map(DomainKey::of).collect();
+        let hoisted: Vec<HoistedDomain> = keys.iter().map(|&k| resolver.hoist_domain(k)).collect();
         let (rounds, _) = self.schedule();
         let diurnal = DiurnalTable::build(self, s, resolver, &keys);
 
         let n_shards = self.shard_count(s);
         let parts = run_shards(n_shards, &|shard| {
-            self.probe_shard(s, resolver, &keys, &diurnal, faults, shard, n_shards)
+            self.probe_shard(s, resolver, &hoisted, &diurnal, faults, shard, n_shards)
         });
 
         // Merge in shard-index order: the shards' slices are consecutive,
@@ -194,12 +195,18 @@ impl CacheProbeCampaign {
     /// Probe one shard's slice of the prefix table. Pure given the shard
     /// index: the resolver's cache oracle is deterministic per
     /// (prefix, domain, time), so no shard sees another's state.
+    ///
+    /// Every term of a probe is computed where it stops changing: the
+    /// domains' terms once per campaign, each prefix's terms and each
+    /// (prefix, domain) pair's daily demand once per shard, each domain's
+    /// cache window once per round, and each (round, city, domain)
+    /// diurnal factor in the campaign's table.
     #[allow(clippy::too_many_arguments)]
     fn probe_shard(
         &self,
         s: &Substrate,
         resolver: &OpenResolver<'_>,
-        domains: &[DomainKey],
+        domains: &[HoistedDomain],
         diurnal: &DiurnalTable,
         faults: &FaultInjector,
         shard: usize,
@@ -207,15 +214,16 @@ impl CacheProbeCampaign {
     ) -> CacheProbeShard {
         let (rounds, step) = self.schedule();
         let (lo, hi) = shard_bounds(s.topo.prefixes.len(), shard, n_shards);
-        let slice = || s.topo.prefixes.iter().skip(lo).take(hi - lo);
-        // Only the diurnal factor of a probe's rate depends on the round,
-        // so each (prefix, domain) pair's daily demand is drawn once.
-        let mut daily = Vec::with_capacity((hi - lo) * domains.len());
-        for rec in slice() {
+        let prefixes: Vec<HoistedPrefix> = (s.topo.prefixes.iter().skip(lo).take(hi - lo))
+            .map(|rec| resolver.hoist_prefix(rec))
+            .collect();
+        let mut daily = Vec::with_capacity(prefixes.len() * domains.len());
+        for p in &prefixes {
+            let id = p.record().id;
             daily.extend(
                 domains
                     .iter()
-                    .map(|d| resolver.daily_demand(rec.id, d.service)),
+                    .map(|d| resolver.daily_demand(id, d.key.service)),
             );
         }
         let mut part = CacheProbeShard {
@@ -225,22 +233,32 @@ impl CacheProbeCampaign {
             stats: FaultStats::default(),
             dns: DnsTally::default(),
         };
+        let mut windows = Vec::with_capacity(domains.len());
         for round in 0..rounds {
             let t = SimTime(self.start.as_secs() + round * step);
-            for (i, rec) in slice().enumerate() {
+            windows.clear();
+            windows.extend(domains.iter().map(|d| d.window(t)));
+            for (i, p) in prefixes.iter().enumerate() {
                 let row = &daily[i * domains.len()..][..domains.len()];
-                let factors = diurnal.row(round, rec.city);
-                for ((&d, &demand), &factor) in domains.iter().zip(row).zip(factors) {
+                let factors = diurnal.row(round, p.record().city);
+                let terms = domains.iter().zip(&windows).zip(row).zip(factors);
+                for (((d, &w), &demand), &factor) in terms {
                     part.issued += 1;
-                    let hoisted = HoistedRate {
-                        daily: demand,
-                        diurnal: factor,
-                    };
-                    let (res, fate) = resolver.probe_prefix_with_faults(
-                        rec,
+                    debug_assert_eq!(
+                        factor.to_bits(),
+                        s.traffic
+                            .diurnal_multiplier(p.record().id, w.start())
+                            .to_bits(),
+                        "tabulated diurnal factor of {:?} at {:?}",
+                        p.record().id,
+                        w.start()
+                    );
+                    let rate = resolver.ecs_rate(p, demand, factor);
+                    let (res, fate) = resolver.probe_hoisted_with_faults(
+                        p,
                         d,
-                        t,
-                        Some(hoisted),
+                        w,
+                        rate,
                         faults,
                         round,
                         &mut part.dns,

@@ -1,30 +1,46 @@
-//! The id-keyed probe kernels against the string APIs they sit under.
+//! The probe kernels against the string APIs they sit under.
 //!
-//! Cache probing and the ECS grid call `OpenResolver::probe_prefix*` and
-//! `resolve_prefix*` with prefix records and pre-resolved domains; the
-//! experiments call `probe`, `probe_with_faults`, `resolve_for_client*`
-//! and `AuthoritativeDns::resolve`, which look the names up and then call
-//! the same kernels. These tests pin that the two paths answer alike —
-//! probe by probe on the small substrate under the off, light and heavy
-//! fault plans, and campaign by campaign against reference loops written
-//! over the string API alone. The cache-probe reference evaluates the
-//! diurnal curve on every probe, so it checks the campaign's per-city
-//! diurnal table as well as its kernels. The ECS-grid reference resolves
-//! every cell on its own, so it checks the grid's per-run answers, under
-//! random re-homings of the front-end directory as well.
+//! Cache probing calls `OpenResolver::probe_hoisted*` with per-prefix,
+//! per-domain and per-window terms it hoisted out of its loops, and the
+//! ECS grid calls `resolve_prefix*` with prefix records and pre-resolved
+//! domains; the experiments call `probe`, `probe_with_faults`,
+//! `resolve_for_client*` and `AuthoritativeDns::resolve`, which look the
+//! names up and then call the same kernels. These tests pin that the two
+//! paths answer alike — probe by probe on the small substrate under the
+//! off, light and heavy fault plans, and campaign by campaign against
+//! reference loops written over the string API alone. The cache-probe
+//! reference evaluates the diurnal curve on every probe, so it checks the
+//! campaign's per-city diurnal table as well as its kernels, and it must
+//! count the same `dns.*` and `faults.probe.*` series and trace the same
+//! probe events as the campaign. The ECS-grid reference resolves every
+//! cell on its own, so it checks the grid's per-run answers, under random
+//! re-homings of the front-end directory as well.
+//!
+//! The counter and trace comparisons switch the process-wide metrics
+//! registry and trace log on, so every test here holds one lock
+//! ([`exclusive`]) and none counts or traces while another looks.
 
-use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, HoistedAnswer, HoistedRate, OpenResolver};
+use itm_dns::{AuthoritativeDns, DnsTally, DomainKey, HoistedAnswer, OpenResolver};
 use itm_measure::{CacheProbeCampaign, Substrate, SubstrateConfig, UserMapping};
+use itm_obs::trace::{EventKind, Subjects};
 use itm_topology::PrefixKind;
 use itm_traffic::DeliveryMode;
-use itm_types::rng::stable_hash;
+use itm_types::rng::{shard_bounds, stable_hash};
 use itm_types::{
     Cell, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, PrefixId, ProbeFate, ServiceId,
     SimDuration, SimTime,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock};
+
+/// The lock every test of this binary holds for its whole run.
+fn exclusive() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that failed while holding it leaves nothing to repair: the
+    // next one resets what it reads.
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn substrate() -> &'static Substrate {
     static S: OnceLock<Substrate> = OnceLock::new();
@@ -63,6 +79,7 @@ proptest! {
         secs in 0u64..3 * 86_400,
         round in 0u64..8,
     ) {
+        let _obs = exclusive();
         let s = substrate();
         let resolver = s.open_resolver().expect("open resolver");
         let auth = AuthoritativeDns::new(&s.topo, &s.catalog, &s.frontends);
@@ -71,16 +88,20 @@ proptest! {
         let svc = ecs[service % ecs.len()];
         let dom = DomainKey::of(svc);
         let t = SimTime(secs);
-        let hoisted = Some(HoistedRate {
-            daily: resolver.daily_demand(rec.id, svc.id),
-            diurnal: resolver.window_diurnal(rec.city, dom, t),
-        });
+        // The terms a campaign hoists: the domain's, its window at `t`,
+        // the prefix's, and the rate from the pair's daily demand and the
+        // city's window diurnal factor.
+        let d = resolver.hoist_domain(dom);
+        let w = d.window(t);
+        let p = resolver.hoist_prefix(rec);
+        let daily = resolver.daily_demand(rec.id, svc.id);
+        let rate = resolver.ecs_rate(&p, daily, resolver.window_diurnal(rec.city, dom, t));
         let mut tally = DnsTally::default();
 
         prop_assert_eq!(resolver.domain_key(&svc.domain), Some(dom));
         let probe = resolver.probe(rec.net, &svc.domain, t);
-        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, None, &mut tally), probe);
-        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, hoisted, &mut tally), probe);
+        prop_assert_eq!(resolver.probe_prefix(rec, dom, t, &mut tally), probe);
+        prop_assert_eq!(resolver.probe_hoisted(&p, &d, w, rate, &mut tally), probe);
         let city = resolver.pops()[resolver.pop_of(rec.id).index()].city;
         prop_assert_eq!(
             auth.resolve_record(svc.id, city, Some(rec), None, &mut tally),
@@ -111,13 +132,11 @@ proptest! {
                 resolver.resolve_for_client_with_faults(rec.id, &svc.domain, &faults).1,
                 fate
             );
-            for d in [None, hoisted] {
-                prop_assert_eq!(
-                    resolver.probe_prefix_with_faults(rec, dom, t, d, &faults, round, &mut tally),
-                    probed,
-                    "probe, {} faults", name
-                );
-            }
+            prop_assert_eq!(
+                resolver.probe_hoisted_with_faults(&p, &d, w, rate, &faults, round, &mut tally),
+                probed,
+                "probe, {} faults", name
+            );
             for h in [None, answer] {
                 prop_assert_eq!(
                     resolver.resolve_prefix_with_faults(rec, dom, h, &faults, &mut tally),
@@ -132,10 +151,55 @@ proptest! {
     }
 }
 
+/// What one run counted and traced: the nonzero `dns.*` and
+/// `faults.probe.*` counters, and the cache-probe events (kind, subjects,
+/// detail) in emission order, empty when untraced.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    counters: BTreeMap<String, u64>,
+    events: Vec<(EventKind, Subjects, String)>,
+}
+
+/// Run `f` with metrics on, and tracing on when `traced`, from a reset
+/// registry and log; both are off again afterwards.
+fn observe<T>(traced: bool, f: impl FnOnce() -> T) -> (T, Observed) {
+    itm_obs::set_enabled(true);
+    itm_obs::trace::set_enabled(traced);
+    itm_obs::reset();
+    itm_obs::trace::reset();
+    let out = f();
+    let report = itm_obs::snapshot();
+    let trace = itm_obs::trace::snapshot();
+    itm_obs::trace::set_enabled(false);
+    itm_obs::set_enabled(false);
+    assert_eq!(trace.dropped_events, 0, "the trace ring overflowed");
+    let counters = report
+        .counters
+        .into_iter()
+        .filter(|(name, v)| {
+            *v > 0 && (name.starts_with("dns.") || name.starts_with("faults.probe."))
+        })
+        .collect();
+    let probe_kinds = [
+        EventKind::CacheHit,
+        EventKind::CacheMiss,
+        EventKind::ProbeRetried,
+        EventKind::ProbeFailed,
+    ];
+    let events = trace
+        .records
+        .into_iter()
+        .filter(|r| probe_kinds.contains(&r.kind))
+        .map(|r| (r.kind, r.subjects, r.detail))
+        .collect();
+    (out, Observed { counters, events })
+}
+
 /// What a cache-probing campaign measures, from a loop over
-/// `probe_with_faults` in (round, prefix, domain) order. Each probe looks
-/// its prefix and domain up by name and computes its daily demand and
-/// diurnal factor afresh.
+/// `probe_with_faults` in the campaign's sweep order: each shard's slice
+/// of the prefix table in shard order, and in a slice (round, prefix,
+/// domain). Each probe looks its prefix and domain up by name and
+/// computes its daily demand and diurnal factor afresh.
 fn reference_cache_probe(
     c: &CacheProbeCampaign,
     s: &Substrate,
@@ -149,15 +213,19 @@ fn reference_cache_probe(
     let mut discovered = BTreeSet::new();
     let mut hits: BTreeMap<PrefixId, u32> = BTreeMap::new();
     let mut stats = FaultStats::default();
-    for round in 0..rounds {
-        let t = SimTime(c.start.as_secs() + round * step);
-        for rec in s.topo.prefixes.iter() {
-            for d in c.pick_domains(s) {
-                let (res, fate) = resolver.probe_with_faults(rec.net, &d, t, faults, round);
-                stats.record(fate);
-                if let Some(itm_dns::ProbeResult::Hit(_)) = res {
-                    discovered.insert(rec.id);
-                    *hits.entry(rec.id).or_insert(0) += 1;
+    let n_shards = c.shard_count(s);
+    for shard in 0..n_shards {
+        let (lo, hi) = shard_bounds(s.topo.prefixes.len(), shard, n_shards);
+        for round in 0..rounds {
+            let t = SimTime(c.start.as_secs() + round * step);
+            for rec in s.topo.prefixes.iter().skip(lo).take(hi - lo) {
+                for d in c.pick_domains(s) {
+                    let (res, fate) = resolver.probe_with_faults(rec.net, &d, t, faults, round);
+                    stats.record(fate);
+                    if let Some(itm_dns::ProbeResult::Hit(_)) = res {
+                        discovered.insert(rec.id);
+                        *hits.entry(rec.id).or_insert(0) += 1;
+                    }
                 }
             }
         }
@@ -165,19 +233,37 @@ fn reference_cache_probe(
     (discovered, hits, stats)
 }
 
+/// The default campaign against the string-API loop on the small world
+/// and its phase-shifted copy, under every fault plan, traced: the same
+/// discoveries, hit counts and fates, the same counters, and the same
+/// probe events in the same order.
 #[test]
 fn cache_probe_campaign_equals_the_string_api_loop() {
-    let s = substrate();
-    let resolver = s.open_resolver().expect("open resolver");
+    let _obs = exclusive();
     let c = CacheProbeCampaign::default();
-    for (name, plan) in plans() {
-        let faults = FaultInjector::new(plan, &s.seeds, "cache_probe");
-        let got = c.run_with_faults(s, &resolver, &faults, sequential);
-        let (discovered, hits, stats) = reference_cache_probe(&c, s, &resolver, &faults);
-        assert!(!discovered.is_empty(), "{name}: nothing discovered");
-        assert_eq!(got.discovered, discovered, "{name} faults");
-        assert_eq!(got.hits_by_prefix, hits, "{name} faults");
-        assert_eq!(got.fault_stats, stats, "{name} faults");
+    for (world, s) in [substrate(), shifted_substrate()].into_iter().enumerate() {
+        let resolver = s.open_resolver().expect("open resolver");
+        for (name, plan) in plans() {
+            let what = format!("world {world}, {name} faults");
+            let faults = FaultInjector::new(plan, &s.seeds, "cache_probe");
+            let (got, seen) = observe(true, || {
+                c.run_with_faults(s, &resolver, &faults, sequential)
+            });
+            let ((discovered, hits, stats), want) =
+                observe(true, || reference_cache_probe(&c, s, &resolver, &faults));
+            assert!(!discovered.is_empty(), "{what}: nothing discovered");
+            assert_eq!(got.discovered, discovered, "{what}");
+            assert_eq!(got.hits_by_prefix, hits, "{what}");
+            assert_eq!(got.fault_stats, stats, "{what}");
+            assert!(seen.counters.contains_key("dns.cache.hit"), "{what}");
+            assert_eq!(seen.counters, want.counters, "{what}");
+            let issued = stats.observed + stats.degraded + stats.lost;
+            assert!(seen.events.len() as u64 >= issued, "{what}");
+            assert!(
+                seen.events == want.events,
+                "{what}: the probe events differ"
+            );
+        }
     }
 }
 
@@ -221,6 +307,7 @@ proptest! {
         world in 0usize..2,
         plan in 0usize..3,
     ) {
+        let _obs = exclusive();
         let s = [substrate(), shifted_substrate()][world];
         let n_ecs = s.catalog.services.iter().filter(|svc| svc.ecs_support).count();
         // Up to every ECS domain, and sometimes more than there are.
@@ -234,18 +321,21 @@ proptest! {
         let resolver = s.open_resolver().expect("open resolver");
         let (name, plan) = plans()[plan].clone();
         let faults = FaultInjector::new(plan, &s.seeds, "cache_probe");
-        let got = c.run_with_faults(s, &resolver, &faults, sequential);
-        let (discovered, hits, stats) = reference_cache_probe(&c, s, &resolver, &faults);
+        let (got, seen) = observe(false, || c.run_with_faults(s, &resolver, &faults, sequential));
+        let ((discovered, hits, stats), want) =
+            observe(false, || reference_cache_probe(&c, s, &resolver, &faults));
         let what = format!("{c:?} on world {world} under {name} faults");
         prop_assert_eq!(&got.discovered, &discovered, "{}", what);
         prop_assert_eq!(&got.hits_by_prefix, &hits, "{}", what);
         prop_assert_eq!(&got.fault_stats, &stats, "{}", what);
+        prop_assert_eq!(&seen.counters, &want.counters, "{}", what);
         prop_assert_eq!(got.domains.len(), c.n_domains.min(n_ecs), "{}", what);
     }
 }
 
 #[test]
 fn the_shifted_world_probes_differently() {
+    let _obs = exclusive();
     let (a, b) = (substrate(), shifted_substrate());
     let c = CacheProbeCampaign::default();
     let ra = c.run(a, &a.open_resolver().expect("open resolver"));
@@ -296,6 +386,7 @@ fn reference_grid(
 
 #[test]
 fn ecs_grid_equals_the_string_api_loop() {
+    let _obs = exclusive();
     let s = substrate();
     let resolver = s.open_resolver().expect("open resolver");
     let measurable: Vec<ServiceId> = s
@@ -363,6 +454,7 @@ proptest! {
         full in any::<bool>(),
         plan in 0usize..3,
     ) {
+        let _obs = exclusive();
         let s = substrate();
         let ids = measurable(s);
         let mut frontends = s.frontends.clone();

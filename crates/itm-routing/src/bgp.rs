@@ -48,6 +48,14 @@
 //!   offers one fixed candidate.
 //!
 //! So no frontier or bucket needs sorting.
+//!
+//! ## Scoped trees
+//!
+//! The public view walks only its feeders' best paths, which never leave
+//! the feeders' upward closure and the destination's ancestors. The one
+//! kernel behind [`RoutingTree`] takes an optional [`UpwardClosure`] and
+//! then runs phase 3 over that closure alone; a [`ScopedTree`] holds the
+//! result and hands out only the entries it resolved exactly.
 
 use crate::view::GraphView;
 use itm_types::Asn;
@@ -110,11 +118,14 @@ fn unpack(e: u64) -> Option<RouteEntry> {
 
 /// The buffers one route computation needs, reused across trees.
 #[derive(Debug, Default)]
-pub(crate) struct TreeScratch {
+struct TreeScratch {
     frontier: Vec<Asn>,
     next_frontier: Vec<Asn>,
     /// Membership flags of `next_frontier`; all false between levels.
     pending: Vec<bool>,
+    /// Every AS phase 1 gave an origin or customer route, i.e. the
+    /// destination's ancestors: phase 2's exporters.
+    ancestors: Vec<Asn>,
     /// Phase 3's length buckets, grown on demand; empty between trees.
     buckets: Vec<Vec<Asn>>,
 }
@@ -151,25 +162,29 @@ impl RoutingTree {
     /// policy preferences — exactly how an anycast prefix behaves.
     pub fn compute_multi(view: &GraphView, origins: &[Asn], label: Asn) -> RoutingTree {
         let mut tree = RoutingTree::empty();
-        tree.recompute(view, origins, label, &mut TreeScratch::default());
+        tree.recompute(view, origins, label, None, &mut TreeScratch::default());
         tree
     }
 
     /// A tree with no entries, to be filled by [`RoutingTree::recompute`].
-    pub(crate) fn empty() -> RoutingTree {
+    fn empty() -> RoutingTree {
         RoutingTree {
             dst: Asn(0),
             entries: Vec::new(),
         }
     }
 
-    /// [`RoutingTree::compute_multi`] into this tree's storage, with
-    /// `scratch`'s buffers.
-    pub(crate) fn recompute(
+    /// The route kernel: [`RoutingTree::compute_multi`] into this tree's
+    /// storage, with `scratch`'s buffers. With `scope`, phase 3 runs only
+    /// over its members and their member customers, so the entries are
+    /// exact on the scope and on the origins' ancestors only (see
+    /// [`ScopedTree`]); with `None`, every entry is.
+    fn recompute(
         &mut self,
         view: &GraphView,
         origins: &[Asn],
         label: Asn,
+        scope: Option<&UpwardClosure>,
         scratch: &mut TreeScratch,
     ) {
         let n = view.n_ases();
@@ -186,9 +201,11 @@ impl RoutingTree {
             frontier,
             next_frontier,
             pending,
+            ancestors,
             ..
         } = scratch;
         frontier.clear();
+        ancestors.clear();
         for &o in origins {
             let e = pack(RouteKind::Origin, 0, o);
             if e < entries[o.index()] {
@@ -196,6 +213,9 @@ impl RoutingTree {
                 frontier.push(o);
             }
         }
+        // An AS joins a frontier once: its first level gives it the
+        // shortest customer route, and no later candidate beats that.
+        ancestors.extend_from_slice(frontier);
         let mut level = 0u32;
         while !frontier.is_empty() {
             level += 1;
@@ -216,18 +236,14 @@ impl RoutingTree {
             for &v in next_frontier.iter() {
                 pending[v.index()] = false;
             }
+            ancestors.extend_from_slice(next_frontier);
             std::mem::swap(frontier, next_frontier);
         }
 
         // ---- Phase 2: peer routes (one peer edge crossing). ----
         // Exporters: ASes holding Origin/Customer routes.
-        for i in 0..n {
-            let e = entries[i];
-            if e >> 62 > RouteKind::Customer as u64 {
-                continue;
-            }
-            let u = Asn(i as u32);
-            let cand = pack(RouteKind::Peer, len_of(e) + 1, u);
+        for &u in ancestors.iter() {
+            let cand = pack(RouteKind::Peer, len_of(entries[u.index()]) + 1, u);
             for &v in view.peers(u) {
                 if cand < entries[v.index()] {
                     entries[v.index()] = cand;
@@ -237,11 +253,23 @@ impl RoutingTree {
 
         // ---- Phase 3: provider routes, flooding down customer edges. ----
         // Multi-source shortest-path over customer edges, sources = every
-        // AS that currently holds a route, keyed by current route length.
-        // Bucketed BFS by length keeps it O(V+E).
-        for (i, &e) in entries.iter().enumerate() {
-            if e != UNREACHABLE {
-                scratch.bucket(len_of(e)).push(Asn(i as u32));
+        // AS in scope that currently holds a route, keyed by current
+        // route length. Bucketed BFS by length keeps it O(V+E).
+        match scope {
+            None => {
+                for (i, &e) in entries.iter().enumerate() {
+                    if e != UNREACHABLE {
+                        scratch.bucket(len_of(e)).push(Asn(i as u32));
+                    }
+                }
+            }
+            Some(c) => {
+                for &u in &c.members {
+                    let e = entries[u.index()];
+                    if e != UNREACHABLE {
+                        scratch.bucket(len_of(e)).push(u);
+                    }
+                }
             }
         }
         let mut l = 0;
@@ -254,7 +282,11 @@ impl RoutingTree {
                     continue;
                 }
                 let cand = pack(RouteKind::Provider, l as u32 + 1, u);
-                for &v in view.customers(u) {
+                let customers = match scope {
+                    None => view.customers(u),
+                    Some(c) => c.member_customers(u),
+                };
+                for &v in customers {
                     if cand < entries[v.index()] {
                         entries[v.index()] = cand;
                         scratch.bucket(l as u32 + 1).push(v);
@@ -267,19 +299,28 @@ impl RoutingTree {
         }
 
         itm_obs::counter!("routing.trees_computed").inc();
-        if itm_obs::enabled() {
+        if scope.is_none() && itm_obs::enabled() {
             itm_obs::histogram!("routing.tree_reachable").record(self.reachable_count() as u64);
         }
         if itm_obs::trace::enabled() {
-            itm_obs::trace::emit(
-                itm_obs::trace::Technique::Routing,
-                itm_obs::trace::EventKind::RouteResolved,
-                itm_obs::trace::Subjects::none().asn(label.raw()),
-                &format!(
+            let detail = match scope {
+                None => format!(
                     "{} origins, {} reachable",
                     origins.len(),
                     self.reachable_count()
                 ),
+                Some(c) => format!(
+                    "{} origins, resolved on {} ancestors and a {}-AS upward closure",
+                    origins.len(),
+                    scratch.ancestors.len(),
+                    c.len()
+                ),
+            };
+            itm_obs::trace::emit(
+                itm_obs::trace::Technique::Routing,
+                itm_obs::trace::EventKind::RouteResolved,
+                itm_obs::trace::Subjects::none().asn(label.raw()),
+                &detail,
             );
         }
     }
@@ -333,6 +374,142 @@ impl RoutingTree {
     /// Number of ASes with a route.
     pub fn reachable_count(&self) -> usize {
         self.entries.iter().filter(|&&e| e != UNREACHABLE).count()
+    }
+}
+
+/// An upward-closed set of ASes in a view: some seed ASes and every AS
+/// above one along customer→provider edges, so every provider of a
+/// member is a member. The scope of a [`ScopedTree`].
+#[derive(Debug, Clone)]
+pub struct UpwardClosure {
+    /// Per AS, its index in `members`, or `u32::MAX` outside the set.
+    slot: Vec<u32>,
+    /// The members, ascending.
+    members: Vec<Asn>,
+    /// Member `k`'s member customers are `customers[starts[k]..starts[k + 1]]`.
+    starts: Vec<u32>,
+    /// Each member's customers that are members, ascending.
+    customers: Vec<Asn>,
+}
+
+impl UpwardClosure {
+    /// The upward closure of `seeds` in `view`.
+    pub fn of(view: &GraphView, seeds: &[Asn]) -> UpwardClosure {
+        let n = view.n_ases();
+        let mut inside = vec![false; n];
+        let mut stack = seeds.to_vec();
+        while let Some(u) = stack.pop() {
+            if !std::mem::replace(&mut inside[u.index()], true) {
+                stack.extend_from_slice(view.providers(u));
+            }
+        }
+        let members: Vec<Asn> = (0..n)
+            .filter(|&i| inside[i])
+            .map(|i| Asn(i as u32))
+            .collect();
+        let mut slot = vec![u32::MAX; n];
+        let mut starts = vec![0];
+        let mut customers = Vec::new();
+        for (k, &m) in members.iter().enumerate() {
+            slot[m.index()] = k as u32;
+            customers.extend(view.customers(m).iter().filter(|c| inside[c.index()]));
+            starts.push(customers.len() as u32);
+        }
+        UpwardClosure {
+            slot,
+            members,
+            starts,
+            customers,
+        }
+    }
+
+    /// Whether `asn` is a member.
+    pub fn contains(&self, asn: Asn) -> bool {
+        self.slot.get(asn.index()).is_some_and(|&k| k != u32::MAX)
+    }
+
+    /// Number of members.
+    pub fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    /// Whether the set is empty.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty()
+    }
+
+    /// The customers of member `u` that are members.
+    fn member_customers(&self, u: Asn) -> &[Asn] {
+        let k = self.slot[u.index()] as usize;
+        &self.customers[self.starts[k] as usize..self.starts[k + 1] as usize]
+    }
+}
+
+/// Best routes toward one destination `d`, resolved exactly only where a
+/// walk from an [`UpwardClosure`] `C` can go: on `C` and on `A(d)`, the
+/// ASes holding an origin or customer route (`d` and its ancestors).
+///
+/// A best path from a member of `C` climbs provider edges, crosses at
+/// most one peer edge and then descends customer edges. The climb stays
+/// in `C`, which is upward closed; the AS after the peer edge and every
+/// AS on the descent hold a customer or origin route, so lie in `A(d)`.
+/// The kernel runs phases 1 and 2 in full, which gives every route in
+/// `A(d)` and every peer route, and phase 3 only over `C` and the
+/// customer edges between members. Phase 3 reaches a member only from
+/// its providers, all members too, so each member's entry is the one
+/// [`RoutingTree::compute`] gives it. Entries outside `C ∪ A(d)` are not
+/// resolved, and [`ScopedTree::route`] does not hand them out.
+///
+/// One tree's storage and buffers serve every destination it is
+/// computed for.
+#[derive(Debug)]
+pub struct ScopedTree<'a> {
+    view: &'a GraphView,
+    scope: &'a UpwardClosure,
+    tree: RoutingTree,
+    scratch: TreeScratch,
+}
+
+impl<'a> ScopedTree<'a> {
+    /// A tree over `view` scoped to `scope`, which must be an upward
+    /// closure in `view` ([`UpwardClosure::of`]); no destination is
+    /// computed yet.
+    pub fn new(view: &'a GraphView, scope: &'a UpwardClosure) -> ScopedTree<'a> {
+        debug_assert_eq!(scope.slot.len(), view.n_ases(), "scope of another view");
+        ScopedTree {
+            view,
+            scope,
+            tree: RoutingTree::empty(),
+            scratch: TreeScratch::default(),
+        }
+    }
+
+    /// Resolve the routes toward `dst`, replacing the previous ones.
+    pub fn compute(&mut self, dst: Asn) {
+        self.tree
+            .recompute(self.view, &[dst], dst, Some(self.scope), &mut self.scratch);
+    }
+
+    /// The destination of the last [`ScopedTree::compute`].
+    pub fn dst(&self) -> Asn {
+        self.tree.dst
+    }
+
+    /// The best route at `asn` if it lies in the scope or among the
+    /// destination's ancestors (`Some(None)` when it has no route), and
+    /// `None` outside both, where the entry is not resolved.
+    pub fn route(&self, asn: Asn) -> Option<Option<RouteEntry>> {
+        let e = *self.tree.entries.get(asn.index())?;
+        let ancestor = e >> 62 <= RouteKind::Customer as u64;
+        (ancestor || self.scope.contains(asn)).then(|| unpack(e))
+    }
+
+    /// The AS path from `src` to the destination, as
+    /// [`RoutingTree::path`] gives it; `None` when unreachable or when
+    /// `src` is outside the resolved ASes.
+    pub fn path(&self, src: Asn) -> Option<Vec<Asn>> {
+        self.route(src)??;
+        self.tree.path(src)
     }
 }
 

@@ -11,7 +11,7 @@
 //! "available vantage points cannot uncover most peering links" — and it
 //! falls out of the export rules rather than being hard-coded.
 
-use crate::bgp::{RouteKind, RoutingTree, TreeScratch};
+use crate::bgp::{RouteKind, ScopedTree, UpwardClosure};
 use crate::view::GraphView;
 use itm_topology::{AsClass, Link, LinkClass, LinkId, NeighborKind, Topology};
 use itm_types::rng::SeedDomain;
@@ -76,11 +76,12 @@ impl CollectorSet {
     /// Compute the set of links visible from these feeders.
     ///
     /// For every destination AS, every feeder's best path is walked and its
-    /// links marked visible. Cost: one routing tree per destination —
-    /// O(V·(V+E)) total; run it on release builds for big topologies.
+    /// links marked visible. Cost: one routing tree per destination,
+    /// resolved only where the feeders' paths can go (a [`ScopedTree`]).
     pub fn visible_links(&self, topo: &Topology, view: &GraphView) -> HashSet<(Asn, Asn)> {
         let key = |x: Asn, y: Asn| Some(if x <= y { (x, y) } else { (y, x) });
-        self.destination_links(view, 0..topo.n_ases(), key)
+        let scope = UpwardClosure::of(view, &self.feeders);
+        self.destination_links(view, &scope, 0..topo.n_ases(), key)
             .into_iter()
             .flatten()
             .collect()
@@ -90,7 +91,8 @@ impl CollectorSet {
     /// — the raw material public archives actually contain, and what
     /// relationship inference ([`crate::relationships`]) consumes.
     pub fn archived_paths(&self, topo: &Topology, view: &GraphView) -> Vec<Vec<Asn>> {
-        map_trees(view, 0..topo.n_ases(), |tree| {
+        let scope = UpwardClosure::of(view, &self.feeders);
+        map_trees(view, &scope, 0..topo.n_ases(), |tree| {
             self.feeders
                 .iter()
                 .filter_map(|&f| tree.path(f))
@@ -151,9 +153,10 @@ impl CollectorSet {
             Some((p, reach)) => ((0..n).filter(|&d| reach[d]).collect(), p.per_dst.clone()),
             None => ((0..n).collect(), vec![Vec::new(); n]),
         };
+        let scope = UpwardClosure::of(full, &self.feeders);
         let parts = run_shards(dsts.len().div_ceil(DESTS_PER_SHARD), &|k| {
             let chunk = &dsts[k * DESTS_PER_SHARD..dsts.len().min((k + 1) * DESTS_PER_SHARD)];
-            self.destination_links(full, chunk.iter().copied(), |x, y| {
+            self.destination_links(full, &scope, chunk.iter().copied(), |x, y| {
                 let nbs = topo.neighbors(x);
                 let at = nbs.binary_search_by_key(&y, |nb| nb.asn).ok()?;
                 Some(nbs[at].link)
@@ -181,15 +184,17 @@ impl CollectorSet {
 
     /// For each destination in `dsts`, in order, the sorted keys of the
     /// links its feeder paths cross (`key` names an edge; see
-    /// [`feeder_edges`]).
+    /// [`feeder_edges`]). `scope` is the feeders' upward closure in
+    /// `view`.
     fn destination_links<K: Ord>(
         &self,
         view: &GraphView,
+        scope: &UpwardClosure,
         dsts: impl IntoIterator<Item = usize>,
         key: impl Fn(Asn, Asn) -> Option<K>,
     ) -> Vec<Vec<K>> {
         let mut reached = vec![u32::MAX; view.n_ases()];
-        map_trees(view, dsts, |tree| {
+        map_trees(view, scope, dsts, |tree| {
             feeder_edges(tree, &self.feeders, &mut reached, &key)
         })
     }
@@ -201,14 +206,14 @@ impl CollectorSet {
 /// edges, endpoints included); `None` when such a link is not a peering
 /// link.
 ///
-/// The *cone rule*: [`RoutingTree::compute_multi`] reads a peer edge only
-/// in its phase 2, and only from an AS holding an origin or customer
-/// route, i.e. an AS whose customer cone holds one of the origins. A tree
-/// none of whose origins is marked is therefore the same whether the
-/// flapped peer links are up or down: the public view keeps the feeder
-/// paths of every unmarked destination, and the map keeps the catchments
-/// of every anycast deployment with no marked origin. A transit flap
-/// changes the cones themselves, hence `None`.
+/// The *cone rule*: [`crate::RoutingTree::compute_multi`] reads a peer
+/// edge only in its phase 2, and only from an AS holding an origin or
+/// customer route, i.e. an AS whose customer cone holds one of the
+/// origins. A tree none of whose origins is marked is therefore the same
+/// whether the flapped peer links are up or down: the public view keeps
+/// the feeder paths of every unmarked destination, and the map keeps the
+/// catchments of every anycast deployment with no marked origin. A
+/// transit flap changes the cones themselves, hence `None`.
 pub fn flapped_cones(
     topo: &Topology,
     view: &GraphView,
@@ -238,19 +243,20 @@ pub fn flapped_cones(
 /// Destinations per shard of [`CollectorSet::public_view_with`].
 const DESTS_PER_SHARD: usize = 64;
 
-/// `f` of the routing tree of each destination in `dsts`, in order. One
-/// tree's storage and one scratch serve every destination.
+/// `f` of the routing tree of each destination in `dsts`, in order,
+/// resolved on `scope` (the feeders' upward closure in `view`) and the
+/// destination's ancestors, which hold every AS a feeder's path crosses.
+/// One tree's storage serves every destination.
 fn map_trees<T>(
     view: &GraphView,
+    scope: &UpwardClosure,
     dsts: impl IntoIterator<Item = usize>,
-    mut f: impl FnMut(&RoutingTree) -> T,
+    mut f: impl FnMut(&ScopedTree) -> T,
 ) -> Vec<T> {
-    let mut tree = RoutingTree::empty();
-    let mut scratch = TreeScratch::default();
+    let mut tree = ScopedTree::new(view, scope);
     dsts.into_iter()
         .map(|d| {
-            let d = Asn(d as u32);
-            tree.recompute(view, &[d], d, &mut scratch);
+            tree.compute(Asn(d as u32));
             f(&tree)
         })
         .collect()
@@ -267,18 +273,21 @@ fn map_trees<T>(
 /// its entry equals the destination), reusable across destinations
 /// without clearing.
 fn feeder_edges<K: Ord>(
-    tree: &RoutingTree,
+    tree: &ScopedTree,
     feeders: &[Asn],
     reached: &mut [u32],
     key: impl Fn(Asn, Asn) -> Option<K>,
 ) -> Vec<K> {
-    let stamp = tree.dst.raw();
+    let stamp = tree.dst().raw();
     let mut keys = Vec::new();
     for &f in feeders {
         let mut cur = f;
         while reached[cur.index()] != stamp {
             reached[cur.index()] = stamp;
-            let Some(e) = tree.route(cur) else { break };
+            // A feeder's path never leaves the resolved ASes.
+            let route = tree.route(cur);
+            debug_assert!(route.is_some(), "{cur} is outside the scoped tree");
+            let Some(e) = route.flatten() else { break };
             if e.kind == RouteKind::Origin {
                 break;
             }
@@ -346,6 +355,13 @@ impl VisibilityReport {
         }
     }
 
+    /// The sorted ids of the links on the feeders' best paths toward
+    /// `dst`; `None` for a deserialized report, which keeps no
+    /// per-destination lists, or for an AS outside the topology.
+    pub fn feeder_links(&self, dst: Asn) -> Option<&[LinkId]> {
+        self.per_dst.get(dst.index()).map(Vec::as_slice)
+    }
+
     /// The link down-set of the world the report was computed in, to
     /// pass to [`flapped_cones`]; `None` for a deserialized report, which
     /// does not keep it.
@@ -371,6 +387,7 @@ impl VisibilityReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RoutingTree;
     use itm_topology::{generate, TopologyConfig};
 
     fn setup() -> Topology {

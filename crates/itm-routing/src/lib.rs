@@ -39,7 +39,7 @@ pub mod vantage;
 pub mod view;
 
 pub use anycast::{AnycastDeployment, AnycastSite, Catchments};
-pub use bgp::{RouteEntry, RouteKind, RoutingTree};
+pub use bgp::{RouteEntry, RouteKind, RoutingTree, ScopedTree, UpwardClosure};
 pub use collectors::{flapped_cones, CollectorSet, VisibilityReport};
 pub use ipid::IpidCounter;
 pub use relationships::{InferredRel, InferredRelationships};

@@ -3,16 +3,25 @@
 //! synthetic graphs. The route kernel is checked entry by entry against a
 //! sorting reference, and the cone rule behind incremental public views
 //! and retained anycast catchments gets its own properties; both honour
-//! `PROPTEST_CASES`.
+//! `PROPTEST_CASES`. So does the feeder-closure rule behind the public
+//! view's scoped trees: a scoped tree equals the full tree on the
+//! feeders' upward closure and the destination's ancestors, and the
+//! public view, the visible links and the archived paths equal walks of
+//! full trees — on flapped small topologies and on random graphs with
+//! multi-homed ASes and provider cycles, for empty, single-stub, random
+//! and all-AS feeder sets.
 
 use itm_routing::{
     flapped_cones, AnycastDeployment, Catchments, CollectorSet, GraphView, RouteEntry, RouteKind,
-    RoutingTree, VisibilityReport,
+    RoutingTree, ScopedTree, UpwardClosure, VisibilityReport,
 };
-use itm_topology::{generate, AsRel, Link, LinkClass, NeighborKind, Topology, TopologyConfig};
+use itm_topology::{
+    generate, AsRel, Link, LinkClass, LinkId, NeighborKind, Topology, TopologyConfig,
+};
 use itm_types::rng::SeedDomain;
 use itm_types::Asn;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::OnceLock;
 
 /// Build a random small connected policy graph: node 0 is the root
@@ -682,5 +691,204 @@ proptest! {
         free in arb_deployments(),
     ) {
         check_untouched_deployments(topo, &history, &step, &sites, &free)?;
+    }
+}
+
+/// A random policy graph over the ASes of a small generated Internet that
+/// [`arb_world`]'s trees cannot produce: AS `i > 0` buys transit from some
+/// `j < i` and `extra` adds transit edges between any two ASes, so ASes
+/// are multi-homed and an edge up to a descendant closes a provider
+/// cycle; random peer links sprinkle on top. Each pair of ASes is linked
+/// at most once.
+fn arb_tangled_world() -> impl Strategy<Value = Topology> {
+    (0usize..3).prop_flat_map(|at| {
+        let n = small_topologies()[at].n_ases();
+        let providers: Vec<BoxedStrategy<u32>> = (1..n).map(|i| (0..i as u32).boxed()).collect();
+        let extra = proptest::collection::vec((0..n as u32, 0..n as u32), 0..n);
+        let peers = proptest::collection::vec((0..n as u32, 0..n as u32), 0..2 * n);
+        (providers, extra, peers).prop_map(move |(prov, extra, peers)| {
+            let mut linked = BTreeSet::new();
+            let mut links = Vec::new();
+            let edges = prov
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (i as u32 + 1, p, false))
+                .chain(extra.iter().map(|&(c, p)| (c, p, false)))
+                .chain(peers.iter().map(|&(a, b)| (a, b, true)));
+            for (a, b, peer) in edges {
+                if a == b || !linked.insert((a.min(b), a.max(b))) {
+                    continue;
+                }
+                links.push(if peer {
+                    Link::peering(Asn(a.min(b)), Asn(a.max(b)), LinkClass::Transit)
+                } else {
+                    Link::transit(Asn(a), Asn(b))
+                });
+            }
+            let base = &small_topologies()[at];
+            Topology::from_parts(
+                base.config.clone(),
+                base.seed,
+                base.world.clone(),
+                base.ases.clone(),
+                links,
+                base.facilities.clone(),
+                base.ixps.clone(),
+                base.prefixes.clone(),
+                base.offnets.clone(),
+            )
+        })
+    })
+}
+
+/// A feeder set of kind `kind % 4`: none, one stub (an AS without
+/// customers, picked by `pick`; none when there is no stub), every AS, or
+/// the ASes `picks` draws. Ascending, as collector sets are.
+fn feeder_set(view: &GraphView, kind: usize, pick: usize, picks: &[usize]) -> Vec<Asn> {
+    let n = view.n_ases();
+    let every = (0..n as u32).map(Asn);
+    let mut feeders: Vec<Asn> = match kind % 4 {
+        0 => Vec::new(),
+        1 => {
+            let stubs: Vec<Asn> = every.filter(|&a| view.customers(a).is_empty()).collect();
+            stubs
+                .get(pick % stubs.len().max(1))
+                .copied()
+                .into_iter()
+                .collect()
+        }
+        2 => every.collect(),
+        _ => picks.iter().map(|&p| Asn((p % n) as u32)).collect(),
+    };
+    feeders.sort_unstable();
+    feeders.dedup();
+    feeders
+}
+
+/// Membership flags of the ASes above any of `seeds` in `view`, seeds
+/// included, by a plain walk up provider edges.
+fn above(view: &GraphView, seeds: &[Asn]) -> Vec<bool> {
+    let mut member = vec![false; view.n_ases()];
+    let mut stack = seeds.to_vec();
+    while let Some(u) = stack.pop() {
+        if !std::mem::replace(&mut member[u.index()], true) {
+            for &(p, kind) in view.neighbors(u) {
+                if kind == NeighborKind::Provider {
+                    stack.push(p);
+                }
+            }
+        }
+    }
+    member
+}
+
+/// The id of the topology link between `a` and `b`.
+fn link_id(topo: &Topology, a: Asn, b: Asn) -> LinkId {
+    let nb = topo.neighbors(a).iter().find(|nb| nb.asn == b);
+    nb.expect("a path uses real links").link
+}
+
+/// Check the feeder-closure rule on `topo`'s current view for `feeders`:
+/// for every destination the scoped tree equals the full tree on the
+/// feeders' upward closure `C` and the destination's ancestors `A(d)`
+/// (the ASes the full tree gives an origin or customer route) and hands
+/// out nothing else; and the public view's per-destination links (fresh
+/// and sharded last-first), the visible links and the archived paths
+/// equal the walks of every feeder's path in full trees.
+fn check_feeder_scope(topo: &Topology, feeders: Vec<Asn>) -> Result<(), String> {
+    let n = topo.n_ases();
+    let view = GraphView::full(topo);
+    let closure = UpwardClosure::of(&view, &feeders);
+    let c = above(&view, &feeders);
+    prop_assert_eq!(closure.len(), c.iter().filter(|&&m| m).count());
+    prop_assert_eq!(closure.is_empty(), !c.contains(&true));
+    let mut scoped = ScopedTree::new(&view, &closure);
+    let mut want_links = Vec::new();
+    let mut want_pairs = HashSet::new();
+    let mut want_paths = Vec::new();
+    for d in 0..n {
+        let dst = Asn(d as u32);
+        let full = RoutingTree::compute(&view, dst);
+        scoped.compute(dst);
+        prop_assert_eq!(scoped.dst(), dst);
+        for (x, &in_c) in c.iter().enumerate() {
+            let asn = Asn(x as u32);
+            prop_assert_eq!(closure.contains(asn), in_c, "AS {}", x);
+            let route = full.route(asn);
+            let ancestor =
+                route.is_some_and(|e| matches!(e.kind, RouteKind::Origin | RouteKind::Customer));
+            let want = (in_c || ancestor).then_some(route);
+            prop_assert_eq!(scoped.route(asn), want, "dst {} at AS {}", d, x);
+        }
+        let mut ids = Vec::new();
+        for &f in &feeders {
+            let path = full.path(f);
+            prop_assert_eq!(scoped.path(f), path.clone(), "dst {} from feeder {}", d, f);
+            let path = path.unwrap_or_default();
+            for w in path.windows(2) {
+                ids.push(link_id(topo, w[0], w[1]));
+                want_pairs.insert((w[0].min(w[1]), w[0].max(w[1])));
+            }
+            if path.len() >= 2 {
+                want_paths.push(path);
+            }
+        }
+        ids.sort_unstable();
+        ids.dedup();
+        want_links.push(ids);
+    }
+    let collectors = CollectorSet { feeders };
+    let fresh = collectors.public_view(topo);
+    let sharded = collectors.public_view_with(topo, &view, None, shards_last_first);
+    for (d, want) in want_links.iter().enumerate() {
+        let dst = Asn(d as u32);
+        prop_assert_eq!(fresh.1.feeder_links(dst), Some(&want[..]), "dst {}", d);
+        prop_assert_eq!(sharded.1.feeder_links(dst), Some(&want[..]), "dst {}", d);
+    }
+    let visible: BTreeSet<LinkId> = want_links.iter().flatten().copied().collect();
+    prop_assert_eq!(fresh.1.visible, visible.len());
+    prop_assert_eq!(collectors.visible_links(topo, &view), want_pairs);
+    prop_assert_eq!(collectors.archived_paths(topo, &view), want_paths);
+    Ok(())
+}
+
+/// Feeder-set strategy inputs: the kind, a stub pick and random picks.
+fn arb_feeders() -> impl Strategy<Value = (usize, usize, Vec<usize>)> {
+    (
+        0usize..4,
+        any::<usize>(),
+        proptest::collection::vec(any::<usize>(), 1..12),
+    )
+}
+
+proptest! {
+    #[test]
+    fn scoped_trees_and_feeder_walks_hold_on_flapped_small_topologies(
+        topo_at in 0usize..3,
+        peer_flaps in proptest::collection::vec(any::<usize>(), 0..8),
+        transit_flaps in proptest::collection::vec(any::<usize>(), 0..3),
+        (kind, pick, picks) in arb_feeders(),
+    ) {
+        let mut topo = small_topologies()[topo_at].clone();
+        let (peering, transit): (Vec<&Link>, Vec<&Link>) =
+            topo.links.iter().partition(|l| l.is_peering());
+        let keys = |links: &[&Link], picks: &[usize]| -> Vec<(Asn, Asn)> {
+            picks.iter().map(|&f| links[f % links.len()].key()).collect()
+        };
+        let flaps = [keys(&peering, &peer_flaps), keys(&transit, &transit_flaps)].concat();
+        for key in flaps {
+            topo.toggle_link_down(key);
+        }
+        let feeders = feeder_set(&GraphView::full(&topo), kind, pick, &picks);
+        check_feeder_scope(&topo, feeders)?;
+    }
+
+    #[test]
+    fn scoped_trees_and_feeder_walks_hold_on_tangled_graphs(
+        topo in arb_tangled_world(),
+        (kind, pick, picks) in arb_feeders(),
+    ) {
+        let feeders = feeder_set(&GraphView::full(&topo), kind, pick, &picks);
+        check_feeder_scope(&topo, feeders)?;
     }
 }
