@@ -516,6 +516,18 @@ fn query_against_missing_snapshot_exits_2() {
     assert!(err.contains("cannot open snapshot"), "{err}");
 }
 
+/// A device with no end of file is refused, not read until memory runs
+/// out, and nothing is built around it.
+#[cfg(target_os = "linux")]
+#[test]
+fn query_against_an_endless_device_exits_2() {
+    let out = repro(&["--query", "route", "as0", "--snapshot", "/dev/zero"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("not a regular file"), "{err}");
+    assert!(!err.contains("building substrate"), "{err}");
+}
+
 #[test]
 fn diverging_modes_are_mutually_exclusive() {
     for spec in [

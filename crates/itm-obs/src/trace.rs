@@ -36,9 +36,11 @@ use std::sync::{Mutex, OnceLock};
 const N_SHARDS: usize = 16;
 
 /// Default total ring capacity (events). At ~112 bytes/event this bounds
-/// an enabled trace to ~30 MB; a full small-substrate pipeline emits well
-/// under this, so small-run traces are complete (nothing dropped).
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 18;
+/// an enabled trace to ~60 MB; the shards grow on demand, so a disabled
+/// log holds none of it. A small-substrate map build emits ≈277k events
+/// (seed 42: 276,851), about half of this, so small-run traces are
+/// complete (nothing dropped).
+pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 19;
 
 /// SplitMix64 finalizer (local copy; this crate stays dependency-free).
 #[inline]

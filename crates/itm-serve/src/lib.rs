@@ -22,7 +22,12 @@
 //! The sections are 8-byte aligned and little-endian precisely so this
 //! works equally well over a memory mapping; with the workspace offline
 //! (no mmap crate), [`Snapshot::open`] reads the file into a `Vec<u8>` and
-//! the query paths are byte-offset-based either way.
+//! the query paths are byte-offset-based either way. That buffer is
+//! advised for transparent huge pages before the read touches it
+//! ([`snap::read`]), so on Linux the kernel faults it in 2 MiB at a time:
+//! reading a 198 MB snapshot takes under a thousand minor faults rather
+//! than ≈48k. A mapping is not used: the file could change under it
+//! after validation.
 //!
 //! Validation happens once, at open: the whole-file checksum (XXH64 in a
 //! v2 file, FNV-1a 64 in a v1 file; any single corrupted byte is a hard
@@ -177,12 +182,10 @@ const REQUIRED: [u32; 17] = [
 ];
 
 impl Snapshot {
-    /// Read and validate a snapshot file.
+    /// Read and validate a snapshot file ([`snap::read`]: a regular file
+    /// only, into a huge-page advised buffer of exactly its length).
     pub fn open(path: &str) -> Result<Snapshot, SnapError> {
-        let bytes = std::fs::read(path).map_err(|e| SnapError::Io {
-            detail: format!("{path}: {e}"),
-        })?;
-        Snapshot::from_bytes(bytes)
+        Snapshot::from_bytes(snap::read(path)?)
     }
 
     /// Validate snapshot bytes and take ownership of them.
@@ -1008,5 +1011,21 @@ mod tests {
         let mut bad = good.clone();
         bad[good.len() / 2] ^= 0xFF;
         assert!(Snapshot::from_bytes(bad).is_err());
+    }
+
+    /// `/dev/zero` never ends: reading it to EOF would exhaust memory.
+    /// The open refuses it before reading a byte.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_endless_device_is_refused_promptly() {
+        let t = std::time::Instant::now();
+        let err = Snapshot::open("/dev/zero").map(|_| ()).unwrap_err();
+        assert_eq!(
+            err,
+            SnapError::Io {
+                detail: "/dev/zero: not a regular file".into()
+            }
+        );
+        assert!(t.elapsed() < std::time::Duration::from_secs(5));
     }
 }

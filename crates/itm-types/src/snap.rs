@@ -39,10 +39,10 @@
 //! still opens v1 files, checking each with its own version's checksum.
 //!
 //! This module owns only the *encoding*: constants, the writer that
-//! assembles header + directory + payloads, the directory parser, and the
-//! checksum. What goes *into* the sections is the snapshot writer's
-//! business (`itm-core`); how they are queried is the reader's
-//! (`itm-serve`). Keeping the encoding here lets the serving crate depend
+//! assembles header + directory + payloads, the file [`read`]er, the
+//! directory parser, and the checksum. What goes *into* the sections is
+//! the snapshot writer's business (`itm-core`); how they are queried is
+//! the reader's (`itm-serve`). Keeping the encoding here lets the serving crate depend
 //! on nothing but `itm-types`.
 
 use std::fmt;
@@ -442,7 +442,10 @@ impl SnapWriter {
             sections.push((id, width, cursor..cursor + len));
             cursor = align8(cursor + len);
         }
+        // Zeroed allocation: its pages stay untouched until written, so
+        // the advice still applies to every one of them.
         let mut out = vec![0u8; cursor];
+        advise_huge_pages(&mut out);
         out[..8].copy_from_slice(&MAGIC);
         out[8..12].copy_from_slice(&VERSION.to_le_bytes());
         out[12..16].copy_from_slice(&(n as u32).to_le_bytes());
@@ -543,6 +546,77 @@ impl SnapWriter {
         self.out
     }
 }
+
+/// Read a snapshot file into a buffer of exactly its length.
+///
+/// Only a regular file is read, and at most the length its metadata
+/// reported: a device or a FIFO is refused before it is opened, and a
+/// file that changes size meanwhile fails [`parse_dir`]'s `file_len` or
+/// checksum check. Every failure is [`SnapError::Io`].
+pub fn read(path: &str) -> Result<Vec<u8>, SnapError> {
+    use std::io::Read;
+    let io = |e: &dyn fmt::Display| SnapError::Io {
+        detail: format!("{path}: {e}"),
+    };
+    let meta = std::fs::metadata(path).map_err(|e| io(&e))?;
+    if !meta.is_file() {
+        return Err(io(&"not a regular file"));
+    }
+    let len = usize::try_from(meta.len()).map_err(|e| io(&e))?;
+    let file = std::fs::File::open(path).map_err(|e| io(&e))?;
+    let mut bytes = Vec::new();
+    bytes.try_reserve_exact(len).map_err(|e| io(&e))?;
+    advise_huge_pages(&mut bytes);
+    file.take(meta.len())
+        .read_to_end(&mut bytes)
+        .map_err(|e| io(&e))?;
+    Ok(bytes)
+}
+
+/// Ask the kernel to back the 2 MiB-aligned interior of `buf`'s
+/// allocation with transparent huge pages, so that first touch faults
+/// 2 MiB at a time instead of 4 KiB. Call it before any byte of the
+/// allocation is written. The advice is a hint: its result is ignored,
+/// and it changes no byte.
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
+fn advise_huge_pages(buf: &mut Vec<u8>) {
+    const HUGE_PAGE: usize = 2 << 20;
+    const MADV_HUGEPAGE: i32 = 14;
+    extern "C" {
+        fn madvise(addr: *mut std::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    let start = buf.as_mut_ptr() as usize;
+    let (Some(lo), Some(end)) = (
+        start.checked_next_multiple_of(HUGE_PAGE),
+        start.checked_add(buf.capacity()),
+    ) else {
+        return;
+    };
+    let hi = end & !(HUGE_PAGE - 1);
+    if lo >= hi {
+        return;
+    }
+    // SAFETY: `lo..hi` lies inside `buf`'s live allocation (`start` to
+    // `start + capacity`), and `MADV_HUGEPAGE` changes only how the kernel
+    // backs those pages, never their contents.
+    unsafe {
+        madvise(
+            buf.as_mut_ptr().wrapping_add(lo - start).cast(),
+            hi - lo,
+            MADV_HUGEPAGE,
+        );
+    }
+}
+
+/// Huge-page advice is Linux-only; elsewhere the buffer is left as it is.
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
+fn advise_huge_pages(_buf: &mut Vec<u8>) {}
 
 /// Parse and validate the header and directory of a snapshot.
 ///
@@ -905,6 +979,65 @@ mod tests {
         );
         assert_eq!(rel::name(rel::PEER), Some("peer"));
         assert_eq!(rel::name(9), None);
+    }
+
+    /// Byte `i` of a pattern that shifts from one 4 KiB page to the
+    /// next and from one 1 MiB block to the next, so a misplaced page
+    /// shows.
+    fn pattern(i: usize) -> u8 {
+        (i ^ (i >> 12) ^ (i >> 20)).wrapping_mul(31) as u8
+    }
+
+    #[test]
+    fn read_returns_exactly_the_file_bytes() {
+        const MIB: usize = 1 << 20;
+        let dir = std::env::temp_dir().join(format!("snap-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // The larger lengths leave a 2 MiB-aligned interior to advise.
+        for len in [0, 1, 31, 32, 2 * MIB - 1, 4 * MIB + 17, 9 * MIB] {
+            let path = dir.join(format!("len-{len}"));
+            std::fs::write(&path, (0..len).map(pattern).collect::<Vec<u8>>()).unwrap();
+            let path = path.to_str().unwrap();
+            let bytes = read(path).unwrap();
+            assert_eq!(bytes, std::fs::read(path).unwrap(), "length {len}");
+            assert_eq!(bytes.len(), len);
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_refuses_what_is_not_a_regular_file() {
+        let dir = std::env::temp_dir();
+        let err = read(dir.to_str().unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("snapshot I/O error: {}: not a regular file", dir.display())
+        );
+        let missing = dir.join(format!("snap-read-missing-{}", std::process::id()));
+        assert!(matches!(
+            read(missing.to_str().unwrap()),
+            Err(SnapError::Io { .. })
+        ));
+    }
+
+    #[test]
+    fn a_multi_mib_section_round_trips() {
+        const LEN: usize = (5 << 20) + 3;
+        let mut w = SnapWriter::new(&[
+            (section::META, 8, META_FIELDS),
+            (section::CELL_BITS, 1, LEN),
+        ]);
+        w.put_u64(section::META, [1, 2, 3, 4, 5, 6, 7]);
+        w.put_u8(section::CELL_BITS, (0..LEN).map(pattern));
+        let bytes = w.finish();
+        let dir = parse_dir(&bytes).unwrap();
+        assert_eq!((dir[1].id, dir[1].len), (section::CELL_BITS, LEN as u64));
+        let at = dir[1].offset as usize;
+        assert!(bytes[at..at + LEN]
+            .iter()
+            .enumerate()
+            .all(|(i, &b)| b == pattern(i)));
+        assert_eq!(read_u64(&bytes, dir[0].offset as usize + 48), Some(7));
     }
 
     #[test]
