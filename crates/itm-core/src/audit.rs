@@ -352,29 +352,40 @@ struct UniversePrefix {
     id: PrefixId,
     owner: Asn,
     city: u32,
-    tier: &'static str,
+    /// Index into [`POPULATION_TIERS`].
+    tier: usize,
     populated: bool,
 }
 
-/// The delivery class a service is audited under.
-fn service_class(svc: &Service) -> &'static str {
+/// The delivery classes services are audited under.
+const SERVICE_CLASSES: [&str; 4] = ["anycast", "custom_url", "dns_ecs", "dns_no_ecs"];
+
+/// The prefix population tiers, by user count against the p50 and p90
+/// of populated prefixes.
+const POPULATION_TIERS: [&str; 4] = ["t0_none", "t1_low", "t2_mid", "t3_high"];
+
+/// The delivery class a service is audited under, as an index into
+/// [`SERVICE_CLASSES`].
+fn service_class(svc: &Service) -> usize {
     match (svc.mode, svc.ecs_support) {
-        (DeliveryMode::Anycast, _) => "anycast",
-        (DeliveryMode::CustomUrl, _) => "custom_url",
-        (DeliveryMode::DnsRedirection, true) => "dns_ecs",
-        (DeliveryMode::DnsRedirection, false) => "dns_no_ecs",
+        (DeliveryMode::Anycast, _) => 0,
+        (DeliveryMode::CustomUrl, _) => 1,
+        (DeliveryMode::DnsRedirection, true) => 2,
+        (DeliveryMode::DnsRedirection, false) => 3,
     }
 }
 
-fn tier_name(users: f64, p50: f64, p90: f64) -> &'static str {
+/// The population tier of a prefix with `users` users, as an index into
+/// [`POPULATION_TIERS`].
+fn population_tier(users: f64, p50: f64, p90: f64) -> usize {
     if users <= 0.0 {
-        "t0_none"
+        0
     } else if users <= p50 {
-        "t1_low"
+        1
     } else if users <= p90 {
-        "t2_mid"
+        2
     } else {
-        "t3_high"
+        3
     }
 }
 
@@ -445,7 +456,7 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
                 id: p,
                 owner: rec.owner,
                 city: rec.city,
-                tier: tier_name(users, p50, p90),
+                tier: population_tier(users, p50, p90),
                 populated: users > 0.0,
             }
         })
@@ -462,7 +473,8 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
     };
 
     // ---- Replica plane ----
-    let mut audits = REPLICA_TECHNIQUES.map(|_| TechniqueAudit::new("replica"));
+    let mut audits = REPLICA_TECHNIQUES
+        .map(|_| TechniqueAudit::new("replica", &SERVICE_CLASSES, &POPULATION_TIERS));
     let mut disagreement = DisagreementIndex::new(&REPLICA_TECHNIQUES);
     let mut pairwise = PairwiseAgreement::new(&REPLICA_TECHNIQUES);
 
@@ -508,7 +520,7 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
     }
 
     // ---- Presence plane ----
-    let mut cache = TechniqueAudit::new("presence");
+    let mut cache = TechniqueAudit::new("presence", &[], &POPULATION_TIERS);
     let mut populated_as = vec![false; s.topo.n_ases()];
     for up in &universe {
         let claimed = claims.cache_claim(up.id);
@@ -524,7 +536,7 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
             }
         }
     }
-    let mut root = TechniqueAudit::new("presence");
+    let mut root = TechniqueAudit::new("presence", &[], &[]);
     for (i, &truth) in populated_as.iter().enumerate() {
         let asn = Asn(i as u32);
         let v = match (claims.root_claim(asn), truth) {
@@ -536,7 +548,7 @@ pub fn audit(s: &Substrate, map: &TrafficMap) -> QualityReport {
     }
 
     // ---- Routes plane ----
-    let mut cloud = TechniqueAudit::new("routes");
+    let mut cloud = TechniqueAudit::new("routes", &[], &[]);
     let truth_links: std::collections::BTreeSet<(Asn, Asn)> =
         s.topo.links.iter().map(|l| l.key()).collect();
     let claimed_links = map.cloud_result.claimed_links();

@@ -126,6 +126,63 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
+/// One marginal breakdown of a technique's audit: a score per slice
+/// (service class, population tier), indexed like a fixed name table, so
+/// recording a cell is an index, not a name lookup.
+#[derive(Debug, Clone, Default)]
+pub struct Breakdown {
+    /// Slice names, indexed like `scores`.
+    names: &'static [&'static str],
+    scores: Vec<TechniqueScore>,
+}
+
+impl Breakdown {
+    /// An empty breakdown over the slices `names`.
+    fn new(names: &'static [&'static str]) -> Breakdown {
+        Breakdown {
+            names,
+            scores: vec![TechniqueScore::default(); names.len()],
+        }
+    }
+
+    /// Count one cell in slice `slice` (an index into the name table).
+    fn record(&mut self, slice: usize, verdict: Verdict, truth_relevant: bool) {
+        self.scores[slice].record(verdict, truth_relevant);
+    }
+
+    /// The slices that counted at least one cell, in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &TechniqueScore)> {
+        let mut slices: Vec<_> = self
+            .names
+            .iter()
+            .zip(&self.scores)
+            .filter(|(_, s)| s.cells > 0)
+            .map(|(&name, s)| (name, s))
+            .collect();
+        slices.sort_unstable_by_key(|&(name, _)| name);
+        slices.into_iter()
+    }
+
+    /// The scores of the slices that counted at least one cell, in name
+    /// order.
+    pub fn values(&self) -> impl Iterator<Item = &TechniqueScore> {
+        self.iter().map(|(_, s)| s)
+    }
+
+    /// Whether no slice has counted a cell.
+    pub fn is_empty(&self) -> bool {
+        self.scores.iter().all(|s| s.cells == 0)
+    }
+
+    fn to_json_value(&self) -> Value {
+        Value::Object(
+            self.iter()
+                .map(|(name, s)| (name.to_string(), s.to_json_value()))
+                .collect(),
+        )
+    }
+}
+
 /// One technique's full audit: overall score plus marginal breakdowns.
 #[derive(Debug, Clone, Default)]
 pub struct TechniqueAudit {
@@ -135,64 +192,59 @@ pub struct TechniqueAudit {
     /// Verdicts over the whole universe.
     pub overall: TechniqueScore,
     /// Marginal breakdown by service class (empty for route techniques).
-    pub by_service_class: BTreeMap<String, TechniqueScore>,
+    pub by_service_class: Breakdown,
     /// Marginal breakdown by prefix population tier (empty for route
     /// techniques).
-    pub by_population_tier: BTreeMap<String, TechniqueScore>,
+    pub by_population_tier: Breakdown,
 }
 
 impl TechniqueAudit {
-    /// A fresh audit for one plane.
-    pub fn new(plane: &str) -> TechniqueAudit {
+    /// A fresh audit for one plane, broken down over the service classes
+    /// `classes` and the population tiers `tiers` (either may be empty).
+    pub fn new(
+        plane: &str,
+        classes: &'static [&'static str],
+        tiers: &'static [&'static str],
+    ) -> TechniqueAudit {
         TechniqueAudit {
             plane: plane.to_string(),
-            ..TechniqueAudit::default()
+            overall: TechniqueScore::default(),
+            by_service_class: Breakdown::new(classes),
+            by_population_tier: Breakdown::new(tiers),
         }
     }
 
     /// Count one cell, attributing it to a service class and a population
-    /// tier when the plane has them.
+    /// tier (indices into the audit's name tables) when the plane has
+    /// them.
     pub fn record(
         &mut self,
-        class: Option<&str>,
-        tier: Option<&str>,
+        class: Option<usize>,
+        tier: Option<usize>,
         verdict: Verdict,
         truth_relevant: bool,
     ) {
         self.overall.record(verdict, truth_relevant);
-        let slices = [
-            (&mut self.by_service_class, class),
-            (&mut self.by_population_tier, tier),
-        ];
-        for (slices, key) in slices {
-            let Some(key) = key else { continue };
-            // Look up before inserting: the key is copied only once.
-            match slices.get_mut(key) {
-                Some(score) => score.record(verdict, truth_relevant),
-                None => {
-                    let mut score = TechniqueScore::default();
-                    score.record(verdict, truth_relevant);
-                    slices.insert(key.to_string(), score);
-                }
-            }
+        if let Some(class) = class {
+            self.by_service_class.record(class, verdict, truth_relevant);
+        }
+        if let Some(tier) = tier {
+            self.by_population_tier
+                .record(tier, verdict, truth_relevant);
         }
     }
 
     fn to_json_value(&self) -> Value {
-        let breakdown = |m: &BTreeMap<String, TechniqueScore>| -> Value {
-            Value::Object(
-                m.iter()
-                    .map(|(k, v)| (k.clone(), v.to_json_value()))
-                    .collect(),
-            )
-        };
         let mut v = self.overall.to_json_value();
         if let Value::Object(ref mut obj) = v {
             obj.insert("plane".into(), Value::from(self.plane.as_str()));
-            obj.insert("by_service_class".into(), breakdown(&self.by_service_class));
+            obj.insert(
+                "by_service_class".into(),
+                self.by_service_class.to_json_value(),
+            );
             obj.insert(
                 "by_population_tier".into(),
-                breakdown(&self.by_population_tier),
+                self.by_population_tier.to_json_value(),
             );
         }
         v
@@ -484,24 +536,39 @@ mod tests {
         assert_eq!(s.coverage(), 0.0);
     }
 
+    // Slice name tables, deliberately not in name order.
+    const CLASSES: [&str; 2] = ["ecs_dns", "anycast"];
+    const ECS_DNS: usize = 0;
+    const ANYCAST_CLASS: usize = 1;
+    const TIERS: [&str; 3] = ["t3_high", "t2_mid", "t1_low"];
+    const T3: usize = 0;
+    const T1: usize = 2;
+
     #[test]
     fn audit_breakdowns_sum_to_overall() {
-        let mut a = TechniqueAudit::new("replica");
-        a.record(Some("ecs_dns"), Some("t3_high"), Verdict::Asserted, true);
-        a.record(Some("ecs_dns"), Some("t1_low"), Verdict::Silent, true);
-        a.record(
-            Some("anycast"),
-            Some("t3_high"),
-            Verdict::Contradicted,
-            true,
-        );
+        let mut a = TechniqueAudit::new("replica", &CLASSES, &TIERS);
+        a.record(Some(ECS_DNS), Some(T3), Verdict::Asserted, true);
+        a.record(Some(ECS_DNS), Some(T1), Verdict::Silent, true);
+        a.record(Some(ANYCAST_CLASS), Some(T3), Verdict::Contradicted, true);
         assert_eq!(a.overall.cells, 3);
         let class_sum: u64 = a.by_service_class.values().map(|s| s.cells).sum();
         let tier_sum: u64 = a.by_population_tier.values().map(|s| s.cells).sum();
         assert_eq!(class_sum, 3);
         assert_eq!(tier_sum, 3);
-        assert_eq!(a.by_service_class["ecs_dns"].asserted, 1);
-        assert_eq!(a.by_population_tier["t3_high"].contradicted, 1);
+        // Only slices that counted a cell are listed, in name order,
+        // whatever order the name table has.
+        let classes: Vec<_> = a.by_service_class.iter().collect();
+        assert_eq!(classes.len(), 2);
+        assert_eq!(classes[0].0, "anycast");
+        assert_eq!((classes[1].0, classes[1].1.asserted), ("ecs_dns", 1));
+        let tiers: Vec<_> = a.by_population_tier.iter().collect();
+        assert_eq!(tiers.len(), 2, "t2_mid counted nothing");
+        assert_eq!(tiers[0].0, "t1_low");
+        assert_eq!((tiers[1].0, tiers[1].1.contradicted), ("t3_high", 1));
+        let json = serde_json::to_string(&a.to_json_value()).unwrap();
+        let at = |k: &str| json.find(k).unwrap();
+        assert!(at("\"anycast\"") < at("\"ecs_dns\""), "{json}");
+        assert!(at("\"t1_low\"") < at("\"t3_high\""), "{json}");
     }
 
     const NAMES: [&str; 4] = ["ecs", "anycast", "tls_nearest", "catalog_prior"];
@@ -582,9 +649,9 @@ mod tests {
             cells: 6,
             ..QualityReport::default()
         };
-        let mut t = TechniqueAudit::new("replica");
+        let mut t = TechniqueAudit::new("replica", &CLASSES, &TIERS);
         for _ in 0..6 {
-            t.record(Some("ecs_dns"), Some("t1_low"), Verdict::Asserted, true);
+            t.record(Some(ECS_DNS), Some(T1), Verdict::Asserted, true);
         }
         r.techniques.insert("ecs".into(), t);
         assert!(r.is_consistent());
@@ -598,7 +665,7 @@ mod tests {
     #[test]
     fn inconsistent_score_is_detected() {
         let mut r = QualityReport::default();
-        let mut t = TechniqueAudit::new("presence");
+        let mut t = TechniqueAudit::new("presence", &[], &TIERS);
         t.overall.cells = 5; // counters left at zero: broken accounting
         r.techniques.insert("cache_probe".into(), t);
         assert!(!r.is_consistent());

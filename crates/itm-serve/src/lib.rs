@@ -16,9 +16,11 @@
 //!   universe — cells added/removed/moved, route edges changed, each with
 //!   technique provenance ([`MapDiff`], the `repro --diff` backend).
 //!
-//! Every query is offset arithmetic plus binary search over the loaded
-//! bytes: nothing is deserialized into owned structures, so open cost is
-//! one read + one validation pass and the resident set is the file itself.
+//! Every query is offset arithmetic plus a search over the loaded bytes
+//! (interpolation for a point lookup's prefix run, binary search
+//! elsewhere): nothing is deserialized into owned structures, so open
+//! cost is one read + one validation pass and the resident set is the
+//! file itself.
 //! The sections are 8-byte aligned and little-endian precisely so this
 //! works equally well over a memory mapping; with the workspace offline
 //! (no mmap crate), [`Snapshot::open`] reads the file into a `Vec<u8>` and
@@ -114,6 +116,105 @@ fn sort_index_order(index: &[u8], keys: &[u8]) -> Result<(), OrderFault> {
         floor = pair.saturating_add(1);
     }
     Ok(())
+}
+
+/// First index in `[lo, hi)` whose key (per `key(i)`) is ≥ `target`.
+#[inline]
+fn lower_bound(mut lo: usize, mut hi: usize, target: u32, key: impl Fn(usize) -> u32) -> usize {
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if key(mid) < target {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// Windows of at most this many keys go straight to [`lower_bound`]:
+/// 16 `u32` keys are one or two cache lines.
+const NARROW: usize = 16;
+/// Interpolation rounds before [`point_search`] bisects what is left.
+const ROUNDS: usize = 3;
+/// Gallop steps a round takes on from its guess: 1, 2, 4 and 8 places.
+const GALLOP: usize = 4;
+
+/// [`lower_bound`] by interpolation, for runs whose keys ascend roughly
+/// evenly, as a service's prefix ids do.
+///
+/// It reads the run's two endpoint keys, then, for up to [`ROUNDS`]
+/// rounds, guesses where `target` sits by linear interpolation between
+/// the two nearest keys it knows on either side, probes the guess, and
+/// gallops on from it in steps of 1, 2, 4 and 8 places until a key
+/// crosses `target`. Every probe moves one side of the window, which
+/// always holds the answer: the key just below it is `< target` and the
+/// key at its top is `≥ target`. A window of at most [`NARROW`] keys, or
+/// whatever is left after the last round, is bisected by
+/// [`lower_bound`]. So on a run of `n` keys it makes at most
+/// `⌈log2(n + 1)⌉ + 2 + ROUNDS·(1 + GALLOP)` = `⌈log2(n + 1)⌉ + 17`
+/// probes (the endpoints, each round's guess and gallop, the bisection),
+/// and on evenly spread keys a few. Only the keys' order is relied on,
+/// not their spacing, so the answer is [`lower_bound`]'s on any
+/// non-descending run.
+fn point_search(lo: usize, hi: usize, target: u32, key: impl Fn(usize) -> u32) -> usize {
+    if hi.saturating_sub(lo) <= NARROW {
+        return lower_bound(lo, hi, target, key);
+    }
+    let (mut a, mut b) = (lo, hi - 1);
+    let (mut ka, mut kb) = (key(a), key(b));
+    if target <= ka {
+        return lo;
+    }
+    if target > kb {
+        return hi;
+    }
+    // From here on ka = key(a) < target ≤ kb = key(b), so the answer is
+    // in (a, b] and kb − ka ≥ 1.
+    for _ in 0..ROUNDS {
+        if b - a <= NARROW {
+            break;
+        }
+        // The guess's offset from a, in (0, b − a) after the clamp. The
+        // product saturates rather than wraps on a window of 2^32 keys or
+        // more (which a strictly ascending u32 run cannot have).
+        let span = (b - a) as u64;
+        let off = u64::from(target - ka).saturating_mul(span) / u64::from(kb - ka);
+        let g = a + off.clamp(1, span - 1) as usize;
+        let kg = key(g);
+        if kg < target {
+            (a, ka) = (g, kg);
+            let mut step = 1;
+            for _ in 0..GALLOP {
+                if step >= b - a {
+                    break;
+                }
+                let kp = key(a + step);
+                if kp >= target {
+                    (b, kb) = (a + step, kp);
+                    break;
+                }
+                (a, ka) = (a + step, kp);
+                step *= 2;
+            }
+        } else {
+            (b, kb) = (g, kg);
+            let mut step = 1;
+            for _ in 0..GALLOP {
+                if step >= b - a {
+                    break;
+                }
+                let kp = key(b - step);
+                if kp < target {
+                    (a, ka) = (b - step, kp);
+                    break;
+                }
+                (b, kb) = (b - step, kp);
+                step *= 2;
+            }
+        }
+    }
+    lower_bound(a + 1, b, target, key)
 }
 
 /// The answer to a point lookup: the serving replica for one
@@ -446,26 +547,6 @@ impl Snapshot {
         self.bytes.get(s.off + i).copied().unwrap_or(0)
     }
 
-    /// First index in `[lo, hi)` whose key (per `key(i)`) is ≥ `target`.
-    #[inline]
-    fn lower_bound(
-        &self,
-        mut lo: usize,
-        mut hi: usize,
-        target: u32,
-        key: impl Fn(usize) -> u32,
-    ) -> usize {
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if key(mid) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
-    }
-
     // ---- Metadata.
 
     /// The substrate master seed the snapshot was built from.
@@ -576,7 +657,7 @@ impl Snapshot {
     }
 
     fn find_base(&self, base: u32) -> Option<PrefixId> {
-        let k = self.lower_bound(0, self.n_prefixes(), base, |k| {
+        let k = lower_bound(0, self.n_prefixes(), base, |k| {
             self.u32_in(self.pfx_base, self.u32_in(self.pfx_sorted, k) as usize)
         });
         if k >= self.n_prefixes() {
@@ -595,11 +676,13 @@ impl Snapshot {
     /// Point lookup: which replica serves `prefix` for `service`, and on
     /// what measurement evidence.
     ///
-    /// One binary search over the service's prefix run — `O(log cells)`
-    /// byte probes, no allocation.
+    /// One interpolation search over the service's prefix run
+    /// (`point_search`): a handful of byte probes near where the prefix
+    /// should sit, never more than `⌈log2(n + 1)⌉ + 17` on a run of `n`
+    /// cells, and no allocation.
     pub fn point(&self, service: ServiceId, prefix: PrefixId) -> Option<PointAnswer> {
         let std::ops::Range { start: lo, end: hi } = self.cell_run(service);
-        let i = self.lower_bound(lo, hi, prefix.raw(), |i| self.u32_in(self.cell_prefix, i));
+        let i = point_search(lo, hi, prefix.raw(), |i| self.u32_in(self.cell_prefix, i));
         if i >= hi || self.u32_in(self.cell_prefix, i) != prefix.raw() {
             return None;
         }
@@ -651,8 +734,8 @@ impl Snapshot {
     pub fn reverse(&self, addr: Ipv4Addr) -> Vec<(ServiceId, PrefixId)> {
         let key = |k: usize| self.u32_in(self.cell_addr, self.u32_in(self.cell_rev, k) as usize);
         let n = self.n_cells();
-        let lo = self.lower_bound(0, n, addr.0, key);
-        let hi = self.lower_bound(lo, n, addr.0.saturating_add(1), key);
+        let lo = lower_bound(0, n, addr.0, key);
+        let hi = lower_bound(lo, n, addr.0.saturating_add(1), key);
         let hi = if addr.0 == u32::MAX { n } else { hi };
         let mut out = Vec::with_capacity(hi - lo);
         for k in lo..hi {
@@ -699,7 +782,7 @@ impl Snapshot {
 
     /// The AS hosting a front-end address, when known.
     pub fn front_as_of(&self, addr: Ipv4Addr) -> Option<Asn> {
-        let k = self.lower_bound(0, self.n_fronts(), addr.0, |k| {
+        let k = lower_bound(0, self.n_fronts(), addr.0, |k| {
             self.u32_in(self.front_addr, k)
         });
         if k >= self.n_fronts() || self.u32_in(self.front_addr, k) != addr.0 {
@@ -738,7 +821,7 @@ impl Snapshot {
         }
         let lo = self.u64_in(self.route_off, a.index()) as usize;
         let hi = self.u64_in(self.route_off, a.index() + 1) as usize;
-        let i = self.lower_bound(lo, hi, b.raw(), |i| self.u32_in(self.route_nbr, i));
+        let i = lower_bound(lo, hi, b.raw(), |i| self.u32_in(self.route_nbr, i));
         if i < hi && self.u32_in(self.route_nbr, i) == b.raw() {
             Some(self.u8_in(self.route_kind, i))
         } else {
@@ -1027,5 +1110,189 @@ mod tests {
             }
         );
         assert!(t.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    // ---- The point-search kernel against its oracle, `lower_bound`.
+
+    /// The most probes `point_search` makes beyond the final bisection:
+    /// the two endpoints, then per round the guess and its gallop.
+    const EXTRA_PROBES: usize = 2 + ROUNDS * (1 + GALLOP);
+
+    /// A strictly ascending run of keys of one shape, from `gaps` (each
+    /// in `1..=1000`), its length `gaps.len() + 1` unless the shape fixes
+    /// it: 0 dense, 1 sparse, 2 one far outlier below, 3 one far outlier
+    /// above, 4 exponential gaps, 5 a narrow cluster between sparse
+    /// tails, 6 a one- or two-key run, 7 keys at 0 and `u32::MAX − 1`.
+    /// Keys beyond `u32::MAX − 1` are dropped.
+    fn shaped_run(shape: u8, gaps: &[u32], base: u32) -> Vec<u32> {
+        let top = u64::from(u32::MAX - 1);
+        let n = gaps.len();
+        let gap = |i: usize, g: u32| -> u64 {
+            let g = u64::from(g);
+            match shape {
+                0 | 2 | 3 => 1,
+                4 => 1 << (g % 32),
+                5 if i < n / 3 || i >= 2 * n / 3 => g << 12,
+                5 => 1,
+                _ => g,
+            }
+        };
+        let start = match shape {
+            2 => 1 << 31,
+            4 | 7 => 0,
+            _ => u64::from(base) % (1 << 31),
+        };
+        let mut keys = vec![start];
+        for (i, &g) in gaps.iter().enumerate() {
+            let next = keys[keys.len() - 1] + gap(i, g);
+            if next > top {
+                break;
+            }
+            keys.push(next);
+        }
+        match shape {
+            2 => keys.insert(0, 0),
+            3 | 7 if keys[keys.len() - 1] < top => keys.push(top),
+            6 => keys.truncate(1 + (base as usize & 1)),
+            _ => {}
+        }
+        keys.into_iter().map(|k| k as u32).collect()
+    }
+
+    /// Every target worth asking of `keys`: 0, `u32::MAX`, and each key
+    /// with its two neighbours (below, on, between and above the run).
+    fn targets_of(keys: &[u32]) -> Vec<u32> {
+        let mut t = vec![0, u32::MAX];
+        for &k in keys {
+            t.extend([k.saturating_sub(1), k, k.saturating_add(1)]);
+        }
+        t
+    }
+
+    /// The bisection's probe count on `n` keys, `⌈log2(n + 1)⌉`.
+    fn bisection_probes(n: usize) -> usize {
+        (usize::BITS - n.leading_zeros()) as usize
+    }
+
+    /// Run `point_search` and `lower_bound` over `keys` placed at global
+    /// index `lo`, for every target; the probe count of `point_search` is
+    /// checked against its bound.
+    fn agrees_with_lower_bound(keys: &[u32], lo: usize) -> Result<(), String> {
+        let hi = lo + keys.len();
+        let probes = std::cell::Cell::new(0usize);
+        let key = |i: usize| {
+            probes.set(probes.get() + 1);
+            keys[i - lo]
+        };
+        let bound = bisection_probes(keys.len()) + EXTRA_PROBES;
+        for target in targets_of(keys) {
+            let want = lower_bound(lo, hi, target, |i| keys[i - lo]);
+            probes.set(0);
+            let got = point_search(lo, hi, target, key);
+            if got != want {
+                return Err(format!(
+                    "target {target} on {} keys: {got} ≠ {want}",
+                    keys.len()
+                ));
+            }
+            if probes.get() > bound {
+                return Err(format!(
+                    "target {target} on {} keys: {} probes > {bound}",
+                    keys.len(),
+                    probes.get()
+                ));
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// On every run shape and every target the kernel answers like
+        /// the bisection, in at most `⌈log2(n + 1)⌉ + EXTRA_PROBES`
+        /// probes (within `2·⌈log2 n⌉ + 18` for every `n ≥ 1`).
+        #[test]
+        fn point_search_equals_lower_bound_on_every_run_shape(
+            shape in 0u8..8,
+            gaps in proptest::collection::vec(1u32..=1000, 0..3000),
+            base in proptest::prelude::any::<u32>(),
+            lo in 0usize..1000,
+        ) {
+            let keys = shaped_run(shape, &gaps, base);
+            proptest::prop_assert!(keys.windows(2).all(|w| w[0] < w[1]));
+            agrees_with_lower_bound(&keys, lo)?;
+        }
+
+        /// Only order is relied on: with repeated keys, and runs whose
+        /// endpoint keys are equal, the answer is still the bisection's.
+        #[test]
+        fn point_search_equals_lower_bound_on_runs_with_repeats(
+            steps in proptest::collection::vec(0u32..=2, 0..3000),
+            base in 0u32..1000,
+        ) {
+            let keys: Vec<u32> = std::iter::once(base)
+                .chain(steps.iter().scan(base, |k, &s| {
+                    *k += s;
+                    Some(*k)
+                }))
+                .collect();
+            agrees_with_lower_bound(&keys, 0)?;
+        }
+    }
+
+    #[test]
+    fn point_search_on_edge_runs() {
+        let outlier: Vec<u32> = (0..40).chain([u32::MAX - 1]).collect();
+        let runs: [&[u32]; 6] = [
+            &[],
+            &[0],
+            &[u32::MAX - 1],
+            &[0, u32::MAX - 1],
+            &[7; 40],
+            &outlier,
+        ];
+        for keys in runs {
+            agrees_with_lower_bound(keys, 3).unwrap();
+        }
+    }
+
+    /// On a dense run the first guess is the answer: two endpoints, the
+    /// guess, and one gallop step to see the key below it.
+    #[test]
+    fn point_search_hits_a_dense_run_in_four_probes() {
+        let keys: Vec<u32> = (1000..101_000).collect();
+        let probes = std::cell::Cell::new(0usize);
+        for (i, &k) in keys.iter().enumerate() {
+            probes.set(0);
+            let at = point_search(0, keys.len(), k, |j| {
+                probes.set(probes.get() + 1);
+                keys[j]
+            });
+            assert_eq!(at, i);
+            assert!(probes.get() <= 4, "key {k}: {} probes", probes.get());
+        }
+    }
+
+    /// Windows of any length, up to the whole index space: the guess's
+    /// product saturates instead of wrapping, and no index overflows.
+    #[test]
+    fn point_search_on_windows_of_any_length() {
+        for (lo, hi) in [
+            (0, usize::MAX),
+            (usize::MAX / 2, usize::MAX),
+            (1 << 40, (1 << 40) + (1 << 33)),
+            (5, 5),
+            (9, 4),
+        ] {
+            for shift in [0u32, 20, 33, 63] {
+                let key = |i: usize| ((i - lo) >> shift).min(u32::MAX as usize) as u32;
+                for target in [0, 1, 2, 1 << 20, u32::MAX - 1, u32::MAX] {
+                    assert_eq!(
+                        point_search(lo, hi, target, key),
+                        lower_bound(lo, hi, target, key),
+                        "[{lo}, {hi}) >> {shift}, target {target}"
+                    );
+                }
+            }
+        }
     }
 }

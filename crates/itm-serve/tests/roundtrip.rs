@@ -111,10 +111,11 @@ fn every_point_query_agrees_with_the_in_memory_map() {
         assert_eq!(ans.addr, c.addr);
     }
 
-    // A sweep of absent cells misses identically too.
+    // Every (service, prefix) pair, present or absent, answers
+    // identically.
     let mut checked = 0;
     for sv in 0..s.catalog.len() as u32 {
-        for pf in (0..s.topo.prefixes.len() as u32).step_by(7) {
+        for pf in 0..s.topo.prefixes.len() as u32 {
             let service = ServiceId(sv);
             let prefix = PrefixId(pf);
             let mem = cells.get(service, prefix);
