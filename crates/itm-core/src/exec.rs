@@ -1,10 +1,16 @@
-//! Deterministic shard executor for the map build.
+//! Deterministic shard executor for the map build and the snapshot open.
 //!
 //! Campaigns split their input into a fixed number of shards — a function
 //! of the input size, never of the machine — and hand the executor a pure
 //! per-shard job. The executor only decides *where* shards run; results
 //! always come back in shard-index order, so the merged output is
 //! byte-identical whether one thread or sixteen did the work.
+//!
+//! It has two entry points. [`ParallelExecutor::map`] runs `n` shards of
+//! one job. [`ParallelExecutor::join`] runs two different jobs side by
+//! side, the first on the calling thread: `Snapshot::open` reads the file
+//! there while a worker checksums each chunk that has landed. With one
+//! thread both run inline, the first to its end before the second.
 //!
 //! This is the only file in the workspace allowed to spawn threads
 //! (enforced by lint rule D004): all other code must route parallelism
@@ -179,6 +185,53 @@ impl ParallelExecutor {
             })
             .collect()
     }
+
+    /// Run `a` on the calling thread and `b` on a worker beside it, and
+    /// return `(a's result, b's result)`.
+    ///
+    /// This is the executor's second entry point, for two jobs of
+    /// different kinds that must overlap, such as a producer and its
+    /// consumer: `map` could not run them, since its shards share one
+    /// job. With one thread `a` runs to the end first and then `b`, both
+    /// inline, so `b` may wait on what `a` hands over but `a` must never
+    /// wait on `b`. A panic in either job reaches the caller once both
+    /// have stopped. As in `map`, the worker allocates in the caller's
+    /// phase, and its trace events are replayed on the calling thread
+    /// after `a`'s, the order the sequential executor emits them in.
+    /// No executor metrics are recorded: a join is not a batch of shards.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA,
+        B: FnOnce() -> RB + Send,
+        RB: Send,
+    {
+        if self.threads == 1 {
+            let ra = a();
+            return (ra, b());
+        }
+        let traced = itm_obs::trace::enabled();
+        let phase = itm_obs::alloc::current_phase();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(move || {
+                let _phase = phase.map(itm_obs::alloc::enter_phase);
+                if traced {
+                    itm_obs::trace::capture_begin();
+                }
+                let rb = b();
+                (rb, traced.then(itm_obs::trace::capture_take))
+            });
+            let ra = a();
+            match worker.join() {
+                Ok((rb, events)) => {
+                    if let Some(events) = events {
+                        itm_obs::trace::replay(events);
+                    }
+                    (ra, rb)
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        })
+    }
 }
 
 /// One finished shard, on its way back to index order.
@@ -236,6 +289,68 @@ mod tests {
         let seq = ParallelExecutor::sequential().map(257, &|k| (k, k as u64 * 31));
         let par = ParallelExecutor::new(8).map(257, &|k| (k, k as u64 * 31));
         assert_eq!(seq, par);
+    }
+
+    #[test]
+    fn join_returns_results_in_argument_order() {
+        for threads in [1, 2, 8] {
+            let exec = ParallelExecutor::new(threads);
+            assert_eq!(exec.join(|| "a", || 2u64), ("a", 2));
+        }
+    }
+
+    #[test]
+    fn sequential_join_runs_a_then_b_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let log = |tag| {
+            order
+                .lock()
+                .unwrap()
+                .push((tag, std::thread::current().id()));
+        };
+        ParallelExecutor::sequential().join(|| log("a"), || log("b"));
+        assert_eq!(
+            order.into_inner().unwrap(),
+            vec![("a", caller), ("b", caller)]
+        );
+    }
+
+    #[test]
+    fn join_overlaps_a_producer_with_its_consumer() {
+        for threads in [1, 2] {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (sent, got) = ParallelExecutor::new(threads).join(
+                move || {
+                    (0..100u64).for_each(|k| tx.send(k).unwrap());
+                    100
+                },
+                move || rx.iter().sum::<u64>(),
+            );
+            assert_eq!((sent, got), (100, 4950));
+        }
+    }
+
+    #[test]
+    fn a_panic_in_b_reaches_the_caller() {
+        for threads in [1, 2] {
+            let caught = std::panic::catch_unwind(|| {
+                ParallelExecutor::new(threads).join(|| 1, || -> u32 { panic!("b failed") })
+            });
+            let payload = caught.unwrap_err();
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"b failed"));
+        }
+    }
+
+    #[test]
+    fn join_carries_the_callers_allocation_phase_to_the_worker() {
+        let phase = itm_obs::alloc::register_phase("exec.join.test").unwrap();
+        let _guard = itm_obs::alloc::enter_phase(phase);
+        for threads in [1, 2] {
+            let (on_a, on_b) = ParallelExecutor::new(threads)
+                .join(itm_obs::alloc::current_phase, itm_obs::alloc::current_phase);
+            assert_eq!((on_a, on_b), (Some(phase), Some(phase)));
+        }
     }
 
     #[test]

@@ -241,6 +241,30 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     }
 }
 
+/// A buffer of `len` zero bytes, or `None` when the allocator cannot
+/// supply that many (where `vec![0u8; len]` would abort the process).
+///
+/// The bytes come from `alloc_zeroed`, so a large buffer is fresh
+/// zeroed memory that no pass writes: its pages stay untouched until
+/// the caller first writes them, and advice such as
+/// `itm_types::snap::advise_huge_pages` still applies to every one.
+pub fn try_zeroed_bytes(len: usize) -> Option<Vec<u8>> {
+    if len == 0 {
+        return Some(Vec::new());
+    }
+    let layout = Layout::array::<u8>(len).ok()?;
+    // SAFETY: `layout` has a non-zero size, as `alloc_zeroed` requires.
+    let ptr = unsafe { std::alloc::alloc_zeroed(layout) };
+    if ptr.is_null() {
+        return None;
+    }
+    // SAFETY: `ptr` was just allocated by the global allocator with
+    // `layout`, the layout of a `Vec<u8>` of capacity `len` (size `len`,
+    // alignment 1), and all `len` bytes are initialized (zeroed); the Vec
+    // takes sole ownership and frees it with the same layout.
+    Some(unsafe { Vec::from_raw_parts(ptr, len, len) })
+}
+
 /// Frozen process-wide allocation accounting.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AllocStats {
@@ -349,6 +373,21 @@ mod tests {
         SERIAL
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    #[test]
+    fn zeroed_bytes_are_zero_and_refuse_what_cannot_be_allocated() {
+        assert_eq!(try_zeroed_bytes(0), Some(Vec::new()));
+        for len in [1, 4095, 1 << 20] {
+            let bytes = try_zeroed_bytes(len).unwrap();
+            assert_eq!((bytes.len(), bytes.capacity()), (len, len));
+            assert!(bytes.iter().all(|&b| b == 0));
+        }
+        // No layout exists past isize::MAX bytes, and no allocator has
+        // isize::MAX of them.
+        assert_eq!(try_zeroed_bytes(usize::MAX), None);
+        assert_eq!(try_zeroed_bytes(isize::MAX as usize), None);
+        assert_eq!(try_zeroed_bytes(isize::MAX as usize + 1), None);
     }
 
     #[test]

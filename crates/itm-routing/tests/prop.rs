@@ -82,8 +82,6 @@ fn assert_valley_free(view: &GraphView, path: &[Asn]) {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn routes_are_valley_free_on_random_graphs((n, links) in arb_graph()) {
         let view = GraphView::from_links(n, &links);

@@ -18,18 +18,17 @@
 //!
 //! Every query is offset arithmetic plus a search over the loaded bytes
 //! (interpolation for a point lookup's prefix run, binary search
-//! elsewhere): nothing is deserialized into owned structures, so open
-//! cost is one read + one validation pass and the resident set is the
-//! file itself.
+//! elsewhere): nothing is deserialized into owned structures, so the
+//! resident set is the file itself.
 //! The sections are 8-byte aligned and little-endian precisely so this
 //! works equally well over a memory mapping; with the workspace offline
 //! (no mmap crate), [`Snapshot::open`] reads the file into a `Vec<u8>` and
 //! the query paths are byte-offset-based either way. That buffer is
-//! advised for transparent huge pages before the read touches it
-//! ([`snap::read`]), so on Linux the kernel faults it in 2 MiB at a time:
-//! reading a 198 MB snapshot takes under a thousand minor faults rather
-//! than ≈48k. A mapping is not used: the file could change under it
-//! after validation.
+//! allocated fallibly with no zeroing pass and advised for transparent
+//! huge pages before the read touches it, so on Linux the kernel faults
+//! it in 2 MiB at a time: reading a 198 MB snapshot takes under a
+//! thousand minor faults rather than ≈48k. A mapping is not used: the
+//! file could change under it after validation.
 //!
 //! Validation happens once, at open: the whole-file checksum (XXH64 in a
 //! v2 file, FNV-1a 64 in a v1 file; any single corrupted byte is a hard
@@ -38,6 +37,15 @@
 //! binary-searched column, that every sort index is a permutation, and
 //! UTF-8 of the domain table. After that, the
 //! query methods never panic and never re-validate.
+//!
+//! An open uses two cores through `itm_core::ParallelExecutor`. The
+//! calling thread reads the file a chunk at a time while a worker
+//! checksums each chunk that has landed ([`ParallelExecutor::join`]);
+//! then the content checks run as a fixed list of executor shards, the
+//! reverse-index check cut into equal pieces. [`Snapshot::from_bytes`]
+//! has no read to overlap, so its checksum runs as one more shard. The
+//! shards' errors are combined in the checks' serial order, so an input
+//! gets the same [`SnapError`] at any worker count.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -46,6 +54,7 @@ mod diff;
 
 pub use diff::{decode_cells, decode_routes, CellDelta, DiffError, MapDiff, RouteDelta};
 
+use itm_core::ParallelExecutor;
 use itm_types::snap::{self, claim, section, SectionEntry, SnapError};
 use itm_types::{Asn, Ipv4Addr, Ipv4Net, PrefixId, ServiceId};
 
@@ -282,14 +291,192 @@ const REQUIRED: [u32; 17] = [
     section::ROUTE_KIND,
 ];
 
+/// Bytes the open reads per call. The checksum worker hashes each chunk
+/// while the next one is read, so a chunk is still in cache when it is
+/// hashed.
+const READ_CHUNK: usize = 1 << 20;
+
+/// Pieces the reverse-index check is cut into. The reverse index is the
+/// costliest content check, about twice the rest together at default
+/// size, so eight equal pieces let two workers finish together behind
+/// the other shards (and behind the checksum, in `from_bytes`).
+const REVERSE_PIECES: usize = 8;
+
+/// Read the snapshot file at `path` into a buffer of exactly its
+/// length, computing its checksum on a second core of `exec` while it
+/// is read ([`read_into`]).
+///
+/// Only a regular file is read: a device or a FIFO is refused before it
+/// is opened. The buffer is allocated fallibly and zeroed by the
+/// allocator, not by a pass over it, and advised for huge pages before
+/// the read touches it. A file that changes size meanwhile is read only
+/// to the length its metadata reported, or comes back as short as what
+/// was read, which fails the header's `file_len` check. Every failure is
+/// [`SnapError::Io`].
+fn read_summed(path: &str, exec: &ParallelExecutor) -> Result<(Vec<u8>, Option<u64>), SnapError> {
+    let io = |e: &dyn std::fmt::Display| SnapError::Io {
+        detail: format!("{path}: {e}"),
+    };
+    let meta = std::fs::metadata(path).map_err(|e| io(&e))?;
+    if !meta.is_file() {
+        return Err(io(&"not a regular file"));
+    }
+    let len = usize::try_from(meta.len()).map_err(|e| io(&e))?;
+    let file = std::fs::File::open(path).map_err(|e| io(&e))?;
+    let mut bytes = itm_obs::alloc::try_zeroed_bytes(len)
+        .ok_or_else(|| io(&format!("cannot allocate {len} bytes")))?;
+    snap::advise_huge_pages(&mut bytes);
+    read_into(file, bytes, exec).map_err(|e| io(&e))
+}
+
+/// Fill `bytes` from `source`, [`READ_CHUNK`] bytes at a time on the
+/// calling thread, while a worker ([`ParallelExecutor::join`]) feeds
+/// each filled chunk to the [`snap::Checksum`] of the version the first
+/// chunk names. Returns the bytes, cut to what `source` held if it ran
+/// out first, and their checksum: `None` when they name no version this
+/// reader speaks.
+fn read_into(
+    mut source: impl std::io::Read,
+    mut bytes: Vec<u8>,
+    exec: &ParallelExecutor,
+) -> std::io::Result<(Vec<u8>, Option<u64>)> {
+    let (filled, chunks) = std::sync::mpsc::channel::<&[u8]>();
+    let buf = &mut bytes[..];
+    let (read, sum) = exec.join(
+        move || -> std::io::Result<usize> {
+            let mut total = 0;
+            for chunk in buf.chunks_mut(READ_CHUNK) {
+                let mut n = 0;
+                while n < chunk.len() {
+                    match source.read(&mut chunk[n..]) {
+                        Ok(0) => break,
+                        Ok(k) => n += k,
+                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
+                    }
+                }
+                total += n;
+                let full = n == chunk.len();
+                // The hasher hangs up early only on a version it does not
+                // speak, and then nothing needs these bytes.
+                let _ = filled.send(&chunk[..n]);
+                if !full {
+                    break;
+                }
+            }
+            Ok(total)
+        },
+        move || {
+            let first = chunks.recv().ok()?;
+            let mut sum = snap::Checksum::new(snap::read_u32(first, 8)?)?;
+            sum.update(first);
+            chunks.iter().for_each(|chunk| sum.update(chunk));
+            Some(sum.finish())
+        },
+    );
+    bytes.truncate(read?);
+    Ok((bytes, sum))
+}
+
+/// The sections of a snapshot whose header passed, located: the META
+/// fields and every required section, in [`REQUIRED`] order.
+type Layout = ([u64; snap::META_FIELDS], [Sec; REQUIRED.len()]);
+
+/// Parse the directory of `bytes` and locate every required section:
+/// present, with the right element size, and with the counts META
+/// gives.
+fn locate(bytes: &[u8]) -> Result<Layout, SnapError> {
+    let dir = snap::parse_entries(bytes)?;
+    let mut secs = [Sec { off: 0, count: 0 }; REQUIRED.len()];
+    for (k, id) in REQUIRED.iter().enumerate() {
+        let e = find(&dir, *id).ok_or(SnapError::MissingSection { id: *id })?;
+        let size = elem_size(*id) as u64;
+        if e.len != e.count.saturating_mul(size) {
+            return Err(SnapError::BadSection {
+                id: *id,
+                reason: "length disagrees with element count",
+            });
+        }
+        secs[k] = Sec {
+            off: e.offset as usize,
+            count: e.count as usize,
+        };
+    }
+    let [meta_sec, dom_off, _, dom_sorted, pfx_base, pfx_owner, pfx_sorted, cell_svc_off, cell_prefix, cell_addr, cell_bits, cell_rev, front_addr, front_owner, route_off, route_nbr, route_kind] =
+        secs;
+
+    if meta_sec.count != snap::META_FIELDS {
+        return Err(SnapError::BadSection {
+            id: section::META,
+            reason: "wrong field count",
+        });
+    }
+    let mut meta = [0u64; snap::META_FIELDS];
+    for (k, m) in meta.iter_mut().enumerate() {
+        *m = snap::read_u64(bytes, meta_sec.off + k * 8).unwrap_or(0);
+    }
+    let [_seed, n_ases, n_prefixes, n_services, n_cells, n_route_entries, n_fronts] = meta;
+
+    let want = [
+        (dom_off, n_services + 1, "domain offsets"),
+        (dom_sorted, n_services, "domain sort index"),
+        (pfx_base, n_prefixes, "prefix bases"),
+        (pfx_owner, n_prefixes, "prefix owners"),
+        (pfx_sorted, n_prefixes, "prefix sort index"),
+        (cell_svc_off, n_services + 1, "cell service offsets"),
+        (cell_prefix, n_cells, "cell prefixes"),
+        (cell_addr, n_cells, "cell addresses"),
+        (cell_bits, n_cells, "cell claim bits"),
+        (cell_rev, n_cells, "cell reverse index"),
+        (front_addr, n_fronts, "front addresses"),
+        (front_owner, n_fronts, "front owners"),
+        (route_off, n_ases + 1, "route offsets"),
+        (route_nbr, n_route_entries, "route neighbors"),
+        (route_kind, n_route_entries, "route kinds"),
+    ];
+    for (sec, expect, what) in want {
+        if sec.count as u64 != expect {
+            return Err(SnapError::Malformed { what });
+        }
+    }
+    Ok((meta, secs))
+}
+
+/// One shard of the content checks. Run in list order, the shards are
+/// the checks in the order [`Snapshot::from_bytes`] documents.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// The domain table, the prefix sort index, then the cell runs.
+    Head,
+    /// Reverse-index entries `from..to`, each against the entry before
+    /// it.
+    Reverse { from: usize, to: usize },
+    /// The front-end table, then the route adjacency.
+    Tail,
+}
+
 impl Snapshot {
-    /// Read and validate a snapshot file ([`snap::read`]: a regular file
-    /// only, into a huge-page advised buffer of exactly its length).
+    /// Read and validate a snapshot file on the machine's cores:
+    /// [`Snapshot::open_with`] on [`ParallelExecutor::available`].
     pub fn open(path: &str) -> Result<Snapshot, SnapError> {
-        Snapshot::from_bytes(snap::read(path)?)
+        Snapshot::open_with(path, &ParallelExecutor::available())
     }
 
-    /// Validate snapshot bytes and take ownership of them.
+    /// Read and validate a snapshot file on `exec`. The calling thread
+    /// reads the file (a regular file only) in chunks into a huge-page
+    /// advised buffer of exactly its length, while a worker checksums
+    /// each chunk that has landed; the content checks then run as `exec`
+    /// shards. The snapshot, or the error, is the same at any thread
+    /// count and the same as [`Snapshot::from_bytes`] gives for the
+    /// file's bytes.
+    pub fn open_with(path: &str, exec: &ParallelExecutor) -> Result<Snapshot, SnapError> {
+        let (bytes, sum) = read_summed(path, exec)?;
+        Snapshot::validate(bytes, sum, exec)
+    }
+
+    /// Validate snapshot bytes and take ownership of them, on the
+    /// machine's cores: [`Snapshot::from_bytes_with`] on
+    /// [`ParallelExecutor::available`].
     ///
     /// Checks, beyond the header/checksum validation of
     /// [`snap::parse_dir`]: every required section is present with the
@@ -300,60 +487,43 @@ impl Snapshot {
     /// cell reverse index are permutations; and every cross-section index
     /// is in range.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Snapshot, SnapError> {
-        let dir = snap::parse_dir(&bytes)?;
-        let mut secs = [Sec { off: 0, count: 0 }; REQUIRED.len()];
-        for (k, id) in REQUIRED.iter().enumerate() {
-            let e = find(&dir, *id).ok_or(SnapError::MissingSection { id: *id })?;
-            let size = elem_size(*id) as u64;
-            if e.len != e.count.saturating_mul(size) {
-                return Err(SnapError::BadSection {
-                    id: *id,
-                    reason: "length disagrees with element count",
-                });
-            }
-            secs[k] = Sec {
-                off: e.offset as usize,
-                count: e.count as usize,
-            };
+        Snapshot::from_bytes_with(bytes, &ParallelExecutor::available())
+    }
+
+    /// [`Snapshot::from_bytes`] on `exec`: the checksum runs as one more
+    /// shard beside the content checks. When several checks fail, the
+    /// error is the one the checks' documented order reaches first, at
+    /// any thread count.
+    pub fn from_bytes_with(bytes: Vec<u8>, exec: &ParallelExecutor) -> Result<Snapshot, SnapError> {
+        Snapshot::validate(bytes, None, exec)
+    }
+
+    /// Check the header, compare `sum` (the checksum already taken for
+    /// the header's version, if any), locate the sections, and run the
+    /// content checks as `exec` shards, with the checksum as one more
+    /// shard when `sum` is `None`. Every check runs to the end, but the
+    /// error returned is the first in the serial order: header,
+    /// checksum, directory and layout, then the [`Check`]s in list order.
+    fn validate(
+        bytes: Vec<u8>,
+        sum: Option<u64>,
+        exec: &ParallelExecutor,
+    ) -> Result<Snapshot, SnapError> {
+        let version = snap::check_header(&bytes)?;
+        if let Some(sum) = sum {
+            snap::check_checksum(&bytes, sum)?;
         }
-        let [meta_sec, dom_off, dom_bytes, dom_sorted, pfx_base, pfx_owner, pfx_sorted, cell_svc_off, cell_prefix, cell_addr, cell_bits, cell_rev, front_addr, front_owner, route_off, route_nbr, route_kind] =
+        let (meta, secs) = match locate(&bytes) {
+            Ok(layout) => layout,
+            Err(e) => {
+                if sum.is_none() {
+                    snap::verify_checksum(&bytes, version)?;
+                }
+                return Err(e);
+            }
+        };
+        let [_, dom_off, dom_bytes, dom_sorted, pfx_base, pfx_owner, pfx_sorted, cell_svc_off, cell_prefix, cell_addr, cell_bits, cell_rev, front_addr, front_owner, route_off, route_nbr, route_kind] =
             secs;
-
-        if meta_sec.count != snap::META_FIELDS {
-            return Err(SnapError::BadSection {
-                id: section::META,
-                reason: "wrong field count",
-            });
-        }
-        let mut meta = [0u64; snap::META_FIELDS];
-        for (k, m) in meta.iter_mut().enumerate() {
-            *m = snap::read_u64(&bytes, meta_sec.off + k * 8).unwrap_or(0);
-        }
-        let [_seed, n_ases, n_prefixes, n_services, n_cells, n_route_entries, n_fronts] = meta;
-
-        let want = [
-            (dom_off, n_services + 1, "domain offsets"),
-            (dom_sorted, n_services, "domain sort index"),
-            (pfx_base, n_prefixes, "prefix bases"),
-            (pfx_owner, n_prefixes, "prefix owners"),
-            (pfx_sorted, n_prefixes, "prefix sort index"),
-            (cell_svc_off, n_services + 1, "cell service offsets"),
-            (cell_prefix, n_cells, "cell prefixes"),
-            (cell_addr, n_cells, "cell addresses"),
-            (cell_bits, n_cells, "cell claim bits"),
-            (cell_rev, n_cells, "cell reverse index"),
-            (front_addr, n_fronts, "front addresses"),
-            (front_owner, n_fronts, "front owners"),
-            (route_off, n_ases + 1, "route offsets"),
-            (route_nbr, n_route_entries, "route neighbors"),
-            (route_kind, n_route_entries, "route kinds"),
-        ];
-        for (sec, expect, what) in want {
-            if sec.count as u64 != expect {
-                return Err(SnapError::Malformed { what });
-            }
-        }
-
         let s = Snapshot {
             bytes,
             meta,
@@ -374,16 +544,53 @@ impl Snapshot {
             route_nbr,
             route_kind,
         };
-        s.validate_contents()?;
+        let checks = s.checks();
+        let summing = usize::from(sum.is_none());
+        exec.map(summing + checks.len(), &|k| match k.checked_sub(summing) {
+            None => snap::verify_checksum(&s.bytes, version),
+            Some(j) => s.check(checks[j]),
+        })
+        .into_iter()
+        .collect::<Result<(), SnapError>>()?;
         Ok(s)
     }
 
-    /// Semantic validation of section contents (see [`Snapshot::from_bytes`]).
-    fn validate_contents(&self) -> Result<(), SnapError> {
-        let malformed = |what| Err(SnapError::Malformed { what });
+    /// The content checks as shards: [`Check::Head`], the reverse index
+    /// cut into [`REVERSE_PIECES`] equal pieces, then [`Check::Tail`].
+    fn checks(&self) -> [Check; REVERSE_PIECES + 2] {
+        let n = self.cell_rev.count;
+        std::array::from_fn(|k| match k {
+            0 => Check::Head,
+            k if k <= REVERSE_PIECES => Check::Reverse {
+                from: n * (k - 1) / REVERSE_PIECES,
+                to: n * k / REVERSE_PIECES,
+            },
+            _ => Check::Tail,
+        })
+    }
 
-        // Domain table: monotone offsets ending exactly at the byte pool,
-        // each name NUL-terminated, the whole pool valid UTF-8.
+    /// Run one shard of the content checks.
+    fn check(&self, check: Check) -> Result<(), SnapError> {
+        match check {
+            Check::Head => {
+                self.check_domains()?;
+                self.check_prefixes()?;
+                self.check_cells()
+            }
+            Check::Reverse { from, to } => self.check_reverse(from, to),
+            Check::Tail => {
+                self.check_fronts()?;
+                self.check_routes()
+            }
+        }
+    }
+
+    /// Domain table: monotone offsets ending exactly at the byte pool,
+    /// each name NUL-terminated, the whole pool valid UTF-8; the domain
+    /// sort index a permutation of the services ordering their names
+    /// nondecreasing (the name-lookup invariant).
+    fn check_domains(&self) -> Result<(), SnapError> {
+        let malformed = |what| Err(SnapError::Malformed { what });
         if self.u32_in(self.dom_off, 0) != 0 {
             return malformed("domain offsets do not start at 0");
         }
@@ -400,15 +607,9 @@ impl Snapshot {
         if self.u32_in(self.dom_off, self.n_services()) as usize != self.dom_bytes.count {
             return malformed("domain offsets do not cover the byte pool");
         }
-        let pool = self
-            .bytes
-            .get(self.dom_bytes.off..self.dom_bytes.off + self.dom_bytes.count)
-            .unwrap_or(&[]);
-        if std::str::from_utf8(pool).is_err() {
+        if std::str::from_utf8(self.payload(self.dom_bytes, 1)).is_err() {
             return malformed("domain table is not UTF-8");
         }
-        // The domain sort index must be a permutation of the services
-        // ordering their names nondecreasing (the name-lookup invariant).
         let mut seen = vec![false; self.n_services()];
         let mut prev_name = "";
         for k in 0..self.dom_sorted.count {
@@ -424,25 +625,31 @@ impl Snapshot {
             }
             prev_name = name;
         }
+        Ok(())
+    }
 
-        // Prefix columns: the sort index must list every prefix once,
-        // ordered by (base, id) (the prefix-lookup invariant).
+    /// Prefix columns: the sort index lists every prefix once, ordered
+    /// by (base, id) (the prefix-lookup invariant).
+    fn check_prefixes(&self) -> Result<(), SnapError> {
         let order = sort_index_order(
             self.payload(self.pfx_sorted, 4),
             self.payload(self.pfx_base, 4),
         );
-        if let Err(fault) = order {
-            return malformed(match fault {
+        order.map_err(|fault| SnapError::Malformed {
+            what: match fault {
                 OrderFault::OutOfRange => "prefix sort index out of range",
                 OrderFault::KeyOrder => "prefix sort index not sorted by base",
                 OrderFault::Repeat => "prefix sort index repeats a prefix",
                 OrderFault::IndexOrder => "prefix sort index not in id order within a base",
-            });
-        }
+            },
+        })
+    }
 
-        // Cell columns: service runs partition the cells; prefixes are in
-        // range and strictly ascending within each run (the point-lookup
-        // invariant).
+    /// Cell columns: service runs partition the cells; prefixes are in
+    /// range and strictly ascending within each run (the point-lookup
+    /// invariant).
+    fn check_cells(&self) -> Result<(), SnapError> {
+        let malformed = |what| Err(SnapError::Malformed { what });
         if self.u64_in(self.cell_svc_off, 0) != 0
             || self.u64_in(self.cell_svc_off, self.n_services()) != self.n_cells() as u64
         {
@@ -470,31 +677,45 @@ impl Snapshot {
                 floor = prefix + 1;
             }
         }
+        Ok(())
+    }
 
-        // Reverse index: every cell once, ordered by (serving address,
-        // index) (the reverse-lookup invariant).
-        let order = sort_index_order(
-            self.payload(self.cell_rev, 4),
-            self.payload(self.cell_addr, 4),
-        );
-        if let Err(fault) = order {
-            return malformed(match fault {
+    /// Reverse index, entries `from..to`: every cell once, ordered by
+    /// (serving address, index) (the reverse-lookup invariant). Whether
+    /// entry `i` is at fault depends only on entries `i − 1` and `i`, so
+    /// a piece that starts one entry early finds the fault the whole
+    /// scan would find first in it, and the first piece with a fault
+    /// has the whole scan's.
+    fn check_reverse(&self, from: usize, to: usize) -> Result<(), SnapError> {
+        let index = self.payload(self.cell_rev, 4);
+        let piece = index.get(from.saturating_sub(1) * 4..to * 4).unwrap_or(&[]);
+        let order = sort_index_order(piece, self.payload(self.cell_addr, 4));
+        order.map_err(|fault| SnapError::Malformed {
+            what: match fault {
                 OrderFault::OutOfRange => "cell reverse index out of range",
                 OrderFault::KeyOrder => "cell reverse index not sorted by address",
                 OrderFault::Repeat => "cell reverse index repeats a cell",
                 OrderFault::IndexOrder => "cell reverse index not in cell order within an address",
-            });
-        }
+            },
+        })
+    }
 
-        // Front-end table: strictly ascending addresses.
+    /// Front-end table: strictly ascending addresses.
+    fn check_fronts(&self) -> Result<(), SnapError> {
         for k in 1..self.front_addr.count {
             if self.u32_in(self.front_addr, k) <= self.u32_in(self.front_addr, k - 1) {
-                return malformed("front addresses not strictly ascending");
+                return Err(SnapError::Malformed {
+                    what: "front addresses not strictly ascending",
+                });
             }
         }
+        Ok(())
+    }
 
-        // Route adjacency: offsets partition the entries; neighbor runs
-        // are strictly ascending ASNs in range.
+    /// Route adjacency: offsets partition the entries; neighbor runs are
+    /// strictly ascending ASNs in range, each with a known relationship.
+    fn check_routes(&self) -> Result<(), SnapError> {
+        let malformed = |what| Err(SnapError::Malformed { what });
         if self.u64_in(self.route_off, 0) != 0
             || self.u64_in(self.route_off, self.n_ases()) != self.n_route_entries() as u64
         {
@@ -1110,6 +1331,141 @@ mod tests {
             }
         );
         assert!(t.elapsed() < std::time::Duration::from_secs(5));
+    }
+
+    // ---- The reader: chunks read on the calling thread, hashed beside.
+
+    /// Byte `i` of a pattern that shifts from one 4 KiB page to the
+    /// next and from one 1 MiB block to the next, so a misplaced page
+    /// or chunk shows.
+    fn pattern(i: usize) -> u8 {
+        (i ^ (i >> 12) ^ (i >> 20)).wrapping_mul(31) as u8
+    }
+
+    /// `len` pattern bytes whose header names `version`.
+    fn versioned(len: usize, version: u32) -> Vec<u8> {
+        let mut bytes: Vec<u8> = (0..len).map(pattern).collect();
+        if len >= 12 {
+            bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// The reader's bytes and checksum, from `source` into a zeroed
+    /// buffer of `len` bytes.
+    fn read_from(source: &[u8], len: usize, threads: usize) -> (Vec<u8>, Option<u64>) {
+        let buf = itm_obs::alloc::try_zeroed_bytes(len).unwrap();
+        read_into(source, buf, &ParallelExecutor::new(threads)).unwrap()
+    }
+
+    #[test]
+    fn read_returns_exactly_the_file_bytes_and_their_checksum() {
+        let dir = std::env::temp_dir().join(format!("snap-read-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        // Lengths on both sides of a chunk; the larger ones leave a
+        // 2 MiB-aligned interior to advise.
+        let lengths = [
+            0,
+            1,
+            11,
+            12,
+            31,
+            32,
+            READ_CHUNK - 1,
+            READ_CHUNK,
+            READ_CHUNK + 1,
+            4 * READ_CHUNK + 17,
+            9 * READ_CHUNK,
+        ];
+        for len in lengths {
+            for (version, sum) in [
+                (snap::VERSION, Some(snap::checksum as fn(&[u8]) -> u64)),
+                (snap::V1, Some(snap::checksum_v1)),
+                (9, None),
+            ] {
+                let want = versioned(len, version);
+                let path = dir.join(format!("len-{len}-v{version}"));
+                std::fs::write(&path, &want).unwrap();
+                let path = path.to_str().unwrap();
+                for threads in [1, 2] {
+                    let (bytes, got) = read_summed(path, &ParallelExecutor::new(threads)).unwrap();
+                    assert_eq!(bytes, want, "length {len}, v{version}, {threads} threads");
+                    let want_sum = sum.filter(|_| len >= 12).map(|f| f(&want));
+                    assert_eq!(got, want_sum, "length {len}, v{version}, {threads} threads");
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_refuses_what_is_not_a_regular_file() {
+        let exec = ParallelExecutor::new(2);
+        let dir = std::env::temp_dir();
+        let err = read_summed(dir.to_str().unwrap(), &exec).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("snapshot I/O error: {}: not a regular file", dir.display())
+        );
+        let missing = dir.join(format!("snap-read-missing-{}", std::process::id()));
+        assert!(matches!(
+            read_summed(missing.to_str().unwrap(), &exec),
+            Err(SnapError::Io { .. })
+        ));
+    }
+
+    #[test]
+    fn a_file_that_shrinks_mid_read_fails_its_length_check() {
+        // The metadata said `len` bytes; the source ends earlier, inside
+        // the third chunk.
+        let good = tiny();
+        let len = 3 * READ_CHUNK;
+        let mut source = good.clone();
+        source.resize(2 * READ_CHUNK + 5, 0);
+        for threads in [1, 2] {
+            let (bytes, sum) = read_from(&source, len, threads);
+            assert_eq!(bytes, source);
+            assert_eq!(sum, Some(snap::checksum(&source)));
+            assert_eq!(
+                Snapshot::validate(bytes, sum, &ParallelExecutor::new(threads)).err(),
+                Some(SnapError::LengthMismatch {
+                    header: good.len() as u64,
+                    actual: source.len(),
+                })
+            );
+        }
+    }
+
+    /// A source that fails after handing over `ok` bytes.
+    struct Failing {
+        ok: usize,
+    }
+
+    impl std::io::Read for Failing {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.ok == 0 {
+                return Err(std::io::Error::other("disk gone"));
+            }
+            let n = buf.len().min(self.ok);
+            buf[..n]
+                .iter_mut()
+                .enumerate()
+                .for_each(|(i, b)| *b = pattern(i));
+            self.ok -= n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_read_error_ends_the_read_and_its_hasher() {
+        for threads in [1, 2] {
+            for ok in [0, 7, READ_CHUNK, 2 * READ_CHUNK + 3] {
+                let buf = itm_obs::alloc::try_zeroed_bytes(4 * READ_CHUNK).unwrap();
+                let err =
+                    read_into(Failing { ok }, buf, &ParallelExecutor::new(threads)).unwrap_err();
+                assert_eq!(err.to_string(), "disk gone");
+            }
+        }
     }
 
     // ---- The point-search kernel against its oracle, `lower_bound`.

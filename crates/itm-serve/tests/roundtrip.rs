@@ -424,3 +424,310 @@ proptest! {
         prop_assert!(Snapshot::from_bytes(good[..len].to_vec()).is_err());
     }
 }
+
+// ---- Open equivalence: one typed error, however the open runs.
+//
+// Every mutant below breaks one content invariant of the shared small
+// snapshot (or two, for a double fault) and is rewritten with a valid
+// checksum, so only the content checks can reject it. Those checks run
+// as executor shards, the reverse-index check cut into equal pieces; an
+// open must still report the error the checks' serial order reaches
+// first, whether it reads a file or takes bytes, at any worker count.
+
+/// One broken content invariant.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    /// The last domain name loses its NUL terminator.
+    DomainNul,
+    /// The domain sort index lists its first service twice.
+    DomainRepeat,
+    /// The prefix sort index lists its first prefix twice.
+    PrefixRepeat,
+    /// The first service's first two cells swap.
+    CellOrder,
+    /// The last cell's prefix is past the prefix table.
+    CellRange,
+    /// Reverse-index entry `p` points past the cells.
+    ReverseRange(usize),
+    /// Reverse-index entry `p` repeats entry `p − 1`.
+    ReverseRepeat(usize),
+    /// Reverse-index entries `p − 1` and `p` swap.
+    ReverseSwap(usize),
+    /// The second front address repeats the first.
+    FrontRepeat,
+    /// The first route entry has an unknown relationship code.
+    RouteKind,
+}
+
+/// What the mutants need to know of the shared small snapshot.
+struct Shape {
+    n_cells: usize,
+    n_prefixes: u32,
+    rev: Vec<u32>,
+    addrs: Vec<u32>,
+}
+
+fn shape() -> &'static Shape {
+    static SHAPE: std::sync::OnceLock<Shape> = std::sync::OnceLock::new();
+    SHAPE.get_or_init(|| {
+        let good = good_bytes();
+        let snap = Snapshot::from_bytes(good.to_vec()).unwrap();
+        Shape {
+            n_cells: snap.n_cells(),
+            n_prefixes: snap.n_prefixes() as u32,
+            rev: column(good, section::CELL_REV),
+            addrs: column(good, section::CELL_ADDR),
+        }
+    })
+}
+
+impl Fault {
+    /// Where the serial checks meet the fault: the check's rank in
+    /// `Snapshot::from_bytes`'s order, then the entry within it.
+    fn order(self) -> (u8, usize) {
+        match self {
+            Fault::DomainNul | Fault::DomainRepeat => (0, 0),
+            Fault::PrefixRepeat => (1, 0),
+            Fault::CellOrder | Fault::CellRange => (2, 0),
+            Fault::ReverseRange(p) | Fault::ReverseRepeat(p) | Fault::ReverseSwap(p) => (3, p),
+            Fault::FrontRepeat => (4, 0),
+            Fault::RouteKind => (5, 0),
+        }
+    }
+
+    /// The error the open reports for this fault alone.
+    fn error(self) -> SnapError {
+        let what = match self {
+            Fault::DomainNul => "domain name missing NUL terminator",
+            Fault::DomainRepeat => "domain sort index repeats a service",
+            Fault::PrefixRepeat => "prefix sort index repeats a prefix",
+            Fault::CellOrder => "cell prefixes not ascending within a service",
+            Fault::CellRange => "cell prefix out of range",
+            Fault::ReverseRange(_) => "cell reverse index out of range",
+            Fault::ReverseRepeat(_) => "cell reverse index repeats a cell",
+            Fault::ReverseSwap(p) => {
+                let s = shape();
+                let key = |i: usize| s.addrs[s.rev[i] as usize];
+                if key(p - 1) < key(p) {
+                    "cell reverse index not sorted by address"
+                } else {
+                    "cell reverse index not in cell order within an address"
+                }
+            }
+            Fault::FrontRepeat => "front addresses not strictly ascending",
+            Fault::RouteKind => "unknown route relationship code",
+        };
+        SnapError::Malformed { what }
+    }
+
+    /// `bytes` with this fault written in and the checksum made valid.
+    fn apply(self, bytes: &[u8]) -> Vec<u8> {
+        let s = shape();
+        let put =
+            |p: &mut [u8], i: usize, v: u32| p[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+        match self {
+            Fault::DomainNul => with_section_edited(bytes, section::DOM_BYTES, |p| {
+                let n = p.len();
+                p[n - 1] = b'x';
+            }),
+            Fault::DomainRepeat => {
+                with_section_edited(bytes, section::DOM_SORTED, |p| p.copy_within(0..4, 4))
+            }
+            Fault::PrefixRepeat => {
+                with_section_edited(bytes, section::PFX_SORTED, |p| p.copy_within(0..4, 4))
+            }
+            Fault::CellOrder => with_section_edited(bytes, section::CELL_PREFIX, |p| {
+                let (a, b) = p.split_at_mut(4);
+                a.swap_with_slice(&mut b[..4]);
+            }),
+            Fault::CellRange => with_section_edited(bytes, section::CELL_PREFIX, |p| {
+                put(p, s.n_cells - 1, s.n_prefixes)
+            }),
+            Fault::ReverseRange(i) => {
+                with_section_edited(bytes, section::CELL_REV, |p| put(p, i, s.n_cells as u32))
+            }
+            Fault::ReverseRepeat(i) => with_section_edited(bytes, section::CELL_REV, |p| {
+                p.copy_within((i - 1) * 4..i * 4, i * 4)
+            }),
+            Fault::ReverseSwap(i) => with_section_edited(bytes, section::CELL_REV, |p| {
+                let (a, b) = p[(i - 1) * 4..(i + 1) * 4].split_at_mut(4);
+                a.swap_with_slice(b);
+            }),
+            Fault::FrontRepeat => {
+                with_section_edited(bytes, section::FRONT_ADDR, |p| p.copy_within(0..4, 4))
+            }
+            Fault::RouteKind => with_section_edited(bytes, section::ROUTE_KIND, |p| p[0] = 9),
+        }
+    }
+}
+
+/// The error of every way to open `bytes`: from bytes on the machine's
+/// cores, on the sequential executor and on three workers, and from a
+/// file the same ways. Panics unless all agree.
+fn open_every_way(bytes: &[u8], tag: &str) -> Option<SnapError> {
+    static FILES: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+    let k = FILES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("open-eq-{}-{k}.snap", std::process::id()));
+    std::fs::write(&path, bytes).unwrap();
+    let file = path.to_str().unwrap();
+    let seq = ParallelExecutor::sequential();
+    let three = ParallelExecutor::new(3);
+    let errors = [
+        Snapshot::from_bytes(bytes.to_vec()).err(),
+        Snapshot::from_bytes_with(bytes.to_vec(), &seq).err(),
+        Snapshot::from_bytes_with(bytes.to_vec(), &three).err(),
+        Snapshot::open(file).err(),
+        Snapshot::open_with(file, &seq).err(),
+        Snapshot::open_with(file, &three).err(),
+    ];
+    std::fs::remove_file(&path).unwrap();
+    for e in &errors[1..] {
+        assert_eq!(e, &errors[0], "{tag}: the ways to open disagree");
+    }
+    errors[0].clone()
+}
+
+/// `faults` written into the shared small snapshot, as a v2 file and as
+/// a v1 file, must fail every way to open with the error of the fault
+/// the serial checks meet first.
+fn assert_first_fault_reported(faults: &[Fault]) {
+    let mut bytes = good_bytes().to_vec();
+    for f in faults {
+        bytes = f.apply(&bytes);
+    }
+    let first = faults.iter().min_by_key(|f| f.order()).unwrap();
+    let v1 = restamped(&bytes, snap::V1, snap::checksum_v1);
+    for (version, file) in [(snap::VERSION, bytes), (snap::V1, v1)] {
+        let tag = format!("v{version} {faults:?}");
+        assert_eq!(open_every_way(&file, &tag), Some(first.error()), "{tag}");
+    }
+}
+
+/// Reverse-index positions next to the cuts of the reverse check into
+/// any power-of-two number of equal pieces up to 16 (the open uses 8):
+/// `n·k/16` for k = 1..15, since `n·k/m` is one of them for every such
+/// `m`.
+fn reverse_cuts() -> Vec<usize> {
+    let n = shape().n_cells;
+    (1..16).map(|k| n * k / 16).filter(|&c| c >= 2).collect()
+}
+
+#[test]
+fn open_equivalence_on_every_single_fault() {
+    assert!(open_every_way(good_bytes(), "good").is_none());
+    assert!(open_every_way(v1_bytes(), "good v1").is_none());
+    let mut faults = vec![
+        Fault::DomainNul,
+        Fault::DomainRepeat,
+        Fault::PrefixRepeat,
+        Fault::CellOrder,
+        Fault::CellRange,
+        Fault::ReverseRange(0),
+        Fault::ReverseRepeat(1),
+        Fault::ReverseSwap(shape().n_cells - 1),
+        Fault::FrontRepeat,
+        Fault::RouteKind,
+    ];
+    // Both sides of every cut: the last entry of the piece before it,
+    // the first entry of the piece after it, and a swap across it.
+    for c in reverse_cuts() {
+        faults.extend([
+            Fault::ReverseRange(c - 1),
+            Fault::ReverseRepeat(c),
+            Fault::ReverseSwap(c),
+        ]);
+    }
+    for f in faults {
+        assert_first_fault_reported(&[f]);
+    }
+}
+
+#[test]
+fn open_equivalence_reports_the_first_of_two_faults() {
+    let cuts = reverse_cuts();
+    let (early, late) = (cuts[0], cuts[cuts.len() - 1]);
+    let pairs = [
+        // Across shards: the head against the reverse index and the
+        // tail, the reverse index against the tail.
+        [Fault::DomainRepeat, Fault::ReverseRange(late)],
+        [Fault::CellRange, Fault::RouteKind],
+        [Fault::PrefixRepeat, Fault::FrontRepeat],
+        [Fault::ReverseSwap(late), Fault::FrontRepeat],
+        // Across checks inside one shard.
+        [Fault::DomainNul, Fault::CellOrder],
+        [Fault::FrontRepeat, Fault::RouteKind],
+        // Two pieces of the reverse index: the earlier wins, whichever
+        // piece a worker finishes first.
+        [Fault::ReverseRange(late), Fault::ReverseRepeat(early)],
+        [Fault::ReverseRepeat(late - 1), Fault::ReverseSwap(early)],
+    ];
+    for pair in pairs {
+        assert_first_fault_reported(&pair);
+    }
+}
+
+#[test]
+fn open_equivalence_puts_the_checksum_before_every_content_check() {
+    for f in [
+        Fault::DomainNul,
+        Fault::ReverseSwap(reverse_cuts()[0]),
+        Fault::RouteKind,
+    ] {
+        let mut bad = f.apply(good_bytes());
+        bad[16] ^= 1;
+        let stored = u64::from_le_bytes(bad[16..24].try_into().unwrap());
+        let want = SnapError::ChecksumMismatch {
+            stored,
+            computed: snap::checksum(&bad),
+        };
+        assert_eq!(open_every_way(&bad, &format!("{f:?}")), Some(want));
+    }
+    // A directory fault too: the checksum still comes first.
+    let mut bad = good_bytes().to_vec();
+    bad[snap::HEADER_SIZE..snap::HEADER_SIZE + 4].copy_from_slice(&99u32.to_le_bytes());
+    assert!(matches!(
+        open_every_way(&bad, "directory"),
+        Some(SnapError::ChecksumMismatch { .. })
+    ));
+}
+
+/// A fault drawn from `kind` and `at`: reverse-index faults at any entry
+/// from 1 on, the rest where they always sit.
+fn drawn_fault(kind: u8, at: u32) -> Fault {
+    let n = shape().n_cells;
+    let p = 1 + at as usize % (n - 1);
+    match kind % 10 {
+        0 => Fault::DomainNul,
+        1 => Fault::DomainRepeat,
+        2 => Fault::PrefixRepeat,
+        3 => Fault::CellOrder,
+        4 => Fault::CellRange,
+        5 => Fault::ReverseRange(p),
+        6 => Fault::ReverseRepeat(p),
+        7 => Fault::ReverseSwap(p),
+        8 => Fault::FrontRepeat,
+        _ => Fault::RouteKind,
+    }
+}
+
+proptest! {
+    /// Any one fault, or two the serial checks can tell apart (different
+    /// checks, or reverse-index entries two or more apart), gives every
+    /// way to open the error of the fault met first.
+    #[test]
+    fn open_equivalence_on_drawn_faults(
+        a in (any::<u8>(), any::<u32>()),
+        b in (any::<bool>(), any::<u8>(), any::<u32>()),
+    ) {
+        let first = drawn_fault(a.0, a.1);
+        let mut faults = vec![first];
+        if b.0 {
+            let second = drawn_fault(b.1, b.2);
+            let ((ra, pa), (rb, pb)) = (first.order(), second.order());
+            if ra != rb || (ra == 3 && pa.abs_diff(pb) >= 2) {
+                faults.push(second);
+            }
+        }
+        assert_first_fault_reported(&faults);
+    }
+}

@@ -39,11 +39,11 @@
 //! still opens v1 files, checking each with its own version's checksum.
 //!
 //! This module owns only the *encoding*: constants, the writer that
-//! assembles header + directory + payloads, the file [`read`]er, the
-//! directory parser, and the checksum. What goes *into* the sections is
-//! the snapshot writer's business (`itm-core`); how they are queried is
-//! the reader's (`itm-serve`). Keeping the encoding here lets the serving crate depend
-//! on nothing but `itm-types`.
+//! assembles header + directory + payloads, the header and directory
+//! parsers, and the checksum, which a reader can also take a chunk at a
+//! time ([`Checksum`]) while the file is still arriving. What goes
+//! *into* the sections is the snapshot writer's business (`itm-core`);
+//! how the file is read and queried is the reader's (`itm-serve`).
 
 use std::fmt;
 
@@ -180,27 +180,179 @@ pub mod claim {
 
 /// Whole-file checksum of a v2 file: XXH64 (seed 0) over `bytes` with
 /// the checksum field (bytes 16..24) treated as zero, so the stored value
-/// can live inside the region it covers. The first 32-byte stripe is
-/// hashed from a patched copy and the rest of the file in place.
+/// can live inside the region it covers.
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut head = [0u8; 32];
-    let n = bytes.len().min(head.len());
-    head[..n].copy_from_slice(&bytes[..n]);
-    head[16..24].fill(0);
-    xxh64(&head[..n], &bytes[n..])
+    let mut sum = Checksum::xxh64();
+    sum.update(bytes);
+    sum.finish()
 }
 
 /// Whole-file checksum of a v1 file: FNV-1a 64 over `bytes` with the
 /// checksum field (bytes 16..24) treated as zero. Kept only to read v1
 /// files.
 pub fn checksum_v1(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for (i, b) in bytes.iter().enumerate() {
-        let v = if (16..24).contains(&i) { 0 } else { *b };
-        h ^= v as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
+    let mut sum = Checksum::fnv1a();
+    sum.update(bytes);
+    sum.finish()
+}
+
+/// The header's checksum field, which every checksum reads as zero.
+const SUM_FIELD: std::ops::Range<usize> = 16..24;
+
+/// A whole-file checksum taken a chunk at a time, so that a reader can
+/// hash each chunk of a file as it lands. [`Checksum::new`] picks the
+/// version's algorithm; [`Checksum::update`] takes the file's bytes in
+/// order, cut anywhere, and counts bytes 16..24 (the checksum field) as
+/// zero wherever the cuts fall; [`Checksum::finish`] then returns what
+/// [`checksum`] (v2) or [`checksum_v1`] (v1) returns over the same bytes
+/// in one piece. Those two are this state fed once.
+#[derive(Debug, Clone)]
+pub struct Checksum {
+    /// Bytes taken so far.
+    len: u64,
+    algo: Algo,
+}
+
+#[derive(Debug, Clone)]
+enum Algo {
+    /// FNV-1a 64: the running hash.
+    Fnv1a(u64),
+    /// XXH64: the four lane accumulators, and the `len % 32` bytes of
+    /// the stripe not yet hashed at the front of `stripe`.
+    Xxh64 { lanes: [u64; 4], stripe: [u8; 32] },
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+impl Checksum {
+    /// The checksum of a file of schema `version`: XXH64 for
+    /// [`VERSION`], FNV-1a 64 for [`V1`], none for a version this reader
+    /// does not speak.
+    pub fn new(version: u32) -> Option<Checksum> {
+        match version {
+            V1 => Some(Checksum::fnv1a()),
+            VERSION => Some(Checksum::xxh64()),
+            _ => None,
+        }
     }
-    h
+
+    fn fnv1a() -> Checksum {
+        Checksum {
+            len: 0,
+            algo: Algo::Fnv1a(FNV_OFFSET),
+        }
+    }
+
+    fn xxh64() -> Checksum {
+        Checksum {
+            len: 0,
+            algo: Algo::Xxh64 {
+                lanes: [
+                    PRIME64_1.wrapping_add(PRIME64_2),
+                    PRIME64_2,
+                    0,
+                    0u64.wrapping_sub(PRIME64_1),
+                ],
+                stripe: [0; 32],
+            },
+        }
+    }
+
+    /// Take the next `bytes` of the file.
+    pub fn update(&mut self, bytes: &[u8]) {
+        if self.len >= SUM_FIELD.end as u64 {
+            return self.absorb(bytes);
+        }
+        // The part of the chunk before the field's end, patched on the
+        // stack: at most 24 bytes.
+        let at = self.len as usize;
+        let (head, rest) = bytes.split_at(bytes.len().min(SUM_FIELD.end - at));
+        let mut patched = [0u8; SUM_FIELD.end];
+        patched[..head.len()].copy_from_slice(head);
+        patched[SUM_FIELD.start.saturating_sub(at).min(head.len())..head.len()].fill(0);
+        self.absorb(&patched[..head.len()]);
+        self.absorb(rest);
+    }
+
+    /// Hash `bytes` as they are.
+    fn absorb(&mut self, mut bytes: &[u8]) {
+        let buffered = (self.len % 32) as usize;
+        self.len += bytes.len() as u64;
+        match &mut self.algo {
+            Algo::Fnv1a(h) => {
+                let mut x = *h;
+                for &b in bytes {
+                    x = (x ^ u64::from(b)).wrapping_mul(FNV_PRIME);
+                }
+                *h = x;
+            }
+            Algo::Xxh64 { lanes, stripe } => {
+                if buffered > 0 {
+                    let take = (32 - buffered).min(bytes.len());
+                    stripe[buffered..buffered + take].copy_from_slice(&bytes[..take]);
+                    bytes = &bytes[take..];
+                    if buffered + take < 32 {
+                        return;
+                    }
+                    xxh_stripes(lanes, stripe);
+                }
+                let whole = bytes.len() & !31;
+                xxh_stripes(lanes, &bytes[..whole]);
+                stripe[..bytes.len() - whole].copy_from_slice(&bytes[whole..]);
+            }
+        }
+    }
+
+    /// The checksum of every byte taken so far.
+    pub fn finish(&self) -> u64 {
+        let (lanes, stripe) = match &self.algo {
+            Algo::Fnv1a(h) => return *h,
+            Algo::Xxh64 { lanes, stripe } => (lanes, stripe),
+        };
+        let mut h = if self.len >= 32 {
+            let mut h = lanes[0]
+                .rotate_left(1)
+                .wrapping_add(lanes[1].rotate_left(7))
+                .wrapping_add(lanes[2].rotate_left(12))
+                .wrapping_add(lanes[3].rotate_left(18));
+            for &acc in lanes {
+                h = (h ^ xxh_round(0, acc))
+                    .wrapping_mul(PRIME64_1)
+                    .wrapping_add(PRIME64_4);
+            }
+            h
+        } else {
+            PRIME64_5
+        };
+        h = h.wrapping_add(self.len);
+        let mut words = stripe[..(self.len % 32) as usize].chunks_exact(8);
+        for w in &mut words {
+            h = (h ^ xxh_round(0, le64(w)))
+                .rotate_left(27)
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+        }
+        let mut tail = words.remainder();
+        if tail.len() >= 4 {
+            let w = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) as u64;
+            h = (h ^ w.wrapping_mul(PRIME64_1))
+                .rotate_left(23)
+                .wrapping_mul(PRIME64_2)
+                .wrapping_add(PRIME64_3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h = (h ^ (b as u64).wrapping_mul(PRIME64_5))
+                .rotate_left(11)
+                .wrapping_mul(PRIME64_1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(PRIME64_2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(PRIME64_3);
+        h ^ (h >> 32)
+    }
 }
 
 const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
@@ -221,65 +373,27 @@ fn xxh_round(acc: u64, lane: u64) -> u64 {
         .wrapping_mul(PRIME64_1)
 }
 
-/// Standard XXH64 with seed 0 of the concatenation `head ++ rest`, where
-/// `head` is one whole 32-byte stripe or the entire input (`rest` empty).
+/// Run the XXH64 lanes over every whole 32-byte stripe of `bytes`.
+#[inline]
+fn xxh_stripes(lanes: &mut [u64; 4], bytes: &[u8]) {
+    let mut v = *lanes;
+    for stripe in bytes.chunks_exact(32) {
+        v[0] = xxh_round(v[0], le64(&stripe[0..]));
+        v[1] = xxh_round(v[1], le64(&stripe[8..]));
+        v[2] = xxh_round(v[2], le64(&stripe[16..]));
+        v[3] = xxh_round(v[3], le64(&stripe[24..]));
+    }
+    *lanes = v;
+}
+
+/// Standard XXH64 with seed 0 of the concatenation `head ++ rest`, with
+/// no byte patched.
+#[cfg(test)]
 fn xxh64(head: &[u8], rest: &[u8]) -> u64 {
-    debug_assert!(head.len() == 32 || rest.is_empty());
-    let len = (head.len() + rest.len()) as u64;
-    let (mut h, tail) = if len >= 32 {
-        let mut v = [
-            PRIME64_1.wrapping_add(PRIME64_2),
-            PRIME64_2,
-            0,
-            0u64.wrapping_sub(PRIME64_1),
-        ];
-        for stripe in head.chunks_exact(32).chain(rest.chunks_exact(32)) {
-            v[0] = xxh_round(v[0], le64(&stripe[0..]));
-            v[1] = xxh_round(v[1], le64(&stripe[8..]));
-            v[2] = xxh_round(v[2], le64(&stripe[16..]));
-            v[3] = xxh_round(v[3], le64(&stripe[24..]));
-        }
-        let mut h = v[0]
-            .rotate_left(1)
-            .wrapping_add(v[1].rotate_left(7))
-            .wrapping_add(v[2].rotate_left(12))
-            .wrapping_add(v[3].rotate_left(18));
-        for acc in v {
-            h = (h ^ xxh_round(0, acc))
-                .wrapping_mul(PRIME64_1)
-                .wrapping_add(PRIME64_4);
-        }
-        (h, rest.chunks_exact(32).remainder())
-    } else {
-        (PRIME64_5, head)
-    };
-    h = h.wrapping_add(len);
-    let mut words = tail.chunks_exact(8);
-    for w in &mut words {
-        h = (h ^ xxh_round(0, le64(w)))
-            .rotate_left(27)
-            .wrapping_mul(PRIME64_1)
-            .wrapping_add(PRIME64_4);
-    }
-    let mut tail = words.remainder();
-    if tail.len() >= 4 {
-        let w = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]) as u64;
-        h = (h ^ w.wrapping_mul(PRIME64_1))
-            .rotate_left(23)
-            .wrapping_mul(PRIME64_2)
-            .wrapping_add(PRIME64_3);
-        tail = &tail[4..];
-    }
-    for &b in tail {
-        h = (h ^ (b as u64).wrapping_mul(PRIME64_5))
-            .rotate_left(11)
-            .wrapping_mul(PRIME64_1);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(PRIME64_2);
-    h ^= h >> 29;
-    h = h.wrapping_mul(PRIME64_3);
-    h ^ (h >> 32)
+    let mut sum = Checksum::xxh64();
+    sum.absorb(head);
+    sum.absorb(rest);
+    sum.finish()
 }
 
 /// One parsed directory entry.
@@ -547,32 +661,6 @@ impl SnapWriter {
     }
 }
 
-/// Read a snapshot file into a buffer of exactly its length.
-///
-/// Only a regular file is read, and at most the length its metadata
-/// reported: a device or a FIFO is refused before it is opened, and a
-/// file that changes size meanwhile fails [`parse_dir`]'s `file_len` or
-/// checksum check. Every failure is [`SnapError::Io`].
-pub fn read(path: &str) -> Result<Vec<u8>, SnapError> {
-    use std::io::Read;
-    let io = |e: &dyn fmt::Display| SnapError::Io {
-        detail: format!("{path}: {e}"),
-    };
-    let meta = std::fs::metadata(path).map_err(|e| io(&e))?;
-    if !meta.is_file() {
-        return Err(io(&"not a regular file"));
-    }
-    let len = usize::try_from(meta.len()).map_err(|e| io(&e))?;
-    let file = std::fs::File::open(path).map_err(|e| io(&e))?;
-    let mut bytes = Vec::new();
-    bytes.try_reserve_exact(len).map_err(|e| io(&e))?;
-    advise_huge_pages(&mut bytes);
-    file.take(meta.len())
-        .read_to_end(&mut bytes)
-        .map_err(|e| io(&e))?;
-    Ok(bytes)
-}
-
 /// Ask the kernel to back the 2 MiB-aligned interior of `buf`'s
 /// allocation with transparent huge pages, so that first touch faults
 /// 2 MiB at a time instead of 4 KiB. Call it before any byte of the
@@ -582,7 +670,7 @@ pub fn read(path: &str) -> Result<Vec<u8>, SnapError> {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 ))]
-fn advise_huge_pages(buf: &mut Vec<u8>) {
+pub fn advise_huge_pages(buf: &mut Vec<u8>) {
     const HUGE_PAGE: usize = 2 << 20;
     const MADV_HUGEPAGE: i32 = 14;
     extern "C" {
@@ -616,16 +704,25 @@ fn advise_huge_pages(buf: &mut Vec<u8>) {
     target_os = "linux",
     any(target_arch = "x86_64", target_arch = "aarch64")
 )))]
-fn advise_huge_pages(_buf: &mut Vec<u8>) {}
+pub fn advise_huge_pages(_buf: &mut Vec<u8>) {}
 
 /// Parse and validate the header and directory of a snapshot.
 ///
-/// Checks, in order: length, magic, version, `file_len`, checksum, then
-/// each directory entry (in bounds, 8-byte aligned, no duplicate ids).
-/// Versions [`V1`] and [`VERSION`] are accepted, each checked with its
-/// own checksum. A checksum mismatch is a hard error — a corrupted
-/// snapshot must never answer queries.
+/// Checks, in order: the header ([`check_header`]), the checksum
+/// ([`verify_checksum`]), then each directory entry
+/// ([`parse_entries`]). A checksum mismatch is a hard error — a
+/// corrupted snapshot must never answer queries.
 pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
+    let version = check_header(bytes)?;
+    verify_checksum(bytes, version)?;
+    parse_entries(bytes)
+}
+
+/// Check the fixed header and return the file's schema version.
+///
+/// Checks, in order: length, magic, version ([`V1`] or [`VERSION`]),
+/// and that `file_len` is the byte count.
+pub fn check_header(bytes: &[u8]) -> Result<u32, SnapError> {
     if bytes.len() < HEADER_SIZE {
         return Err(SnapError::TooShort { len: bytes.len() });
     }
@@ -633,11 +730,9 @@ pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
         return Err(SnapError::BadMagic);
     }
     let version = read_u32(bytes, 8).unwrap_or(0);
-    let checksum_of: fn(&[u8]) -> u64 = match version {
-        V1 => checksum_v1,
-        VERSION => checksum,
-        found => return Err(SnapError::BadVersion { found }),
-    };
+    if version != V1 && version != VERSION {
+        return Err(SnapError::BadVersion { found: version });
+    }
     let file_len = read_u64(bytes, 24).unwrap_or(0);
     if file_len != bytes.len() as u64 {
         return Err(SnapError::LengthMismatch {
@@ -645,11 +740,30 @@ pub fn parse_dir(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
             actual: bytes.len(),
         });
     }
+    Ok(version)
+}
+
+/// Compare the stored checksum with `computed`, the [`Checksum`] of
+/// `bytes` for the header's version.
+pub fn check_checksum(bytes: &[u8], computed: u64) -> Result<(), SnapError> {
     let stored = read_u64(bytes, 16).unwrap_or(0);
-    let computed = checksum_of(bytes);
     if stored != computed {
         return Err(SnapError::ChecksumMismatch { stored, computed });
     }
+    Ok(())
+}
+
+/// Compute the [`Checksum`] of `bytes` for schema `version` and compare
+/// it with the stored one ([`check_checksum`]).
+pub fn verify_checksum(bytes: &[u8], version: u32) -> Result<(), SnapError> {
+    let mut sum = Checksum::new(version).ok_or(SnapError::BadVersion { found: version })?;
+    sum.update(bytes);
+    check_checksum(bytes, sum.finish())
+}
+
+/// Parse the directory of a file whose header passed [`check_header`]:
+/// each entry in bounds, 8-byte aligned, its id not seen before.
+pub fn parse_entries(bytes: &[u8]) -> Result<Vec<SectionEntry>, SnapError> {
     let n = read_u32(bytes, 12).unwrap_or(0) as usize;
     let dir_end = HEADER_SIZE.saturating_add(n.saturating_mul(DIR_ENTRY_SIZE));
     if dir_end > bytes.len() {
@@ -961,6 +1075,67 @@ mod tests {
         }
     }
 
+    /// The checksums as first written: the file with its checksum field
+    /// zeroed, hashed in one piece, FNV-1a byte by byte for v1.
+    fn patched_oracle(version: u32, bytes: &[u8]) -> u64 {
+        let mut patched = bytes.to_vec();
+        let field = SUM_FIELD.start.min(patched.len())..SUM_FIELD.end.min(patched.len());
+        patched[field].fill(0);
+        if version == V1 {
+            patched.iter().fold(FNV_OFFSET, |h, &b| {
+                (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+            })
+        } else {
+            xxh64(&patched, &[])
+        }
+    }
+
+    proptest! {
+        /// Lengths 0–300 span nine stripes. The bytes are fed in two
+        /// chunks cut at every index (inside the first stripe, inside
+        /// the checksum field, after both), in chunks of every width from
+        /// 1 to 40, and in three chunks cut at two drawn indices; each
+        /// way, for both versions, the result is the one-shot checksum.
+        #[test]
+        fn chunked_checksums_equal_the_one_shot_checksums(
+            bytes in proptest::collection::vec(any::<u8>(), 0..=300),
+            cuts in (any::<u16>(), any::<u16>()),
+        ) {
+            let n = bytes.len();
+            for (version, one_shot) in [(V1, checksum_v1 as fn(&[u8]) -> u64), (VERSION, checksum)] {
+                let whole = one_shot(&bytes);
+                prop_assert_eq!(whole, patched_oracle(version, &bytes));
+                let fed = |chunks: &mut dyn Iterator<Item = &[u8]>| {
+                    let mut sum = Checksum::new(version).unwrap();
+                    chunks.for_each(|c| sum.update(c));
+                    sum.finish()
+                };
+                for cut in 0..=n {
+                    let (a, b) = bytes.split_at(cut);
+                    prop_assert_eq!(fed(&mut [a, b].into_iter()), whole, "v{} cut at {}", version, cut);
+                }
+                for width in 1..=40 {
+                    prop_assert_eq!(fed(&mut bytes.chunks(width)), whole, "v{} width {}", version, width);
+                }
+                let (mut a, mut b) = (cuts.0 as usize % (n + 1), cuts.1 as usize % (n + 1));
+                if a > b {
+                    std::mem::swap(&mut a, &mut b);
+                }
+                let three = [&bytes[..a], &bytes[a..b], &bytes[b..]];
+                prop_assert_eq!(fed(&mut three.into_iter()), whole, "v{} cuts {} {}", version, a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn only_the_two_known_versions_have_a_checksum() {
+        assert!(Checksum::new(V1).is_some());
+        assert!(Checksum::new(VERSION).is_some());
+        for version in [0, 3, u32::MAX] {
+            assert!(Checksum::new(version).is_none());
+        }
+    }
+
     #[test]
     fn bad_version_names_every_version_the_reader_speaks() {
         let msg = SnapError::BadVersion { found: 3 }.to_string();
@@ -986,38 +1161,6 @@ mod tests {
     /// shows.
     fn pattern(i: usize) -> u8 {
         (i ^ (i >> 12) ^ (i >> 20)).wrapping_mul(31) as u8
-    }
-
-    #[test]
-    fn read_returns_exactly_the_file_bytes() {
-        const MIB: usize = 1 << 20;
-        let dir = std::env::temp_dir().join(format!("snap-read-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        // The larger lengths leave a 2 MiB-aligned interior to advise.
-        for len in [0, 1, 31, 32, 2 * MIB - 1, 4 * MIB + 17, 9 * MIB] {
-            let path = dir.join(format!("len-{len}"));
-            std::fs::write(&path, (0..len).map(pattern).collect::<Vec<u8>>()).unwrap();
-            let path = path.to_str().unwrap();
-            let bytes = read(path).unwrap();
-            assert_eq!(bytes, std::fs::read(path).unwrap(), "length {len}");
-            assert_eq!(bytes.len(), len);
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn read_refuses_what_is_not_a_regular_file() {
-        let dir = std::env::temp_dir();
-        let err = read(dir.to_str().unwrap()).unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            format!("snapshot I/O error: {}: not a regular file", dir.display())
-        );
-        let missing = dir.join(format!("snap-read-missing-{}", std::process::id()));
-        assert!(matches!(
-            read(missing.to_str().unwrap()),
-            Err(SnapError::Io { .. })
-        ));
     }
 
     #[test]
