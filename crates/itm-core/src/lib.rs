@@ -22,7 +22,7 @@
 //! * [`epoch`] — the continuous-map loop: deterministic substrate churn
 //!   between builds plus incremental rebuilds that recompute only the
 //!   campaigns the churn invalidated (`repro --epochs` backend).
-//! * [`audit`] — the map-quality observatory: score every measurement
+//! * [`audit`](mod@audit) — the map-quality observatory: score every measurement
 //!   technique's view against substrate ground truth (per-technique
 //!   precision/recall/coverage, per-cell disagreement, pairwise
 //!   agreement — the `repro --audit` backend).

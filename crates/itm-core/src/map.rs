@@ -36,8 +36,7 @@ use itm_measure::{
     RootCrawler, Substrate, UserMapping,
 };
 use itm_routing::{
-    flapped_cones, AnycastDeployment, Catchments, CollectorSet, GraphView, RoutingTree,
-    VisibilityReport,
+    flapped_cones, AnycastDeployment, Catchments, CollectorSet, GraphView, VisibilityReport,
 };
 use itm_tls::{detect_offnets, OffnetFinding, ScanConfig, SniScan, TlsScan};
 use itm_traffic::DeliveryMode;
@@ -148,21 +147,6 @@ impl TrafficMap {
         );
         run_pipeline(s, cfg, exec, None, &DirtySet::all())
             .map_err(|e| ItmError::in_campaign("map.build", e))
-    }
-
-    /// Predict the AS path from a client AS toward the AS serving
-    /// `service` for `client_prefix` (using the map's own mapping and
-    /// route view — no ground truth).
-    pub fn predicted_path(
-        &self,
-        s: &Substrate,
-        client_prefix: PrefixId,
-        service: ServiceId,
-    ) -> Option<Vec<Asn>> {
-        let serving_as = self.serving_as_for(s, client_prefix, service)?;
-        let client_as = s.topo.prefixes.get(client_prefix).owner;
-        let tree = RoutingTree::compute(&self.route_view, serving_as);
-        tree.path(client_as)
     }
 
     /// The AS the map believes serves `(client_prefix, service)`.
@@ -501,22 +485,6 @@ mod tests {
             .filter(|x| x.mode == DeliveryMode::Anycast)
             .count();
         assert_eq!(m.catchments.len(), anycast);
-    }
-
-    #[test]
-    fn predicted_paths_exist_for_measured_cells() {
-        let (s, m) = build();
-        let mut tested = 0;
-        for c in m.user_mapping.mapping.iter().take(20) {
-            if let Some(path) = m.predicted_path(&s, c.prefix, c.service) {
-                assert_eq!(
-                    path.first().copied(),
-                    Some(s.topo.prefixes.get(c.prefix).owner)
-                );
-                tested += 1;
-            }
-        }
-        assert!(tested > 0, "no predictable paths at all");
     }
 
     #[test]

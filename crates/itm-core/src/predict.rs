@@ -31,15 +31,6 @@ pub struct PredictionReport {
 }
 
 impl PredictionReport {
-    /// Fraction of pairs that could not be predicted.
-    pub fn unpredictable_fraction(&self) -> f64 {
-        if self.pairs == 0 {
-            0.0
-        } else {
-            self.unreachable as f64 / self.pairs as f64
-        }
-    }
-
     /// Fraction predicted exactly.
     pub fn exact_fraction(&self) -> f64 {
         if self.pairs == 0 {

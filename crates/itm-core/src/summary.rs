@@ -8,7 +8,7 @@
 
 use crate::map::TrafficMap;
 use itm_measure::Substrate;
-use itm_types::{Asn, FaultStats, Ipv4Net, ServiceId};
+use itm_types::{FaultStats, Ipv4Net};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -254,20 +254,6 @@ impl MapSummary {
     pub fn from_json(s: &str) -> Result<MapSummary, serde_json::Error> {
         serde_json::from_str(s)
     }
-
-    /// The activity weight for an AS (the "weight your CDF" entry point
-    /// of the paper's call to action) — 0 for unknown ASes.
-    pub fn weight_of(&self, asn: Asn) -> f64 {
-        self.activity.get(&asn.raw()).copied().unwrap_or(0.0)
-    }
-
-    /// Footprint size for a service.
-    pub fn footprint_of(&self, svc: ServiceId) -> usize {
-        self.service_footprint_sizes
-            .get(&svc.raw())
-            .copied()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -304,8 +290,8 @@ mod tests {
         assert_eq!(summary.n_ases, s.topo.n_ases());
         assert!(summary.invisible_peering > 0.5);
         // Weights exist for active eyeballs.
-        let some_active = m.activity.iter().next().unwrap();
-        assert!(summary.weight_of(*some_active.0) >= 0.0);
+        let (asn, est) = m.activity.iter().next().unwrap();
+        assert_eq!(summary.activity.get(&asn.raw()), Some(&est.fused));
     }
 
     #[test]

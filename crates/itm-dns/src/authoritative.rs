@@ -96,7 +96,7 @@ impl<'a> AuthoritativeDns<'a> {
     /// [`AuthoritativeDns::resolve`] for a routed client the caller has
     /// already located: `ecs` is the client's prefix record, so the answer
     /// needs no prefix lookup. `hoisted`, when given, is the client's
-    /// front-end as [`AuthoritativeDns::redirect`] gives it
+    /// front-end as the redirection policy picks it for that AS and city
     /// (debug-asserted), resolved once for a run of clients, and the
     /// answer skips the redirection lookup. Counts into `tally`, not the
     /// registry.

@@ -89,11 +89,6 @@ impl ChromiumModel {
         self.country_share[country as usize]
     }
 
-    /// Daily-mean Chromium probes originated by a prefix.
-    pub fn probes_per_day(&self, p: PrefixId) -> f64 {
-        self.prefix_probes_per_day[p.index()]
-    }
-
     /// Expected probes from a prefix over a duration (daily mean rate; the
     /// roots aggregate over long windows, so diurnal detail washes out).
     pub fn probes_over(&self, p: PrefixId, d: SimDuration) -> f64 {
@@ -124,7 +119,7 @@ mod tests {
     fn probes_proportional_to_users() {
         let (t, u, c) = setup();
         for r in t.prefixes.iter() {
-            let probes = c.probes_per_day(r.id);
+            let probes = c.probes_over(r.id, SimDuration::days(1));
             if r.kind == PrefixKind::UserAccess {
                 let country = t.as_info(r.owner).home_country;
                 let expect = u.users_of(r.id)
@@ -160,6 +155,5 @@ mod tests {
         let day = c.probes_over(p, SimDuration::days(1));
         let halfday = c.probes_over(p, SimDuration::hours(12));
         assert!((day - 2.0 * halfday).abs() < 1e-9);
-        assert!((day - c.probes_per_day(p)).abs() < 1e-9);
     }
 }

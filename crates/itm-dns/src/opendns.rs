@@ -458,9 +458,9 @@ impl<'a> OpenResolver<'a> {
     }
 
     /// The query rate given the pair's daily demand, its diurnal factor
-    /// and the prefix's open share, in the float order of
-    /// `TrafficModel::demand_at`: daily × diurnal factor, then the open
-    /// share and the session size.
+    /// and the prefix's open share, in the float order of a pair's
+    /// demand at `t` (`TrafficModel::demand` × `diurnal_multiplier`):
+    /// daily × diurnal factor, then the open share and the session size.
     fn query_rate_from(&self, daily: f64, diurnal: f64, open_share: f64) -> f64 {
         let organic = daily * diurnal * open_share / BITS_PER_SESSION;
         organic + self.cfg.noise_qps

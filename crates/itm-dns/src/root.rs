@@ -163,11 +163,6 @@ impl RootLogs {
             usable_fraction: usable,
         }
     }
-
-    /// Total usable query count.
-    pub fn total_queries(&self) -> f64 {
-        self.entries.iter().map(|e| e.queries).sum()
-    }
 }
 
 #[cfg(test)]
@@ -182,6 +177,10 @@ mod tests {
     use itm_traffic::{
         ServiceCatalog, ServiceCatalogConfig, TrafficConfig, TrafficModel, UserModel,
     };
+
+    fn total_queries(logs: &RootLogs) -> f64 {
+        logs.entries.iter().map(|e| e.queries).sum()
+    }
 
     #[test]
     fn policy_partitions_and_usable_fraction() {
@@ -238,7 +237,7 @@ mod tests {
             &seeds,
         );
         assert!(!logs.entries.is_empty());
-        assert!(logs.total_queries() > 0.0);
+        assert!(total_queries(&logs) > 0.0);
         // Entries are sorted and deduplicated by address.
         for w in logs.entries.windows(2) {
             assert!(w[0].src < w[1].src);
@@ -253,7 +252,7 @@ mod tests {
             SimDuration::days(14),
             &seeds,
         );
-        assert!(logs7.total_queries() > logs.total_queries());
+        assert!(total_queries(&logs7) > total_queries(&logs));
         // Zero open roots -> unusable collection.
         let closed = RootServerSet::new(0, 13);
         let none = RootLogs::collect(
@@ -265,6 +264,6 @@ mod tests {
             SimDuration::days(2),
             &seeds,
         );
-        assert_eq!(none.total_queries(), 0.0);
+        assert_eq!(total_queries(&none), 0.0);
     }
 }

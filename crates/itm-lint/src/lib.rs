@@ -16,11 +16,12 @@
 //! | M001–M004 | memory/scale: no per-item owned copies, string-keyed hot maps, merge-time sorts, shard-loop allocation |
 //! | C001–C002 | shard safety: no shared mutable capture, no hash-order flows |
 //! | L001 | crate dependencies follow the `lint_layers.toml` DAG |
+//! | U001 | no bare-`pub` library item that nothing in the workspace names |
 //!
-//! The D/P/F families are line-level; the M/C/L families run on a
+//! The D/P/F families are line-level; the M/C/L/U families run on a
 //! cross-file symbol table ([`symbols`]) that knows which fns are
-//! campaign shards, which are merges, and which structs sit on the hot
-//! path.
+//! campaign shards, which are merges, which structs sit on the hot
+//! path, and which `pub` items nothing names.
 //!
 //! A violation that is genuinely sound is waived in place with
 //! `// itm-lint: allow(RULE): <reason>`; the reason is mandatory (A001)
@@ -52,8 +53,8 @@ use std::path::Path;
 ///
 /// A single-file symbol table is built on the fly, so the M/C rule
 /// families see campaign fns and hot structs declared in the same file;
-/// L001 needs workspace context (`lint_layers.toml`) and only runs in
-/// [`scan_workspace`].
+/// L001 and U001 need workspace context (`lint_layers.toml`, every
+/// file's identifiers) and only run in [`scan_workspace`].
 ///
 /// Returns the surviving findings (allow annotations already applied) and
 /// the number of allows that suppressed something.
@@ -100,7 +101,8 @@ fn count_allows(model: &lexer::SourceModel) -> (usize, usize) {
 /// Scan a whole workspace rooted at `root`.
 ///
 /// Two passes: every file is lexed and fed to the cross-file symbol
-/// table (campaign fns, hot structs, crate use-graph), then each file is
+/// table (campaign fns, hot structs, crate use-graph, unused `pub`
+/// items), then each file is
 /// checked with that context plus the `lint_layers.toml` DAG when one is
 /// present at the root.
 pub fn scan_workspace(root: &Path) -> io::Result<LintReport> {
@@ -112,7 +114,8 @@ pub fn scan_workspace(root: &Path) -> io::Result<LintReport> {
     }
     let rels: Vec<&str> = files.iter().map(|f| f.rel.as_str()).collect();
     let model_refs: Vec<&lexer::SourceModel> = models.iter().collect();
-    let table = symbols::SymbolTable::build(&rels, &model_refs);
+    let mut table = symbols::SymbolTable::build(&rels, &model_refs);
+    table.find_unused_pub(&model_refs);
     let layers =
         layers::Layers::load(root).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
 

@@ -30,6 +30,11 @@
 //! * **M001–M004 / C001–C002 / L001** — the scale, shard-safety, and
 //!   layering families; their semantics live in [`crate::scale`] and the
 //!   symbol layer they run on in [`crate::symbols`].
+//! * **U001** — a bare-`pub` `fn`/`struct`/`enum`/`trait`/`type`/
+//!   `const`/`static` in library code that no other workspace file names
+//!   and no non-test code of its own file uses (a `pub use` re-export is
+//!   not a use). Name-based: a common name used anywhere keeps every item
+//!   of that name alive. Deliberate API is waived with an allow.
 //! * **A001** — malformed `itm-lint: allow(...)` annotation (unknown rule
 //!   id or missing reason).
 //! * **A002** — an allow annotation that suppressed nothing.
@@ -95,6 +100,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "L001",
         "crate reference against the declared lint_layers.toml dependency direction",
+    ),
+    (
+        "U001",
+        "pub item in library code that nothing in the workspace uses (delete it, or allow it as deliberate API)",
     ),
     (
         "A001",
@@ -210,6 +219,15 @@ pub fn check(
         }
         if class.applies("L001") {
             scale::rule_l001(model, ctx, &mut raw, &mut mk);
+        }
+        if class.applies("U001") {
+            for (name, line) in &ctx.syms.unused_pub {
+                raw.push(mk(
+                    "U001",
+                    *line,
+                    format!("pub `{name}` is named nowhere else in the workspace and unused outside tests here; delete it"),
+                ));
+            }
         }
     }
 

@@ -12,7 +12,10 @@
 //!   is `String` / `Vec<String>` (the interning forcing function);
 //! * the file's crate (from its workspace-relative path) and its
 //!   use-graph: every `itm_*::` path reference with the line it occurs on
-//!   (feeds the crate dependency graph for L001).
+//!   (feeds the crate dependency graph for L001);
+//! * every bare-`pub` item outside test code, and — once the whole
+//!   workspace is known — which of them no identifier anywhere names
+//!   (U001).
 //!
 //! Two derived classifications drive the rules:
 //!
@@ -28,7 +31,7 @@
 //! `String` keys (M002).
 
 use crate::lexer::{SourceModel, TokKind};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One function with the context the rules need.
 #[derive(Debug, Clone)]
@@ -87,6 +90,13 @@ pub struct FileSymbols {
     /// `(crate, line)` for each distinct `itm_*::` path reference — the
     /// file's edge list in the crate dependency graph.
     pub crate_refs: Vec<(String, u32)>,
+    /// `(name, line, token index)` of each bare-`pub`
+    /// `fn`/`struct`/`enum`/`trait`/`type`/`const`/`static` outside test
+    /// code.
+    pub pub_items: Vec<(String, u32, usize)>,
+    /// `(name, line)` of the [`pub_items`](Self::pub_items) nothing uses;
+    /// filled by [`SymbolTable::find_unused_pub`].
+    pub unused_pub: Vec<(String, u32)>,
 }
 
 /// Cross-file symbol table: per-file symbols plus the derived set of
@@ -127,6 +137,48 @@ impl SymbolTable {
         }
         SymbolTable { files, hot_structs }
     }
+
+    /// Mark the bare-`pub` items nothing uses (U001). A use is the name
+    /// as an identifier in any other file, or in non-test code of the
+    /// item's own file; names inside `use` declarations do not count, so
+    /// a `pub use` re-export keeps nothing alive. Only meaningful over a
+    /// whole workspace: `models` must be parallel to the files the table
+    /// was built from.
+    pub fn find_unused_pub(&mut self, models: &[&SourceModel]) {
+        let in_use: Vec<Vec<bool>> = models.iter().map(|m| use_decl_mask(m)).collect();
+        let mut files_naming: BTreeMap<&str, usize> = BTreeMap::new();
+        for (model, mask) in models.iter().zip(&in_use) {
+            let named: BTreeSet<&str> = model
+                .tokens
+                .iter()
+                .zip(mask)
+                .filter(|(t, &u)| t.kind == TokKind::Ident && !u)
+                .map(|(t, _)| t.text.as_str())
+                .collect();
+            for name in named {
+                *files_naming.entry(name).or_insert(0) += 1;
+            }
+        }
+        for ((fsyms, model), mask) in self.files.iter_mut().zip(models).zip(&in_use) {
+            let decls: BTreeSet<usize> = fsyms.pub_items.iter().map(|p| p.2).collect();
+            for (name, line, _) in &fsyms.pub_items {
+                // The declaration itself makes its own file one of those
+                // naming it.
+                let elsewhere = files_naming.get(name.as_str()).copied().unwrap_or(0) > 1;
+                let here = || {
+                    model.tokens.iter().enumerate().any(|(i, t)| {
+                        t.text == *name
+                            && !mask[i]
+                            && !decls.contains(&i)
+                            && !model.line_is_test(t.line)
+                    })
+                };
+                if !elsewhere && !here() {
+                    fsyms.unused_pub.push((name.clone(), *line));
+                }
+            }
+        }
+    }
 }
 
 /// Which crate does a workspace-relative path belong to?
@@ -155,6 +207,7 @@ pub fn analyze(model: &SourceModel, rel: &str) -> FileSymbols {
     collect_fns(model, &mut out);
     collect_structs(model, &mut out);
     collect_crate_refs(model, &mut out);
+    collect_pub_items(model, &mut out);
     out
 }
 
@@ -389,4 +442,57 @@ fn collect_crate_refs(model: &SourceModel, out: &mut FileSymbols) {
             out.crate_refs.push((name, t.line));
         }
     }
+}
+
+fn collect_pub_items(model: &SourceModel, out: &mut FileSymbols) {
+    let toks = &model.tokens;
+    let text = |i: usize| toks.get(i).map_or("", |t| t.text.as_str());
+    for (i, t) in toks.iter().enumerate() {
+        if t.kind != TokKind::Ident || t.text != "pub" || model.line_is_test(t.line) {
+            continue;
+        }
+        // Qualifiers between `pub` and `fn` (`const fn`, `unsafe fn`,
+        // `extern "C" fn`); a `const` not followed by them is the item.
+        let mut j = i + 1;
+        while matches!(text(j), "unsafe" | "async" | "extern" | "\"")
+            || (text(j) == "const" && matches!(text(j + 1), "fn" | "unsafe"))
+        {
+            j += 1;
+        }
+        if !matches!(
+            text(j),
+            "fn" | "struct" | "enum" | "trait" | "type" | "const" | "static"
+        ) {
+            continue;
+        }
+        let k = if text(j) == "static" && text(j + 1) == "mut" {
+            j + 2
+        } else {
+            j + 1
+        };
+        if let Some(name) = toks
+            .get(k)
+            .filter(|n| n.kind == TokKind::Ident && n.text != "_")
+        {
+            out.pub_items.push((name.text.clone(), t.line, k));
+        }
+    }
+}
+
+/// Per token: does it sit inside a `use` declaration (`use` up to its
+/// `;`)?
+fn use_decl_mask(model: &SourceModel) -> Vec<bool> {
+    let toks = &model.tokens;
+    let mut mask = vec![false; toks.len()];
+    let mut i = 0;
+    while i < toks.len() {
+        if toks[i].kind == TokKind::Ident && toks[i].text == "use" {
+            while i < toks.len() && toks[i].text != ";" {
+                mask[i] = true;
+                i += 1;
+            }
+        }
+        i += 1;
+    }
+    mask
 }

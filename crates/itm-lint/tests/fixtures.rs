@@ -264,6 +264,48 @@ fn l001_flags_upward_crate_references_in_a_fixture_workspace() {
 }
 
 #[test]
+fn u001_flags_pub_items_nothing_uses_in_a_fixture_workspace() {
+    let root = format!("{}/tests/fixtures/u001_ws", env!("CARGO_MANIFEST_DIR"));
+    let report = itm_lint::scan_workspace(std::path::Path::new(&root)).expect("fixture scan");
+    assert_eq!(report.files_scanned, 4);
+    let types = "crates/itm-types/src/lib.rs";
+    let pairs: Vec<(&str, &str, u32)> = report
+        .findings
+        .iter()
+        .map(|f| (f.rule.as_str(), f.file.as_str(), f.line))
+        .collect();
+    // Flagged: 6, named only in a `pub use`; 9, named nowhere; 11, used
+    // only by its own test module; 25, an allow without a reason (A001)
+    // suppresses nothing. 27: an allow with nothing to suppress (A002).
+    // Not flagged: a use from itm-core (17, 28), a non-test use in the
+    // same file (15), `pub(crate)` (21), a reasoned allow (23), and the
+    // harness and shim files' own `pub` items.
+    assert_eq!(
+        pairs,
+        vec![
+            ("U001", types, 6),
+            ("U001", types, 9),
+            ("U001", types, 11),
+            ("A001", types, 25),
+            ("U001", types, 25),
+            ("A002", types, 27),
+        ]
+    );
+    assert_eq!(report.allows_used, 1);
+}
+
+#[test]
+fn u001_needs_the_workspace_so_single_file_scans_skip_it() {
+    let src = fs::read_to_string(format!(
+        "{}/tests/fixtures/u001_ws/crates/itm-types/src/lib.rs",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("fixture");
+    let (findings, _) = scan_source(&src, FileClass::Library, "crates/itm-types/src/lib.rs");
+    assert!(findings.iter().all(|f| f.rule != "U001"), "{findings:?}");
+}
+
+#[test]
 fn allow_of_one_rule_does_not_absorb_findings_of_another() {
     // Satellite: a `// itm-lint: allow(R1)` followed by findings of a
     // *different* rule on the covered line must keep those findings AND

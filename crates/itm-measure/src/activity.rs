@@ -38,27 +38,18 @@ pub struct ActivityEstimator {
 }
 
 impl ActivityEstimator {
-    /// Fuse the three signals.
-    ///
-    /// Each signal is max-normalized, then averaged over the signals
-    /// present. (The paper leaves fusion as an open question; a mean of
-    /// normalized signals is the baseline any later work would compare
-    /// against.)
-    pub fn fuse(
-        s: &Substrate,
-        cache: &CacheProbeResult,
-        root: &RootCrawlResult,
-    ) -> ActivityEstimator {
-        Self::fuse_with(s, cache, root, |n, job| (0..n).map(job).collect())
-    }
-
     /// How many shards fusion splits into (a property of the AS count).
     pub fn shard_count(s: &Substrate) -> usize {
         s.topo.ases.len().clamp(1, DEFAULT_SHARDS)
     }
 
-    /// Fuse with a caller-supplied shard runner (see
-    /// `CacheProbeCampaign::run_with`). Per-technique inputs and their
+    /// Fuse the three signals with a caller-supplied shard runner (see
+    /// `CacheProbeCampaign::run_with`).
+    ///
+    /// Each signal is max-normalized, then averaged over the signals
+    /// present. (The paper leaves fusion as an open question; a mean of
+    /// normalized signals is the baseline any later work would compare
+    /// against.) Per-technique inputs and their
     /// normalizers are computed once up front; shards then fuse disjoint
     /// AS slices, so the merged map is schedule-independent.
     pub fn fuse_with<R>(
@@ -251,10 +242,14 @@ mod tests {
         (s, cache, root)
     }
 
+    fn fuse(s: &Substrate, cache: &CacheProbeResult, root: &RootCrawlResult) -> ActivityEstimator {
+        ActivityEstimator::fuse_with(s, cache, root, |n, job| (0..n).map(job).collect())
+    }
+
     #[test]
     fn fusion_produces_estimates_for_observed_ases() {
         let (s, cache, root) = setup();
-        let est = ActivityEstimator::fuse(&s, &cache, &root);
+        let est = fuse(&s, &cache, &root);
         assert!(!est.is_empty());
         // Every AS discovered by cache probing has an estimate.
         for asn in cache.discovered_ases(&s) {
@@ -269,7 +264,7 @@ mod tests {
     #[test]
     fn fused_activity_correlates_with_truth() {
         let (s, cache, root) = setup();
-        let est = ActivityEstimator::fuse(&s, &cache, &root);
+        let est = fuse(&s, &cache, &root);
         let mut xs = Vec::new();
         let mut ys = Vec::new();
         for (&asn, e) in est.iter() {

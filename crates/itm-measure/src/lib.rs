@@ -42,4 +42,4 @@ pub use ipid_probe::{IpidCampaign, IpidObservation, IpidResult};
 pub use resolver_assoc::ResolverAssociation;
 pub use root_crawl::{RootCrawlResult, RootCrawler};
 pub use substrate::{Substrate, SubstrateConfig};
-pub use user_mapping::{GeolocationResult, UserMapping};
+pub use user_mapping::UserMapping;

@@ -18,8 +18,8 @@ use itm_topology::PrefixKind;
 use itm_traffic::DeliveryMode;
 use itm_types::rng::{shard_bounds, DEFAULT_SHARDS};
 use itm_types::{
-    merge_sorted_runs, Cell, CellMap, FaultInjector, FaultPlan, FaultStats, GeoPoint, Ipv4Addr,
-    PrefixId, ServiceId,
+    merge_sorted_runs, Cell, CellMap, FaultInjector, FaultPlan, FaultStats, Ipv4Addr, PrefixId,
+    ServiceId,
 };
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -347,75 +347,6 @@ pub struct UserMappingShard {
     dns: DnsTally,
 }
 
-/// Geolocation of serving addresses from the client side \[13\].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct GeolocationResult {
-    /// Per-address (estimated location, error in km vs true city).
-    pub estimates: BTreeMap<u32, (GeoPoint, f64)>,
-}
-
-impl GeolocationResult {
-    /// Estimate each front-end's location as the user-weighted centroid of
-    /// the client prefixes it serves.
-    pub fn client_centric(s: &Substrate, mapping: &UserMapping) -> GeolocationResult {
-        // Accumulate client weights per address.
-        #[derive(Default)]
-        struct Acc {
-            lat: f64,
-            lon_x: f64,
-            lon_y: f64,
-            w: f64,
-        }
-        let mut acc: BTreeMap<u32, Acc> = BTreeMap::new();
-        for c in mapping.mapping.iter() {
-            let rec = s.topo.prefixes.get(c.prefix);
-            let users = s.users.users_of(c.prefix);
-            if users <= 0.0 {
-                continue;
-            }
-            let loc = s.topo.city_location(rec.city);
-            let a = acc.entry(c.addr.0).or_default();
-            a.lat += loc.lat * users;
-            // Average longitudes on the unit circle to dodge the ±180 seam.
-            let r = loc.lon.to_radians();
-            a.lon_x += r.cos() * users;
-            a.lon_y += r.sin() * users;
-            a.w += users;
-        }
-
-        let mut estimates = BTreeMap::new();
-        for (addr, a) in acc {
-            if a.w <= 0.0 {
-                continue;
-            }
-            let est = GeoPoint::new(a.lat / a.w, a.lon_y.atan2(a.lon_x).to_degrees());
-            let truth = s
-                .topo
-                .prefixes
-                .lookup(Ipv4Addr(addr))
-                .map(|r| s.topo.city_location(r.city));
-            let err = truth.map(|t| t.distance_km(est)).unwrap_or(f64::NAN);
-            estimates.insert(addr, (est, err));
-        }
-        GeolocationResult { estimates }
-    }
-
-    /// Median geolocation error in km.
-    pub fn median_error_km(&self) -> Option<f64> {
-        let mut errs: Vec<f64> = self
-            .estimates
-            .values()
-            .map(|(_, e)| *e)
-            .filter(|e| e.is_finite())
-            .collect();
-        if errs.is_empty() {
-            return None;
-        }
-        errs.sort_by(|a, b| a.total_cmp(b));
-        Some(errs[errs.len() / 2])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,16 +407,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn geolocation_errors_are_city_scale() {
-        let (s, m) = setup();
-        let geo = GeolocationResult::client_centric(&s, &m);
-        assert!(!geo.estimates.is_empty());
-        let med = geo.median_error_km().unwrap();
-        // Client-centroid geolocation is coarse but should land on the
-        // right continent for most front-ends.
-        assert!(med < 3000.0, "median error {med:.0} km");
     }
 }

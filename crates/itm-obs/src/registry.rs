@@ -112,7 +112,8 @@ impl Registry {
         }
     }
 
-    /// Fetch-or-register a labeled counter; see [`canonical_name`].
+    /// Fetch-or-register a labeled counter, keyed by its canonical
+    /// `name{k1="v1",…}` form (labels sorted by key).
     pub fn counter_with(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         self.counter(&canonical_name(name, labels))
     }

@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Separator joining nested span names into a path.
-pub const PATH_SEP: char = '/';
+const PATH_SEP: char = '/';
 
 thread_local! {
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };

@@ -16,7 +16,7 @@
 //! which is a real limitation the velocity estimator has to manage by
 //! sampling fast enough.
 
-use itm_types::{SimDuration, SimTime};
+use itm_types::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// A router's 16-bit IP ID counter with traffic-coupled velocity.
@@ -64,11 +64,6 @@ impl IpidCounter {
         (self.phase as u64 % 65_536) as u16
     }
 
-    /// The instantaneous velocity in counts/second for the given load.
-    pub fn velocity(&self, forwarded_mbps: f64) -> f64 {
-        self.base_rate + self.per_mbit * forwarded_mbps.max(0.0)
-    }
-
     /// Estimate velocity from two wire samples, assuming at most one wrap
     /// between them (the estimator the paper's proposal implies). Returns
     /// counts/second; `None` on a zero-length interval.
@@ -79,15 +74,6 @@ impl IpidCounter {
         let dt = (t1 - t0).as_secs() as f64;
         let delta = (s1 as i64 - s0 as i64).rem_euclid(65_536) as f64;
         Some(delta / dt)
-    }
-
-    /// The longest sampling interval that avoids wrap aliasing at the
-    /// given velocity (one full wrap per interval).
-    pub fn max_unaliased_interval(velocity: f64) -> SimDuration {
-        if velocity <= 0.0 {
-            return SimDuration::hours(24);
-        }
-        SimDuration::secs((65_536.0 / velocity).floor().max(1.0) as u64)
     }
 }
 
@@ -155,15 +141,12 @@ mod tests {
 
     #[test]
     fn unaliased_interval_bound() {
-        let d = IpidCounter::max_unaliased_interval(100.0);
-        assert_eq!(d.as_secs(), 655);
-        assert_eq!(IpidCounter::max_unaliased_interval(0.0).as_secs(), 86_400);
-        // Sampling at that bound keeps the estimator accurate.
+        // Sampling just inside one wrap (655 s at 100/s) keeps the
+        // estimator accurate.
         let mut c = IpidCounter::new(7, 100.0, 0.0);
         let s0 = c.sample();
-        c.advance(SimTime(d.as_secs()), 0.0);
-        let v = IpidCounter::estimate_velocity(s0, SimTime(0), c.sample(), SimTime(d.as_secs()))
-            .unwrap();
+        c.advance(SimTime(655), 0.0);
+        let v = IpidCounter::estimate_velocity(s0, SimTime(0), c.sample(), SimTime(655)).unwrap();
         assert!((v - 100.0).abs() < 0.2);
     }
 

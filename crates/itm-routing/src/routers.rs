@@ -22,8 +22,6 @@ pub struct RouterMap {
     routers: Vec<RouterRecord>,
     /// (asn, city) -> RouterId
     by_pop: BTreeMap<(Asn, u32), RouterId>,
-    /// interface address -> RouterId
-    by_addr: BTreeMap<u32, RouterId>,
 }
 
 /// One router.
@@ -46,7 +44,6 @@ impl RouterMap {
     pub fn build(topo: &Topology) -> RouterMap {
         let mut routers = Vec::new();
         let mut by_pop = BTreeMap::new();
-        let mut by_addr = BTreeMap::new();
         for a in &topo.ases {
             // Address pool: infra prefixes first, else anything it owns.
             let owned = topo.prefixes.owned_by(a.asn);
@@ -78,14 +75,9 @@ impl RouterMap {
                     addr,
                 });
                 by_pop.insert((a.asn, city), id);
-                by_addr.entry(addr.0).or_insert(id);
             }
         }
-        RouterMap {
-            routers,
-            by_pop,
-            by_addr,
-        }
+        RouterMap { routers, by_pop }
     }
 
     /// Number of routers.
@@ -109,13 +101,8 @@ impl RouterMap {
     }
 
     /// The router of an (AS, city) PoP.
-    pub fn at_pop(&self, asn: Asn, city: u32) -> Option<RouterId> {
+    fn at_pop(&self, asn: Asn, city: u32) -> Option<RouterId> {
         self.by_pop.get(&(asn, city)).copied()
-    }
-
-    /// Reverse lookup by interface address.
-    pub fn by_addr(&self, addr: Ipv4Addr) -> Option<RouterId> {
-        self.by_addr.get(&addr.0).copied()
     }
 
     /// The AS's router nearest to a given city (geodesically), `None` for
@@ -199,16 +186,6 @@ impl Traceroute {
             hops,
         })
     }
-
-    /// The AS-level path (deduplicated consecutive ASes — already unique).
-    pub fn as_path(&self) -> Vec<Asn> {
-        self.hops.iter().map(|h| h.asn).collect()
-    }
-
-    /// End-to-end RTT estimate.
-    pub fn rtt_ms(&self) -> f64 {
-        self.hops.last().map(|h| h.rtt_ms).unwrap_or(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -239,18 +216,8 @@ mod tests {
     }
 
     #[test]
-    fn router_addresses_resolve_back() {
+    fn router_addresses_live_in_owner_prefixes() {
         let (t, r) = setup();
-        let mut resolved = 0;
-        for rec in r.iter() {
-            if let Some(id) = r.by_addr(rec.addr) {
-                // Shared pools may alias two PoPs to one address only if
-                // pools are tiny; the map keeps the first owner.
-                assert_eq!(r.get(id).asn, rec.asn);
-                resolved += 1;
-            }
-        }
-        assert_eq!(resolved, r.len());
         // Addresses live inside the owner's prefixes (when it has any).
         for rec in r.iter() {
             if let Some(p) = t.prefixes.lookup(rec.addr) {
@@ -267,7 +234,8 @@ mod tests {
         let tree = RoutingTree::compute(&view, dst);
         let src = Asn((t.n_ases() - 1) as u32);
         let tr = Traceroute::run(&t, &r, &tree, src).unwrap();
-        assert_eq!(tr.as_path(), tree.path(src).unwrap());
+        let as_path: Vec<Asn> = tr.hops.iter().map(|h| h.asn).collect();
+        assert_eq!(as_path, tree.path(src).unwrap());
         assert_eq!(tr.hops.first().unwrap().asn, src);
         assert_eq!(tr.hops.last().unwrap().asn, dst);
         // RTTs are cumulative and positive.
@@ -276,7 +244,7 @@ mod tests {
             assert!(h.rtt_ms > last - 1e-9);
             last = h.rtt_ms;
         }
-        assert!(tr.rtt_ms() > 0.0);
+        assert!(last > 0.0);
     }
 
     #[test]

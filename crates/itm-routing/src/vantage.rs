@@ -79,29 +79,13 @@ impl VantagePoints {
         (kept, before - kept)
     }
 
-    /// Forward paths measured from every probe to `dst` (traceroute-style:
-    /// real paths over the ground-truth view).
-    pub fn measure_paths_to(&self, view: &GraphView, dst: Asn) -> Vec<(Asn, Option<Vec<Asn>>)> {
-        let tree = RoutingTree::compute(view, dst);
-        self.probes.iter().map(|&p| (p, tree.path(p))).collect()
-    }
-
-    /// Links discovered by measuring out from cloud VMs: every link on a
-    /// best path between a cloud and any AS, in either direction (forward
-    /// probing plus Reverse-Traceroute-style reverse paths \[36\]).
-    ///
-    /// This is the §3.3.2 observation that cloud vantage points recover
+    /// Links discovered by measuring out from one cloud VM: every link on
+    /// a best path between the cloud and any AS, in either direction
+    /// (forward probing plus Reverse-Traceroute-style reverse paths
+    /// \[36\]) — the §3.3.2 observation that cloud vantage points recover
     /// cloud–edge peering that collectors miss.
-    pub fn cloud_discovered_links(&self, view: &GraphView) -> BTreeSet<(Asn, Asn)> {
-        let mut found = BTreeSet::new();
-        for &c in &self.cloud_vms {
-            found.extend(Self::links_from_cloud(view, c));
-        }
-        found
-    }
-
-    /// Links on any best path toward one cloud AS. Forward: cloud ->
-    /// everyone. One tree per destination would be O(V) trees; instead
+    ///
+    /// Forward: cloud -> everyone. One tree per destination would be O(V) trees; instead
     /// exploit symmetry of the link *set*: paths toward the cloud (one
     /// tree per cloud) cover reverse paths, and forward paths cloud->dst
     /// traverse the same link set. Each VM's tree is independent of every
@@ -148,22 +132,14 @@ mod tests {
     }
 
     #[test]
-    fn measured_paths_reach_destination() {
-        let (t, v) = setup();
-        let vp = VantagePoints::typical(&t, &SeedDomain::new(1));
-        let dst = t.hypergiants()[0];
-        for (src, path) in vp.measure_paths_to(&v, dst) {
-            let path = path.expect("connected Internet");
-            assert_eq!(*path.first().unwrap(), src);
-            assert_eq!(*path.last().unwrap(), dst);
-        }
-    }
-
-    #[test]
     fn cloud_vms_discover_cloud_peering() {
         let (t, v) = setup();
         let vp = VantagePoints::typical(&t, &SeedDomain::new(1));
-        let found = vp.cloud_discovered_links(&v);
+        let found: BTreeSet<(Asn, Asn)> = vp
+            .cloud_vms
+            .iter()
+            .flat_map(|&c| VantagePoints::links_from_cloud(&v, c))
+            .collect();
         assert!(!found.is_empty());
         // Every discovered link is real.
         for &(a, b) in &found {

@@ -28,7 +28,6 @@
 use crate::Snapshot;
 use itm_types::snap::claim;
 use itm_types::{Asn, Ipv4Addr, PrefixId, ServiceId};
-use std::collections::BTreeMap;
 
 /// Why two snapshots cannot be diffed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -198,67 +197,6 @@ impl MapDiff {
     pub fn n_cells_of_kind(&self, kind: &str) -> usize {
         self.cells.iter().filter(|d| d.kind() == kind).count()
     }
-
-    /// Reconstruct B's full cell grid from A plus this diff
-    /// (verification helper: the round-trip test asserts it equals B's
-    /// decoded cells exactly).
-    pub fn apply_cells(&self, a: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
-        let mut grid: BTreeMap<(u32, u32), (Ipv4Addr, u8)> = decode_cells(a)
-            .into_iter()
-            .map(|(svc, p, addr, bits)| ((svc.raw(), p.raw()), (addr, bits)))
-            .collect();
-        for d in &self.cells {
-            let key = (d.service.raw(), d.prefix.raw());
-            match d.new_addr {
-                Some(addr) => {
-                    grid.insert(key, (addr, d.new_bits));
-                }
-                None => {
-                    grid.remove(&key);
-                }
-            }
-        }
-        grid.into_iter()
-            .map(|((s, p), (addr, bits))| (ServiceId(s), PrefixId(p), addr, bits))
-            .collect()
-    }
-
-    /// Reconstruct B's directed adjacency from A plus this diff (the
-    /// route half of the round-trip check).
-    pub fn apply_routes(&self, a: &Snapshot) -> Vec<(Asn, Asn, u8)> {
-        let mut adj: BTreeMap<(u32, u32), u8> = BTreeMap::new();
-        for asn in 0..a.n_ases() {
-            let from = Asn(asn as u32);
-            for (to, kind) in a.neighbors(from) {
-                adj.insert((from.raw(), to.raw()), kind);
-            }
-        }
-        for d in &self.routes {
-            let key = (d.from.raw(), d.to.raw());
-            match d.new_kind {
-                Some(kind) => {
-                    adj.insert(key, kind);
-                }
-                None => {
-                    adj.remove(&key);
-                }
-            }
-        }
-        adj.into_iter()
-            .map(|((f, t), kind)| (Asn(f), Asn(t), kind))
-            .collect()
-    }
-}
-
-/// Decode a snapshot's full cell grid in canonical order (the comparison
-/// target for [`MapDiff::apply_cells`]).
-pub fn decode_cells(s: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
-    let mut out = Vec::with_capacity(s.n_cells());
-    for sid in 0..s.n_services() {
-        let svc = ServiceId(sid as u32);
-        out.extend(claimed_cells(s, svc).map(|(p, addr, bits)| (svc, p, addr, bits)));
-    }
-    out
 }
 
 /// One service's cells with their claim bits, in prefix order, read by
@@ -299,25 +237,83 @@ fn merge_join<K: Ord + Copy, V: PartialEq + Copy>(
     }
 }
 
-/// Decode a snapshot's full directed adjacency in canonical order (the
-/// comparison target for [`MapDiff::apply_routes`]).
-pub fn decode_routes(s: &Snapshot) -> Vec<(Asn, Asn, u8)> {
-    let mut out = Vec::with_capacity(s.n_route_entries());
-    for asn in 0..s.n_ases() {
-        let from = Asn(asn as u32);
-        for (to, kind) in s.neighbors(from) {
-            out.push((from, to, kind));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::fixture;
     use crate::tests::Col::{U32, U64, U8};
     use itm_types::snap::{claim, rel, section};
+    use std::collections::BTreeMap;
+
+    /// B's full cell grid rebuilt from A plus the diff: the round trip
+    /// asserts it equals B's decoded cells exactly.
+    fn apply_cells(diff: &MapDiff, a: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
+        let mut grid: BTreeMap<(u32, u32), (Ipv4Addr, u8)> = decode_cells(a)
+            .into_iter()
+            .map(|(svc, p, addr, bits)| ((svc.raw(), p.raw()), (addr, bits)))
+            .collect();
+        for d in &diff.cells {
+            let key = (d.service.raw(), d.prefix.raw());
+            match d.new_addr {
+                Some(addr) => {
+                    grid.insert(key, (addr, d.new_bits));
+                }
+                None => {
+                    grid.remove(&key);
+                }
+            }
+        }
+        grid.into_iter()
+            .map(|((s, p), (addr, bits))| (ServiceId(s), PrefixId(p), addr, bits))
+            .collect()
+    }
+
+    /// B's directed adjacency rebuilt from A plus the diff (the route
+    /// half of the round trip).
+    fn apply_routes(diff: &MapDiff, a: &Snapshot) -> Vec<(Asn, Asn, u8)> {
+        let mut adj: BTreeMap<(u32, u32), u8> = decode_routes(a)
+            .into_iter()
+            .map(|(from, to, kind)| ((from.raw(), to.raw()), kind))
+            .collect();
+        for d in &diff.routes {
+            let key = (d.from.raw(), d.to.raw());
+            match d.new_kind {
+                Some(kind) => {
+                    adj.insert(key, kind);
+                }
+                None => {
+                    adj.remove(&key);
+                }
+            }
+        }
+        adj.into_iter()
+            .map(|((f, t), kind)| (Asn(f), Asn(t), kind))
+            .collect()
+    }
+
+    /// Decode a snapshot's full cell grid in canonical order (the comparison
+    /// target for `apply_cells`).
+    fn decode_cells(s: &Snapshot) -> Vec<(ServiceId, PrefixId, Ipv4Addr, u8)> {
+        let mut out = Vec::with_capacity(s.n_cells());
+        for sid in 0..s.n_services() {
+            let svc = ServiceId(sid as u32);
+            out.extend(claimed_cells(s, svc).map(|(p, addr, bits)| (svc, p, addr, bits)));
+        }
+        out
+    }
+
+    /// Decode a snapshot's full directed adjacency in canonical order (the
+    /// comparison target for `apply_routes`).
+    fn decode_routes(s: &Snapshot) -> Vec<(Asn, Asn, u8)> {
+        let mut out = Vec::with_capacity(s.n_route_entries());
+        for asn in 0..s.n_ases() {
+            let from = Asn(asn as u32);
+            for (to, kind) in s.neighbors(from) {
+                out.push((from, to, kind));
+            }
+        }
+        out
+    }
 
     /// Snapshot A: the `tiny()` universe of the crate tests — 2 services,
     /// 3 prefixes, 4 cells, 2 fronts, a 3-AS triangle.
@@ -522,8 +518,8 @@ mod tests {
             for (x, y) in [(a, b), (b, a), (a, a)] {
                 let d = MapDiff::compute(x, y).expect("compatible");
                 assert_eq!(d, point_reference(x, y));
-                assert_eq!(d.apply_cells(x), decode_cells(y));
-                assert_eq!(d.apply_routes(x), decode_routes(y));
+                assert_eq!(apply_cells(&d, x), decode_cells(y));
+                assert_eq!(apply_routes(&d, x), decode_routes(y));
             }
         };
         check(&snap_a(), &snap_b());
@@ -540,8 +536,8 @@ mod tests {
         let a = snap_a();
         let d = MapDiff::compute(&a, &a).expect("compatible");
         assert!(d.is_empty());
-        assert_eq!(d.apply_cells(&a), decode_cells(&a));
-        assert_eq!(d.apply_routes(&a), decode_routes(&a));
+        assert_eq!(apply_cells(&d, &a), decode_cells(&a));
+        assert_eq!(apply_routes(&d, &a), decode_routes(&a));
     }
 
     #[test]
@@ -594,12 +590,12 @@ mod tests {
     fn applying_the_diff_to_a_reconstructs_b() {
         let (a, b) = (snap_a(), snap_b());
         let d = MapDiff::compute(&a, &b).expect("compatible");
-        assert_eq!(d.apply_cells(&a), decode_cells(&b));
-        assert_eq!(d.apply_routes(&a), decode_routes(&b));
+        assert_eq!(apply_cells(&d, &a), decode_cells(&b));
+        assert_eq!(apply_routes(&d, &a), decode_routes(&b));
         // And the reverse diff reconstructs A from B.
         let rev = MapDiff::compute(&b, &a).expect("compatible");
-        assert_eq!(rev.apply_cells(&b), decode_cells(&a));
-        assert_eq!(rev.apply_routes(&b), decode_routes(&a));
+        assert_eq!(apply_cells(&rev, &b), decode_cells(&a));
+        assert_eq!(apply_routes(&rev, &b), decode_routes(&a));
     }
 
     #[test]

@@ -52,7 +52,7 @@
 
 mod diff;
 
-pub use diff::{decode_cells, decode_routes, CellDelta, DiffError, MapDiff, RouteDelta};
+pub use diff::{CellDelta, DiffError, MapDiff, RouteDelta};
 
 use itm_core::ParallelExecutor;
 use itm_types::snap::{self, claim, section, SectionEntry, SnapError};
@@ -803,11 +803,6 @@ impl Snapshot {
     /// Number of distinct front-end addresses.
     pub fn n_fronts(&self) -> usize {
         self.meta[6] as usize
-    }
-
-    /// Total size of the snapshot in bytes.
-    pub fn byte_len(&self) -> usize {
-        self.bytes.len()
     }
 
     // ---- Domain / service lookups.

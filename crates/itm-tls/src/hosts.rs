@@ -189,12 +189,6 @@ impl TlsHostRegistry {
             .find(|(_, c)| c.issuer == cert.issuer)
             .map(|(hg, _)| *hg)
     }
-
-    /// All registered addresses (scan hit-list ground truth; scanners do
-    /// not get this — they sweep the address plan).
-    pub fn addresses(&self) -> impl Iterator<Item = Ipv4Addr> + '_ {
-        self.hosts.keys().map(|&a| Ipv4Addr(a))
-    }
 }
 
 #[cfg(test)]

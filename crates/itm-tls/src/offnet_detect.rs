@@ -16,7 +16,6 @@ use crate::TlsHostRegistry;
 use itm_topology::Topology;
 use itm_types::{Asn, Ipv4Addr};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One detected off-net deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -75,16 +74,6 @@ pub fn detect_offnets(
         }
     }
     (onnet, offnet)
-}
-
-/// Per-hypergiant count of distinct host ASes with detected off-nets —
-/// the headline number of \[25\] ("caches in thousands of networks").
-pub fn offnet_host_counts(findings: &[OffnetFinding]) -> BTreeMap<Asn, usize> {
-    let mut hosts: BTreeMap<Asn, std::collections::BTreeSet<Asn>> = BTreeMap::new();
-    for f in findings {
-        hosts.entry(f.hypergiant).or_default().insert(f.host);
-    }
-    hosts.into_iter().map(|(hg, set)| (hg, set.len())).collect()
 }
 
 #[cfg(test)]
@@ -157,16 +146,5 @@ mod tests {
             let rec = topo.prefixes.lookup(f.addr).unwrap();
             assert_eq!(rec.owner, f.hypergiant);
         }
-    }
-
-    #[test]
-    fn host_counts_aggregate() {
-        let (_, _, off) = run();
-        let counts = offnet_host_counts(&off);
-        assert!(!counts.is_empty());
-        let sum: usize = counts.values().sum();
-        let distinct: std::collections::HashSet<(Asn, Asn)> =
-            off.iter().map(|f| (f.hypergiant, f.host)).collect();
-        assert_eq!(sum, distinct.len());
     }
 }

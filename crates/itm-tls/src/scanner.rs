@@ -234,13 +234,6 @@ impl TlsScan {
         part.observations.sort_by_key(|o| o.addr);
         part
     }
-
-    /// Hits presenting a certificate from a given issuer.
-    pub fn by_issuer<'a>(&'a self, issuer: &'a str) -> impl Iterator<Item = &'a ScanObservation> {
-        self.observations
-            .iter()
-            .filter(move |o| o.cert.issuer == issuer)
-    }
 }
 
 /// One shard's partial sweep output (disjoint prefix slice).

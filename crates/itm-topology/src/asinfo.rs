@@ -103,13 +103,6 @@ pub struct AsInfo {
     pub size_factor: f64,
 }
 
-impl AsInfo {
-    /// Whether the AS has a PoP in `city`.
-    pub fn present_in(&self, city: u32) -> bool {
-        self.cities.contains(&city)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,19 +129,5 @@ mod tests {
             PeeringPolicy::Selective.base_propensity()
                 > PeeringPolicy::Restrictive.base_propensity()
         );
-    }
-
-    #[test]
-    fn present_in_checks_city_list() {
-        let a = AsInfo {
-            asn: Asn(1),
-            class: AsClass::Stub,
-            home_country: Country(0),
-            cities: vec![3, 9],
-            policy: PeeringPolicy::Selective,
-            size_factor: 1.0,
-        };
-        assert!(a.present_in(3));
-        assert!(!a.present_in(4));
     }
 }

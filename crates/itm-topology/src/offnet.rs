@@ -72,15 +72,6 @@ impl OffnetTable {
             .map(move |&i| &self.deployments[i])
     }
 
-    /// Deployments hosted inside `host`.
-    pub fn hosted_by(&self, host: Asn) -> impl Iterator<Item = &OffnetDeployment> {
-        self.by_host
-            .get(&host)
-            .into_iter()
-            .flatten()
-            .map(move |&i| &self.deployments[i])
-    }
-
     /// The deployment of `hg` inside `host`, if any.
     pub fn find(&self, hg: Asn, host: Asn) -> Option<&OffnetDeployment> {
         self.of_hypergiant(hg).find(|d| d.host == host)
@@ -113,7 +104,6 @@ mod tests {
         t.push(dep(2, 10, 102));
         assert_eq!(t.len(), 3);
         assert_eq!(t.of_hypergiant(Asn(1)).count(), 2);
-        assert_eq!(t.hosted_by(Asn(10)).count(), 2);
         assert_eq!(t.find(Asn(2), Asn(10)).unwrap().prefix, PrefixId(102));
         assert!(t.find(Asn(2), Asn(11)).is_none());
         assert_eq!(t.distinct_hosts(), 2);
@@ -124,6 +114,5 @@ mod tests {
         let t = OffnetTable::new();
         assert!(t.is_empty());
         assert_eq!(t.of_hypergiant(Asn(1)).count(), 0);
-        assert_eq!(t.hosted_by(Asn(1)).count(), 0);
     }
 }

@@ -139,21 +139,6 @@ impl TrafficModel {
         Bps(base * svc.traffic_share * affinity(self.affinity_seed, p, s, self.cfg.affinity_sigma))
     }
 
-    /// Demand at a specific time (diurnal-modulated, normalized so the
-    /// daily mean equals [`TrafficModel::demand`]).
-    pub fn demand_at(
-        &self,
-        topo: &Topology,
-        users: &UserModel,
-        catalog: &ServiceCatalog,
-        p: PrefixId,
-        s: ServiceId,
-        t: SimTime,
-    ) -> Bps {
-        let m = self.cfg.diurnal.at(t, self.solar_offset[p.index()]) / self.diurnal_mean;
-        self.demand(topo, users, catalog, p, s) * m
-    }
-
     /// Diurnal multiplier for a prefix at time `t` (mean 1.0 over a day).
     pub fn diurnal_multiplier(&self, p: PrefixId, t: SimTime) -> f64 {
         self.cfg.diurnal.at(t, self.solar_offset[p.index()]) / self.diurnal_mean
@@ -344,7 +329,7 @@ mod tests {
         let mut t0 = SimTime::ZERO;
         let n = 24 * 12;
         for _ in 0..n {
-            acc += m.demand_at(&t, &u, &c, p, s, t0).raw();
+            acc += (m.demand(&t, &u, &c, p, s) * m.diurnal_multiplier(p, t0)).raw();
             t0 += SimDuration::mins(5);
         }
         let avg = acc / n as f64;

@@ -8,7 +8,7 @@
 //! redirection, anycast, and per-client custom URLs), and DNS/ECS metadata
 //! that the measurement techniques key on.
 
-use itm_topology::{AsClass, Topology};
+use itm_topology::Topology;
 use itm_types::rng::{weighted_choice, zipf_weights, SeedDomain};
 use itm_types::{Asn, ServiceId};
 use rand::Rng;
@@ -226,34 +226,16 @@ impl ServiceCatalog {
             .filter(move |s| s.owner.serving_as() == asn)
     }
 
-    /// Total traffic share of a provider AS.
-    pub fn provider_share(&self, asn: Asn) -> f64 {
-        self.served_by(asn).map(|s| s.traffic_share).sum()
-    }
-
     /// The top `k` services by share.
     pub fn top(&self, k: usize) -> &[Service] {
         &self.services[..k.min(self.services.len())]
-    }
-
-    /// Traffic share of hypergiant-operated + cloud-hosted services per
-    /// provider, descending: the consolidation rollup (E13).
-    pub fn provider_shares(&self, topo: &Topology) -> Vec<(Asn, f64)> {
-        let mut out: Vec<(Asn, f64)> = topo
-            .ases
-            .iter()
-            .filter(|a| matches!(a.class, AsClass::Hypergiant | AsClass::Cloud))
-            .map(|a| (a.asn, self.provider_share(a.asn)))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use itm_topology::{generate, TopologyConfig};
+    use itm_topology::{generate, AsClass, TopologyConfig};
 
     fn setup() -> (Topology, ServiceCatalog) {
         let t = generate(&TopologyConfig::small(), 3).unwrap();
@@ -308,13 +290,15 @@ mod tests {
         let (t, c) = setup();
         assert!(c.by_domain("svc0.example").is_some());
         assert!(c.by_domain("nonexistent.example").is_none());
-        let shares = c.provider_shares(&t);
-        let total: f64 = shares.iter().map(|(_, s)| s).sum();
+        // Every service is hosted by a hypergiant or a cloud.
+        let total: f64 = t
+            .ases
+            .iter()
+            .filter(|a| matches!(a.class, AsClass::Hypergiant | AsClass::Cloud))
+            .flat_map(|a| c.served_by(a.asn))
+            .map(|s| s.traffic_share)
+            .sum();
         assert!((total - 1.0).abs() < 1e-9);
-        // Descending.
-        for w in shares.windows(2) {
-            assert!(w[0].1 >= w[1].1);
-        }
     }
 
     #[test]

@@ -162,24 +162,6 @@ impl CellMap {
         out
     }
 
-    /// Merge arbitrary sorted runs into one map (k-way, by key).
-    ///
-    /// Runs must each be `(service, prefix)`-ascending (debug-asserted);
-    /// keys duplicated across runs keep the earliest run's cell. Unlike
-    /// [`CellMap::merge_shards`] this copies cells, so prefer the gather
-    /// when the inputs are shard outputs.
-    pub fn from_sorted_runs(runs: Vec<Vec<Cell>>) -> Self {
-        let merged = merge_sorted_runs_by(runs, |a, b| a.key() < b.key());
-        let mut out = CellMap::new();
-        for cell in merged {
-            if out.last_key() == Some(cell.key()) {
-                continue;
-            }
-            out.push(cell);
-        }
-        out
-    }
-
     /// Position of the first cell with key `>= key`, as (segment, index);
     /// `(segs.len(), 0)` when every cell is smaller.
     fn lower_bound(&self, key: (ServiceId, PrefixId)) -> (usize, usize) {
@@ -296,15 +278,6 @@ impl CellMap {
         }
         out
     }
-
-    /// Consume the map, flattening into the raw sorted cell vector.
-    pub fn into_cells(self) -> Vec<Cell> {
-        let mut out = Vec::with_capacity(self.total);
-        for seg in self.segs {
-            out.extend(seg);
-        }
-        out
-    }
 }
 
 /// K-way merge of individually sorted runs under a strict `less` ordering.
@@ -400,34 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn from_sorted_runs_matches_btreemap_semantics() {
-        use std::collections::BTreeMap;
-        // Interleaved runs, NOT prefix-sliced — the generic merge path.
-        let runs = vec![
-            vec![cell(0, 0, 1), cell(0, 1, 2), cell(1, 0, 3)],
-            vec![cell(0, 4, 4), cell(1, 5, 5)],
-            vec![cell(0, 2, 6), cell(2, 9, 7)],
-        ];
-        let m = CellMap::from_sorted_runs(runs.clone());
-        let mut tree: BTreeMap<(ServiceId, PrefixId), Ipv4Addr> = BTreeMap::new();
-        for r in &runs {
-            for c in r {
-                tree.entry((c.service, c.prefix)).or_insert(c.addr);
-            }
-        }
-        let flat: Vec<Cell> = tree
-            .iter()
-            .map(|(&(service, prefix), &addr)| Cell {
-                service,
-                prefix,
-                addr,
-            })
-            .collect();
-        assert_eq!(m.iter().copied().collect::<Vec<_>>(), flat);
-        assert_eq!(m.into_cells(), flat);
-    }
-
-    #[test]
     fn merge_shards_gathers_prefix_sliced_parts() {
         // Three shards over prefix slices [0..10), [10..20), [20..30),
         // each seeing services 0 and 2 — the campaign shape.
@@ -460,14 +405,6 @@ mod tests {
         let m = CellMap::merge_shards(parts);
         assert_eq!(m.len(), 1);
         assert_eq!(m.get(ServiceId(1), PrefixId(0)), Some(Ipv4Addr(7)));
-    }
-
-    #[test]
-    fn duplicate_keys_keep_the_earliest_run() {
-        let runs = vec![vec![cell(0, 0, 1)], vec![cell(0, 0, 2), cell(0, 1, 3)]];
-        let m = CellMap::from_sorted_runs(runs);
-        assert_eq!(m.len(), 2);
-        assert_eq!(m.get(ServiceId(0), PrefixId(0)), Some(Ipv4Addr(1)));
     }
 
     #[test]

@@ -124,12 +124,6 @@ impl Ipv4Net {
         self.len
     }
 
-    /// Whether this network is the default route `0.0.0.0/0`.
-    #[inline]
-    pub const fn is_default(self) -> bool {
-        self.len == 0
-    }
-
     /// Number of addresses covered (saturating at `u32::MAX` for /0).
     #[inline]
     pub const fn size(self) -> u32 {
@@ -326,7 +320,7 @@ mod tests {
     #[test]
     fn default_route_properties() {
         let d = net("0.0.0.0/0");
-        assert!(d.is_default());
+        assert_eq!(d.len(), 0);
         assert_eq!(d.size(), u32::MAX);
         assert!(d.contains("203.0.113.9".parse().unwrap()));
     }

@@ -93,7 +93,7 @@ pub mod section {
     /// `u32[n_cells]`: the serving front-end address of each cell.
     pub const CELL_ADDR: u32 = 10;
     /// `u8[n_cells]`: the per-cell technique claim bitmap (see
-    /// [`claim`]), aligned with the cell columns.
+    /// [`claim`](super::claim)), aligned with the cell columns.
     pub const CELL_BITS: u32 = 11;
     /// `u32[n_cells]`: permutation of global cell indices ordered by
     /// `(serving address, cell index)` — the reverse-lookup index.
@@ -111,7 +111,7 @@ pub mod section {
     /// ascending within each AS's run.
     pub const ROUTE_NBR: u32 = 16;
     /// `u8[n_route_entries]`: relationship code per adjacency entry (see
-    /// [`rel`]), aligned with [`ROUTE_NBR`].
+    /// [`rel`](super::rel)), aligned with [`ROUTE_NBR`].
     pub const ROUTE_KIND: u32 = 17;
 }
 

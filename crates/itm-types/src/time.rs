@@ -42,10 +42,6 @@ impl SimDuration {
     pub const fn days(n: u64) -> Self {
         SimDuration(n * 86_400)
     }
-    /// The duration in (fractional) hours.
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3600.0
-    }
     /// The duration in whole seconds.
     pub const fn as_secs(self) -> u64 {
         self.0

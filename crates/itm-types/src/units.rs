@@ -22,31 +22,9 @@ impl Bps {
     /// Zero rate.
     pub const ZERO: Bps = Bps(0.0);
 
-    /// Kilobits per second.
-    pub fn kbps(v: f64) -> Self {
-        Bps(v * 1e3)
-    }
-    /// Megabits per second.
-    pub fn mbps(v: f64) -> Self {
-        Bps(v * 1e6)
-    }
-    /// Gigabits per second.
-    pub fn gbps(v: f64) -> Self {
-        Bps(v * 1e9)
-    }
-
     /// The raw value in bits per second.
     pub fn raw(self) -> f64 {
         self.0
-    }
-
-    /// This rate as a fraction of `total` (0 if `total` is zero).
-    pub fn share_of(self, total: Bps) -> f64 {
-        if total.0 > 0.0 {
-            self.0 / total.0
-        } else {
-            0.0
-        }
     }
 }
 
@@ -105,29 +83,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn constructors_scale() {
-        assert_eq!(Bps::kbps(1.0).raw(), 1e3);
-        assert_eq!(Bps::mbps(2.0).raw(), 2e6);
-        assert_eq!(Bps::gbps(0.5).raw(), 5e8);
-    }
-
-    #[test]
     fn display_picks_unit() {
         assert_eq!(Bps(500.0).to_string(), "500.00 bps");
-        assert_eq!(Bps::kbps(1.5).to_string(), "1.50 Kbps");
-        assert_eq!(Bps::mbps(12.0).to_string(), "12.00 Mbps");
-        assert_eq!(Bps::gbps(3.25).to_string(), "3.25 Gbps");
+        assert_eq!(Bps(1.5e3).to_string(), "1.50 Kbps");
+        assert_eq!(Bps(12e6).to_string(), "12.00 Mbps");
+        assert_eq!(Bps(3.25e9).to_string(), "3.25 Gbps");
         assert_eq!(Bps(2.5e12).to_string(), "2.50 Tbps");
     }
 
     #[test]
     fn arithmetic_and_sum() {
-        let total: Bps = [Bps::mbps(1.0), Bps::mbps(3.0)].into_iter().sum();
-        assert_eq!(total, Bps::mbps(4.0));
-        assert_eq!(Bps::mbps(1.0).share_of(total), 0.25);
-        assert_eq!(Bps::mbps(1.0).share_of(Bps::ZERO), 0.0);
-        assert_eq!((Bps::mbps(2.0) * 2.0).raw(), 4e6);
-        assert_eq!((Bps::mbps(2.0) / 2.0).raw(), 1e6);
+        let total: Bps = [Bps(1e6), Bps(3e6)].into_iter().sum();
+        assert_eq!(total, Bps(4e6));
+        assert_eq!((Bps(2e6) * 2.0).raw(), 4e6);
+        assert_eq!((Bps(2e6) / 2.0).raw(), 1e6);
         let mut x = Bps::ZERO;
         x += Bps(1.0);
         assert_eq!(x.raw(), 1.0);
