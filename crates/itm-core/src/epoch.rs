@@ -38,9 +38,9 @@
 //! resolved on 13 ancestors and a 137-AS upward closure") where a full
 //! tree's say how many ASes it reaches; their subjects are unchanged.
 
-use crate::exec::ParallelExecutor;
 use crate::map::{run_pipeline, MapConfig, TrafficMap};
 use crate::snapshot::snapshot_bytes;
+use crate::ParallelExecutor;
 use itm_measure::Substrate;
 use itm_topology::AsClass;
 use itm_traffic::DeliveryMode;

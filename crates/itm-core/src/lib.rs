@@ -37,7 +37,6 @@
 pub mod audit;
 pub mod coverage;
 pub mod epoch;
-pub mod exec;
 pub mod map;
 pub mod outage;
 pub mod predict;
@@ -49,7 +48,7 @@ pub mod weighted;
 pub use audit::{audit, MapClaims};
 pub use coverage::{CoverageReport, Table1Row};
 pub use epoch::{apply_epoch, build_incremental, map_fingerprint};
-pub use exec::ParallelExecutor;
+pub use itm_obs::exec::ParallelExecutor;
 pub use map::{MapConfig, TrafficMap};
 pub use outage::{OutageImpact, OutageScenario};
 pub use predict::{PredictionExperiment, PredictionReport};

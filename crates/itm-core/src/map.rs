@@ -30,7 +30,7 @@
 //! The result is self-contained and serializable (minus the prediction
 //! view, which is recomputed from stored links).
 
-use crate::exec::ParallelExecutor;
+use crate::ParallelExecutor;
 use itm_measure::{
     ActivityEstimator, CacheProbeCampaign, CacheProbeResult, CloudProbeResult, RootCrawlResult,
     RootCrawler, Substrate, UserMapping,

@@ -971,6 +971,7 @@ mod tests {
     use super::*;
     use crate::frontends::FrontendDirectory;
     use crate::resolvers::ResolverConfig;
+    use itm_obs::exec::ParallelExecutor;
     use itm_topology::{generate, PrefixKind, TopologyConfig};
     use itm_traffic::{ServiceCatalogConfig, TrafficConfig};
 
@@ -988,8 +989,14 @@ mod tests {
         let topo = generate(&TopologyConfig::small(), 43).unwrap();
         let users = UserModel::generate(&topo, &seeds);
         let catalog = ServiceCatalog::generate(&ServiceCatalogConfig::small(), &topo, &seeds);
-        let traffic =
-            TrafficModel::build(&topo, &users, &catalog, TrafficConfig::default(), &seeds);
+        let traffic = TrafficModel::build(
+            &topo,
+            &users,
+            &catalog,
+            TrafficConfig::default(),
+            &seeds,
+            &ParallelExecutor::sequential(),
+        );
         let resolvers = ResolverAssignment::build(&topo, &ResolverConfig::default(), &seeds);
         let frontends = FrontendDirectory::build(&topo, &catalog);
         Fixture {

@@ -173,6 +173,7 @@ mod tests {
     use crate::frontends::FrontendDirectory;
     use crate::opendns::OpenResolverConfig;
     use crate::resolvers::ResolverConfig;
+    use itm_obs::exec::ParallelExecutor;
     use itm_topology::{generate, TopologyConfig};
     use itm_traffic::{
         ServiceCatalog, ServiceCatalogConfig, TrafficConfig, TrafficModel, UserModel,
@@ -209,8 +210,14 @@ mod tests {
         let topo = generate(&TopologyConfig::small(), 53).unwrap();
         let users = UserModel::generate(&topo, &seeds);
         let catalog = ServiceCatalog::generate(&ServiceCatalogConfig::small(), &topo, &seeds);
-        let traffic =
-            TrafficModel::build(&topo, &users, &catalog, TrafficConfig::default(), &seeds);
+        let traffic = TrafficModel::build(
+            &topo,
+            &users,
+            &catalog,
+            TrafficConfig::default(),
+            &seeds,
+            &ParallelExecutor::sequential(),
+        );
         let resolvers = ResolverAssignment::build(&topo, &ResolverConfig::default(), &seeds);
         let frontends = FrontendDirectory::build(&topo, &catalog);
         let auth = AuthoritativeDns::new(&topo, &catalog, &frontends);

@@ -54,7 +54,8 @@ use std::path::Path;
 /// A single-file symbol table is built on the fly, so the M/C rule
 /// families see campaign fns and hot structs declared in the same file;
 /// L001 and U001 need workspace context (`lint_layers.toml`, every
-/// file's identifiers) and only run in [`scan_workspace`].
+/// file's identifiers) and only run in [`scan_workspace`]. A U001 allow
+/// is therefore neither reported unused (A002) nor counted in use here.
 ///
 /// Returns the surviving findings (allow annotations already applied) and
 /// the number of allows that suppressed something.
@@ -66,7 +67,7 @@ pub fn scan_source(src: &str, class: FileClass, rel_path: &str) -> (Vec<Finding>
         hot_structs: &table.hot_structs,
         layers: None,
     };
-    let (allows, _) = count_allows(&model);
+    let allows = count_allows(&model, |rule| rule != "U001");
     let findings = rules::check(&model, class, rel_path, Some(&ctx));
     // Allows-in-use = total well-formed allows minus the ones reported
     // unused (A002) for this file.
@@ -74,7 +75,8 @@ pub fn scan_source(src: &str, class: FileClass, rel_path: &str) -> (Vec<Finding>
     (findings, allows.saturating_sub(unused))
 }
 
-fn count_allows(model: &lexer::SourceModel) -> (usize, usize) {
+/// The number of well-formed allows whose rule `counts` accepts.
+fn count_allows(model: &lexer::SourceModel, counts: impl Fn(&str) -> bool) -> usize {
     let mut well_formed = 0;
     for comment in &model.comments {
         let content = comment.trim_start_matches(['/', '!', '*', ' ', '\t']);
@@ -88,14 +90,14 @@ fn count_allows(model: &lexer::SourceModel) -> (usize, usize) {
                         .strip_prefix(':')
                         .map(|r| !r.trim().is_empty())
                         .unwrap_or(false);
-                    if rules::allowable_rule(rule) && reason_ok {
+                    if rules::allowable_rule(rule) && reason_ok && counts(rule) {
                         well_formed += 1;
                     }
                 }
             }
         }
     }
-    (well_formed, 0)
+    well_formed
 }
 
 /// Scan a whole workspace rooted at `root`.
@@ -128,7 +130,7 @@ pub fn scan_workspace(root: &Path) -> io::Result<LintReport> {
             layers: layers.as_ref(),
         };
         let mut file_findings = rules::check(&models[i], f.class, &f.rel, Some(&ctx));
-        let (allows, _) = count_allows(&models[i]);
+        let allows = count_allows(&models[i], |_| true);
         let unused = file_findings.iter().filter(|x| x.rule == "A002").count();
         allows_used += allows.saturating_sub(unused);
         findings.append(&mut file_findings);

@@ -15,7 +15,7 @@
 //!   iteration feeding serialization makes byte output depend on hash
 //!   order; use `BTreeMap`/`BTreeSet` or sort explicitly.
 //! * **D004** — no thread spawns outside the registered executor file;
-//!   parallelism must flow through `itm_core::ParallelExecutor` so the
+//!   parallelism must flow through `itm_obs::exec::ParallelExecutor` so the
 //!   per-shard seed-domain discipline cannot be bypassed.
 //! * **D005** — no raw allocator access (`std::alloc`, `GlobalAlloc`,
 //!   `#[global_allocator]`) outside the registered wrapper file; memory
@@ -175,7 +175,12 @@ pub fn check(
         snippet: model.snippet(line),
     };
 
-    let (allows, mut hygiene) = parse_allows(model, file);
+    let (mut allows, mut hygiene) = parse_allows(model, file);
+    // U001 runs only over a whole workspace. Where it did not run, a U001
+    // allow can be judged neither used nor unused, so it is left out.
+    if ctx.is_none_or(|c| c.syms.unused_pub.is_none()) {
+        allows.retain(|a| a.rule != "U001");
+    }
 
     if class.applies("D001") {
         rule_d001(model, &mut raw, &mut mk);
@@ -221,7 +226,7 @@ pub fn check(
             scale::rule_l001(model, ctx, &mut raw, &mut mk);
         }
         if class.applies("U001") {
-            for (name, line) in &ctx.syms.unused_pub {
+            for (name, line) in ctx.syms.unused_pub.iter().flatten() {
                 raw.push(mk(
                     "U001",
                     *line,
@@ -512,8 +517,9 @@ fn rule_d003(
 
 /// Library files allowed to spawn threads: the deterministic shard
 /// executor. Everything else must route parallelism through it so the
-/// per-shard seed-domain discipline cannot be bypassed.
-const EXECUTOR_FILES: &[&str] = &["crates/itm-core/src/exec.rs"];
+/// per-shard seed-domain discipline cannot be bypassed. C001 exempts the
+/// same file, which owns the shared work-queue state that rule hunts for.
+pub(crate) const EXECUTOR_FILES: &[&str] = &["crates/itm-obs/src/exec.rs"];
 
 /// D004: `thread::spawn` / `thread::scope` / `.spawn(` outside registered
 /// executor files.
@@ -549,7 +555,7 @@ fn rule_d004(
                 "D004",
                 t.line,
                 format!(
-                    "`{}` spawns threads outside the registered executor; route parallelism through itm_core::ParallelExecutor",
+                    "`{}` spawns threads outside the registered executor; route parallelism through itm_obs::exec::ParallelExecutor",
                     t.text
                 ),
             ));

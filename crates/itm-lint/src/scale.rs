@@ -31,6 +31,7 @@
 use crate::layers::Layers;
 use crate::lexer::{SourceModel, TokKind};
 use crate::report::Finding;
+use crate::rules::EXECUTOR_FILES;
 use crate::symbols::{FileSymbols, FnSym};
 use std::collections::BTreeSet;
 
@@ -43,10 +44,6 @@ pub struct Context<'a> {
     /// The layering DAG, when `lint_layers.toml` is present.
     pub layers: Option<&'a Layers>,
 }
-
-/// Files whose executor internals are exempt from C001 (the executor
-/// itself owns the shared work-queue state the rule hunts for).
-const EXECUTOR_FILES: &[&str] = &["crates/itm-core/src/exec.rs"];
 
 /// Method-call test: ident token `i` is `.name(…)`.
 fn is_method_call(model: &SourceModel, i: usize) -> bool {

@@ -95,8 +95,9 @@ pub struct FileSymbols {
     /// code.
     pub pub_items: Vec<(String, u32, usize)>,
     /// `(name, line)` of the [`pub_items`](Self::pub_items) nothing uses;
-    /// filled by [`SymbolTable::find_unused_pub`].
-    pub unused_pub: Vec<(String, u32)>,
+    /// `None` until [`SymbolTable::find_unused_pub`] has run, so a scan
+    /// that never looked is not mistaken for one that found nothing.
+    pub unused_pub: Option<Vec<(String, u32)>>,
 }
 
 /// Cross-file symbol table: per-file symbols plus the derived set of
@@ -161,6 +162,7 @@ impl SymbolTable {
         }
         for ((fsyms, model), mask) in self.files.iter_mut().zip(models).zip(&in_use) {
             let decls: BTreeSet<usize> = fsyms.pub_items.iter().map(|p| p.2).collect();
+            let mut unused = Vec::new();
             for (name, line, _) in &fsyms.pub_items {
                 // The declaration itself makes its own file one of those
                 // naming it.
@@ -174,9 +176,10 @@ impl SymbolTable {
                     })
                 };
                 if !elsewhere && !here() {
-                    fsyms.unused_pub.push((name.clone(), *line));
+                    unused.push((name.clone(), *line));
                 }
             }
+            fsyms.unused_pub = Some(unused);
         }
     }
 }

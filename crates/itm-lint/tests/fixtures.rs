@@ -51,7 +51,7 @@ fn d004_flags_thread_spawns_in_library_code() {
 #[test]
 fn d004_is_silent_in_registered_executor_files() {
     let src = fixture("d004.rs");
-    let (findings, _) = scan_source(&src, FileClass::Library, "crates/itm-core/src/exec.rs");
+    let (findings, _) = scan_source(&src, FileClass::Library, "crates/itm-obs/src/exec.rs");
     assert!(
         findings.is_empty(),
         "the registered executor may spawn threads: {findings:?}"
@@ -213,7 +213,7 @@ fn c001_flags_shared_mutable_capture_in_executor_args() {
 #[test]
 fn c001_is_silent_in_the_registered_executor_file() {
     let src = fixture("c001.rs");
-    let (findings, _) = scan_source(&src, FileClass::Library, "crates/itm-core/src/exec.rs");
+    let (findings, _) = scan_source(&src, FileClass::Library, "crates/itm-obs/src/exec.rs");
     assert!(
         findings.is_empty(),
         "the executor owns its shared work-queue state: {findings:?}"
@@ -303,6 +303,23 @@ fn u001_needs_the_workspace_so_single_file_scans_skip_it() {
     .expect("fixture");
     let (findings, _) = scan_source(&src, FileClass::Library, "crates/itm-types/src/lib.rs");
     assert!(findings.iter().all(|f| f.rule != "U001"), "{findings:?}");
+}
+
+#[test]
+fn single_file_scans_judge_no_u001_allow() {
+    // U001 does not run on one file, so its allows are neither unused
+    // (no A002 at 23 or 27) nor in use (the count stays 0); the
+    // reason-less allow at 25 is still A001.
+    let src = fs::read_to_string(format!(
+        "{}/tests/fixtures/u001_ws/crates/itm-types/src/lib.rs",
+        env!("CARGO_MANIFEST_DIR")
+    ))
+    .expect("fixture");
+    let (findings, allows_used) =
+        scan_source(&src, FileClass::Library, "crates/itm-types/src/lib.rs");
+    let pairs: Vec<(&str, u32)> = findings.iter().map(|f| (f.rule.as_str(), f.line)).collect();
+    assert_eq!(pairs, vec![("A001", 25)]);
+    assert_eq!(allows_used, 0);
 }
 
 #[test]

@@ -19,6 +19,7 @@
 //! justification for the desired cadences.
 
 use crate::substrate::Substrate;
+use itm_obs::exec::ParallelExecutor;
 use itm_topology::{
     AsClass, Link, LinkClass, OffnetDeployment, PrefixKind, Slash24Allocator, Topology,
 };
@@ -171,7 +172,14 @@ pub fn evolve(s: &Substrate, days: u64, cfg: &EvolutionConfig) -> Substrate {
         users
     };
     let catalog = ServiceCatalog::generate(&s.config.services, &topo, &s.seeds);
-    let traffic = TrafficModel::build(&topo, &users, &catalog, s.config.traffic.clone(), &s.seeds);
+    let traffic = TrafficModel::build(
+        &topo,
+        &users,
+        &catalog,
+        s.config.traffic.clone(),
+        &s.seeds,
+        &ParallelExecutor::available(),
+    );
     let resolvers = itm_dns::ResolverAssignment::build(&topo, &s.config.resolvers, &s.seeds);
     let frontends = itm_dns::FrontendDirectory::build(&topo, &catalog);
     let apnic = itm_traffic::ApnicEstimates::generate(&topo, &users, &s.config.apnic, &s.seeds);

@@ -11,6 +11,7 @@ use itm_dns::{
     AuthoritativeDns, ChromiumModel, FrontendDirectory, OpenResolver, OpenResolverConfig,
     ResolverAssignment, ResolverConfig,
 };
+use itm_obs::exec::ParallelExecutor;
 use itm_routing::{GraphView, RouterMap};
 use itm_tls::TlsHostRegistry;
 use itm_topology::{Topology, TopologyConfig};
@@ -108,7 +109,14 @@ impl Substrate {
         };
         let traffic = {
             let _s = itm_obs::span("traffic.build");
-            TrafficModel::build(&topo, &users, &catalog, config.traffic.clone(), &seeds)
+            TrafficModel::build(
+                &topo,
+                &users,
+                &catalog,
+                config.traffic.clone(),
+                &seeds,
+                &ParallelExecutor::available(),
+            )
         };
         let resolvers = {
             let _s = itm_obs::span("resolvers.build");

@@ -1,4 +1,5 @@
-//! Deterministic shard executor for the map build and the snapshot open.
+//! Deterministic shard executor for the substrate, the map build and the
+//! snapshot open.
 //!
 //! Campaigns split their input into a fixed number of shards — a function
 //! of the input size, never of the machine — and hand the executor a pure
@@ -11,6 +12,15 @@
 //! side, the first on the calling thread: `Snapshot::open` reads the file
 //! there while a worker checksums each chunk that has landed. With one
 //! thread both run inline, the first to its end before the second.
+//!
+//! It has three users. The map build's campaigns `map` their shards. The
+//! snapshot open `join`s its read and checksum and `map`s its content
+//! checks. The substrate's traffic matrix (`TrafficModel::build`) `map`s
+//! blocks of prefixes to rows of demand cells, which the caller folds
+//! into the totals in prefix order. The executor lives here, in the
+//! observability crate that its metrics and trace capture already use,
+//! so that crates below `itm-core` can reach it; `itm_core` re-exports
+//! it.
 //!
 //! This is the only file in the workspace allowed to spawn threads
 //! (enforced by lint rule D004): all other code must route parallelism
@@ -29,11 +39,11 @@
 //! * **Deterministic parallel traces** — when the trace log is enabled,
 //!   worker-thread emissions are captured per shard and replayed on the
 //!   calling thread in shard-index order after the barrier
-//!   ([`itm_obs::trace::capture_begin`]/[`itm_obs::trace::replay`]), so
+//!   ([`crate::trace::capture_begin`]/[`crate::trace::replay`]), so
 //!   the trace, like the map, is byte-identical at any thread count and
 //!   worker events inherit the caller's campaign scope.
 //!
-//! The caller's allocation phase (see `itm_obs::alloc`) is likewise
+//! The caller's allocation phase (see `crate::alloc`) is likewise
 //! propagated onto the workers, so per-phase memory attribution does not
 //! leak to "unattributed" just because a campaign ran sharded.
 
@@ -85,7 +95,7 @@ impl ParallelExecutor {
         T: Send,
         F: Fn(usize) -> T + Sync + ?Sized,
     {
-        let metrics = itm_obs::enabled();
+        let metrics = crate::enabled();
         // itm-lint: allow(D001): executor utilization timing is observability-only wall time and never feeds the map
         let t0 = if metrics { Some(Instant::now()) } else { None };
         if self.threads == 1 || n <= 1 {
@@ -97,12 +107,12 @@ impl ParallelExecutor {
             let mut out = Vec::with_capacity(n);
             let mut durs = Vec::with_capacity(n);
             for k in 0..n {
-                itm_obs::histogram!("exec.queue_wait_ns").record(t0.elapsed().as_nanos() as u64);
+                crate::histogram!("exec.queue_wait_ns").record(t0.elapsed().as_nanos() as u64);
                 // itm-lint: allow(D001): executor utilization timing is observability-only wall time and never feeds the map
                 let started = Instant::now();
                 out.push(job(k));
                 let d = started.elapsed().as_nanos() as u64;
-                itm_obs::histogram!("exec.shard_ns").record(d);
+                crate::histogram!("exec.shard_ns").record(d);
                 durs.push(d);
             }
             record_batch(&durs);
@@ -110,15 +120,15 @@ impl ParallelExecutor {
         }
         let workers = self.threads.min(n);
         let next = AtomicUsize::new(0);
-        let traced = itm_obs::trace::enabled();
+        let traced = crate::trace::enabled();
         // Attribute worker allocations to the phase the caller is in.
-        let phase = itm_obs::alloc::current_phase();
+        let phase = crate::alloc::current_phase();
         let mut indexed: Vec<Completed<T>> = Vec::with_capacity(n);
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|| {
-                        let _phase = phase.map(itm_obs::alloc::enter_phase);
+                        let _phase = phase.map(crate::alloc::enter_phase);
                         let mut out: Vec<Completed<T>> = Vec::new();
                         loop {
                             let k = next.fetch_add(1, Ordering::Relaxed);
@@ -126,11 +136,11 @@ impl ParallelExecutor {
                                 break;
                             }
                             if let Some(t0) = t0 {
-                                itm_obs::histogram!("exec.queue_wait_ns")
+                                crate::histogram!("exec.queue_wait_ns")
                                     .record(t0.elapsed().as_nanos() as u64);
                             }
                             if traced {
-                                itm_obs::trace::capture_begin();
+                                crate::trace::capture_begin();
                             }
                             // itm-lint: allow(D001): executor utilization timing is observability-only wall time and never feeds the map
                             let started = if metrics { Some(Instant::now()) } else { None };
@@ -138,13 +148,13 @@ impl ParallelExecutor {
                             let dur_ns = match started {
                                 Some(s) => {
                                     let d = s.elapsed().as_nanos() as u64;
-                                    itm_obs::histogram!("exec.shard_ns").record(d);
+                                    crate::histogram!("exec.shard_ns").record(d);
                                     d
                                 }
                                 None => 0,
                             };
                             let events = if traced {
-                                Some(itm_obs::trace::capture_take())
+                                Some(crate::trace::capture_take())
                             } else {
                                 None
                             };
@@ -179,7 +189,7 @@ impl ParallelExecutor {
             .into_iter()
             .map(|c| {
                 if let Some(events) = c.events {
-                    itm_obs::trace::replay(events);
+                    crate::trace::replay(events);
                 }
                 c.value
             })
@@ -209,22 +219,22 @@ impl ParallelExecutor {
             let ra = a();
             return (ra, b());
         }
-        let traced = itm_obs::trace::enabled();
-        let phase = itm_obs::alloc::current_phase();
+        let traced = crate::trace::enabled();
+        let phase = crate::alloc::current_phase();
         std::thread::scope(|scope| {
             let worker = scope.spawn(move || {
-                let _phase = phase.map(itm_obs::alloc::enter_phase);
+                let _phase = phase.map(crate::alloc::enter_phase);
                 if traced {
-                    itm_obs::trace::capture_begin();
+                    crate::trace::capture_begin();
                 }
                 let rb = b();
-                (rb, traced.then(itm_obs::trace::capture_take))
+                (rb, traced.then(crate::trace::capture_take))
             });
             let ra = a();
             match worker.join() {
                 Ok((rb, events)) => {
                     if let Some(events) = events {
-                        itm_obs::trace::replay(events);
+                        crate::trace::replay(events);
                     }
                     (ra, rb)
                 }
@@ -239,14 +249,14 @@ struct Completed<T> {
     k: usize,
     value: T,
     dur_ns: u64,
-    events: Option<itm_obs::trace::CapturedEvents>,
+    events: Option<crate::trace::CapturedEvents>,
 }
 
 /// Record batch-level executor metrics from the per-shard durations:
 /// batch/shard counts and the skew ratio (slowest ÷ mean, ×1000).
 fn record_batch(durs: &[u64]) {
-    itm_obs::counter!("exec.batches").inc();
-    itm_obs::counter!("exec.shards").add(durs.len() as u64);
+    crate::counter!("exec.batches").inc();
+    crate::counter!("exec.shards").add(durs.len() as u64);
     let n = durs.len() as u64;
     if n == 0 {
         return;
@@ -254,7 +264,7 @@ fn record_batch(durs: &[u64]) {
     let total: u64 = durs.iter().sum();
     let max = durs.iter().copied().max().unwrap_or(0);
     if let Some(skew) = max.saturating_mul(1000 * n).checked_div(total) {
-        itm_obs::histogram!("exec.skew_x1000").record(skew);
+        crate::histogram!("exec.skew_x1000").record(skew);
     }
 }
 
@@ -344,11 +354,11 @@ mod tests {
 
     #[test]
     fn join_carries_the_callers_allocation_phase_to_the_worker() {
-        let phase = itm_obs::alloc::register_phase("exec.join.test").unwrap();
-        let _guard = itm_obs::alloc::enter_phase(phase);
+        let phase = crate::alloc::register_phase("exec.join.test").unwrap();
+        let _guard = crate::alloc::enter_phase(phase);
         for threads in [1, 2] {
             let (on_a, on_b) = ParallelExecutor::new(threads)
-                .join(itm_obs::alloc::current_phase, itm_obs::alloc::current_phase);
+                .join(crate::alloc::current_phase, crate::alloc::current_phase);
             assert_eq!((on_a, on_b), (Some(phase), Some(phase)));
         }
     }

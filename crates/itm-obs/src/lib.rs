@@ -32,12 +32,18 @@
 //! process-global, **disabled** by default, and gated by a single relaxed
 //! atomic load per emission. See DESIGN.md §7.
 //!
+//! The deterministic shard executor ([`exec::ParallelExecutor`]) lives
+//! here too, beside the metrics and trace capture it reports through, so
+//! every crate from the traffic model up can run sharded work. See
+//! DESIGN.md §9.
+//!
 //! Naming convention: `subsystem.metric` in lower snake-case segments,
 //! labels in `{key="value"}` suffix form, sorted by key. See
 //! DESIGN.md § Observability.
 
 pub mod alloc;
 pub mod chrome;
+pub mod exec;
 mod histogram;
 pub mod quality;
 mod registry;

@@ -19,10 +19,10 @@
 //! * **Anycast catchments** ([`anycast`]): which site of a replicated
 //!   service each client AS reaches, for the §2.1/§3.2.3 optimality
 //!   experiments (E6).
-//! * **Routers, traceroute, IP ID** ([`routers`], [`ipid`]): an IP-level
-//!   veneer — per-(AS, city) routers with interface addresses, hop-by-hop
-//!   traceroute expansion, and 16-bit IP ID counters whose velocity tracks
-//!   forwarded traffic (§3.1.3's proposed side channel, E11).
+//! * **Routers, IP ID** ([`routers`], [`ipid`]): an IP-level veneer —
+//!   per-(AS, city) routers with interface addresses, and 16-bit IP ID
+//!   counters whose velocity tracks forwarded traffic (§3.1.3's proposed
+//!   side channel, E11).
 //! * **Vantage points** ([`vantage`]): Atlas-like probe sets and cloud VMs,
 //!   the limited viewpoints measurement campaigns actually have.
 
@@ -43,6 +43,6 @@ pub use bgp::{RouteEntry, RouteKind, RoutingTree, ScopedTree, UpwardClosure};
 pub use collectors::{flapped_cones, CollectorSet, VisibilityReport};
 pub use ipid::IpidCounter;
 pub use relationships::{InferredRel, InferredRelationships};
-pub use routers::{Hop, RouterMap, Traceroute};
+pub use routers::RouterMap;
 pub use vantage::VantagePoints;
 pub use view::GraphView;

@@ -1,27 +1,19 @@
-//! Routers, interface addresses, and traceroute expansion.
+//! Routers and their interface addresses.
 //!
 //! The AS-level substrate gets an IP-level veneer: one router per
 //! (AS, city) point of presence, each with an interface address drawn from
-//! the AS's infrastructure space. Traceroutes expand an AS path into router
-//! hops with geography-derived RTTs. This is what the IP ID probing (E11)
-//! pings, and what path-measurement campaigns "see".
+//! the AS's infrastructure space. This is what the IP ID probing (E11)
+//! pings.
 
-use crate::bgp::RoutingTree;
 use itm_topology::{PrefixKind, Topology};
 use itm_types::{Asn, Ipv4Addr, RouterId};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-
-/// Speed of light in fibre, km per millisecond (≈ 2/3 c).
-const FIBRE_KM_PER_MS: f64 = 200.0;
 
 /// The router registry for a topology.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RouterMap {
     /// (asn, city, interface address) per router, indexed by RouterId.
     routers: Vec<RouterRecord>,
-    /// (asn, city) -> RouterId
-    by_pop: BTreeMap<(Asn, u32), RouterId>,
 }
 
 /// One router.
@@ -43,7 +35,6 @@ impl RouterMap {
     /// first address of their first prefix.
     pub fn build(topo: &Topology) -> RouterMap {
         let mut routers = Vec::new();
-        let mut by_pop = BTreeMap::new();
         for a in &topo.ases {
             // Address pool: infra prefixes first, else anything it owns.
             let owned = topo.prefixes.owned_by(a.asn);
@@ -74,10 +65,9 @@ impl RouterMap {
                     city,
                     addr,
                 });
-                by_pop.insert((a.asn, city), id);
             }
         }
-        RouterMap { routers, by_pop }
+        RouterMap { routers }
     }
 
     /// Number of routers.
@@ -99,99 +89,11 @@ impl RouterMap {
     pub fn iter(&self) -> impl Iterator<Item = &RouterRecord> {
         self.routers.iter()
     }
-
-    /// The router of an (AS, city) PoP.
-    fn at_pop(&self, asn: Asn, city: u32) -> Option<RouterId> {
-        self.by_pop.get(&(asn, city)).copied()
-    }
-
-    /// The AS's router nearest to a given city (geodesically), `None` for
-    /// an AS with no cities (rejected by topology invariants, but the map
-    /// never panics on a hand-built one).
-    pub fn nearest_router_of(&self, topo: &Topology, asn: Asn, city: u32) -> Option<RouterId> {
-        let target = topo.city_location(city);
-        let a = topo.as_info(asn);
-        let best_city = a
-            .cities
-            .iter()
-            .min_by(|&&x, &&y| {
-                topo.city_location(x)
-                    .distance_km(target)
-                    .total_cmp(&topo.city_location(y).distance_km(target))
-            })
-            .copied()?;
-        self.at_pop(asn, best_city)
-    }
-}
-
-/// One traceroute hop.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct Hop {
-    /// The AS the hop belongs to.
-    pub asn: Asn,
-    /// The responding router.
-    pub router: RouterId,
-    /// Its interface address.
-    pub addr: Ipv4Addr,
-    /// Cumulative RTT from the source, in milliseconds.
-    pub rtt_ms: f64,
-}
-
-/// A measured forward path.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Traceroute {
-    /// Source AS.
-    pub src: Asn,
-    /// Destination AS.
-    pub dst: Asn,
-    /// Hops, source-side first. The source's own router is hop 0.
-    pub hops: Vec<Hop>,
-}
-
-impl Traceroute {
-    /// Expand the BGP path from `src` in `tree` into router-level hops.
-    ///
-    /// Each AS on the path contributes the router nearest (in its own
-    /// footprint) to the previous hop's city — a crude but standard model
-    /// of early-exit/hot-potato intradomain routing. RTT accumulates
-    /// 2×(distance / fibre speed) plus a 0.3 ms per-hop processing fee.
-    pub fn run(
-        topo: &Topology,
-        routers: &RouterMap,
-        tree: &RoutingTree,
-        src: Asn,
-    ) -> Option<Traceroute> {
-        let path = tree.path(src)?;
-        let mut hops = Vec::with_capacity(path.len());
-        let mut cur_city = topo.as_info(src).cities[0];
-        let mut rtt = 0.0f64;
-        let mut prev_loc = topo.city_location(cur_city);
-        for &asn in &path {
-            let rid = routers.nearest_router_of(topo, asn, cur_city)?;
-            let rec = routers.get(rid);
-            let loc = topo.city_location(rec.city);
-            rtt += 2.0 * prev_loc.distance_km(loc) / FIBRE_KM_PER_MS + 0.3;
-            hops.push(Hop {
-                asn,
-                router: rid,
-                addr: rec.addr,
-                rtt_ms: rtt,
-            });
-            cur_city = rec.city;
-            prev_loc = loc;
-        }
-        Some(Traceroute {
-            src,
-            dst: tree.dst,
-            hops,
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::view::GraphView;
     use itm_topology::{generate, TopologyConfig};
 
     fn setup() -> (Topology, RouterMap) {
@@ -205,13 +107,15 @@ mod tests {
         let (t, r) = setup();
         let pops: usize = t.ases.iter().map(|a| a.cities.len()).sum();
         assert_eq!(r.len(), pops);
-        for a in &t.ases {
-            for &c in &a.cities {
-                let id = r.at_pop(a.asn, c).expect("router per pop");
-                let rec = r.get(id);
-                assert_eq!(rec.asn, a.asn);
-                assert_eq!(rec.city, c);
-            }
+        // Routers are numbered densely, AS by AS and city by city.
+        let pop_order = t
+            .ases
+            .iter()
+            .flat_map(|a| a.cities.iter().map(|&c| (a.asn, c)));
+        for (k, (rec, (asn, city))) in r.iter().zip(pop_order).enumerate() {
+            assert_eq!(rec.id, RouterId(k as u32));
+            assert_eq!(r.get(rec.id).id, rec.id);
+            assert_eq!((rec.asn, rec.city), (asn, city));
         }
     }
 
@@ -224,36 +128,5 @@ mod tests {
                 assert_eq!(p.owner, rec.asn);
             }
         }
-    }
-
-    #[test]
-    fn traceroute_follows_bgp_path() {
-        let (t, r) = setup();
-        let view = GraphView::full(&t);
-        let dst = t.hypergiants()[0];
-        let tree = RoutingTree::compute(&view, dst);
-        let src = Asn((t.n_ases() - 1) as u32);
-        let tr = Traceroute::run(&t, &r, &tree, src).unwrap();
-        let as_path: Vec<Asn> = tr.hops.iter().map(|h| h.asn).collect();
-        assert_eq!(as_path, tree.path(src).unwrap());
-        assert_eq!(tr.hops.first().unwrap().asn, src);
-        assert_eq!(tr.hops.last().unwrap().asn, dst);
-        // RTTs are cumulative and positive.
-        let mut last = 0.0;
-        for h in &tr.hops {
-            assert!(h.rtt_ms > last - 1e-9);
-            last = h.rtt_ms;
-        }
-        assert!(last > 0.0);
-    }
-
-    #[test]
-    fn nearest_router_is_in_as_footprint() {
-        let (t, r) = setup();
-        let hg = t.hypergiants()[0];
-        let some_city = t.ases[0].cities[0];
-        let rid = r.nearest_router_of(&t, hg, some_city).expect("hg has PoPs");
-        assert_eq!(r.get(rid).asn, hg);
-        assert!(t.as_info(hg).cities.contains(&r.get(rid).city));
     }
 }
