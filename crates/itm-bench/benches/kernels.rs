@@ -16,7 +16,7 @@ use itm_routing::{
 use itm_topology::{generate, TopologyConfig};
 use itm_traffic::DeliveryMode;
 use itm_types::rng::SeedDomain;
-use itm_types::{Asn, SimDuration, SimTime};
+use itm_types::{Asn, FaultInjector, FaultPlan, SimDuration, SimTime};
 
 // Install the tracking wrapper so the obs/ group can price its overhead;
 // tracking starts disabled, so every other benchmark sees the system
@@ -337,22 +337,25 @@ fn bench_probe_kernels(c: &mut Criterion) {
         })
     });
     g.finish();
+    let off = |campaign: &str| FaultInjector::new(FaultPlan::off(), &s.seeds, campaign);
     let mut g = c.benchmark_group("measure");
     g.sample_size(10);
     g.bench_function("cache_probe_shard", |b| {
         let campaign = CacheProbeCampaign::default();
         b.iter(|| {
             campaign
-                .run_with(&s, &resolver, |_, job| vec![job(0)])
+                .run_with_faults(&s, &resolver, &off("cache_probe"), |_, job| vec![job(0)])
                 .discovered
                 .len()
         })
     });
     g.bench_function("ecs_grid_shard", |b| {
         b.iter(|| {
-            UserMapping::measure_with(&s, &resolver, |_, job| vec![job(0)])
-                .mapping
-                .len()
+            UserMapping::measure_with_faults(&s, &resolver, &off("user_mapping"), |_, job| {
+                vec![job(0)]
+            })
+            .mapping
+            .len()
         })
     });
     g.finish();

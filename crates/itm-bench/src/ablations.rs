@@ -2,7 +2,7 @@
 
 use crate::{pct, ExperimentResult};
 use itm_core::recommend::RecommenderWeights;
-use itm_core::{PeeringRecommender, RecommendationEval};
+use itm_core::{ParallelExecutor, PeeringRecommender, RecommendationEval};
 use itm_measure::{CacheProbeCampaign, RootCrawler, Substrate, SubstrateConfig};
 use itm_routing::CollectorSet;
 use itm_types::Asn;
@@ -85,14 +85,19 @@ pub fn ab_ecs_scope(s: &Substrate) -> ExperimentResult {
 }
 
 /// D2 — resolver co-location assumption: sweep the fraction of ASes whose
-/// resolver sits elsewhere and watch root-log attribution degrade.
-pub fn ab_resolver_assumption(base_cfg: &SubstrateConfig, seed: u64) -> ExperimentResult {
+/// resolver sits elsewhere and watch root-log attribution degrade. The
+/// swept worlds are built on `exec`.
+pub fn ab_resolver_assumption(
+    base_cfg: &SubstrateConfig,
+    seed: u64,
+    exec: &ParallelExecutor,
+) -> ExperimentResult {
     let mut rows = Vec::new();
     let mut headline = Vec::new();
     for frac in [0.0, 0.2, 0.4, 0.6, 0.8] {
         let mut cfg = base_cfg.clone();
         cfg.resolvers.offnet_resolver_fraction = frac;
-        let s = Substrate::build(cfg, seed).expect("valid config");
+        let s = Substrate::build_with(cfg, seed, exec).expect("valid config");
         let resolver = s.open_resolver().expect("open resolver");
         let result = RootCrawler::default().run(&s, &resolver);
         let ases: BTreeSet<Asn> = result.client_ases(&s).into_iter().collect();

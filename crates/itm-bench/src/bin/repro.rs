@@ -30,8 +30,9 @@
 //! instrumentation (phase timings, probe budgets) to
 //! `results/metrics.json`; `--trace [path]` records the causal event
 //! trace in Chrome trace format (load it in Perfetto / `chrome://tracing`);
-//! `--threads N` sizes the map-build worker pool (default: available
-//! parallelism) — output is byte-identical at any thread count;
+//! `--threads N` sizes the worker pool of the world and map builds
+//! (default: available parallelism) — output is byte-identical at any
+//! thread count;
 //! `--faults PROFILE` runs the campaigns under a deterministic fault plan
 //! (`off` | `light` | `heavy` | a JSON plan file) — the same profile is
 //! byte-reproducible across runs and thread counts, and `--faults off`
@@ -126,6 +127,8 @@ struct Ctx<'a> {
     map: Option<&'a TrafficMap>,
     cfg: &'a SubstrateConfig,
     seed: u64,
+    /// The `--threads` executor, for experiments that build worlds.
+    exec: &'a ParallelExecutor,
     out_dir: &'a str,
 }
 
@@ -161,10 +164,10 @@ const EXPERIMENTS: &[Experiment] = &[
     ("consolidation", false, |c| experiments::consolidation(c.s)),
     ("cachehost", false, |c| experiments::cachehost(c.s)),
     ("assoc", false, |c| experiments::assoc(c.s)),
-    ("staleness", false, |c| experiments::staleness(c.s)),
+    ("staleness", false, |c| experiments::staleness(c.s, c.exec)),
     ("ab_ecs_scope", false, |c| ablations::ab_ecs_scope(c.s)),
     ("ab_resolver_assumption", false, |c| {
-        ablations::ab_resolver_assumption(c.cfg, c.seed)
+        ablations::ab_resolver_assumption(c.cfg, c.seed, c.exec)
     }),
     ("ab_collectors", false, |c| ablations::ab_collectors(c.s)),
     ("ab_recommend_features", false, |c| {
@@ -637,6 +640,7 @@ fn bench_record(args: &Args) -> Outcome {
     let bench_out = args.bench_out.as_deref().unwrap_or("BENCH_map_build.json");
     let prior_rows = read_trajectory(bench_out)?;
     let threads = args.threads.unwrap_or(1);
+    let exec = ParallelExecutor::new(threads);
     itm_obs::alloc::set_enabled(true);
     itm_obs::set_enabled(true);
     let mut new_rows: Vec<serde_json::Value> = Vec::new();
@@ -646,7 +650,7 @@ fn bench_record(args: &Args) -> Outcome {
             "bench-record: building substrate (size={size}, seed={})…",
             args.seed
         );
-        let s = Substrate::build(cfg, args.seed).expect("valid config");
+        let s = Substrate::build_with(cfg, args.seed, &exec).expect("valid config");
         eprintln!(
             "  substrate up [{:.1?}]; profiling map build…",
             t0.elapsed()
@@ -655,7 +659,6 @@ fn bench_record(args: &Args) -> Outcome {
         // substrate generation before it.
         itm_obs::reset();
         itm_obs::alloc::reset();
-        let exec = ParallelExecutor::new(threads);
         let t1 = Instant::now();
         let m = TrafficMap::build_with(&s, &MapConfig::default(), &exec).expect("map build");
         let build_ms = t1.elapsed().as_millis() as u64;
@@ -994,12 +997,12 @@ fn bench_query(args: &Args) -> Outcome {
         args.size(),
         args.seed
     );
-    let s = Substrate::build(cfg, args.seed).expect("valid config");
+    let exec = ParallelExecutor::new(threads);
+    let s = Substrate::build_with(cfg, args.seed, &exec).expect("valid config");
     eprintln!(
         "  substrate up [{:.1?}]; building map ({threads} threads)…",
         t0.elapsed()
     );
-    let exec = ParallelExecutor::new(threads);
     let map = TrafficMap::build_with(&s, &MapConfig::default(), &exec).expect("map build");
     eprintln!("  map built [{:.1?}]; serializing snapshot…", t0.elapsed());
     let bytes = itm_core::snapshot_bytes(&s, &map);
@@ -1174,9 +1177,9 @@ fn run_epochs(args: &Args, epochs: u32) -> Outcome {
         args.size(),
         args.seed
     );
-    let mut s = Substrate::build(cfg, args.seed).expect("valid config");
-    eprintln!("  substrate up [{:.1?}]", t0.elapsed());
     let exec = ParallelExecutor::new(threads);
+    let mut s = Substrate::build_with(cfg, args.seed, &exec).expect("valid config");
+    eprintln!("  substrate up [{:.1?}]", t0.elapsed());
     let map_cfg = MapConfig {
         faults: args.faults.clone(),
         ..Default::default()
@@ -1446,13 +1449,14 @@ fn run_experiments(args: &Args) -> Outcome {
 
     let cfg = size_config(args)?;
     let threads = args.threads();
+    let exec = ParallelExecutor::new(threads);
     let t0 = Instant::now();
     eprintln!(
         "building substrate (size={}, seed={})…",
         args.size(),
         args.seed
     );
-    let s = Substrate::build(cfg.clone(), args.seed).expect("valid config");
+    let s = Substrate::build_with(cfg.clone(), args.seed, &exec).expect("valid config");
     eprintln!(
         "  {} ASes, {} links, {} /24s, {} services [{:.1?}]",
         s.topo.n_ases(),
@@ -1475,7 +1479,6 @@ fn run_experiments(args: &Args) -> Outcome {
                 f.loss, f.timeout, f.refusal, f.churn, f.max_retries
             );
         }
-        let exec = ParallelExecutor::new(threads);
         let map_cfg = MapConfig {
             faults: f.clone(),
             record_claims: audit_file.is_some(),
@@ -1518,6 +1521,7 @@ fn run_experiments(args: &Args) -> Outcome {
         map: map.as_ref(),
         cfg: &cfg,
         seed: args.seed,
+        exec: &exec,
         out_dir: &args.out_dir,
     };
     let mut results: Vec<ExperimentResult> = Vec::new();

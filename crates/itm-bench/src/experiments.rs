@@ -7,8 +7,8 @@
 use crate::{pct, ExperimentResult};
 use itm_core::recommend::RecommenderWeights;
 use itm_core::{
-    coverage, AnycastAnalysis, CoverageReport, PathLengthAnalysis, PeeringRecommender,
-    PredictionExperiment, RecommendationEval, TrafficMap,
+    coverage, AnycastAnalysis, CoverageReport, ParallelExecutor, PathLengthAnalysis,
+    PeeringRecommender, PredictionExperiment, RecommendationEval, TrafficMap,
 };
 use itm_measure::activity::Fig2Analysis;
 use itm_measure::{CloudProbeResult, IpidCampaign, Substrate};
@@ -670,16 +670,16 @@ pub fn assoc(s: &Substrate) -> ExperimentResult {
 }
 
 /// E16 (extension) — map staleness under Internet drift: why Table 1's
-/// temporal-precision column demands daily/hourly refresh.
-pub fn staleness(s: &Substrate) -> ExperimentResult {
+/// temporal-precision column demands daily/hourly refresh. The evolved
+/// worlds are built on `exec`.
+pub fn staleness(s: &Substrate, exec: &ParallelExecutor) -> ExperimentResult {
     use itm_measure::{evolution, UserMapping};
     let resolver = s.open_resolver().expect("open resolver");
     let mapping = UserMapping::measure(s, &resolver);
-    let cfg = evolution::EvolutionConfig::default();
     let mut rows = Vec::new();
     let mut headline = Vec::new();
     for days in [1u64, 7, 30, 90] {
-        let evolved = evolution::evolve(s, days, &cfg);
+        let evolved = evolution::evolve(s, days, exec);
         let rep = evolution::staleness(s, &evolved, &mapping, days);
         rows.push(format!(
             "{days},{:.4},{},{}",

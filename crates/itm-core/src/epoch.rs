@@ -154,8 +154,7 @@ pub fn apply_epoch(
         // domain: independent of the churned-set iteration order, and a
         // different draw each epoch.
         let dom = s.seeds.child("epoch").child(&format!("churn-{epoch}"));
-        let jitter = s.config.resolvers.adoption_jitter;
-        s.resolvers.churn_adoption(&s.topo, &churned, jitter, &dom);
+        s.resolvers.churn_adoption(&s.topo, &churned, &dom);
     }
     (actions, dirty)
 }
@@ -437,6 +436,48 @@ mod tests {
                 let why = (dirty.names(), cfg.faults.is_off());
                 assert_eq!(map_fingerprint(&s, &map), want, "(set, faults off) {why:?}");
             }
+        }
+    }
+
+    proptest::proptest! {
+        // A case builds a world and four maps, so the default run takes
+        // four; CI sets PROPTEST_CASES for a longer run.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(
+            std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(4)
+        ))]
+        /// On a world churned by a drawn heavy epoch, any raw subset of
+        /// the campaigns rebuilds the map its normalized set does: the
+        /// pipeline closes the set itself, so nothing derived from a
+        /// recomputed campaign (the activity from a fresh cache probe,
+        /// the cloud probe beside fresh routes) is kept stale.
+        #[test]
+        fn any_raw_dirty_set_after_heavy_churn_rebuilds_the_map_of_its_closure(
+            epoch in 0u32..1000,
+            bits in 0u16..(1 << Campaign::ALL.len()),
+        ) {
+            let cfg = MapConfig::default();
+            let exec = ParallelExecutor::sequential();
+            let mut s = substrate();
+            let maps = [(); 2].map(|_| TrafficMap::build_with(&s, &cfg, &exec).expect("build"));
+            apply_epoch(&mut s, &EpochPlan::heavy(), epoch);
+            let mut raw = DirtySet::clean();
+            for (i, &c) in Campaign::ALL.iter().enumerate() {
+                if bits >> i & 1 == 1 {
+                    raw.campaigns.insert(c);
+                }
+            }
+            let mut closed = raw.clone();
+            closed.normalize();
+            let [a, b] = maps;
+            let got = build_incremental(&s, &cfg, &exec, a, &raw).expect("raw");
+            let want = build_incremental(&s, &cfg, &exec, b, &closed).expect("closed");
+            proptest::prop_assert_eq!(
+                map_fingerprint(&s, &got),
+                map_fingerprint(&s, &want),
+                "epoch {} raw {:?}",
+                epoch,
+                raw.names()
+            );
         }
     }
 

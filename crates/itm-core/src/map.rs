@@ -190,9 +190,10 @@ impl TrafficMap {
 ///
 /// Each campaign is recomputed when `dirty` names it and otherwise taken
 /// from `prev`; with no `prev` every campaign runs, so a full build is
-/// the incremental build with everything dirty. Retention relies on the
-/// closure rules of [`DirtySet::normalize`] (cache/root ⇒ activity,
-/// cloud probe ⇔ routes, TLS ⇒ SNI).
+/// the incremental build with everything dirty. `dirty` is closed here
+/// by [`DirtySet::normalize`] (cache/root ⇒ activity, cloud probe ⇔
+/// routes, TLS ⇔ SNI), so a caller's raw set never retains a component
+/// derived from one it recomputes.
 pub(crate) fn run_pipeline(
     s: &Substrate,
     cfg: &MapConfig,
@@ -201,6 +202,8 @@ pub(crate) fn run_pipeline(
     dirty: &DirtySet,
 ) -> Result<TrafficMap> {
     let injector = |campaign: &str| FaultInjector::new(cfg.faults.clone(), &s.seeds, campaign);
+    let mut dirty = dirty.clone();
+    dirty.normalize();
     let keep = |c: Campaign| !dirty.is_dirty(c);
 
     // The previous build's components, each `None` on a fresh build. The
@@ -268,9 +271,9 @@ pub(crate) fn run_pipeline(
     // ---- Component 2: services ----
     let services_span = itm_obs::span("services.scan");
     // The SNI scan resolves against the TLS scan's candidate table, which
-    // the map does not keep, so the pair recomputes together.
+    // the map does not keep, so the closed set names both or neither.
     let (onnet_servers, offnet_servers, sni_footprints, tls_stats, sni_stats) = match p_scans {
-        Some(x) if keep(Campaign::TlsScan) && keep(Campaign::SniScan) => x,
+        Some(x) if keep(Campaign::TlsScan) => x,
         _ => {
             let scan = TlsScan::run_with_faults(
                 &s.topo,

@@ -23,25 +23,12 @@ use serde::{Deserialize, Serialize};
 /// behaviour \[59\]).
 pub const PROBES_PER_STARTUP: f64 = 3.0;
 
-/// Parameters of the browser-population model.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ChromiumConfig {
-    /// Mean browser startups per user per day.
-    pub startups_per_user_day: f64,
-}
-
-impl Default for ChromiumConfig {
-    fn default() -> Self {
-        ChromiumConfig {
-            startups_per_user_day: 2.5,
-        }
-    }
-}
+/// Mean browser startups per user per day.
+const STARTUPS_PER_USER_DAY: f64 = 2.5;
 
 /// Chromium adoption and probe-rate model.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ChromiumModel {
-    cfg: ChromiumConfig,
     /// Chromium share per country (Chromium-family browsers dominate but
     /// adoption "may be skewed", §3.1.3).
     country_share: Vec<f64>,
@@ -51,12 +38,7 @@ pub struct ChromiumModel {
 
 impl ChromiumModel {
     /// Build the model for a topology.
-    pub fn build(
-        topo: &Topology,
-        users: &UserModel,
-        cfg: ChromiumConfig,
-        seeds: &SeedDomain,
-    ) -> ChromiumModel {
+    pub fn build(topo: &Topology, users: &UserModel, seeds: &SeedDomain) -> ChromiumModel {
         let seeds = seeds.child("chromium");
         let mut rng = seeds.rng("country-share");
         let country_share: Vec<f64> = topo
@@ -74,11 +56,10 @@ impl ChromiumModel {
             let country = topo.as_info(r.owner).home_country;
             let share = country_share[country.0 as usize];
             prefix_probes_per_day[r.id.index()] =
-                users.users_of(r.id) * share * cfg.startups_per_user_day * PROBES_PER_STARTUP;
+                users.users_of(r.id) * share * STARTUPS_PER_USER_DAY * PROBES_PER_STARTUP;
         }
 
         ChromiumModel {
-            cfg,
             country_share,
             prefix_probes_per_day,
         }
@@ -94,11 +75,6 @@ impl ChromiumModel {
     pub fn probes_over(&self, p: PrefixId, d: SimDuration) -> f64 {
         self.prefix_probes_per_day[p.index()] * d.as_secs() as f64 / 86_400.0
     }
-
-    /// The configured startups/user/day.
-    pub fn startups_per_user_day(&self) -> f64 {
-        self.cfg.startups_per_user_day
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +87,7 @@ mod tests {
         let seeds = SeedDomain::new(47);
         let t = generate(&TopologyConfig::small(), 47).unwrap();
         let u = UserModel::generate(&t, &seeds);
-        let c = ChromiumModel::build(&t, &u, ChromiumConfig::default(), &seeds);
+        let c = ChromiumModel::build(&t, &u, &seeds);
         (t, u, c)
     }
 
@@ -124,7 +100,7 @@ mod tests {
                 let country = t.as_info(r.owner).home_country;
                 let expect = u.users_of(r.id)
                     * c.country_share(country.0)
-                    * c.startups_per_user_day()
+                    * STARTUPS_PER_USER_DAY
                     * PROBES_PER_STARTUP;
                 assert!((probes - expect).abs() < 1e-9);
                 assert!(probes > 0.0);

@@ -50,23 +50,21 @@ use std::sync::OnceLock;
 /// (bps) into DNS query rate (qps).
 pub const BITS_PER_SESSION: f64 = 4.0e7;
 
+/// Background query noise (qps) per (routed prefix, popular domain):
+/// scanners, bots, misconfigured hosts. Produces the small false-positive
+/// rate real cache probing observes (<1% in \[34\]).
+const NOISE_QPS: f64 = 2.0e-7;
+
 /// Open-resolver deployment parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpenResolverConfig {
     /// Number of PoPs (placed in the largest global cities).
     pub n_pops: usize,
-    /// Background query noise (qps) per (routed prefix, popular domain):
-    /// scanners, bots, misconfigured hosts. Produces the small
-    /// false-positive rate real cache probing observes (<1% in \[34\]).
-    pub noise_qps: f64,
 }
 
 impl Default for OpenResolverConfig {
     fn default() -> Self {
-        OpenResolverConfig {
-            n_pops: 12,
-            noise_qps: 2.0e-7,
-        }
+        OpenResolverConfig { n_pops: 12 }
     }
 }
 
@@ -255,7 +253,6 @@ pub struct OpenResolver<'a> {
     traffic: &'a TrafficModel,
     resolvers: &'a ResolverAssignment,
     auth: AuthoritativeDns<'a>,
-    cfg: OpenResolverConfig,
     pops: Vec<Pop>,
     /// PoP serving each prefix (nearest by geography).
     pop_of_prefix: Vec<PopId>,
@@ -364,7 +361,6 @@ impl<'a> OpenResolver<'a> {
             traffic,
             resolvers,
             auth,
-            cfg,
             pops,
             pop_of_prefix,
             pop_egress,
@@ -463,7 +459,7 @@ impl<'a> OpenResolver<'a> {
     /// daily × diurnal factor, then the open share and the session size.
     fn query_rate_from(&self, daily: f64, diurnal: f64, open_share: f64) -> f64 {
         let organic = daily * diurnal * open_share / BITS_PER_SESSION;
-        organic + self.cfg.noise_qps
+        organic + NOISE_QPS
     }
 
     /// The query rate of a client-scoped entry for a campaign that
@@ -488,7 +484,7 @@ impl<'a> OpenResolver<'a> {
             let pop = self.pop_of(p).index();
             let base = self.pop_service_qps()[pop * self.catalog.len() + svc.id.index()];
             let offset = self.pops[pop].location.solar_offset_hours();
-            base * self.traffic.diurnal_multiplier_at(offset, t) + self.cfg.noise_qps
+            base * self.traffic.diurnal_multiplier_at(offset, t) + NOISE_QPS
         }
     }
 
@@ -973,7 +969,7 @@ mod tests {
     use crate::resolvers::ResolverConfig;
     use itm_obs::exec::ParallelExecutor;
     use itm_topology::{generate, PrefixKind, TopologyConfig};
-    use itm_traffic::{ServiceCatalogConfig, TrafficConfig};
+    use itm_traffic::ServiceCatalogConfig;
 
     struct Fixture {
         topo: Topology,
@@ -993,7 +989,6 @@ mod tests {
             &topo,
             &users,
             &catalog,
-            TrafficConfig::default(),
             &seeds,
             &ParallelExecutor::sequential(),
         );
@@ -1018,10 +1013,7 @@ mod tests {
             &f.traffic,
             &f.resolvers,
             auth,
-            OpenResolverConfig {
-                n_pops: 6,
-                ..Default::default()
-            },
+            OpenResolverConfig { n_pops: 6 },
             &SeedDomain::new(43),
         )
         .expect("deploy open resolver")
@@ -1086,7 +1078,7 @@ mod tests {
                 for svc in &pop_scope {
                     let rate = table[pop * n_s + svc.id.index()]
                         * f.traffic.diurnal_multiplier_at(offset, t)
-                        + r.cfg.noise_qps;
+                        + NOISE_QPS;
                     let expect = 1.0 - (-rate * svc.ttl_secs as f64).exp();
                     assert_eq!(
                         r.hit_probability(rec.id, svc.id, t).to_bits(),

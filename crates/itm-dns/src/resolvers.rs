@@ -20,32 +20,31 @@ use std::collections::BTreeSet;
 #[serde(transparent)]
 pub struct ResolverId(pub u32);
 
+/// Per-prefix jitter (σ, logit scale) applied to the country-level
+/// open-resolver adoption rate.
+const ADOPTION_JITTER: f64 = 0.5;
+/// Base probability that a *small* network's resolver is a forwarder to
+/// the open resolver rather than a full recursive. Forwarders' root-bound
+/// queries egress from the open resolver's addresses, so their networks
+/// are invisible to root-log crawling — a major reason the technique
+/// reaches only ~60% of traffic in \[34\]. The effective probability has
+/// a size-independent floor plus a component that decays with network
+/// size (incumbents run their own recursion):
+/// `FORWARDER_BASE · (0.45 + 1 / (1 + size_factor))`, clamped to 1.
+const FORWARDER_BASE: f64 = 0.75;
+
 /// Configuration of the resolver ecosystem.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ResolverConfig {
     /// Fraction of eyeball/stub ASes whose "ISP resolver" actually lives
     /// in a different AS (an upstream or a commercial DNS outsourcer).
     pub offnet_resolver_fraction: f64,
-    /// Per-prefix jitter (σ, logit scale) applied to the country-level
-    /// open-resolver adoption rate.
-    pub adoption_jitter: f64,
-    /// Base probability that a *small* network's resolver is a forwarder
-    /// to the open resolver rather than a full recursive. Forwarders'
-    /// root-bound queries egress from the open resolver's addresses, so
-    /// their networks are invisible to root-log crawling — a major reason
-    /// the technique reaches only ~60% of traffic in \[34\]. The effective
-    /// probability has a size-independent floor plus a component that
-    /// decays with network size (incumbents run their own recursion):
-    /// `forwarder_base · (0.45 + 1 / (1 + size_factor))`, clamped to 1.
-    pub forwarder_base: f64,
 }
 
 impl Default for ResolverConfig {
     fn default() -> Self {
         ResolverConfig {
             offnet_resolver_fraction: 0.12,
-            adoption_jitter: 0.5,
-            forwarder_base: 0.75,
         }
     }
 }
@@ -120,8 +119,7 @@ impl ResolverAssignment {
                 .unwrap_or(Ipv4Addr::new(127, 0, 0, 53));
             // Size-dependent plus a size-independent floor: even large
             // ISPs increasingly outsource recursion to public DNS.
-            let p_forward =
-                (cfg.forwarder_base * (0.45 + 1.0 / (1.0 + a.size_factor))).clamp(0.0, 1.0);
+            let p_forward = (FORWARDER_BASE * (0.45 + 1.0 / (1.0 + a.size_factor))).clamp(0.0, 1.0);
             let forwards_to_open = rng.gen_bool(p_forward);
             let id = ResolverId(resolvers.len() as u32);
             itm_obs::trace::emit(
@@ -157,7 +155,7 @@ impl ResolverAssignment {
             let mut prng = seeds.rng_indexed("adoption", r.id.raw() as u64);
             // Jitter on the logit scale keeps the share in (0, 1).
             let logit =
-                (base / (1.0 - base)).ln() + cfg.adoption_jitter * (prng.gen::<f64>() * 2.0 - 1.0);
+                (base / (1.0 - base)).ln() + ADOPTION_JITTER * (prng.gen::<f64>() * 2.0 - 1.0);
             open_share[r.id.index()] = 1.0 / (1.0 + (-logit).exp());
         }
 
@@ -204,7 +202,6 @@ impl ResolverAssignment {
         &mut self,
         topo: &Topology,
         ases: &BTreeSet<Asn>,
-        jitter: f64,
         epoch_seeds: &SeedDomain,
     ) {
         for r in topo.prefixes.iter() {
@@ -214,7 +211,8 @@ impl ResolverAssignment {
             let country = topo.as_info(r.owner).home_country;
             let base = topo.world.country(country).open_resolver_adoption;
             let mut prng = epoch_seeds.rng_indexed("adoption", r.id.raw() as u64);
-            let logit = (base / (1.0 - base)).ln() + jitter * (prng.gen::<f64>() * 2.0 - 1.0);
+            let logit =
+                (base / (1.0 - base)).ln() + ADOPTION_JITTER * (prng.gen::<f64>() * 2.0 - 1.0);
             self.open_share[r.id.index()] = 1.0 / (1.0 + (-logit).exp());
         }
     }
@@ -249,7 +247,6 @@ mod tests {
         let t = generate(&TopologyConfig::small(), 41).unwrap();
         let cfg = ResolverConfig {
             offnet_resolver_fraction: offnet,
-            ..Default::default()
         };
         let r = ResolverAssignment::build(&t, &cfg, &SeedDomain::new(41));
         (t, r)

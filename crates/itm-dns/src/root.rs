@@ -169,15 +169,12 @@ impl RootLogs {
 mod tests {
     use super::*;
     use crate::authoritative::AuthoritativeDns;
-    use crate::chromium::ChromiumConfig;
     use crate::frontends::FrontendDirectory;
     use crate::opendns::OpenResolverConfig;
     use crate::resolvers::ResolverConfig;
     use itm_obs::exec::ParallelExecutor;
     use itm_topology::{generate, TopologyConfig};
-    use itm_traffic::{
-        ServiceCatalog, ServiceCatalogConfig, TrafficConfig, TrafficModel, UserModel,
-    };
+    use itm_traffic::{ServiceCatalog, ServiceCatalogConfig, TrafficModel, UserModel};
 
     fn total_queries(logs: &RootLogs) -> f64 {
         logs.entries.iter().map(|e| e.queries).sum()
@@ -214,7 +211,6 @@ mod tests {
             &topo,
             &users,
             &catalog,
-            TrafficConfig::default(),
             &seeds,
             &ParallelExecutor::sequential(),
         );
@@ -232,7 +228,7 @@ mod tests {
             &seeds,
         )
         .expect("deploy open resolver");
-        let chromium = ChromiumModel::build(&topo, &users, ChromiumConfig::default(), &seeds);
+        let chromium = ChromiumModel::build(&topo, &users, &seeds);
         let roots = RootServerSet::typical();
         let logs = RootLogs::collect(
             &topo,

@@ -44,7 +44,7 @@ impl ActivityEstimator {
     }
 
     /// Fuse the three signals with a caller-supplied shard runner (see
-    /// `CacheProbeCampaign::run_with`).
+    /// `CacheProbeCampaign::run_with_faults`).
     ///
     /// Each signal is max-normalized, then averaged over the signals
     /// present. (The paper leaves fusion as an open question; a mean of

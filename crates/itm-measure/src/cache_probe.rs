@@ -85,33 +85,21 @@ impl CacheProbeCampaign {
 
     /// Run the campaign sequentially (shards executed in index order).
     pub fn run(&self, s: &Substrate, resolver: &OpenResolver<'_>) -> CacheProbeResult {
-        self.run_with(s, resolver, |n, job| (0..n).map(job).collect())
+        let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "cache_probe");
+        self.run_with_faults(s, resolver, &faults, |n, job| (0..n).map(job).collect())
     }
 
-    /// Run the campaign with a caller-supplied shard runner.
+    /// Run the campaign with a caller-supplied shard runner under a fault
+    /// plan.
     ///
     /// `run_shards(n, job)` must return `job(0..n)` results in shard-index
     /// order; whether the jobs execute sequentially or on a worker pool is
     /// the caller's business. Each shard probes a fixed contiguous slice
     /// of the prefix table, and the merge is a union of disjoint per-shard
-    /// maps, so the result is identical for any execution schedule.
-    pub fn run_with<R>(
-        &self,
-        s: &Substrate,
-        resolver: &OpenResolver<'_>,
-        run_shards: R,
-    ) -> CacheProbeResult
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> CacheProbeShard + Sync)) -> Vec<CacheProbeShard>,
-    {
-        let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "cache_probe");
-        self.run_with_faults(s, resolver, &faults, run_shards)
-    }
-
-    /// Run the campaign under a fault plan. Probe fates are keyed by
-    /// `(prefix address, domain, round)`, so the set of lost probes is a
-    /// pure function of the plan — identical across runs and thread
-    /// counts. With an off plan this is exactly `run_with`.
+    /// maps, so the result is identical for any execution schedule. Probe
+    /// fates are keyed by `(prefix address, domain, round)`, so the set of
+    /// lost probes is a pure function of the plan — identical across runs
+    /// and thread counts.
     pub fn run_with_faults<R>(
         &self,
         s: &Substrate,

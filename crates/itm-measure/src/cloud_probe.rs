@@ -31,30 +31,15 @@ impl CloudProbeResult {
     /// Run the campaign over the ground-truth view (the measurements see
     /// real paths; only their *vantage* is limited).
     pub fn run(s: &Substrate, view: &GraphView, seeds: &SeedDomain) -> CloudProbeResult {
-        Self::run_with(s, view, seeds, |n, job| (0..n).map(job).collect())
+        let faults = FaultInjector::new(FaultPlan::off(), seeds, "cloud_probe");
+        Self::run_with_faults(s, view, seeds, &faults, |n, job| (0..n).map(job).collect())
     }
 
     /// Run with a caller-supplied shard runner (see
-    /// `CacheProbeCampaign::run_with`). One shard per cloud VM: each VM's
-    /// routing tree is independent, and the merged link set is a union of
-    /// sorted sets, so the result is schedule-independent.
-    pub fn run_with<R>(
-        s: &Substrate,
-        view: &GraphView,
-        seeds: &SeedDomain,
-        run_shards: R,
-    ) -> CloudProbeResult
-    where
-        R: FnOnce(
-            usize,
-            &(dyn Fn(usize) -> BTreeSet<(Asn, Asn)> + Sync),
-        ) -> Vec<BTreeSet<(Asn, Asn)>>,
-    {
-        let faults = FaultInjector::new(FaultPlan::off(), seeds, "cloud_probe");
-        Self::run_with_faults(s, view, seeds, &faults, run_shards)
-    }
-
-    /// Run under a fault plan: cloud VMs churn away mid-campaign (quota
+    /// `CacheProbeCampaign::run_with_faults`) under a fault plan. One
+    /// shard per cloud VM: each VM's routing tree is independent, and the
+    /// merged link set is a union of sorted sets, so the result is
+    /// schedule-independent. Cloud VMs churn away mid-campaign (quota
     /// reclaims, maintenance) and contribute no links at all. Churn is
     /// keyed by the VM's AS number, so the surviving set — and hence the
     /// shard layout — is identical across runs and thread counts.

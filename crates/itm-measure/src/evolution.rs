@@ -23,42 +23,28 @@ use itm_obs::exec::ParallelExecutor;
 use itm_topology::{
     AsClass, Link, LinkClass, OffnetDeployment, PrefixKind, Slash24Allocator, Topology,
 };
-use itm_traffic::{ServiceCatalog, TrafficModel, UserModel};
+use itm_traffic::UserModel;
 
 use itm_types::Asn;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-/// Daily drift rates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct EvolutionConfig {
-    /// New off-net deployments per hypergiant per day (fractional rates
-    /// accumulate across days).
-    pub offnets_per_hg_day: f64,
-    /// New content↔access peering links per content AS per day.
-    pub peerings_per_content_day: f64,
-    /// σ of the per-prefix daily log-population drift.
-    pub user_drift_sigma: f64,
-}
-
-impl Default for EvolutionConfig {
-    fn default() -> Self {
-        EvolutionConfig {
-            offnets_per_hg_day: 0.5,
-            peerings_per_content_day: 0.3,
-            user_drift_sigma: 0.02,
-        }
-    }
-}
+/// New off-net deployments per hypergiant per day (fractional rates
+/// accumulate across days).
+const OFFNETS_PER_HG_DAY: f64 = 0.5;
+/// New content↔access peering links per content AS per day.
+const PEERINGS_PER_CONTENT_DAY: f64 = 0.3;
+/// σ of the per-prefix daily log-population drift.
+const USER_DRIFT_SIGMA: f64 = 0.02;
 
 /// Advance a substrate by `days` of drift. Returns a fully rebuilt
 /// substrate (traffic, DNS, TLS layers all re-derived from the evolved
-/// topology), deterministic in `(s.seed, days)`.
-pub fn evolve(s: &Substrate, days: u64, cfg: &EvolutionConfig) -> Substrate {
+/// topology by the same assembly as [`Substrate::build_with`], on
+/// `exec`), deterministic in `(s.seed, days)`.
+pub fn evolve(s: &Substrate, days: u64, exec: &ParallelExecutor) -> Substrate {
     let seeds = s.seeds.child("evolution");
     let mut rng = seeds.rng_indexed("day", days);
 
-    let mut ases = s.topo.ases.clone();
     let mut links = s.topo.links.clone();
     let mut prefixes = s.topo.prefixes.clone();
     let mut offnets = s.topo.offnets.clone();
@@ -80,7 +66,7 @@ pub fn evolve(s: &Substrate, days: u64, cfg: &EvolutionConfig) -> Substrate {
             .then(a.asn.cmp(&b.asn))
     });
     for hg in s.topo.hypergiants() {
-        let n_new = (cfg.offnets_per_hg_day * days as f64).floor() as usize;
+        let n_new = (OFFNETS_PER_HG_DAY * days as f64).floor() as usize;
         let mut added = 0;
         for host in &eyeballs {
             if added >= n_new {
@@ -112,7 +98,7 @@ pub fn evolve(s: &Substrate, days: u64, cfg: &EvolutionConfig) -> Substrate {
         .map(|a| a.asn)
         .collect();
     for c in content {
-        let n_new = (cfg.peerings_per_content_day * days as f64).floor() as usize;
+        let n_new = (PEERINGS_PER_CONTENT_DAY * days as f64).floor() as usize;
         let c_cities: std::collections::HashSet<u32> =
             s.topo.as_info(c).cities.iter().copied().collect();
         let mut added = 0;
@@ -146,15 +132,12 @@ pub fn evolve(s: &Substrate, days: u64, cfg: &EvolutionConfig) -> Substrate {
         }
     }
 
-    // --- User drift is applied by rebuilding the user model with a
-    // day-keyed seed perturbation (random walk in aggregate). ---
-    let _ = &mut ases; // AS records themselves are stable across this horizon
-
+    // AS records themselves are stable across this horizon.
     let topo = Topology::from_parts(
         s.topo.config.clone(),
         s.topo.seed,
         s.topo.world.clone(),
-        ases,
+        s.topo.ases.clone(),
         links,
         s.topo.facilities.clone(),
         s.topo.ixps.clone(),
@@ -164,45 +147,11 @@ pub fn evolve(s: &Substrate, days: u64, cfg: &EvolutionConfig) -> Substrate {
 
     // Rebuild downstream layers. The user model drifts: same base draw,
     // scaled by a per-prefix day-keyed log-normal walk.
-    let drift_seeds = seeds.child("users");
-    let users = {
-        let base = UserModel::generate(&topo, &s.seeds);
-        let mut users = base;
-        users.apply_drift(&topo, days, cfg.user_drift_sigma, &drift_seeds);
-        users
-    };
-    let catalog = ServiceCatalog::generate(&s.config.services, &topo, &s.seeds);
-    let traffic = TrafficModel::build(
-        &topo,
-        &users,
-        &catalog,
-        s.config.traffic.clone(),
-        &s.seeds,
-        &ParallelExecutor::available(),
-    );
-    let resolvers = itm_dns::ResolverAssignment::build(&topo, &s.config.resolvers, &s.seeds);
-    let frontends = itm_dns::FrontendDirectory::build(&topo, &catalog);
-    let apnic = itm_traffic::ApnicEstimates::generate(&topo, &users, &s.config.apnic, &s.seeds);
-    let chromium =
-        itm_dns::ChromiumModel::build(&topo, &users, s.config.chromium.clone(), &s.seeds);
-    let routers = itm_routing::RouterMap::build(&topo);
-    let tls = itm_tls::TlsHostRegistry::build(&topo, &catalog, &frontends);
-
+    let mut users = UserModel::generate(&topo, &s.seeds);
+    users.apply_drift(&topo, days, USER_DRIFT_SIGMA, &seeds.child("users"));
     Substrate {
-        config: s.config.clone(),
-        seed: s.seed,
-        topo,
-        users,
-        catalog,
-        traffic,
-        resolvers,
-        frontends,
-        apnic,
-        chromium,
-        routers,
-        tls,
-        seeds: s.seeds.clone(),
         vm_down: s.vm_down.clone(),
+        ..Substrate::assemble(s.config.clone(), s.seed, topo, users, exec)
     }
 }
 
@@ -268,8 +217,8 @@ mod tests {
     #[test]
     fn evolution_grows_monotonically_and_keeps_invariants() {
         let s = setup();
-        let e7 = evolve(&s, 7, &EvolutionConfig::default());
-        let e30 = evolve(&s, 30, &EvolutionConfig::default());
+        let e7 = evolve(&s, 7, &ParallelExecutor::sequential());
+        let e30 = evolve(&s, 30, &ParallelExecutor::sequential());
         assert_eq!(e7.topo.check_invariants(), Ok(()));
         assert_eq!(e30.topo.check_invariants(), Ok(()));
         assert!(e7.topo.offnets.len() >= s.topo.offnets.len());
@@ -285,8 +234,8 @@ mod tests {
     #[test]
     fn evolution_is_deterministic() {
         let s = setup();
-        let a = evolve(&s, 14, &EvolutionConfig::default());
-        let b = evolve(&s, 14, &EvolutionConfig::default());
+        let a = evolve(&s, 14, &ParallelExecutor::sequential());
+        let b = evolve(&s, 14, &ParallelExecutor::sequential());
         assert_eq!(a.topo.links.len(), b.topo.links.len());
         assert_eq!(a.topo.offnets.len(), b.topo.offnets.len());
         assert_eq!(a.users.total(), b.users.total());
@@ -298,8 +247,8 @@ mod tests {
         let resolver = s.open_resolver().expect("open resolver");
         let mapping = UserMapping::measure(&s, &resolver);
 
-        let e7 = evolve(&s, 7, &EvolutionConfig::default());
-        let e60 = evolve(&s, 60, &EvolutionConfig::default());
+        let e7 = evolve(&s, 7, &ParallelExecutor::sequential());
+        let e60 = evolve(&s, 60, &ParallelExecutor::sequential());
         let r7 = staleness(&s, &e7, &mapping, 7);
         let r60 = staleness(&s, &e60, &mapping, 60);
         assert!(r60.new_offnets >= r7.new_offnets);
@@ -320,7 +269,7 @@ mod tests {
     #[test]
     fn user_drift_changes_populations() {
         let s = setup();
-        let e = evolve(&s, 30, &EvolutionConfig::default());
+        let e = evolve(&s, 30, &ParallelExecutor::sequential());
         assert_ne!(s.users.total(), e.users.total());
         // Drift is bounded: total should stay within a factor of 2.
         let ratio = e.users.total() / s.users.total();

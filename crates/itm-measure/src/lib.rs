@@ -37,7 +37,7 @@ pub use activity::{ActivityEstimate, ActivityEstimator};
 pub use cache_host::{CacheHostExperiment, CacheHostResult, LruCache};
 pub use cache_probe::{CacheProbeCampaign, CacheProbeResult};
 pub use cloud_probe::CloudProbeResult;
-pub use evolution::{evolve, staleness, EvolutionConfig, StalenessReport};
+pub use evolution::{evolve, staleness, StalenessReport};
 pub use ipid_probe::{IpidCampaign, IpidObservation, IpidResult};
 pub use resolver_assoc::ResolverAssociation;
 pub use root_crawl::{RootCrawlResult, RootCrawler};

@@ -57,30 +57,18 @@ pub struct RootCrawlResult {
 impl RootCrawler {
     /// Simulate the collection and crawl it.
     pub fn run(&self, s: &Substrate, resolver: &OpenResolver<'_>) -> RootCrawlResult {
-        self.run_with(s, resolver, |n, job| (0..n).map(job).collect())
-    }
-
-    /// Run with a caller-supplied shard runner (see `CacheProbeCampaign::run_with`).
-    /// Log collection itself stays sequential — it draws from one RNG
-    /// stream — only the crawl over the collected lines is sharded.
-    pub fn run_with<R>(
-        &self,
-        s: &Substrate,
-        resolver: &OpenResolver<'_>,
-        run_shards: R,
-    ) -> RootCrawlResult
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> RootCrawlShard + Sync)) -> Vec<RootCrawlShard>,
-    {
         let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "root_crawl");
-        self.run_with_faults(s, resolver, &faults, run_shards)
+        self.run_with_faults(s, resolver, &faults, |n, job| (0..n).map(job).collect())
     }
 
-    /// Simulate the collection and crawl it under a fault plan: resolvers
-    /// that churn away contribute no usable lines, and individual lines
-    /// go missing at the plan's loss rate (truncated captures, transfer
-    /// failures). Fates are keyed by `(source address, global line
-    /// index)`, so the lost set is identical across thread counts.
+    /// Simulate the collection and crawl it with a caller-supplied shard
+    /// runner (see `CacheProbeCampaign::run_with_faults`) under a fault
+    /// plan: resolvers that churn away contribute no usable lines, and
+    /// individual lines go missing at the plan's loss rate (truncated
+    /// captures, transfer failures). Fates are keyed by `(source address,
+    /// global line index)`, so the lost set is identical across thread
+    /// counts. Log collection itself stays sequential — it draws from one
+    /// RNG stream — only the crawl over the collected lines is sharded.
     pub fn run_with_faults<R>(
         &self,
         s: &Substrate,
@@ -106,7 +94,8 @@ impl RootCrawler {
 
     /// Crawl pre-collected logs.
     pub fn crawl(&self, s: &Substrate, logs: &RootLogs) -> RootCrawlResult {
-        self.crawl_with(s, logs, |n, job| (0..n).map(job).collect())
+        let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "root_crawl");
+        self.crawl_with_faults(s, logs, &faults, |n, job| (0..n).map(job).collect())
     }
 
     /// How many shards the crawl splits into (a property of the log size).
@@ -114,22 +103,13 @@ impl RootCrawler {
         logs.entries.len().clamp(1, DEFAULT_SHARDS)
     }
 
-    /// Crawl pre-collected logs with a caller-supplied shard runner.
+    /// Crawl pre-collected logs with a caller-supplied shard runner under
+    /// a fault plan (see `run_with_faults`).
     ///
     /// Each shard attributes a contiguous slice of log lines; partial
     /// per-AS sums are merged in shard-index order so the floating-point
     /// accumulation order — and hence the output bytes — never depend on
     /// the execution schedule.
-    pub fn crawl_with<R>(&self, s: &Substrate, logs: &RootLogs, run_shards: R) -> RootCrawlResult
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> RootCrawlShard + Sync)) -> Vec<RootCrawlShard>,
-    {
-        let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "root_crawl");
-        self.crawl_with_faults(s, logs, &faults, run_shards)
-    }
-
-    /// Crawl pre-collected logs under a fault plan (see
-    /// `run_with_faults`).
     pub fn crawl_with_faults<R>(
         &self,
         s: &Substrate,
@@ -355,7 +335,6 @@ mod tests {
         let mut cfg = SubstrateConfig::small();
         cfg.resolvers = ResolverConfig {
             offnet_resolver_fraction: 0.0,
-            ..Default::default()
         };
         let clean = Substrate::build(cfg.clone(), 109).unwrap();
         cfg.resolvers.offnet_resolver_fraction = 0.8;

@@ -6,7 +6,6 @@
 //! the TLS host registry. Building one is a single call; everything is
 //! derived deterministically from `(config, seed)`.
 
-use itm_dns::chromium::ChromiumConfig;
 use itm_dns::{
     AuthoritativeDns, ChromiumModel, FrontendDirectory, OpenResolver, OpenResolverConfig,
     ResolverAssignment, ResolverConfig,
@@ -15,30 +14,23 @@ use itm_obs::exec::ParallelExecutor;
 use itm_routing::{GraphView, RouterMap};
 use itm_tls::TlsHostRegistry;
 use itm_topology::{Topology, TopologyConfig};
-use itm_traffic::apnic::ApnicConfig;
-use itm_traffic::{
-    ApnicEstimates, ServiceCatalog, ServiceCatalogConfig, TrafficConfig, TrafficModel, UserModel,
-};
+use itm_traffic::{ApnicEstimates, ServiceCatalog, ServiceCatalogConfig, TrafficModel, UserModel};
 use itm_types::{Asn, Result, SeedDomain};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Configuration for the whole substrate.
+/// Configuration for the whole substrate: the values a preset, an
+/// ablation or a benchmark turns. Every other parameter of the layers
+/// is a named constant in the module that reads it.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SubstrateConfig {
     /// Topology generation parameters.
     pub topology: TopologyConfig,
-    /// Service catalogue parameters.
+    /// Service catalogue size.
     pub services: ServiceCatalogConfig,
-    /// Traffic model parameters.
-    pub traffic: TrafficConfig,
-    /// Resolver ecosystem parameters.
+    /// Resolver outsourcing (the D2 ablation knob).
     pub resolvers: ResolverConfig,
-    /// APNIC-estimator parameters.
-    pub apnic: ApnicConfig,
-    /// Chromium-model parameters.
-    pub chromium: ChromiumConfig,
-    /// Open-resolver deployment parameters.
+    /// Open-resolver PoP count.
     pub open_resolver: OpenResolverConfig,
 }
 
@@ -48,10 +40,7 @@ impl SubstrateConfig {
         SubstrateConfig {
             topology: TopologyConfig::small(),
             services: ServiceCatalogConfig::small(),
-            open_resolver: OpenResolverConfig {
-                n_pops: 6,
-                ..Default::default()
-            },
+            open_resolver: OpenResolverConfig { n_pops: 6 },
             ..Default::default()
         }
     }
@@ -92,31 +81,48 @@ pub struct Substrate {
 }
 
 impl Substrate {
-    /// Build everything from a config and master seed.
+    /// Build everything from a config and master seed, on every core.
     pub fn build(config: SubstrateConfig, seed: u64) -> Result<Substrate> {
+        Substrate::build_with(config, seed, &ParallelExecutor::available())
+    }
+
+    /// Build everything from a config and master seed, running the
+    /// sharded layers on `exec`. The world is the same at any thread
+    /// count.
+    pub fn build_with(
+        config: SubstrateConfig,
+        seed: u64,
+        exec: &ParallelExecutor,
+    ) -> Result<Substrate> {
         let _span = itm_obs::span("substrate.build");
-        let seeds = SeedDomain::new(seed);
         // itm_topology::generate opens its own "topology.generate" span,
         // which nests under this one.
         let topo = itm_topology::generate(&config.topology, seed)?;
         let users = {
             let _s = itm_obs::span("users.generate");
-            UserModel::generate(&topo, &seeds)
+            UserModel::generate(&topo, &SeedDomain::new(seed))
         };
+        Ok(Substrate::assemble(config, seed, topo, users, exec))
+    }
+
+    /// Derive every layer above a topology and its users: the one
+    /// assembly behind [`Substrate::build_with`] and
+    /// [`crate::evolution::evolve`].
+    pub(crate) fn assemble(
+        config: SubstrateConfig,
+        seed: u64,
+        topo: Topology,
+        users: UserModel,
+        exec: &ParallelExecutor,
+    ) -> Substrate {
+        let seeds = SeedDomain::new(seed);
         let catalog = {
             let _s = itm_obs::span("catalog.generate");
             ServiceCatalog::generate(&config.services, &topo, &seeds)
         };
         let traffic = {
             let _s = itm_obs::span("traffic.build");
-            TrafficModel::build(
-                &topo,
-                &users,
-                &catalog,
-                config.traffic.clone(),
-                &seeds,
-                &ParallelExecutor::available(),
-            )
+            TrafficModel::build(&topo, &users, &catalog, &seeds, exec)
         };
         let resolvers = {
             let _s = itm_obs::span("resolvers.build");
@@ -128,11 +134,11 @@ impl Substrate {
         };
         let apnic = {
             let _s = itm_obs::span("apnic.generate");
-            ApnicEstimates::generate(&topo, &users, &config.apnic, &seeds)
+            ApnicEstimates::generate(&topo, &users, &seeds)
         };
         let chromium = {
             let _s = itm_obs::span("chromium.build");
-            ChromiumModel::build(&topo, &users, config.chromium.clone(), &seeds)
+            ChromiumModel::build(&topo, &users, &seeds)
         };
         let routers = {
             let _s = itm_obs::span("routers.build");
@@ -142,7 +148,7 @@ impl Substrate {
             let _s = itm_obs::span("tls_registry.build");
             TlsHostRegistry::build(&topo, &catalog, &frontends)
         };
-        Ok(Substrate {
+        Substrate {
             config,
             seed,
             topo,
@@ -157,7 +163,7 @@ impl Substrate {
             tls,
             seeds,
             vm_down: BTreeSet::new(),
-        })
+        }
     }
 
     /// The authoritative-DNS façade (cheap to construct; borrows self).

@@ -53,7 +53,8 @@ impl UserMapping {
     /// Run the mapping campaign over all user prefixes × DNS-redirected
     /// ECS services.
     pub fn measure(s: &Substrate, resolver: &OpenResolver<'_>) -> UserMapping {
-        Self::measure_with(s, resolver, |n, job| (0..n).map(job).collect())
+        let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "user_mapping");
+        Self::measure_with_faults(s, resolver, &faults, |n, job| (0..n).map(job).collect())
     }
 
     /// How many shards the campaign splits into (a property of the input
@@ -63,20 +64,11 @@ impl UserMapping {
     }
 
     /// Run the campaign with a caller-supplied shard runner (see
-    /// `CacheProbeCampaign::run_with`). Shards cover disjoint prefix
-    /// slices and hand back sorted runs (cells ascending by `(service,
-    /// prefix)`, footprints ascending by address), so the merge is a
-    /// linear k-way pass and the output is byte-identical for any
-    /// execution schedule.
-    pub fn measure_with<R>(s: &Substrate, resolver: &OpenResolver<'_>, run_shards: R) -> UserMapping
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> UserMappingShard + Sync)) -> Vec<UserMappingShard>,
-    {
-        let faults = FaultInjector::new(FaultPlan::off(), &s.seeds, "user_mapping");
-        Self::measure_with_faults(s, resolver, &faults, run_shards)
-    }
-
-    /// Run the mapping campaign under a fault plan. Each resolution goes
+    /// `CacheProbeCampaign::run_with_faults`) under a fault plan. Shards
+    /// cover disjoint prefix slices and hand back sorted runs (cells
+    /// ascending by `(service, prefix)`, footprints ascending by address),
+    /// so the merge is a linear k-way pass and the output is
+    /// byte-identical for any execution schedule. Each resolution goes
     /// through two hops (client → open resolver → authoritative); either
     /// can fail, and the combined fate is recorded. Fates are keyed by
     /// `(prefix, domain)`, never by emission order, so degraded mappings

@@ -73,7 +73,8 @@ impl TlsScan {
         cfg: &ScanConfig,
         seeds: &SeedDomain,
     ) -> TlsScan {
-        Self::run_with(topo, registry, cfg, seeds, |n, job| {
+        let faults = FaultInjector::new(FaultPlan::off(), seeds, "tls-scan");
+        Self::run_with_faults(topo, registry, cfg, seeds, &faults, |n, job| {
             (0..n).map(job).collect()
         })
     }
@@ -82,21 +83,6 @@ impl TlsScan {
     /// table, never of the machine running it).
     pub fn shard_count(topo: &Topology) -> usize {
         topo.prefixes.len().clamp(1, DEFAULT_SHARDS)
-    }
-
-    /// Run the sweep with a caller-supplied shard runner (fault-free).
-    pub fn run_with<R>(
-        topo: &Topology,
-        registry: &TlsHostRegistry,
-        cfg: &ScanConfig,
-        seeds: &SeedDomain,
-        run_shards: R,
-    ) -> TlsScan
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> TlsScanShard + Sync)) -> Vec<TlsScanShard>,
-    {
-        let faults = FaultInjector::new(FaultPlan::off(), seeds, "tls-scan");
-        Self::run_with_faults(topo, registry, cfg, seeds, &faults, run_shards)
     }
 
     /// Run the sweep with a caller-supplied shard runner under fault
@@ -273,33 +259,22 @@ impl SniScan {
         cfg: &ScanConfig,
         seeds: &SeedDomain,
     ) -> SniScan {
-        Self::run_with(registry, candidates, domains, cfg, seeds, |n, job| {
-            (0..n).map(job).collect()
-        })
+        let faults = FaultInjector::new(FaultPlan::off(), seeds, "sni-scan");
+        Self::run_with_faults(
+            registry,
+            candidates,
+            domains,
+            cfg,
+            seeds,
+            &faults,
+            |n, job| (0..n).map(job).collect(),
+        )
     }
 
     /// How many shards the scan splits into (a property of the domain
     /// table, never of the machine running it).
     pub fn shard_count(domains: &DomainTable) -> usize {
         domains.len().clamp(1, DEFAULT_SHARDS)
-    }
-
-    /// Run the scan with a caller-supplied shard runner (fault-free).
-    pub fn run_with<R>(
-        registry: &TlsHostRegistry,
-        candidates: &[Ipv4Addr],
-        domains: &DomainTable,
-        cfg: &ScanConfig,
-        seeds: &SeedDomain,
-        run_shards: R,
-    ) -> SniScan
-    where
-        R: FnOnce(usize, &(dyn Fn(usize) -> SniScanShard + Sync)) -> Vec<SniScanShard>,
-    {
-        let faults = FaultInjector::new(FaultPlan::off(), seeds, "sni-scan");
-        Self::run_with_faults(
-            registry, candidates, domains, cfg, seeds, &faults, run_shards,
-        )
     }
 
     /// Run the scan with a caller-supplied shard runner under fault

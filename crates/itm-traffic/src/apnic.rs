@@ -24,33 +24,15 @@ pub struct ApnicEstimates {
     estimates: Vec<Option<f64>>,
 }
 
-/// Noise/coverage parameters for the estimator.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ApnicConfig {
-    /// σ of the log-normal multiplicative error.
-    pub noise_sigma: f64,
-    /// Networks below this many users are likely missed; coverage
-    /// probability ramps from ~0 at 0 users to ~1 at 10× this threshold.
-    pub coverage_threshold: f64,
-}
-
-impl Default for ApnicConfig {
-    fn default() -> Self {
-        ApnicConfig {
-            noise_sigma: 0.35,
-            coverage_threshold: 200.0,
-        }
-    }
-}
+/// σ of the log-normal multiplicative error.
+const NOISE_SIGMA: f64 = 0.35;
+/// Networks below this many users are likely missed; coverage
+/// probability ramps from ~0 at 0 users to ~1 at 10× this threshold.
+const COVERAGE_THRESHOLD: f64 = 200.0;
 
 impl ApnicEstimates {
     /// Produce estimates from ground truth.
-    pub fn generate(
-        topo: &Topology,
-        users: &UserModel,
-        cfg: &ApnicConfig,
-        seeds: &SeedDomain,
-    ) -> ApnicEstimates {
+    pub fn generate(topo: &Topology, users: &UserModel, seeds: &SeedDomain) -> ApnicEstimates {
         let seeds = seeds.child("apnic");
         let mut estimates = vec![None; topo.n_ases()];
         for a in &topo.ases {
@@ -60,12 +42,12 @@ impl ApnicEstimates {
             }
             let mut rng = seeds.rng_indexed("as", a.asn.raw() as u64);
             // Coverage: sigmoid in log-space around the threshold.
-            let x = (truth / cfg.coverage_threshold).ln();
+            let x = (truth / COVERAGE_THRESHOLD).ln();
             let p_covered = 1.0 / (1.0 + (-1.2 * x).exp());
             if !rng.gen_bool(p_covered.clamp(0.0, 1.0)) {
                 continue;
             }
-            estimates[a.asn.index()] = Some(truth * lognormal(&mut rng, 0.0, cfg.noise_sigma));
+            estimates[a.asn.index()] = Some(truth * lognormal(&mut rng, 0.0, NOISE_SIGMA));
         }
         ApnicEstimates { estimates }
     }
@@ -105,7 +87,7 @@ mod tests {
     fn setup() -> (Topology, UserModel, ApnicEstimates) {
         let t = generate(&TopologyConfig::small(), 17).unwrap();
         let u = UserModel::generate(&t, &SeedDomain::new(17));
-        let a = ApnicEstimates::generate(&t, &u, &ApnicConfig::default(), &SeedDomain::new(17));
+        let a = ApnicEstimates::generate(&t, &u, &SeedDomain::new(17));
         (t, u, a)
     }
 
@@ -172,8 +154,8 @@ mod tests {
     fn deterministic() {
         let t = generate(&TopologyConfig::small(), 17).unwrap();
         let u = UserModel::generate(&t, &SeedDomain::new(17));
-        let a = ApnicEstimates::generate(&t, &u, &ApnicConfig::default(), &SeedDomain::new(9));
-        let b = ApnicEstimates::generate(&t, &u, &ApnicConfig::default(), &SeedDomain::new(9));
+        let a = ApnicEstimates::generate(&t, &u, &SeedDomain::new(9));
+        let b = ApnicEstimates::generate(&t, &u, &SeedDomain::new(9));
         for i in 0..t.n_ases() {
             assert_eq!(a.estimate(Asn(i as u32)), b.estimate(Asn(i as u32)));
         }

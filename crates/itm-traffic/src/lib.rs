@@ -29,8 +29,8 @@ pub mod objects;
 pub mod services;
 pub mod users;
 
-pub use apnic::{ApnicConfig, ApnicEstimates};
-pub use model::{TrafficConfig, TrafficModel};
+pub use apnic::ApnicEstimates;
+pub use model::TrafficModel;
 pub use objects::ObjectModel;
 pub use services::{DeliveryMode, Service, ServiceCatalog, ServiceCatalogConfig, ServiceOwner};
 pub use users::UserModel;

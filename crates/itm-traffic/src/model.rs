@@ -23,34 +23,19 @@ use crate::users::UserModel;
 use itm_obs::exec::ParallelExecutor;
 use itm_topology::Topology;
 use itm_types::{Asn, Bps, DiurnalCurve, PrefixId, SeedDomain, ServiceId, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Traffic model parameters.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TrafficConfig {
-    /// Mean busy-hour traffic per user, in kbps (downstream).
-    pub per_user_kbps: f64,
-    /// σ of the per-(prefix, service) affinity noise.
-    pub affinity_sigma: f64,
-    /// The diurnal shape applied to all user prefixes.
-    pub diurnal: DiurnalCurve,
-}
-
-impl Default for TrafficConfig {
-    fn default() -> Self {
-        TrafficConfig {
-            per_user_kbps: 150.0,
-            affinity_sigma: 0.4,
-            diurnal: DiurnalCurve::default(),
-        }
-    }
-}
+/// Mean busy-hour traffic per user, in kbps (downstream).
+const PER_USER_KBPS: f64 = 150.0;
+/// σ of the per-(prefix, service) affinity noise.
+const AFFINITY_SIGMA: f64 = 0.4;
 
 /// The assembled ground-truth traffic model.
 #[derive(Debug, Clone)]
 pub struct TrafficModel {
-    cfg: TrafficConfig,
+    /// The diurnal shape applied to all user prefixes; the epoch engine
+    /// shifts its phase.
+    diurnal: DiurnalCurve,
     /// Cached mean of the diurnal curve over a day (used on every
     /// time-modulated query; recomputing it is 1,440 trig calls).
     diurnal_mean: f64,
@@ -77,7 +62,6 @@ impl TrafficModel {
         topo: &Topology,
         users: &UserModel,
         catalog: &ServiceCatalog,
-        cfg: TrafficConfig,
         seeds: &SeedDomain,
         exec: &ParallelExecutor,
     ) -> TrafficModel {
@@ -88,7 +72,7 @@ impl TrafficModel {
         let mut sources = Vec::new();
         for r in topo.prefixes.iter() {
             solar_offset[r.id.index()] = topo.city_location(r.city).solar_offset_hours();
-            let base = users.users_of(r.id) * users.intensity_of(r.id) * cfg.per_user_kbps * 1e3;
+            let base = users.users_of(r.id) * users.intensity_of(r.id) * PER_USER_KBPS * 1e3;
             if base <= 0.0 {
                 continue;
             }
@@ -105,7 +89,7 @@ impl TrafficModel {
             .collect();
         let affinity = Affinity {
             seed: affinity_seed,
-            sigma: cfg.affinity_sigma,
+            sigma: AFFINITY_SIGMA,
         };
         let Totals {
             prefix: prefix_total,
@@ -120,9 +104,10 @@ impl TrafficModel {
             exec,
         );
 
+        let diurnal = DiurnalCurve::default();
         TrafficModel {
-            diurnal_mean: cfg.diurnal.daily_mean(),
-            cfg,
+            diurnal_mean: diurnal.daily_mean(),
+            diurnal,
             prefix_total,
             service_total,
             as_total,
@@ -139,8 +124,8 @@ impl TrafficModel {
     /// mean is phase-invariant for the analytic curve, but recomputing
     /// keeps the cache definitionally correct if the curve shape changes).
     pub fn shift_diurnal_phase(&mut self, hours: f64) {
-        self.cfg.diurnal.peak_hour = (self.cfg.diurnal.peak_hour + hours).rem_euclid(24.0);
-        self.diurnal_mean = self.cfg.diurnal.daily_mean();
+        self.diurnal.peak_hour = (self.diurnal.peak_hour + hours).rem_euclid(24.0);
+        self.diurnal_mean = self.diurnal.daily_mean();
     }
 
     /// Daily-mean demand between a prefix and a service.
@@ -154,19 +139,19 @@ impl TrafficModel {
     ) -> Bps {
         let _ = topo;
         let svc = catalog.get(s);
-        let base = users.users_of(p) * users.intensity_of(p) * self.cfg.per_user_kbps * 1e3;
-        Bps(base * svc.traffic_share * affinity(self.affinity_seed, p, s, self.cfg.affinity_sigma))
+        let base = users.users_of(p) * users.intensity_of(p) * PER_USER_KBPS * 1e3;
+        Bps(base * svc.traffic_share * affinity(self.affinity_seed, p, s, AFFINITY_SIGMA))
     }
 
     /// Diurnal multiplier for a prefix at time `t` (mean 1.0 over a day).
     pub fn diurnal_multiplier(&self, p: PrefixId, t: SimTime) -> f64 {
-        self.cfg.diurnal.at(t, self.solar_offset[p.index()]) / self.diurnal_mean
+        self.diurnal.at(t, self.solar_offset[p.index()]) / self.diurnal_mean
     }
 
     /// Diurnal multiplier for an arbitrary solar offset (mean 1.0 over a
     /// day) — for locations that are not prefixes (e.g. resolver PoPs).
     pub fn diurnal_multiplier_at(&self, solar_offset_hours: f64, t: SimTime) -> f64 {
-        self.cfg.diurnal.at(t, solar_offset_hours) / self.diurnal_mean
+        self.diurnal.at(t, solar_offset_hours) / self.diurnal_mean
     }
 
     /// Daily-mean total demand originated by a prefix, over all services.
@@ -417,14 +402,7 @@ mod tests {
         let seeds = SeedDomain::new(23);
         let u = UserModel::generate(&t, &seeds);
         let c = ServiceCatalog::generate(&ServiceCatalogConfig::small(), &t, &seeds);
-        let m = TrafficModel::build(
-            &t,
-            &u,
-            &c,
-            TrafficConfig::default(),
-            &seeds,
-            &ParallelExecutor::sequential(),
-        );
+        let m = TrafficModel::build(&t, &u, &c, &seeds, &ParallelExecutor::sequential());
         (t, u, c, m)
     }
 
@@ -487,13 +465,12 @@ mod tests {
         t: &Topology,
         u: &UserModel,
         c: &ServiceCatalog,
-        cfg: &TrafficConfig,
     ) -> (Vec<Source>, Vec<(ServiceId, f64)>) {
         let prefixes = t
             .prefixes
             .iter()
             .map(|r| {
-                let base = u.users_of(r.id) * u.intensity_of(r.id) * cfg.per_user_kbps * 1e3;
+                let base = u.users_of(r.id) * u.intensity_of(r.id) * PER_USER_KBPS * 1e3;
                 Source {
                     p: r.id,
                     owner: r.owner.index(),
@@ -574,18 +551,17 @@ mod tests {
             let seeds = SeedDomain::new(seed);
             let u = UserModel::generate(&t, &seeds);
             let c = ServiceCatalog::generate(&ServiceCatalogConfig::small(), &t, &seeds);
-            let cfg = TrafficConfig::default();
-            let (prefixes, services) = world_inputs(&t, &u, &c, &cfg);
+            let (prefixes, services) = world_inputs(&t, &u, &c);
             let sizes = [t.prefixes.len(), c.len(), t.n_ases()];
             let aff = Affinity {
                 seed: seeds.child("traffic").seed("affinity"),
-                sigma: cfg.affinity_sigma,
+                sigma: AFFINITY_SIGMA,
             };
             let want = serial_totals(&prefixes, &services, sizes, aff);
             let grand: f64 = want.prefix.iter().sum();
             for threads in [1, 2, 8] {
                 let exec = ParallelExecutor::new(threads);
-                let m = TrafficModel::build(&t, &u, &c, cfg.clone(), &seeds, &exec);
+                let m = TrafficModel::build(&t, &u, &c, &seeds, &exec);
                 let got = Totals {
                     prefix: (0..sizes[0]).map(|i| m.prefix_total(PrefixId(i as u32)).raw()).collect(),
                     service: (0..sizes[1]).map(|i| m.service_total(ServiceId(i as u32)).raw()).collect(),

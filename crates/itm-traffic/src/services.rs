@@ -70,42 +70,33 @@ pub struct Service {
     pub ttl_secs: u32,
 }
 
+/// Zipf exponent of traffic shares (≈1.0 matches measured skew).
+const POPULARITY_EXPONENT: f64 = 1.0;
+/// Fraction of services operated by hypergiants (the rest are cloud
+/// tenants). Hypergiants are favoured at the top of the ranking.
+const HYPERGIANT_SHARE: f64 = 0.45;
+/// Probability that a top-20 service supports ECS (§3.2.3 reports 15/20).
+const TOP_ECS_RATE: f64 = 0.75;
+/// Probability that a tail service supports ECS.
+const TAIL_ECS_RATE: f64 = 0.45;
+
 /// Configuration for catalogue generation.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServiceCatalogConfig {
     /// Number of services to generate.
     pub n_services: usize,
-    /// Zipf exponent of traffic shares (≈1.0 matches measured skew).
-    pub popularity_exponent: f64,
-    /// Fraction of services operated by hypergiants (the rest are cloud
-    /// tenants). Hypergiants are favoured at the top of the ranking.
-    pub hypergiant_share: f64,
-    /// Probability that a top-20 service supports ECS (§3.2.3 reports
-    /// 15/20 — default 0.75).
-    pub top_ecs_rate: f64,
-    /// Probability that a tail service supports ECS.
-    pub tail_ecs_rate: f64,
 }
 
 impl Default for ServiceCatalogConfig {
     fn default() -> Self {
-        ServiceCatalogConfig {
-            n_services: 200,
-            popularity_exponent: 1.0,
-            hypergiant_share: 0.45,
-            top_ecs_rate: 0.75,
-            tail_ecs_rate: 0.45,
-        }
+        ServiceCatalogConfig { n_services: 200 }
     }
 }
 
 impl ServiceCatalogConfig {
     /// A small catalogue for unit tests.
     pub fn small() -> Self {
-        ServiceCatalogConfig {
-            n_services: 30,
-            ..Default::default()
-        }
+        ServiceCatalogConfig { n_services: 30 }
     }
 }
 
@@ -128,7 +119,7 @@ impl ServiceCatalog {
         let hypergiants = topo.hypergiants();
         let clouds = topo.clouds();
         assert!(!hypergiants.is_empty(), "catalogue needs hypergiants");
-        let shares = zipf_weights(cfg.n_services, cfg.popularity_exponent);
+        let shares = zipf_weights(cfg.n_services, POPULARITY_EXPONENT);
 
         // Hypergiant size factors weight which hypergiant owns a property.
         let hg_weights: Vec<f64> = hypergiants
@@ -143,9 +134,8 @@ impl ServiceCatalog {
         let mut services = Vec::with_capacity(cfg.n_services);
         for (rank, &share) in shares.iter().enumerate() {
             // Top of the ranking skews hypergiant: P(hg | rank) decays from
-            // ~0.95 toward the configured share.
-            let p_hg =
-                cfg.hypergiant_share + (0.95 - cfg.hypergiant_share) / (1.0 + rank as f64 / 8.0);
+            // ~0.95 toward `HYPERGIANT_SHARE`.
+            let p_hg = HYPERGIANT_SHARE + (0.95 - HYPERGIANT_SHARE) / (1.0 + rank as f64 / 8.0);
             // `weighted_choice` is None only for an all-zero weight table;
             // size factors are strictly positive, and the first entry is a
             // deterministic fallback rather than a panic.
@@ -173,11 +163,11 @@ impl ServiceCatalog {
             // ECS adoption skews toward the heaviest properties (§3.2.3:
             // the supporters among the top 20 carry 91% of its traffic).
             let ecs_rate = if rank < 8 {
-                0.92f64.max(cfg.top_ecs_rate)
+                0.92f64.max(TOP_ECS_RATE)
             } else if rank < 20 {
-                cfg.top_ecs_rate
+                TOP_ECS_RATE
             } else {
-                cfg.tail_ecs_rate
+                TAIL_ECS_RATE
             };
             // Anycast services answer identically everywhere; ECS is moot
             // but some still echo it. Custom-URL bootstrap DNS usually

@@ -395,22 +395,24 @@ impl DirtySet {
     }
 
     /// Apply the closure rules the build pipeline's data flow imposes:
-    /// activity fuses cache + root, route assembly consumes the cloud
-    /// probe, cloud probing walks the flapped view, and the SNI scan
-    /// resolves against the TLS scan's host table.
+    /// activity fuses cache + root; route assembly consumes the cloud
+    /// probe and cloud probing walks the flapped view, so the two
+    /// recompute together; and the SNI scan resolves against the TLS
+    /// scan's host table, which the map does not keep, so those two
+    /// recompute together as well. These are the only closure rules: the
+    /// build pipeline applies them to whatever set it is given.
     pub fn normalize(&mut self) {
-        let has = |s: &BTreeSet<Campaign>, c| s.contains(&c);
-        if has(&self.campaigns, Campaign::CacheProbe) || has(&self.campaigns, Campaign::RootCrawl) {
-            self.campaigns.insert(Campaign::Activity);
+        let c = &mut self.campaigns;
+        if c.contains(&Campaign::CacheProbe) || c.contains(&Campaign::RootCrawl) {
+            c.insert(Campaign::Activity);
         }
-        if has(&self.campaigns, Campaign::CloudProbe) {
-            self.campaigns.insert(Campaign::Routes);
-        }
-        if has(&self.campaigns, Campaign::Routes) {
-            self.campaigns.insert(Campaign::CloudProbe);
-        }
-        if has(&self.campaigns, Campaign::TlsScan) {
-            self.campaigns.insert(Campaign::SniScan);
+        for pair in [
+            [Campaign::CloudProbe, Campaign::Routes],
+            [Campaign::TlsScan, Campaign::SniScan],
+        ] {
+            if pair.iter().any(|x| c.contains(x)) {
+                c.extend(pair);
+            }
         }
     }
 
